@@ -84,6 +84,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def resolve_workers(requested: int, cpus: int | None) -> int:
+    """Pool size for a grid command: at least 1, at most the cpus available.
+
+    A request below 1 raises ValueError; one above cpus is capped with a
+    warning on stderr. cpus of None (unknown) caps nothing.
+    """
+    if requested < 1:
+        raise ValueError(f"--workers must be at least 1, got {requested}")
+    if cpus is not None and requested > cpus:
+        print(f"warning: --workers {requested} exceeds the {cpus} available CPUs; using {cpus}", file=sys.stderr)
+        return cpus
+    return requested
+
+
 def _cmd_calibrate(args) -> int:
     template = DEFAULT_TEMPLATE if args.template is None else serialize.load_profile(args.template)
     target = CalibrationTarget(cr_rate=args.cr, pr_rate=args.pr, tolerance=args.tolerance)
@@ -240,6 +254,8 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if hasattr(args, "workers"):
+            args.workers = resolve_workers(args.workers, os.cpu_count())
         return _COMMANDS[args.command](args)
     except (ConfigError, CalibrationError, DegenerateTestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

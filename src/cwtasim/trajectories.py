@@ -17,12 +17,17 @@ clinical pattern that responses concentrate early in treatment.
 Experimental-arm subjects use worsening probabilities rescaled by a
 hazard ratio (see apply_hazard_ratio).
 
-Randomness contract: subject i of a trial draws from its own generator
-seeded with mix64(trial_seed, i) and consumes exactly horizon + 2
-uniforms in a fixed layout -- dropout flag, dropout month, then one per
-month -- whether or not the subject drops out or dies early. Trials are
-therefore bit-reproducible, and identical whether subjects are simulated
-one at a time or as a vectorized batch.
+Randomness contract: subject i of a trial draws from its own stream,
+np.random.default_rng(mix64(trial_seed, i)), and consumes exactly
+horizon + 2 uniforms in a fixed layout -- dropout flag, dropout month,
+then one per month -- whether or not the subject drops out or dies early.
+Trials are therefore bit-reproducible, and identical whether subjects are
+simulated one at a time or as a vectorized batch. No generator is built
+per subject: subject_uniforms draws all streams at once with
+seeds.pcg64_uniforms, a vectorized SeedSequence + PCG64 that the oracle
+test checks bit for bit against default_rng. It returns a month-major
+(F-contiguous) view, so reading one month for every subject is a
+contiguous read.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .seeds import mix64, mix64_array
+from .seeds import mix64_array, pcg64_uniforms
 
 CR, PR, SD, PD, DEATH = 0, 1, 2, 3, 4
 N_STATES = 5
@@ -207,24 +212,17 @@ class SimulatedTrial:
     config: TrialConfig
 
 
-def subject_rng(trial_seed: int, subject_index: int) -> np.random.Generator:
-    """The generator that subject_index draws from within a trial."""
-    return np.random.default_rng(mix64(trial_seed, subject_index))
-
-
 def subject_uniforms(base_seed: int, n: int, horizon: int) -> np.ndarray:
     """(n, horizon + 2) uniform draws, row i from the stream mix64(base_seed, i).
 
     Column layout per subject: dropout flag, dropout month, then one draw
     per month 1..horizon. Blocks are always drawn in full so the layout
-    stays fixed regardless of what happens to the subject.
+    stays fixed regardless of what happens to the subject. The result is
+    the transpose of a C-contiguous (horizon + 2, n) buffer, so each
+    column is contiguous.
     """
     seeds = mix64_array((base_seed,), np.arange(n, dtype=np.uint64))
-    out = np.empty((n, horizon + 2))
-    width = horizon + 2
-    for i in range(n):
-        out[i] = np.random.default_rng(int(seeds[i])).random(width)
-    return out
+    return pcg64_uniforms(seeds, horizon + 2).T
 
 
 def _simulate_state_matrix(model: TransitionModel, monthly_u: np.ndarray) -> np.ndarray:
@@ -233,52 +231,29 @@ def _simulate_state_matrix(model: TransitionModel, monthly_u: np.ndarray) -> np.
     monthly_u holds one uniform per subject per month. The draw decides
     [improve | stay | worsen] in that order: improve iff u < p_improve,
     worsen iff u >= 1 - p_worsen. Model validation guarantees the two
-    intervals never overlap.
+    intervals never overlap. Months are read and written one column at a
+    time, so a month-major (F-contiguous) monthly_u reads contiguously;
+    the (n, horizon + 1) result is likewise a month-major view.
     """
     n, horizon = monthly_u.shape
     improve = np.asarray(model.improve_prob)
     worsen = np.asarray(model.worsen_prob)
-    states = np.empty((n, horizon + 1), dtype=np.int8)
-    states[:, 0] = SD
+    states = np.empty((horizon + 1, n), dtype=np.int8)
+    states[0] = SD
     s = np.full(n, SD, dtype=np.intp)
     for m in range(1, horizon + 1):
         u = monthly_u[:, m - 1]
         p_improve = improve[s] * (model.improve_decay ** (m - 1))
         p_worsen = worsen[s]
         s = s - (u < p_improve) + (u >= 1.0 - p_worsen)
-        states[:, m] = s
-    return states
+        states[m] = s
+    return states.T
 
 
 def _dropout_from_uniforms(model: TransitionModel, u_flag, u_month):
     dropped = u_flag < model.dropout_rate
     month = 1 + np.floor(np.asarray(u_month) * model.horizon_months).astype(np.int64)
     return dropped, month
-
-
-def _trajectory_from_block(model: TransitionModel, block: np.ndarray, arm: Arm) -> SubjectTrajectory:
-    states = _simulate_state_matrix(model, block[None, 2:])[0]
-    dropped = bool(block[0] < model.dropout_rate)
-    if dropped:
-        d = 1 + int(block[1] * model.horizon_months)
-        return SubjectTrajectory(states=states[: d + 1].copy(), dropout_month=d, arm=arm)
-    return SubjectTrajectory(states=states, dropout_month=None, arm=arm)
-
-
-def simulate_subject(
-    control_model: TransitionModel,
-    arm: Arm,
-    hr: float,
-    rng: np.random.Generator,
-    improvement_hr: float | None = None,
-) -> SubjectTrajectory:
-    """Simulate one subject, consuming horizon + 2 uniforms from rng."""
-    if arm == Arm.CONTROL:
-        model = control_model
-    else:
-        model = apply_hazard_ratio(control_model, hr, improvement_hr)
-    block = rng.random(control_model.horizon_months + 2)
-    return _trajectory_from_block(model, block, arm)
 
 
 def simulate_trial(config: TrialConfig) -> SimulatedTrial:

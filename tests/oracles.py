@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive pure Python: dictionary loops,
 itertools enumeration, no shared code with the package internals. When a
-package routine and an oracle disagree, the oracle wins.
+package routine and an oracle disagree, the oracle wins. The subject
+stream oracle builds one np.random.default_rng per subject, the stream
+that the package's vectorized generator must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -10,7 +12,42 @@ from __future__ import annotations
 from itertools import combinations
 from math import erf, sqrt
 
-from cwtasim import Arm
+import numpy as np
+
+from cwtasim import Arm, SubjectTrajectory, TransitionModel, apply_hazard_ratio
+from cwtasim.seeds import mix64
+
+
+def subject_rng(trial_seed: int, subject_index: int) -> np.random.Generator:
+    """The reference stream of subject_index within a trial: one generator per subject."""
+    return np.random.default_rng(mix64(trial_seed, subject_index))
+
+
+def _trajectory_from_block(model: TransitionModel, block, arm: Arm) -> SubjectTrajectory:
+    """One subject's trajectory from its horizon + 2 uniforms, month by month."""
+    state = 2  # SD baseline
+    states = [state]
+    for month in range(1, model.horizon_months + 1):
+        u = block[month + 1]
+        p_improve = model.improve_prob[state] * model.improve_decay ** (month - 1)
+        state += int(u >= 1.0 - model.worsen_prob[state]) - int(u < p_improve)
+        states.append(state)
+    dropout = None
+    if block[0] < model.dropout_rate:
+        dropout = 1 + int(block[1] * model.horizon_months)
+        states = states[: dropout + 1]
+    return SubjectTrajectory(states=np.array(states, dtype=np.int8), dropout_month=dropout, arm=arm)
+
+
+def simulate_subject(
+    control_model: TransitionModel, arm: Arm, hr: float, rng: np.random.Generator
+) -> SubjectTrajectory:
+    """Simulate one subject, consuming horizon + 2 uniforms from rng."""
+    model = control_model
+    if arm == Arm.EXPERIMENTAL:
+        model = apply_hazard_ratio(control_model, hr)
+    block = rng.random(control_model.horizon_months + 2)
+    return _trajectory_from_block(model, block, arm)
 
 
 def norm_two_sided_p(z: float) -> float:

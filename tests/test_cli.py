@@ -7,7 +7,7 @@ import json
 import pytest
 
 from cwtasim import load_profile, read_trajectories_csv, save_profile
-from cwtasim.cli import run_cli
+from cwtasim.cli import resolve_workers, run_cli
 from cwtasim.trajectories import TransitionModel
 
 FAST = TransitionModel(
@@ -114,6 +114,30 @@ def test_worker_count_does_not_change_output(tmp_path, fast_profile):
     assert run_cli(["power", "--config", cfg1, "--workers", "3"]) == 0
     multi = (tmp_path / "out" / "power.csv").read_bytes()
     assert single == multi
+
+
+def test_resolve_workers_bounds(capsys):
+    assert resolve_workers(1, 4) == 1
+    assert resolve_workers(4, 4) == 4
+    assert resolve_workers(3, None) == 3
+    assert capsys.readouterr().err == ""
+
+    assert resolve_workers(64, 2) == 2
+    warning = capsys.readouterr().err
+    assert warning.count("\n") == 1 and "64" in warning and "2" in warning
+
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="--workers"):
+            resolve_workers(bad, 4)
+
+
+@pytest.mark.parametrize("command", ["power", "samplesize", "tte"])
+def test_workers_below_one_exits_2_before_the_grid(tmp_path, fast_profile, capsys, command):
+    cfg = small_config(tmp_path, profile=fast_profile)
+    assert run_cli([command, "--config", cfg, "--workers", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "--workers" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_error_paths_exit_2(tmp_path, fast_profile, capsys):

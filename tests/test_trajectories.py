@@ -21,15 +21,16 @@ from cwtasim import (
     TrialConfig,
     apply_hazard_ratio,
     best_overall_response,
-    simulate_subject,
     simulate_trial,
 )
+from cwtasim.seeds import CHUNK, pcg64_uniforms
 from cwtasim.trajectories import (
     SubjectTrajectory,
-    subject_rng,
+    _simulate_state_matrix,
     subject_uniforms,
     trial_state_matrix,
 )
+from oracles import simulate_subject, subject_rng
 
 TOL = 1e-12
 
@@ -244,6 +245,57 @@ def test_subject_uniform_layout_is_fixed():
     for i in range(5):
         expected = subject_rng(7, i).random(14)
         assert np.array_equal(blocks[i], expected)
+
+
+# -------------------------------- vectorized streams against the oracle
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+SEEDS = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
+# empty, single, either side of one chunk, and several chunks with a ragged tail
+SUBJECT_COUNTS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 37)
+
+
+def test_pcg64_uniforms_edge_seeds_at_every_width():
+    seeds = np.array(EDGE_SEEDS, dtype=np.uint64)
+    for width in range(1, 71):
+        got = pcg64_uniforms(seeds, width)
+        for j, seed in enumerate(EDGE_SEEDS):
+            assert np.array_equal(got[:, j], np.random.default_rng(seed).random(width)), (seed, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(SEEDS, max_size=40), width=st.integers(1, 70))
+def test_pcg64_uniforms_match_default_rng(seeds, width):
+    got = pcg64_uniforms(np.array(seeds, dtype=np.uint64), width)
+    assert got.shape == (width, len(seeds)) and got.flags.c_contiguous
+    for j, seed in enumerate(seeds):
+        assert np.array_equal(got[:, j], np.random.default_rng(int(seed)).random(width))
+
+
+@settings(max_examples=40, deadline=None)
+@given(base_seed=SEEDS, n=st.sampled_from(SUBJECT_COUNTS), horizon=st.integers(0, 68))
+def test_subject_uniforms_match_per_subject_generators(base_seed, n, horizon):
+    blocks = subject_uniforms(base_seed, n, horizon)
+    assert blocks.shape == (n, horizon + 2) and blocks.flags.f_contiguous
+    for i in range(n):
+        assert np.array_equal(blocks[i], subject_rng(base_seed, i).random(horizon + 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=SEEDS,
+    n=st.sampled_from(SUBJECT_COUNTS[1:]),
+    sd_improve=st.floats(0.0, 0.4),
+    pr_improve=st.floats(0.0, 0.4),
+    decay=st.floats(0.5, 1.0),
+)
+def test_state_evolution_is_layout_independent(seed, n, sd_improve, pr_improve, decay):
+    m = model(improve=(0.0, pr_improve, sd_improve, 0.0, 0.0), improve_decay=decay, horizon_months=24)
+    monthly = subject_uniforms(seed, n, 24)[:, 2:]
+    from_f = _simulate_state_matrix(m, np.asfortranarray(monthly))
+    from_c = _simulate_state_matrix(m, np.ascontiguousarray(monthly))
+    assert from_f.shape == (n, 25)
+    assert np.array_equal(from_f, from_c)
 
 
 def test_dropout_month_uses_second_draw():
