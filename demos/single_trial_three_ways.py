@@ -18,7 +18,7 @@ from cwtasim import Arm, TrialConfig, load_profile, simulate_trial
 from cwtasim import (
     Endpoint,
     cwta_curve,
-    derive_endpoint,
+    endpoint_arrays,
     extract_weighted_events,
     km_estimate,
     logrank_test,
@@ -38,19 +38,19 @@ model = load_profile("moderate")
 trial = simulate_trial(
     TrialConfig(sample_size=200, hazard_ratio=0.5, control_model=model, seed=20)
 )
-print(f"simulated {len(trial.subjects)} subjects over {model.horizon_months} months")
+print(f"simulated {len(trial.arms)} subjects over {trial.horizon} months")
 
-# Kaplan-Meier endpoints: derive one time-to-event record per subject
-for kind in (Endpoint.PFS, Endpoint.OS):
-    records = [derive_endpoint(s, kind) for s in trial.subjects]
-    events = sum(r.event for r in records)
-    result = logrank_test(records)
-    print(f"{kind.value}: {events} events, z = {result.z:+.3f}, p = {result.p_value:.4g}")
+# Kaplan-Meier endpoints: one event-or-censoring time per subject, read
+# from the trial's (subjects x months) state matrix
+for kind in Endpoint:
+    times, events = endpoint_arrays(trial.states, trial.censor, kind)
+    result = logrank_test(times, events, trial.arms)
+    print(f"{kind.name}: {events.sum()} events, z = {result.z:+.3f}, p = {result.p_value:.4g}")
     curves = {
-        arm: km_estimate([r for r in records if r.arm == arm])
+        arm: km_estimate(times[trial.arms == arm], events[trial.arms == arm])
         for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)
     }
-    write_km_curves_by_arm_csv(curves, os.path.join(out_dir, f"curve_{kind.value.lower()}.csv"))
+    write_km_curves_by_arm_csv(curves, os.path.join(out_dir, f"curve_{kind.name.lower()}.csv"))
 
 # weighted trajectory test: every one-level move is an event with weight
 # 1/4 (positive when worsening, negative when improving)
@@ -62,8 +62,9 @@ write_trajectory_curves_by_arm_csv(curves, os.path.join(out_dir, "curve_cwta.csv
 
 # plot the two weighted trajectory curves next to the OS KM curves
 specs = []
+os_times, os_events = endpoint_arrays(trial.states, trial.censor, Endpoint.OS)
 for arm in (Arm.CONTROL, Arm.EXPERIMENTAL):
-    km = km_estimate([derive_endpoint(s, Endpoint.OS) for s in trial.subjects if s.arm == arm])
+    km = km_estimate(os_times[trial.arms == arm], os_events[trial.arms == arm])
     points = [(0.0, 1.0)] + [(float(s.time), s.survival) for s in km.steps]
     specs.append(CurveSpec(label=f"OS {arm.label}", points=tuple(points), dash="5 3"))
 for arm in (Arm.CONTROL, Arm.EXPERIMENTAL):

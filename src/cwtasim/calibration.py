@@ -102,15 +102,22 @@ class CalibrationError(RuntimeError):
         self.achieved_pr = achieved_pr
 
 
-def _response_rates(model: TransitionModel, blocks: np.ndarray) -> tuple[float, float]:
-    """(CR rate, PR rate) of best overall response given uniform blocks."""
-    horizon = model.horizon_months
-    states = _simulate_state_matrix(model, blocks[:, 2:])
-    dropped, d_month = _dropout_from_uniforms(model, blocks[:, 0], blocks[:, 1])
-    censor = np.where(dropped, d_month, horizon)
-    months = np.arange(horizon + 1)
-    observed = np.where(months[None, :] <= censor[:, None], states, N_STATES)
-    best = observed.min(axis=1)
+def _observed_months(model: TransitionModel, blocks: np.ndarray) -> np.ndarray:
+    """(n, horizon + 1) mask of the months each subject is observed, from its dropout draws.
+
+    It depends only on the uniforms and on the dropout rate and horizon,
+    which calibration never changes, so it is built once per block.
+    """
+    _, censor = _dropout_from_uniforms(model, blocks[:, 0], blocks[:, 1])
+    return np.arange(model.horizon_months + 1) <= censor[:, None]
+
+
+def _response_rates(
+    model: TransitionModel, monthly_u: np.ndarray, observed: np.ndarray
+) -> tuple[float, float]:
+    """(CR rate, PR rate) of best overall response over the observed months."""
+    states = _simulate_state_matrix(model, monthly_u)
+    best = np.where(observed, states, N_STATES).min(axis=1)
     return float(np.mean(best == CR)), float(np.mean(best == PR))
 
 
@@ -119,7 +126,7 @@ def control_response_rates(
 ) -> tuple[float, float]:
     """Monte Carlo control-arm (CR, PR) best-response rates."""
     blocks = subject_uniforms(seed, n_subjects, model.horizon_months)
-    return _response_rates(model, blocks)
+    return _response_rates(model, blocks[:, 2:], _observed_months(model, blocks))
 
 
 def _bisect_rate(
@@ -164,6 +171,7 @@ def calibrate_transition_model(
     if n_subjects < 1:
         raise ValueError("n_subjects must be positive")
     blocks = subject_uniforms(seed, n_subjects, template.horizon_months)
+    monthly_u, observed = blocks[:, 2:], _observed_months(template, blocks)
 
     evals = 0
     best: tuple[float, TransitionModel | None, float, float] = (np.inf, None, np.nan, np.nan)
@@ -181,7 +189,7 @@ def calibrate_transition_model(
                 achieved_pr=best[3],
             )
         evals += 1
-        cr, pr = _response_rates(model, blocks)
+        cr, pr = _response_rates(model, monthly_u, observed)
         miss = max(abs(cr - target.cr_rate), abs(pr - target.pr_rate))
         if miss < best[0]:
             best = (miss, model, cr, pr)

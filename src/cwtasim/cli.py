@@ -28,7 +28,7 @@ from .config import (
     default_replicates_for_tte,
     parse_config,
 )
-from .kaplan_meier import DegenerateTestError, Endpoint, derive_endpoint, km_estimate, logrank_test
+from .kaplan_meier import DegenerateTestError, Endpoint, endpoint_arrays, km_estimate, logrank_test
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
 from .trajectories import Arm, TrialConfig, simulate_trial
 from .weighted import cwta_curve, extract_weighted_events, weighted_logrank_test
@@ -127,28 +127,27 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    subjects = serialize.read_trajectories_csv(args.trial)
-    arms_present = {s.arm for s in subjects}
-    if arms_present != {Arm.CONTROL, Arm.EXPERIMENTAL}:
+    trial = serialize.read_trajectories_csv(args.trial)
+    if set(trial.arms.tolist()) != {Arm.CONTROL, Arm.EXPERIMENTAL}:
         raise ValueError("analyze needs subjects in both arms")
     os.makedirs(args.out_dir, exist_ok=True)
 
     results: dict = {}
-    for kind in (Endpoint.PFS, Endpoint.OS):
-        records = [derive_endpoint(s, kind) for s in subjects]
+    for kind in Endpoint:
+        times, events = endpoint_arrays(trial.states, trial.censor, kind)
         curves = {
-            arm: km_estimate([r for r in records if r.arm == arm])
+            arm: km_estimate(times[trial.arms == arm], events[trial.arms == arm])
             for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)
         }
         serialize.write_km_curves_by_arm_csv(
-            curves, os.path.join(args.out_dir, f"curve_{kind.value.lower()}.csv")
+            curves, os.path.join(args.out_dir, f"curve_{kind.name.lower()}.csv")
         )
         try:
-            results[kind.value] = logrank_test(records)
+            results[kind.name] = logrank_test(times, events, trial.arms)
         except DegenerateTestError:
-            results[kind.value] = None
+            results[kind.name] = None
 
-    table = extract_weighted_events(subjects)
+    table = extract_weighted_events(trial)
     curves = {arm: cwta_curve(table, arm) for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)}
     serialize.write_trajectory_curves_by_arm_csv(curves, os.path.join(args.out_dir, "curve_cwta.csv"))
     try:

@@ -25,9 +25,9 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .kaplan_meier import endpoint_arrays, monthly_logrank_terms
+from .kaplan_meier import Endpoint, endpoint_arrays, monthly_logrank_terms
 from .seeds import float_bits, mix64
-from .trajectories import DEATH, PD, TransitionModel, TrialConfig, simulate_trial, trial_state_matrix
+from .trajectories import TransitionModel, Trial, TrialConfig, simulate_trial
 from .weighted import extract_weighted_events, monthly_weighted_terms
 
 METHODS = ("CWTA", "PFS", "OS")
@@ -159,15 +159,13 @@ def _scan_from_terms(ome: np.ndarray, v: np.ndarray, alpha: float) -> MethodScan
     return MethodScan(final_p=float(p[-1]), first_significant_month=first)
 
 
-def scan_trial(trial, alpha: float) -> dict[str, MethodScan]:
+def scan_trial(trial: Trial, alpha: float) -> dict[str, MethodScan]:
     """Monthly significance scans of one trial for all three methods."""
-    horizon = trial.config.control_model.horizon_months
-    states, censor, arms = trial_state_matrix(trial.subjects, horizon)
     scans: dict[str, MethodScan] = {}
-    for method, threshold in (("PFS", PD), ("OS", DEATH)):
-        times, events = endpoint_arrays(states, censor, threshold)
-        ome, v = monthly_logrank_terms(times, events, arms, horizon)
-        scans[method] = _scan_from_terms(ome, v, alpha)
+    for kind in Endpoint:
+        times, events = endpoint_arrays(trial.states, trial.censor, kind)
+        ome, v = monthly_logrank_terms(times, events, trial.arms, trial.horizon)
+        scans[kind.name] = _scan_from_terms(ome, v, alpha)
     table = extract_weighted_events(trial)
     ome, v = monthly_weighted_terms(table)
     scans["CWTA"] = _scan_from_terms(ome, v, alpha)

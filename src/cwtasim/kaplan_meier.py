@@ -1,37 +1,33 @@
 """Kaplan-Meier estimation and the two-sample logrank test on monthly data.
 
-Endpoints are derived from trajectories: PFS is the first month at PD or
-worse, OS the first month at death; otherwise the subject is censored at
-its last observed month. Ties follow the standard convention that a
-subject censored at t is still at risk for events at t.
+Endpoints are derived from a trial's padded state matrix: PFS is the first
+month at PD or worse, OS the first month at death; otherwise the subject
+is censored at its last observed month. Every routine takes these
+columns (times, events, arms) as arrays. Ties follow the standard
+convention that a subject censored at t is still at risk for events at t.
+
+The survival curve is the product limit prod (1 - d_j / n_j), computed by
+product_limit, the same cumulative product that weighted.cwta_curve takes
+over weighted events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from math import sqrt
 
 import numpy as np
 from scipy import stats
 
-from .trajectories import DEATH, PD, Arm, SubjectTrajectory
+from .trajectories import DEATH, PD, Arm
 
 
-class Endpoint(Enum):
-    PFS = "PFS"
-    OS = "OS"
+class Endpoint(IntEnum):
+    """A time-to-event endpoint; its value is the first state that counts as the event."""
 
-
-@dataclass(frozen=True)
-class TimeToEventRecord:
-    time: int
-    event: bool
-    arm: Arm
-
-    def __post_init__(self) -> None:
-        if self.time < 1:
-            raise ValueError(f"event/censor time must be >= 1, got {self.time}")
+    PFS = PD
+    OS = DEATH
 
 
 @dataclass(frozen=True)
@@ -60,47 +56,63 @@ class DegenerateTestError(RuntimeError):
     """No events, or zero variance: the test statistic is undefined."""
 
 
-def derive_endpoint(trajectory: SubjectTrajectory, kind: Endpoint) -> TimeToEventRecord:
-    """Time-to-event record for one subject (event, else censored last month)."""
-    threshold = PD if kind == Endpoint.PFS else DEATH
-    hits = np.nonzero(trajectory.states >= threshold)[0]
-    if hits.size:
-        return TimeToEventRecord(time=int(hits[0]), event=True, arm=trajectory.arm)
-    return TimeToEventRecord(time=trajectory.censor_month, event=False, arm=trajectory.arm)
-
-
 def endpoint_arrays(states: np.ndarray, censor: np.ndarray, threshold: int):
-    """Vectorized endpoint derivation from a padded state matrix.
+    """(times, events) of every subject from a padded state matrix.
 
-    Equivalent to derive_endpoint applied row by row; padding of -1 never
-    crosses a threshold so unobserved months cannot fire events.
+    The time is the first month at state >= threshold, else the censor
+    month. Padding of -1 never crosses a threshold, so unobserved months
+    cannot fire events.
     """
-    reached = states >= threshold
+    reached = states >= int(threshold)  # an IntEnum operand takes numpy's slow generic path
     has_event = reached.any(axis=1)
     first = reached.argmax(axis=1)
     times = np.where(has_event, first, censor)
     return times.astype(np.int64), has_event
 
 
-def km_estimate(records: list[TimeToEventRecord]) -> KMCurve:
+def at_risk_counts(last_month: np.ndarray, horizon: int) -> np.ndarray:
+    """counts[m] = number of entries with last_month >= m, for m = 0..horizon."""
+    return np.cumsum(np.bincount(last_month, minlength=horizon + 1)[::-1])[::-1]
+
+
+def product_limit(w_sum: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """prod_{j <= t} (1 - w_sum[j] / n[j]) for t = 0..horizon.
+
+    Month 0 and months with an empty risk set contribute a factor of 1.
+    """
+    factors = 1.0 - np.where(n > 0, w_sum / np.maximum(n, 1.0), 0.0)
+    factors[0] = 1.0
+    return np.cumprod(factors)
+
+
+def _time_to_event(times, events, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    times = np.asarray(times, dtype=np.int64)
+    events = np.asarray(events, dtype=bool)
+    if times.size == 0:
+        raise ValueError(f"{caller} requires at least one record")
+    if times.min() < 1:
+        raise ValueError(f"event/censor time must be >= 1, got {times.min()}")
+    return times, events
+
+
+def km_estimate(times, events) -> KMCurve:
     """Product-limit survival estimate.
 
     S(t) = prod_{t_j <= t} (1 - d_j / n_j) over distinct event times t_j,
-    with n_j counting every record whose time is >= t_j (so subjects
+    with n_j counting every subject whose time is >= t_j (so subjects
     censored exactly at t_j remain at risk there).
     """
-    if not records:
-        raise ValueError("km_estimate requires at least one record")
-    times = np.array([r.time for r in records], dtype=np.int64)
-    events = np.array([r.event for r in records], dtype=bool)
-    steps = []
-    survival = 1.0
-    for t in np.unique(times[events]):
-        n = int((times >= t).sum())
-        d = int(((times == t) & events).sum())
-        survival *= 1.0 - d / n
-        steps.append(KMStep(time=int(t), survival=survival, at_risk=n, events=d))
-    return KMCurve(steps=tuple(steps))
+    times, events = _time_to_event(times, events, "km_estimate")
+    horizon = int(times.max())
+    n = at_risk_counts(times, horizon)
+    d = np.bincount(times[events], minlength=horizon + 1)
+    survival = product_limit(d, n)
+    return KMCurve(
+        steps=tuple(
+            KMStep(time=int(t), survival=float(survival[t]), at_risk=int(n[t]), events=int(d[t]))
+            for t in np.flatnonzero(d)
+        )
+    )
 
 
 def monthly_logrank_terms(
@@ -121,12 +133,8 @@ def monthly_logrank_terms(
     """
     width = horizon + 1
     is_control = arms == int(Arm.CONTROL)
-
-    def at_risk(t: np.ndarray) -> np.ndarray:
-        return np.cumsum(np.bincount(t, minlength=width)[::-1])[::-1]
-
-    n = at_risk(times)
-    n1 = at_risk(times[is_control])
+    n = at_risk_counts(times, horizon)
+    n1 = at_risk_counts(times[is_control], horizon)
     d = np.bincount(times[events], minlength=width)
     d1 = np.bincount(times[events & is_control], minlength=width)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -148,20 +156,17 @@ def test_from_sums(observed_minus_expected: float, variance: float) -> TestResul
     )
 
 
-def logrank_test(records: list[TimeToEventRecord]) -> TestResult:
+def logrank_test(times, events, arms) -> TestResult:
     """Two-sample logrank test; z = (O1 - E1) / sqrt(V) with arm 1 = control.
 
     z > 0 means the control arm accumulated more events than expected
     under the null. The statistic is z**2 with a two-sided normal p-value.
     Raises DegenerateTestError when there are no events or V = 0.
     """
-    if not records:
-        raise ValueError("logrank_test requires at least one record")
-    arms = np.array([int(r.arm) for r in records], dtype=np.int8)
-    if len(set(arms.tolist())) < 2:
+    times, events = _time_to_event(times, events, "logrank_test")
+    arms = np.asarray(arms, dtype=np.int8)
+    if np.unique(arms).size < 2:
         raise ValueError("logrank_test requires records from both arms")
-    times = np.array([r.time for r in records], dtype=np.int64)
-    events = np.array([r.event for r in records], dtype=bool)
     ome, v = monthly_logrank_terms(times, events, arms, int(times.max()))
     total_v = float(v.sum())
     if not events.any():

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trajectories import SD, Arm, SubjectTrajectory, TransitionModel
+from .trajectories import SD, Arm, TransitionModel, Trial, trial_state_matrix
 
 BUILTIN_PROFILES = ("moderate", "high")
 
@@ -63,33 +63,41 @@ def load_profile(name_or_path: str) -> TransitionModel:
     return TransitionModel.from_json_dict(json.loads(text))
 
 
-def write_trajectories_csv(trial_or_subjects, path) -> None:
+def write_trajectories_csv(trial: Trial, path) -> None:
     """Long-format trajectory CSV: subject,month,state,arm,dropout_month."""
-    subjects = getattr(trial_or_subjects, "subjects", trial_or_subjects)
+    labels = [Arm(a).label for a in trial.arms.tolist()]
     rows = []
-    for i, subj in enumerate(subjects):
-        d = subj.dropout_month
-        for month, state in enumerate(subj.states):
-            rows.append((i, month, int(state), subj.arm.label, d))
+    for i, (states, last, dropped) in enumerate(
+        zip(trial.states.tolist(), trial.censor.tolist(), trial.dropped.tolist())
+    ):
+        d = last if dropped else None
+        rows.extend((i, month, states[month], labels[i], d) for month in range(last + 1))
     _write_rows(path, ("subject", "month", "state", "arm", "dropout_month"), rows)
 
 
-def read_trajectories_csv(path) -> list[SubjectTrajectory]:
+def read_trajectories_csv(path) -> Trial:
     """Read long-format trajectories; dropout_month column is optional.
 
-    Validates the structural invariants analyses rely on: months form a
-    contiguous 0..k run per subject, the baseline state is SD, moves are
-    single-level, progression is irreversible and death absorbing.
+    Subjects keep the order in which they first appear. Validates the
+    structural invariants analyses rely on: months form a contiguous 0..k
+    run per subject, the baseline state is SD, moves are single-level,
+    progression is irreversible and death absorbing.
     """
+    required = ("subject", "month", "state", "arm")
     by_subject: dict[str, dict] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty trajectory file")
-        required = {"subject", "month", "state", "arm"}
-        if not required <= set(reader.fieldnames):
+        if not set(required) <= set(reader.fieldnames):
             raise ValueError(f"{path}: trajectory CSV needs columns {sorted(required)}")
+        # a short row fills its trailing fields with None
+        last_required = max(required, key=reader.fieldnames.index)
         for row in reader:
+            if row[last_required] is None:
+                raise ValueError(
+                    f"{path}: subject {row['subject']} has a truncated row (needs {', '.join(required)})"
+                )
             entry = by_subject.setdefault(
                 row["subject"], {"months": [], "states": [], "arm": None, "dropout": None}
             )
@@ -112,7 +120,7 @@ def read_trajectories_csv(path) -> list[SubjectTrajectory]:
     if not by_subject:
         raise ValueError(f"{path}: no trajectory rows")
 
-    subjects = []
+    rows = []
     for key, entry in by_subject.items():
         order = np.argsort(entry["months"])
         months = np.asarray(entry["months"])[order]
@@ -134,8 +142,15 @@ def read_trajectories_csv(path) -> list[SubjectTrajectory]:
             raise ValueError(
                 f"{path}: subject {key} dropout_month {dropout} does not match last observed month"
             )
-        subjects.append(SubjectTrajectory(states=states, dropout_month=dropout, arm=entry["arm"]))
-    return subjects
+        rows.append(states)
+    states, censor = trial_state_matrix(rows)
+    subjects = by_subject.values()
+    return Trial(
+        states=states,
+        censor=censor,
+        arms=np.array([e["arm"] for e in subjects], dtype=np.int8),
+        dropped=np.array([e["dropout"] is not None for e in subjects], dtype=bool),
+    )
 
 
 def write_km_curve_csv(curve, path) -> None:

@@ -28,6 +28,11 @@ seeds.pcg64_uniforms, a vectorized SeedSequence + PCG64 that the oracle
 test checks bit for bit against default_rng. It returns a month-major
 (F-contiguous) view, so reading one month for every subject is a
 contiguous read.
+
+A trial has one form from simulation to every statistic: Trial, the
+padded (n, horizon + 1) state matrix with each subject's censor month,
+arm and dropout flag. There are no per-subject objects; the CSV reader
+packs its rows into the same form with trial_state_matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from math import expm1, log1p
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -171,24 +176,6 @@ def apply_hazard_ratio(
     return replace(model, worsen_prob=worsen, improve_prob=improve)
 
 
-@dataclass(eq=False)
-class SubjectTrajectory:
-    """Observed monthly states of one subject.
-
-    states[0] is the SD baseline; the array ends at the last observed
-    month, i.e. it is truncated at the dropout month when the subject
-    drops out and at the horizon otherwise.
-    """
-
-    states: np.ndarray
-    dropout_month: int | None
-    arm: Arm
-
-    @property
-    def censor_month(self) -> int:
-        return len(self.states) - 1
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     sample_size: int
@@ -206,10 +193,24 @@ class TrialConfig:
             raise ValueError(f"hazard_ratio must be positive, got {self.hazard_ratio}")
 
 
-@dataclass(eq=False)
-class SimulatedTrial:
-    subjects: list[SubjectTrajectory]
-    config: TrialConfig
+@dataclass(frozen=True, eq=False)
+class Trial:
+    """A two-arm trial in columnar form: one row per subject.
+
+    states is (n, horizon + 1) int8: states[i, 0] is the SD baseline and
+    every month after censor[i], the last observed month, holds -1.
+    arms[i] is the Arm index. dropped[i] tells a subject who dropped out
+    at the horizon month apart from one observed to the end.
+    """
+
+    states: np.ndarray
+    censor: np.ndarray
+    arms: np.ndarray
+    dropped: np.ndarray
+
+    @property
+    def horizon(self) -> int:
+        return self.states.shape[1] - 1
 
 
 def subject_uniforms(base_seed: int, n: int, horizon: int) -> np.ndarray:
@@ -251,12 +252,17 @@ def _simulate_state_matrix(model: TransitionModel, monthly_u: np.ndarray) -> np.
 
 
 def _dropout_from_uniforms(model: TransitionModel, u_flag, u_month):
+    """(dropped, censor): the dropout flag and last observed month of each subject.
+
+    A dropped subject is censored at 1 + floor(u_month * horizon), anyone
+    else at the horizon.
+    """
     dropped = u_flag < model.dropout_rate
     month = 1 + np.floor(np.asarray(u_month) * model.horizon_months).astype(np.int64)
-    return dropped, month
+    return dropped, np.where(dropped, month, model.horizon_months)
 
 
-def simulate_trial(config: TrialConfig) -> SimulatedTrial:
+def simulate_trial(config: TrialConfig) -> Trial:
     """Simulate a 1:1 two-arm trial; subjects 0..n/2-1 are control.
 
     Bit-reproducible: per-subject streams are derived from
@@ -273,48 +279,22 @@ def simulate_trial(config: TrialConfig) -> SimulatedTrial:
     states = np.empty((n, horizon + 1), dtype=np.int8)
     states[:half] = _simulate_state_matrix(model_c, blocks[:half, 2:])
     states[half:] = _simulate_state_matrix(model_e, blocks[half:, 2:])
-    dropped, d_month = _dropout_from_uniforms(model_c, blocks[:, 0], blocks[:, 1])
-
-    subjects: list[SubjectTrajectory] = []
-    for i in range(n):
-        arm = Arm.CONTROL if i < half else Arm.EXPERIMENTAL
-        if dropped[i]:
-            d = int(d_month[i])
-            subjects.append(SubjectTrajectory(states=states[i, : d + 1].copy(), dropout_month=d, arm=arm))
-        else:
-            subjects.append(SubjectTrajectory(states=states[i].copy(), dropout_month=None, arm=arm))
-    return SimulatedTrial(subjects=subjects, config=config)
+    dropped, censor = _dropout_from_uniforms(model_c, blocks[:, 0], blocks[:, 1])
+    states[np.arange(horizon + 1) > censor[:, None]] = -1
+    arms = np.repeat(np.array([Arm.CONTROL, Arm.EXPERIMENTAL], dtype=np.int8), half)
+    return Trial(states=states, censor=censor, arms=arms, dropped=dropped)
 
 
-def best_overall_response(trajectory: SubjectTrajectory) -> int:
-    """Best (minimum) state observed before censoring."""
-    return int(trajectory.states.min())
+def trial_state_matrix(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Pack per-subject observed states into (states, censor).
 
-
-def trial_state_matrix(
-    subjects: Iterable[SubjectTrajectory], horizon: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack trajectories into a padded matrix for vectorized analysis.
-
-    Returns (states, censor, arms) where states is (n, horizon + 1) int8
-    with -1 marking unobserved months, censor[i] is the last observed
-    month, and arms[i] the arm index.
+    Row i holds subject i's states for months 0..k_i. states is
+    (n, max k_i + 1) int8 with -1 after each row's end, and censor[i] = k_i.
     """
-    subjects = list(subjects)
-    if not subjects:
+    if not rows:
         raise ValueError("no trajectories supplied")
-    max_obs = max(len(s.states) for s in subjects) - 1
-    if horizon is None:
-        horizon = max_obs
-    elif max_obs > horizon:
-        raise ValueError(f"trajectory extends to month {max_obs}, beyond horizon {horizon}")
-    n = len(subjects)
-    states = np.full((n, horizon + 1), -1, dtype=np.int8)
-    censor = np.empty(n, dtype=np.int64)
-    arms = np.empty(n, dtype=np.int8)
-    for i, subj in enumerate(subjects):
-        k = len(subj.states)
-        states[i, :k] = subj.states
-        censor[i] = k - 1
-        arms[i] = int(subj.arm)
-    return states, censor, arms
+    censor = np.array([len(r) - 1 for r in rows], dtype=np.int64)
+    states = np.full((len(rows), int(censor.max()) + 1), -1, dtype=np.int8)
+    for i, r in enumerate(rows):
+        states[i, : len(r)] = r
+    return states, censor

@@ -20,24 +20,27 @@ to 1 these reduce algebraically to the standard logrank terms, since
 n_j * Q_j - W_j**2 = d_j * (n_j - d_j). The test statistic is
 z = sum_j (O1_j - E1_j) / sqrt(sum_j V_j), squared against a chi-square
 with one degree of freedom (equivalently, two-sided normal on z).
+
+Events are read straight from a Trial's padded state matrix. The
+trajectory curve prod (1 - W_j / n_j) is the Kaplan-Meier product limit
+(kaplan_meier.product_limit) with weighted events in place of unit ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .kaplan_meier import DegenerateTestError, TestResult, test_from_sums
-from .trajectories import (
-    DEATH,
-    MAX_STATE,
-    Arm,
-    SimulatedTrial,
-    SubjectTrajectory,
-    trial_state_matrix,
+from .kaplan_meier import (
+    DegenerateTestError,
+    TestResult,
+    at_risk_counts,
+    product_limit,
+    test_from_sums,
 )
+from .trajectories import DEATH, MAX_STATE, Arm, Trial
 
 
 @dataclass(frozen=True)
@@ -128,35 +131,21 @@ class TrajectoryCurve:
     steps: tuple[TrajectoryStep, ...]
 
 
-def _suffix_counts(last_month: np.ndarray, horizon: int) -> np.ndarray:
-    """counts[m] = number of entries with last_month >= m, for m = 0..horizon."""
-    return np.cumsum(np.bincount(last_month, minlength=horizon + 1)[::-1])[::-1]
-
-
-def extract_weighted_events(
-    trial: SimulatedTrial | Iterable[SubjectTrajectory], worsening_only: bool = False
-) -> WeightedEventTable:
-    """Turn trajectories into the weighted event table.
+def extract_weighted_events(trial: Trial, worsening_only: bool = False) -> WeightedEventTable:
+    """Turn a trial's trajectories into the weighted event table.
 
     Any observed one-level change in month m becomes an event of weight
     (new - old) / 4. Death events keep the subject at risk in the death
     month itself; censoring keeps it at risk through the censor month.
     worsening_only drops improvement events, for sensitivity checks.
     """
-    subjects = getattr(trial, "subjects", trial)
-    horizon = None
-    config = getattr(trial, "config", None)
-    if config is not None:
-        horizon = config.control_model.horizon_months
-    states, censor, arms = trial_state_matrix(subjects, horizon)
-    horizon = states.shape[1] - 1
-
+    states, censor, arms, horizon = trial.states, trial.censor, trial.arms, trial.horizon
     dead = states == DEATH
     died = dead.any(axis=1)
     death_month = dead.argmax(axis=1)
     risk_end = np.where(died, death_month, censor)
     at_risk = np.stack(
-        [_suffix_counts(risk_end[arms == a], horizon) for a in (int(Arm.CONTROL), int(Arm.EXPERIMENTAL))]
+        [at_risk_counts(risk_end[arms == a], horizon) for a in (int(Arm.CONTROL), int(Arm.EXPERIMENTAL))]
     )
 
     diffs = states[:, 1:].astype(np.int16) - states[:, :-1].astype(np.int16)
@@ -236,9 +225,7 @@ def cwta_curve(table: WeightedEventTable, arm: Arm) -> TrajectoryCurve:
     n = table.at_risk[a].astype(np.float64)
     if np.any((n == 0) & (w_sum != 0)):
         raise RuntimeError("internal consistency: weighted events in a month with an empty risk set")
-    factors = 1.0 - np.where(n > 0, w_sum / np.maximum(n, 1.0), 0.0)
-    factors[0] = 1.0
-    values = np.cumprod(factors)
+    values = product_limit(w_sum, n)
     steps = tuple(
         TrajectoryStep(
             month=m,

@@ -11,11 +11,29 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import erf, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
-from cwtasim import Arm, SubjectTrajectory, TransitionModel, apply_hazard_ratio
+from cwtasim import Arm, TransitionModel, apply_hazard_ratio
 from cwtasim.seeds import mix64
+
+
+class Record(NamedTuple):
+    """One subject's time-to-event outcome, the unit the naive oracles loop over."""
+
+    time: int
+    event: bool
+    arm: Arm
+
+
+def columns(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, events, arms) arrays of a record list: the package's input form."""
+    return (
+        np.array([r.time for r in records], dtype=np.int64),
+        np.array([r.event for r in records], dtype=bool),
+        np.array([int(r.arm) for r in records], dtype=np.int8),
+    )
 
 
 def subject_rng(trial_seed: int, subject_index: int) -> np.random.Generator:
@@ -23,8 +41,8 @@ def subject_rng(trial_seed: int, subject_index: int) -> np.random.Generator:
     return np.random.default_rng(mix64(trial_seed, subject_index))
 
 
-def _trajectory_from_block(model: TransitionModel, block, arm: Arm) -> SubjectTrajectory:
-    """One subject's trajectory from its horizon + 2 uniforms, month by month."""
+def _trajectory_from_block(model: TransitionModel, block) -> tuple[np.ndarray, int | None]:
+    """(observed states, dropout month or None) from one subject's horizon + 2 uniforms."""
     state = 2  # SD baseline
     states = [state]
     for month in range(1, model.horizon_months + 1):
@@ -36,18 +54,31 @@ def _trajectory_from_block(model: TransitionModel, block, arm: Arm) -> SubjectTr
     if block[0] < model.dropout_rate:
         dropout = 1 + int(block[1] * model.horizon_months)
         states = states[: dropout + 1]
-    return SubjectTrajectory(states=np.array(states, dtype=np.int8), dropout_month=dropout, arm=arm)
+    return np.array(states, dtype=np.int8), dropout
 
 
 def simulate_subject(
     control_model: TransitionModel, arm: Arm, hr: float, rng: np.random.Generator
-) -> SubjectTrajectory:
-    """Simulate one subject, consuming horizon + 2 uniforms from rng."""
+) -> tuple[np.ndarray, int | None]:
+    """Simulate one subject, consuming horizon + 2 uniforms from rng.
+
+    Returns the states of months 0..last observed month and the dropout
+    month (None when the subject is followed to the horizon).
+    """
     model = control_model
     if arm == Arm.EXPERIMENTAL:
         model = apply_hazard_ratio(control_model, hr)
     block = rng.random(control_model.horizon_months + 2)
-    return _trajectory_from_block(model, block, arm)
+    return _trajectory_from_block(model, block)
+
+
+def naive_endpoint(states, threshold: int) -> tuple[int, bool]:
+    """(time, event) from one subject's observed states: the first month at
+    threshold or worse, else censored at the last observed month."""
+    for month, state in enumerate(states):
+        if state >= threshold:
+            return month, True
+    return len(states) - 1, False
 
 
 def norm_two_sided_p(z: float) -> float:

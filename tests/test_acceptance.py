@@ -20,7 +20,6 @@ import scipy.stats
 from cwtasim import (
     Arm,
     METHODS,
-    TimeToEventRecord,
     TrialConfig,
     calibrate_transition_model,
     compare_tte,
@@ -47,17 +46,25 @@ from cwtasim.trajectories import (
     SD,
     _dropout_from_uniforms,
     subject_uniforms,
-    trial_state_matrix,
 )
 from cwtasim.weighted import WeightedEvent, WeightedEventTable
 
-from oracles import exact_logrank_permutation_p, naive_km, naive_logrank_sums
+from oracles import Record, columns, exact_logrank_permutation_p, naive_km, naive_logrank_sums
 
 MASTER_SEED = 0  # package default; all Monte Carlo criteria run on it
 
 
 def rec(items):
-    return [TimeToEventRecord(arm=Arm(a), time=t, event=e) for a, t, e in items]
+    return [Record(arm=Arm(a), time=t, event=e) for a, t, e in items]
+
+
+def km(records):
+    times, events, _ = columns(records)
+    return km_estimate(times, events)
+
+
+def logrank(records):
+    return logrank_test(*columns(records))
 
 
 # --------------------------------------------------------------- criterion 1
@@ -78,7 +85,7 @@ def test_criterion_1_estimator_oracles():
          [(1, 7 / 8), (2, 7 / 12), (4, 7 / 36)]),
     ]
     for records, expected in km_fixtures:
-        curve = km_estimate(records)
+        curve = km(records)
         got = [(s.time, s.survival) for s in curve.steps]
         assert len(got) == len(expected)
         for (t_got, s_got), (t_exp, s_exp) in zip(got, expected):
@@ -89,7 +96,7 @@ def test_criterion_1_estimator_oracles():
 
     # hand-tabulated logrank sums on a 4-subject fixture
     records = rec([(0, 1, True), (1, 2, True), (0, 3, True), (1, 4, False)])
-    result = logrank_test(records)
+    result = logrank(records)
     o_minus_e, variance = naive_logrank_sums(records)
     # control-arm sums: (1 - 2/4) + (0 - 1/3) + (1 - 1/2) = 2/3,
     # variance 1/4 + 2/9 + 1/4 = 13/18
@@ -113,14 +120,14 @@ def test_criterion_1_estimator_oracles():
     while checked < 10:
         n = int(rng.choice([8, 10, 12]))
         records = [
-            TimeToEventRecord(
+            Record(
                 arm=Arm(i < n // 2),
                 time=int(rng.integers(1, 9)),
                 event=bool(rng.random() < 0.75),
             )
             for i in range(n)
         ]
-        result = logrank_test(records)
+        result = logrank(records)
         o_minus_e, variance = naive_logrank_sums(records)
         assert abs(result.observed_minus_expected - o_minus_e) <= 1e-12
         assert abs(result.variance - variance) <= 1e-12
@@ -160,7 +167,7 @@ def test_criterion_2_unit_weight_reduction():
     while done < 100:
         n = int(rng.integers(6, 40))
         records = [
-            TimeToEventRecord(
+            Record(
                 arm=Arm(i % 2),
                 time=int(rng.integers(1, 12)),
                 event=bool(rng.random() < 0.7),
@@ -170,7 +177,7 @@ def test_criterion_2_unit_weight_reduction():
         if sum(r.event for r in records) == 0:
             continue
         try:
-            km_result = logrank_test(records)
+            km_result = logrank(records)
         except Exception:
             continue
         table = records_as_unit_weight_table(records)
@@ -376,7 +383,7 @@ def test_criterion_9_simulator_invariants():
     trial = simulate_trial(
         TrialConfig(sample_size=n, hazard_ratio=0.7, control_model=model, seed=MASTER_SEED)
     )
-    states, censor, _arms = trial_state_matrix(trial.subjects)
+    states, censor = trial.states, trial.censor
 
     # forward-fill the -1 padding beyond each censor month so that
     # month-over-month diffs only reflect real transitions
@@ -394,12 +401,11 @@ def test_criterion_9_simulator_invariants():
     assert set(np.unique(filled)) <= {CR, PR, SD, PD, DEATH}
 
     # dropout frequency: binomial(1e5, 0.10) has sd ~= 0.00095; allow 4 sd
-    dropped = np.array([s.dropout_month is not None for s in trial.subjects])
-    rate = dropped.mean()
+    rate = trial.dropped.mean()
     assert abs(rate - model.dropout_rate) <= 0.004, f"dropout rate {rate:.4f} not ~0.10"
 
     # dropout-month uniformity over 1..horizon from the generator draws
-    blocks = subject_uniforms(trial.config.seed, n, model.horizon_months)
+    blocks = subject_uniforms(MASTER_SEED, n, model.horizon_months)
     is_drop, month = _dropout_from_uniforms(model, blocks[:, 0], blocks[:, 1])
     months = month[is_drop]
     counts = np.bincount(months, minlength=model.horizon_months + 1)[1:]

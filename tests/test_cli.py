@@ -46,8 +46,8 @@ def test_simulate_then_analyze_round_trip(tmp_path, fast_profile, capsys):
         "simulate", "--profile", fast_profile, "--sample-size", "40",
         "--hr", "0.5", "--seed", "3", "--out", trial_csv,
     ]) == 0
-    subjects = read_trajectories_csv(trial_csv)
-    assert len(subjects) == 40
+    trial = read_trajectories_csv(trial_csv)
+    assert len(trial.arms) == 40
 
     out_dir = tmp_path / "analysis"
     assert run_cli(["analyze", "--trial", trial_csv, "--out-dir", str(out_dir)]) == 0
@@ -154,6 +154,13 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys):
     single.write_text("subject,month,state,arm,dropout_month\n0,0,2,control,\n")
     assert run_cli(["analyze", "--trial", str(single), "--out-dir", str(tmp_path / "x")]) == 2
     assert "both arms" in capsys.readouterr().err
+
+    # a truncated row: one message naming the file and the subject, no traceback
+    short = tmp_path / "short_row.csv"
+    short.write_text("subject,month,state,arm,dropout_month\n0,0,2,control,\n0,1\n")
+    assert run_cli(["analyze", "--trial", str(short), "--out-dir", str(tmp_path / "y")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "short_row.csv: subject 0" in err
 
     # unreachable calibration target
     assert run_cli([

@@ -10,6 +10,7 @@ from cwtasim import (
     METHODS,
     Arm,
     ExperimentGrid,
+    Trial,
     TransitionModel,
     TrialConfig,
     compare_tte,
@@ -23,7 +24,6 @@ from cwtasim import (
 )
 from cwtasim.harness import replicate_seed
 from cwtasim.kaplan_meier import endpoint_arrays, monthly_logrank_terms
-from cwtasim.trajectories import trial_state_matrix
 from cwtasim.weighted import extract_weighted_events, monthly_weighted_terms, weighted_logrank_test
 
 from oracles import welch_t_df
@@ -45,16 +45,14 @@ def small_trial(seed=11, ss=40, hr=0.6):
 # ------------------------------------------------------------ trial scans
 
 
-def truncate_subjects(subjects, month):
-    out = []
-    for s in subjects:
-        clone = type(s)(
-            states=s.states[: month + 1].copy(),
-            dropout_month=s.dropout_month if (s.dropout_month or 0) <= month else None,
-            arm=s.arm,
-        )
-        out.append(clone)
-    return out
+def truncate(trial, month):
+    """The trial as seen at month: everyone still under observation is censored there."""
+    return Trial(
+        states=trial.states[:, : month + 1].copy(),
+        censor=np.minimum(trial.censor, month),
+        arms=trial.arms,
+        dropped=trial.dropped & (trial.censor <= month),
+    )
 
 
 def test_scan_prefix_sums_equal_truncated_recomputation():
@@ -69,8 +67,7 @@ def test_scan_prefix_sums_equal_truncated_recomputation():
     table = extract_weighted_events(trial)
     ome, v = monthly_weighted_terms(table)
     for month in (1, 3, 7, 12, 24):
-        truncated = truncate_subjects(trial.subjects, month)
-        t_table = extract_weighted_events(truncated)
+        t_table = extract_weighted_events(truncate(trial, month))
         t_ome, t_v = monthly_weighted_terms(t_table)
         assert float(t_ome.sum()) == pytest.approx(float(ome[:month].sum()), abs=TOL)
         assert float(t_v.sum()) == pytest.approx(float(v[:month].sum()), abs=TOL)
@@ -79,14 +76,12 @@ def test_scan_prefix_sums_equal_truncated_recomputation():
 def test_scan_logrank_prefix_sums_equal_truncated_recomputation():
     trial = small_trial(seed=5)
     horizon = MODEL.horizon_months
-    states, censor, arms = trial_state_matrix(trial.subjects, horizon)
-    times, events = endpoint_arrays(states, censor, 3)
-    ome, v = monthly_logrank_terms(times, events, arms, horizon)
+    times, events = endpoint_arrays(trial.states, trial.censor, 3)
+    ome, v = monthly_logrank_terms(times, events, trial.arms, horizon)
     for month in (2, 5, 9, 16, 24):
-        truncated = truncate_subjects(trial.subjects, month)
-        t_states, t_censor, t_arms = trial_state_matrix(truncated, month)
-        t_times, t_events = endpoint_arrays(t_states, t_censor, 3)
-        t_ome, t_v = monthly_logrank_terms(t_times, t_events, t_arms, month)
+        truncated = truncate(trial, month)
+        t_times, t_events = endpoint_arrays(truncated.states, truncated.censor, 3)
+        t_ome, t_v = monthly_logrank_terms(t_times, t_events, truncated.arms, month)
         assert float(t_ome.sum()) == pytest.approx(float(ome[:month].sum()), abs=TOL)
         assert float(t_v.sum()) == pytest.approx(float(v[:month].sum()), abs=TOL)
 

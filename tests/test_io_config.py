@@ -21,7 +21,7 @@ from cwtasim import (
     write_trajectories_csv,
 )
 from cwtasim.config import DEFAULT_HAZARD_RATIOS
-from cwtasim.kaplan_meier import Endpoint, derive_endpoint, km_estimate, logrank_test
+from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, km_estimate, logrank_test
 from cwtasim.serialize import (
     read_curves_csv,
     write_km_curve_csv,
@@ -32,7 +32,6 @@ from cwtasim.serialize import (
     write_trajectory_curve_csv,
     write_tte_csv,
 )
-from cwtasim.trajectories import SubjectTrajectory
 from cwtasim.weighted import cwta_curve, extract_weighted_events, weighted_logrank_test
 
 MODEL = TransitionModel(
@@ -150,11 +149,9 @@ def test_trajectories_csv_round_trip(tmp_path):
     path = tmp_path / "subjects.csv"
     write_trajectories_csv(trial, path)
     again = read_trajectories_csv(path)
-    assert len(again) == 30
-    for orig, back in zip(trial.subjects, again):
-        assert np.array_equal(orig.states, back.states)
-        assert orig.dropout_month == back.dropout_month
-        assert orig.arm == back.arm
+    assert len(again.arms) == 30
+    for name in ("states", "censor", "arms", "dropped"):
+        assert np.array_equal(getattr(trial, name), getattr(again, name)), name
 
 
 def test_trajectories_csv_is_byte_stable(tmp_path):
@@ -188,6 +185,10 @@ def test_read_trajectories_rejects_structural_violations(tmp_path):
         read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,5\n0,1,2,control,5\n"))
     with pytest.raises(ValueError, match="no trajectory rows"):
         read_trajectories_csv(bad_csv(tmp_path, ""))
+    with pytest.raises(ValueError, match=r"bad\.csv: subject 0 has a truncated row"):
+        read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,\n0,1\n"))  # no state or arm
+    with pytest.raises(ValueError, match=r"bad\.csv: subject 1 has a truncated row"):
+        read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,\n1,0,2\n"))  # no arm
     missing = tmp_path / "missing_cols.csv"
     missing.write_text("subject,month\n0,0\n")
     with pytest.raises(ValueError, match="needs columns"):
@@ -197,13 +198,13 @@ def test_read_trajectories_rejects_structural_violations(tmp_path):
 # -------------------------------------------------------------- curve CSVs
 
 
-def records_for(trial, kind):
-    return [derive_endpoint(s, kind) for s in trial.subjects]
+def endpoints(trial, kind):
+    return endpoint_arrays(trial.states, trial.censor, kind)
 
 
 def test_km_curve_csv_and_read_back(tmp_path):
     trial = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.5, control_model=MODEL, seed=4))
-    curve = km_estimate(records_for(trial, Endpoint.PFS))
+    curve = km_estimate(*endpoints(trial, Endpoint.PFS))
     path = tmp_path / "curve.csv"
     write_km_curve_csv(curve, path)
     curves = read_curves_csv(path)
@@ -215,9 +216,9 @@ def test_km_curve_csv_and_read_back(tmp_path):
 
 def test_km_curves_by_arm_csv(tmp_path):
     trial = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.5, control_model=MODEL, seed=4))
-    records = records_for(trial, Endpoint.OS)
+    times, events = endpoints(trial, Endpoint.OS)
     curves = {
-        arm: km_estimate([r for r in records if r.arm == arm])
+        arm: km_estimate(times[trial.arms == arm], events[trial.arms == arm])
         for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)
     }
     path = tmp_path / "by_arm.csv"
@@ -262,7 +263,7 @@ def test_tests_csv_blank_for_degenerate(tmp_path):
     table = extract_weighted_events(trial)
     results = {
         "CWTA": weighted_logrank_test(table),
-        "PFS": logrank_test(records_for(trial, Endpoint.PFS)),
+        "PFS": logrank_test(*endpoints(trial, Endpoint.PFS), trial.arms),
         "OS": None,  # degenerate -> blank numeric fields
     }
     path = tmp_path / "tests.csv"

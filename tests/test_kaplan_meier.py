@@ -11,16 +11,17 @@ from cwtasim import (
     Arm,
     DegenerateTestError,
     Endpoint,
-    TimeToEventRecord,
-    derive_endpoint,
+    endpoint_arrays,
     km_estimate,
     logrank_test,
 )
-from cwtasim.kaplan_meier import endpoint_arrays
-from cwtasim.trajectories import SubjectTrajectory, trial_state_matrix
+from cwtasim.trajectories import trial_state_matrix
 
 from oracles import (
+    Record,
+    columns,
     exact_logrank_permutation_p,
+    naive_endpoint,
     naive_km,
     naive_logrank_sums,
     norm_two_sided_p,
@@ -30,7 +31,7 @@ TOL = 1e-12
 
 
 def rec(time, event, arm=Arm.CONTROL):
-    return TimeToEventRecord(time=time, event=event, arm=arm)
+    return Record(time=time, event=event, arm=arm)
 
 
 def records_from(times, events, arms=None):
@@ -38,11 +39,20 @@ def records_from(times, events, arms=None):
     return [rec(t, e, a) for t, e, a in zip(times, events, arms)]
 
 
+def km(records):
+    times, events, _ = columns(records)
+    return km_estimate(times, events)
+
+
+def logrank(records):
+    return logrank_test(*columns(records))
+
+
 # ---------------------------------------------------------------- KM fixtures
 
 
 def assert_curve(records, expected):
-    curve = km_estimate(records)
+    curve = km(records)
     got = [(s.time, s.survival, s.at_risk, s.events) for s in curve.steps]
     assert len(got) == len(expected)
     for (t, s, n, d), (t_e, s_e, n_e, d_e) in zip(got, expected):
@@ -69,7 +79,7 @@ def test_km_censor_tied_at_event_time_stays_at_risk():
 
 
 def test_km_all_censored_has_no_steps():
-    curve = km_estimate(records_from([1, 2, 3], [False, False, False]))
+    curve = km(records_from([1, 2, 3], [False, False, False]))
     assert curve.steps == ()
 
 
@@ -91,12 +101,14 @@ def test_km_interleaved_ties():
 
 def test_km_requires_records():
     with pytest.raises(ValueError):
-        km_estimate([])
+        km_estimate([], [])
 
 
 def test_record_rejects_nonpositive_time():
-    with pytest.raises(ValueError):
-        rec(0, True)
+    with pytest.raises(ValueError, match=">= 1"):
+        km_estimate([0], [True])
+    with pytest.raises(ValueError, match=">= 1"):
+        logrank_test([0, 1], [True, True], [Arm.CONTROL, Arm.EXPERIMENTAL])
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,13 +121,13 @@ def test_record_rejects_nonpositive_time():
 )
 def test_km_matches_oracle_on_random_data(raw):
     records = records_from([t for t, _ in raw], [e for _, e in raw])
-    curve = km_estimate(records)
+    curve = km(records)
     oracle = naive_km(records)
     assert len(curve.steps) == len(oracle)
     last = 1.0
     for step, (t, s, n, d) in zip(curve.steps, oracle):
         assert (step.time, step.at_risk, step.events) == (t, n, d)
-        assert step.survival == pytest.approx(s, abs=TOL)
+        assert step.survival == s  # bit for bit: curve CSVs depend on it
         assert 0.0 <= step.survival <= last + TOL
         last = step.survival
 
@@ -130,7 +142,7 @@ def test_logrank_four_subject_hand_fixture():
         rec(3, True, Arm.EXPERIMENTAL),
         rec(4, True, Arm.EXPERIMENTAL),
     ]
-    result = logrank_test(records)
+    result = logrank(records)
     assert result.observed_minus_expected == pytest.approx(7 / 6, abs=TOL)
     assert result.variance == pytest.approx(17 / 36, abs=TOL)
     z = (7 / 6) / np.sqrt(17 / 36)
@@ -142,7 +154,7 @@ def test_logrank_four_subject_hand_fixture():
 
 def test_logrank_single_event_fixture():
     records = [rec(1, True, Arm.CONTROL), rec(1, False, Arm.EXPERIMENTAL)]
-    result = logrank_test(records)
+    result = logrank(records)
     assert result.observed_minus_expected == pytest.approx(0.5, abs=TOL)
     assert result.variance == pytest.approx(0.25, abs=TOL)
     assert result.z == pytest.approx(1.0, abs=TOL)
@@ -152,23 +164,23 @@ def test_logrank_single_event_fixture():
 def test_logrank_degenerate_no_events():
     records = [rec(2, False, Arm.CONTROL), rec(3, False, Arm.EXPERIMENTAL)]
     with pytest.raises(DegenerateTestError):
-        logrank_test(records)
+        logrank(records)
 
 
 def test_logrank_degenerate_one_sided_risk_sets():
     records = [rec(1, False, Arm.CONTROL), rec(2, True, Arm.EXPERIMENTAL)]
     with pytest.raises(DegenerateTestError):
-        logrank_test(records)
+        logrank(records)
 
 
 def test_logrank_requires_both_arms():
     with pytest.raises(ValueError):
-        logrank_test([rec(1, True, Arm.CONTROL), rec(2, True, Arm.CONTROL)])
+        logrank([rec(1, True, Arm.CONTROL), rec(2, True, Arm.CONTROL)])
 
 
 def test_logrank_requires_records():
     with pytest.raises(ValueError):
-        logrank_test([])
+        logrank_test([], [], [])
 
 
 def random_two_arm_records(rng, n):
@@ -187,7 +199,7 @@ def test_logrank_matches_naive_sums_on_random_data():
         o_minus_e, variance = naive_logrank_sums(records)
         if variance <= 0.0 or not any(r.event for r in records):
             continue
-        result = logrank_test(records)
+        result = logrank(records)
         assert result.observed_minus_expected == pytest.approx(o_minus_e, abs=TOL)
         assert result.variance == pytest.approx(variance, abs=TOL)
         checked += 1
@@ -217,7 +229,7 @@ def test_logrank_normal_p_close_to_exact_permutation_p():
         p_exact = exact_logrank_permutation_p(records)
         if p_exact > 0.9:
             continue
-        p_normal = logrank_test(records).p_value
+        p_normal = logrank(records).p_value
         assert abs(p_normal - p_exact) < 0.08
         checked += 1
 
@@ -225,33 +237,33 @@ def test_logrank_normal_p_close_to_exact_permutation_p():
 # ------------------------------------------------------- endpoint derivation
 
 
-def trajectory(states, arm=Arm.CONTROL, dropout=None):
-    return SubjectTrajectory(states=np.array(states, dtype=np.int8), dropout_month=dropout, arm=arm)
+def endpoint(states, kind):
+    """(time, event) of one subject through the padded-matrix path."""
+    packed, censor = trial_state_matrix([np.array(states, dtype=np.int8)])
+    times, events = endpoint_arrays(packed, censor, kind)
+    return int(times[0]), bool(events[0])
 
 
 def test_derive_endpoint_progression_and_death():
-    t = trajectory([2, 2, 3, 4])
-    pfs = derive_endpoint(t, Endpoint.PFS)
-    os_ = derive_endpoint(t, Endpoint.OS)
-    assert (pfs.time, pfs.event) == (2, True)
-    assert (os_.time, os_.event) == (3, True)
+    assert endpoint([2, 2, 3, 4], Endpoint.PFS) == (2, True)
+    assert endpoint([2, 2, 3, 4], Endpoint.OS) == (3, True)
 
 
 def test_derive_endpoint_censored_responder():
-    t = trajectory([2, 1, 1])
     for kind in (Endpoint.PFS, Endpoint.OS):
-        record = derive_endpoint(t, kind)
-        assert (record.time, record.event) == (2, False)
+        assert endpoint([2, 1, 1], kind) == (2, False)
 
 
 def test_derive_endpoint_baseline_only_is_out_of_contract():
+    states, censor = trial_state_matrix([np.array([2], dtype=np.int8)])
+    times, events = endpoint_arrays(states, censor, Endpoint.PFS)
     with pytest.raises(ValueError):
-        derive_endpoint(trajectory([2]), Endpoint.PFS)
+        km_estimate(times, events)
 
 
 def test_endpoint_arrays_match_scalar_derivation():
     rng = np.random.default_rng(11)
-    subjects = []
+    walks = []
     for _ in range(60):
         length = int(rng.integers(2, 12))
         walk = [2]
@@ -263,12 +275,10 @@ def test_endpoint_arrays_match_scalar_derivation():
             elif walk[-1] == 3:
                 nxt = min(4, max(3, nxt))
             walk.append(nxt)
-        arm = Arm.CONTROL if rng.random() < 0.5 else Arm.EXPERIMENTAL
-        subjects.append(trajectory(walk, arm=arm))
-    states, censor, arms = trial_state_matrix(subjects)
-    for kind, threshold in ((Endpoint.PFS, 3), (Endpoint.OS, 4)):
-        times, events = endpoint_arrays(states, censor, threshold)
-        for i, subj in enumerate(subjects):
-            record = derive_endpoint(subj, kind)
-            assert record.time == int(times[i])
-            assert record.event == bool(events[i])
+        rng.random()  # the fixture's arm draw, kept so later walks stay the same
+        walks.append(walk)
+    states, censor = trial_state_matrix([np.array(w, dtype=np.int8) for w in walks])
+    for kind in (Endpoint.PFS, Endpoint.OS):
+        times, events = endpoint_arrays(states, censor, kind)
+        for i, walk in enumerate(walks):
+            assert naive_endpoint(walk, kind) == (int(times[i]), bool(events[i]))

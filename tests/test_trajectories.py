@@ -20,12 +20,10 @@ from cwtasim import (
     TransitionModel,
     TrialConfig,
     apply_hazard_ratio,
-    best_overall_response,
     simulate_trial,
 )
 from cwtasim.seeds import CHUNK, pcg64_uniforms
 from cwtasim.trajectories import (
-    SubjectTrajectory,
     _simulate_state_matrix,
     subject_uniforms,
     trial_state_matrix,
@@ -146,26 +144,26 @@ def forced_trajectory(worsen_sd=1.0, worsen_pd=1.0, horizon=6):
 
 
 def test_certain_worsening_marches_to_death_and_stays():
-    t = forced_trajectory()
-    assert t.states.tolist() == [2, 3, 4, 4, 4, 4, 4]
+    states, _ = forced_trajectory()
+    assert states.tolist() == [2, 3, 4, 4, 4, 4, 4]
 
 
 def test_zero_probabilities_stay_at_baseline():
     m = TransitionModel(improve_prob=(0.0,) * 5, worsen_prob=(0.0,) * 5, horizon_months=8, dropout_rate=0.0)
-    t = simulate_subject(m, Arm.CONTROL, 1.0, subject_rng(3, 0))
-    assert t.states.tolist() == [2] * 9
+    states, _ = simulate_subject(m, Arm.CONTROL, 1.0, subject_rng(3, 0))
+    assert states.tolist() == [2] * 9
 
 
 def test_pd_without_death_is_not_absorbing_state_math():
-    t = forced_trajectory(worsen_pd=0.0)
-    assert t.states.tolist() == [2, 3, 3, 3, 3, 3, 3]
+    states, _ = forced_trajectory(worsen_pd=0.0)
+    assert states.tolist() == [2, 3, 3, 3, 3, 3, 3]
 
 
 def test_moves_are_single_level():
     m = model(improve=(0.0, 0.3, 0.3, 0.0, 0.0), worsen=(0.3, 0.3, 0.3, 0.3, 0.0), dropout_rate=0.0)
     trial = simulate_trial(TrialConfig(sample_size=200, hazard_ratio=0.7, control_model=m, seed=5))
-    for subj in trial.subjects:
-        diffs = np.diff(subj.states.astype(int))
+    for states, last in zip(trial.states, trial.censor):
+        diffs = np.diff(states[: last + 1].astype(int))
         assert set(diffs.tolist()) <= {-1, 0, 1}
 
 
@@ -184,7 +182,7 @@ def test_progression_time_is_geometric():
         dropout_rate=0.0,
     )
     trial = simulate_trial(TrialConfig(sample_size=20_000, hazard_ratio=1.0, control_model=m, seed=17))
-    states, _, _ = trial_state_matrix(trial.subjects, 60)
+    states = trial.states
     progressed = (states >= PD).any(axis=1).mean()
     expected = 1.0 - (1.0 - b) ** 60
     assert progressed == pytest.approx(expected, abs=0.01)
@@ -204,7 +202,7 @@ def test_hazard_ratio_halves_cumulative_incidence_on_log_scale():
         dropout_rate=0.0,
     )
     trial = simulate_trial(TrialConfig(sample_size=40_000, hazard_ratio=0.5, control_model=m, seed=23))
-    states, _, arms = trial_state_matrix(trial.subjects, 40)
+    states, arms = trial.states, trial.arms
     progressed = (states >= PD).any(axis=1)
     control_rate = progressed[arms == 0].mean()
     experimental_rate = progressed[arms == 1].mean()
@@ -219,10 +217,8 @@ def test_trial_is_deterministic():
     config = TrialConfig(sample_size=60, hazard_ratio=0.6, control_model=model(), seed=99)
     a = simulate_trial(config)
     b = simulate_trial(config)
-    for s1, s2 in zip(a.subjects, b.subjects):
-        assert np.array_equal(s1.states, s2.states)
-        assert s1.dropout_month == s2.dropout_month
-        assert s1.arm == s2.arm
+    for name in ("states", "censor", "arms", "dropped"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_scalar_and_vectorized_paths_agree():
@@ -231,11 +227,13 @@ def test_scalar_and_vectorized_paths_agree():
     config = TrialConfig(sample_size=30, hazard_ratio=0.5, control_model=m, seed=41)
     trial = simulate_trial(config)
     half = config.sample_size // 2
-    for i, subj in enumerate(trial.subjects):
+    for i in range(config.sample_size):
         arm = Arm.CONTROL if i < half else Arm.EXPERIMENTAL
-        redone = simulate_subject(m, arm, 0.5, subject_rng(41, i))
-        assert np.array_equal(redone.states, subj.states)
-        assert redone.dropout_month == subj.dropout_month
+        states, dropout = simulate_subject(m, arm, 0.5, subject_rng(41, i))
+        last = int(trial.censor[i])
+        assert np.array_equal(states, trial.states[i, : last + 1])
+        assert (trial.states[i, last + 1 :] == -1).all()
+        assert dropout == (last if trial.dropped[i] else None)
 
 
 def test_subject_uniform_layout_is_fixed():
@@ -303,51 +301,35 @@ def test_dropout_month_uses_second_draw():
     config = TrialConfig(sample_size=4, hazard_ratio=1.0, control_model=m, seed=13)
     trial = simulate_trial(config)
     blocks = subject_uniforms(13, 4, horizon=10)
-    for i, subj in enumerate(trial.subjects):
-        assert subj.dropout_month == 1 + int(blocks[i, 1] * 10)
-        assert subj.censor_month == subj.dropout_month
-        assert len(subj.states) == subj.dropout_month + 1
+    assert trial.dropped.all()
+    for i in range(4):
+        assert trial.censor[i] == 1 + int(blocks[i, 1] * 10)
+        assert (trial.states[i, : trial.censor[i] + 1] >= 0).all()
+        assert (trial.states[i, trial.censor[i] + 1 :] == -1).all()
 
 
 def test_arm_split_is_first_half_control():
     trial = simulate_trial(TrialConfig(sample_size=8, hazard_ratio=0.5, control_model=model(), seed=3))
-    arms = [s.arm for s in trial.subjects]
-    assert arms == [Arm.CONTROL] * 4 + [Arm.EXPERIMENTAL] * 4
+    assert trial.arms.tolist() == [Arm.CONTROL] * 4 + [Arm.EXPERIMENTAL] * 4
 
 
 def test_seed_changes_trajectories():
     base = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=1.0, control_model=model(), seed=1))
     other = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=1.0, control_model=model(), seed=2))
-    same = all(
-        np.array_equal(a.states, b.states) for a, b in zip(base.subjects, other.subjects)
-    )
-    assert not same
+    assert not np.array_equal(base.states, other.states)
 
 
 # ------------------------------------------------------------------ misc
 
 
-def test_best_overall_response():
-    t = SubjectTrajectory(states=np.array([2, 1, 0, 1, 2], dtype=np.int8), dropout_month=None, arm=Arm.CONTROL)
-    assert best_overall_response(t) == CR
-    t2 = SubjectTrajectory(states=np.array([2, 3], dtype=np.int8), dropout_month=None, arm=Arm.CONTROL)
-    assert best_overall_response(t2) == SD
-
-
 def test_trial_state_matrix_pads_with_minus_one():
-    subjects = [
-        SubjectTrajectory(states=np.array([2, 3], dtype=np.int8), dropout_month=None, arm=Arm.CONTROL),
-        SubjectTrajectory(states=np.array([2, 2, 2, 2], dtype=np.int8), dropout_month=None, arm=Arm.EXPERIMENTAL),
-    ]
-    states, censor, arms = trial_state_matrix(subjects)
+    rows = [np.array([2, 3], dtype=np.int8), np.array([2, 2, 2, 2], dtype=np.int8)]
+    states, censor = trial_state_matrix(rows)
     assert states.shape == (2, 4)
     assert states[0].tolist() == [2, 3, -1, -1]
     assert censor.tolist() == [1, 3]
-    assert arms.tolist() == [0, 1]
     with pytest.raises(ValueError):
         trial_state_matrix([])
-    with pytest.raises(ValueError):
-        trial_state_matrix(subjects, horizon=2)
 
 
 def test_state_constants():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cwtasim import (
     Arm,
     DegenerateTestError,
-    TimeToEventRecord,
+    Trial,
     WeightedEvent,
     WeightedEventTable,
     cwta_curve,
@@ -18,10 +18,10 @@ from cwtasim import (
     logrank_test,
     weighted_logrank_test,
 )
-from cwtasim.trajectories import SubjectTrajectory
+from cwtasim.trajectories import trial_state_matrix
 from cwtasim.weighted import monthly_weighted_terms
 
-from oracles import exact_label_moments, naive_weighted_sums
+from oracles import Record, columns, exact_label_moments, naive_weighted_sums
 
 TOL = 1e-12
 
@@ -34,8 +34,11 @@ def ev(month, subject, arm, weight):
     return WeightedEvent(month=month, subject=subject, arm=arm, weight=weight)
 
 
-def trajectory(states, arm=Arm.CONTROL, dropout=None):
-    return SubjectTrajectory(states=np.array(states, dtype=np.int8), dropout_month=dropout, arm=arm)
+def trial(*subjects):
+    """Trial from (observed states, arm) pairs, as the CSV reader packs one."""
+    states, censor = trial_state_matrix([np.array(s, dtype=np.int8) for s, _ in subjects])
+    arms = np.array([a for _, a in subjects], dtype=np.int8)
+    return Trial(states=states, censor=censor, arms=arms, dropped=np.zeros(len(subjects), dtype=bool))
 
 
 # ----------------------------------------------------------- hand fixtures
@@ -180,11 +183,11 @@ def test_unit_weights_reduce_to_logrank_on_random_datasets():
         has_event = rng.random(n) < 0.7
         arms = [Arm.CONTROL] * (n // 2) + [Arm.EXPERIMENTAL] * (n - n // 2)
         records = [
-            TimeToEventRecord(time=int(t), event=bool(e), arm=a)
+            Record(time=int(t), event=bool(e), arm=a)
             for t, e, a in zip(times, has_event, arms)
         ]
         try:
-            km_result = logrank_test(records)
+            km_result = logrank_test(*columns(records))
         except (DegenerateTestError, ValueError):
             continue
         weighted_result = weighted_logrank_test(km_records_as_weighted_table(records))
@@ -202,7 +205,7 @@ def test_unit_weights_reduce_to_logrank_on_random_datasets():
 
 
 def test_extract_events_from_worsening_trajectory():
-    table = extract_weighted_events([trajectory([2, 3, 4]), trajectory([2, 2, 2], arm=Arm.EXPERIMENTAL)])
+    table = extract_weighted_events(trial(([2, 3, 4], Arm.CONTROL), ([2, 2, 2], Arm.EXPERIMENTAL)))
     assert table.n_events == 2
     first, second = table.events
     assert (first.month, first.weight) == (1, 0.25)
@@ -213,16 +216,14 @@ def test_extract_events_from_worsening_trajectory():
 
 
 def test_extract_events_improvement_and_relapse():
-    table = extract_weighted_events(
-        [trajectory([2, 1, 1, 2]), trajectory([2, 2, 2, 2], arm=Arm.EXPERIMENTAL)]
-    )
+    table = extract_weighted_events(trial(([2, 1, 1, 2], Arm.CONTROL), ([2, 2, 2, 2], Arm.EXPERIMENTAL)))
     weights = [(e.month, e.weight) for e in table.events]
     assert weights == [(1, -0.25), (3, 0.25)]
 
 
 def test_extract_events_worsening_only_flag():
     table = extract_weighted_events(
-        [trajectory([2, 1, 2, 3]), trajectory([2, 2, 2, 2], arm=Arm.EXPERIMENTAL)],
+        trial(([2, 1, 2, 3], Arm.CONTROL), ([2, 2, 2, 2], Arm.EXPERIMENTAL)),
         worsening_only=True,
     )
     weights = [(e.month, e.weight) for e in table.events]
@@ -231,12 +232,7 @@ def test_extract_events_worsening_only_flag():
 
 def test_extract_events_censoring_truncates_observation():
     # dropout at month 2: the month-3 move is never observed
-    table = extract_weighted_events(
-        [
-            trajectory([2, 2, 3], dropout=2),
-            trajectory([2, 2, 2, 2], arm=Arm.EXPERIMENTAL),
-        ]
-    )
+    table = extract_weighted_events(trial(([2, 2, 3], Arm.CONTROL), ([2, 2, 2, 2], Arm.EXPERIMENTAL)))
     assert [(e.month, e.weight) for e in table.events] == [(2, 0.25)]
     assert table.at_risk[int(Arm.CONTROL)].tolist() == [1, 1, 1, 0]
 
