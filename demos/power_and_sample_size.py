@@ -23,7 +23,7 @@ hr = 0.5
 sizes = (30, 44, 58, 72, 86, 100)
 replicates = 200
 
-# one row of replicate scans per sample size
+# each sample size: one row of final p-values per replicate, scored per method
 power_points = {method: [] for method in METHODS}
 for ss in sizes:
     results = run_replicates(hr, ss, replicates, model, master_seed=7)

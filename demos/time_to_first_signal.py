@@ -11,22 +11,20 @@ in the headline experiment.
 
 import numpy as np
 
-from cwtasim import METHODS, compare_tte, load_profile, run_replicates, summarize_tte
+from cwtasim import METHODS, compare_tte, first_months, load_profile, run_replicates, summarize_tte
 
 model = load_profile("moderate")
 hr, ss, replicates = 0.5, 150, 100
 
+# one row per replicate: results.first_month[r] holds each method's first
+# significant month, 0 where it never reached significance
 results = run_replicates(hr, ss, replicates, model, master_seed=7)
 
 # per-method distribution of the first significant month
 firsts = {}
 for method in METHODS:
     summary = summarize_tte(results, method, hr, ss)
-    firsts[method] = [
-        r.scans[method].first_significant_month
-        for r in results
-        if r.scans[method].first_significant_month is not None
-    ]
+    firsts[method] = first_months(results, method)
     print(
         f"{method:>4}: mean {summary.mean_months:5.1f} months  "
         f"sd {summary.sd_months:4.1f}  "

@@ -10,45 +10,47 @@ monthly statistics are exact prefix sums of per-month terms computed
 once. A test with zero cumulative variance at month m is treated as not
 significant there.
 
+Replicates run in blocks of consecutive indices, at most BLOCK_ROWS
+subject rows each: a block's trials are simulated together
+(trajectories.simulate_block) and scanned together (scan_trial), every
+per-month array carrying a leading replicate axis. Results are columns,
+one row per replicate and one column per method.
+
 Replicate seeds are mixed from (master_seed, hazard-ratio bits, sample
-size, replicate index), so every grid point is reproducible in isolation
-and results are independent of worker count and execution order.
+size, replicate index), and every step treats replicates independently,
+so every grid point is reproducible in isolation and results are the
+same for any block split, worker count and execution order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats
 
-from .kaplan_meier import Endpoint, endpoint_arrays, monthly_logrank_terms
-from .seeds import float_bits, mix64
-from .trajectories import TransitionModel, Trial, TrialConfig, simulate_trial
-from .weighted import extract_weighted_events, monthly_weighted_terms
+from .kaplan_meier import Endpoint, endpoint_arrays, monthly_logrank_terms, two_sided_p
+from .seeds import float_bits, mix64_array
+from .trajectories import TransitionModel, Trial, simulate_block
+from .weighted import monthly_weighted_terms, trial_event_sums
 
 METHODS = ("CWTA", "PFS", "OS")
 
 
-@dataclass(frozen=True)
-class MethodScan:
-    """Month-60 p-value and first significant month for one method.
+class ReplicateScans(NamedTuple):
+    """Scans of R replicates: row r is replicate r, columns follow METHODS.
 
-    final_p is NaN when the test is degenerate even on the full data;
-    first_significant_month is None when no month reaches significance.
+    final_p is the p-value at the horizon, NaN when the test is degenerate
+    even on the full data; first_month is the first significant month,
+    0 when no month reaches significance.
     """
 
-    final_p: float
-    first_significant_month: int | None
-
-
-@dataclass(frozen=True)
-class ReplicateResult:
-    replicate: int
-    scans: Mapping[str, MethodScan]
+    final_p: np.ndarray
+    first_month: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,43 +147,61 @@ class ExperimentGrid:
         return int(self.replicates[hr])
 
 
-def _scan_from_terms(ome: np.ndarray, v: np.ndarray, alpha: float) -> MethodScan:
-    cum_o = np.cumsum(ome)
-    cum_v = np.cumsum(v)
+def _scan(ome: np.ndarray, v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(final p, first significant month or 0) from per-month terms on the last axis."""
+    cum_o = np.cumsum(ome, axis=-1)
+    cum_v = np.cumsum(v, axis=-1)
     defined = cum_v > 0.0
     z = np.zeros_like(cum_o)
     np.divide(cum_o, np.sqrt(cum_v, where=defined, out=np.ones_like(cum_v)), where=defined, out=z)
-    p = np.full_like(cum_o, np.nan)
-    p[defined] = 2.0 * stats.norm.sf(np.abs(z[defined]))
-    significant = np.zeros(p.shape, dtype=bool)
-    significant[defined] = p[defined] < alpha
-    first = int(significant.argmax()) + 1 if significant.any() else None
-    return MethodScan(final_p=float(p[-1]), first_significant_month=first)
+    p = np.where(defined, two_sided_p(z), np.nan)
+    significant = defined & (p < alpha)
+    first = np.where(significant.any(axis=-1), significant.argmax(axis=-1) + 1, 0)
+    return p[..., -1], first
 
 
-def scan_trial(trial: Trial, alpha: float) -> dict[str, MethodScan]:
-    """Monthly significance scans of one trial for all three methods."""
-    scans: dict[str, MethodScan] = {}
+def scan_trial(trial: Trial, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Monthly significance scans of a trial, or a block of trials, for all three methods.
+
+    Returns (final_p, first_month) with a last axis in METHODS order:
+    (3,) arrays for one trial, (R, 3) for a block.
+    """
+    terms = {"CWTA": monthly_weighted_terms(*trial_event_sums(trial))}
     for kind in Endpoint:
         times, events = endpoint_arrays(trial.states, trial.censor, kind)
-        ome, v = monthly_logrank_terms(times, events, trial.arms, trial.horizon)
-        scans[kind.name] = _scan_from_terms(ome, v, alpha)
-    table = extract_weighted_events(trial)
-    ome, v = monthly_weighted_terms(table)
-    scans["CWTA"] = _scan_from_terms(ome, v, alpha)
-    return scans
+        terms[kind.name] = monthly_logrank_terms(times, events, trial.arms, trial.horizon)
+    scans = [_scan(*terms[method], alpha) for method in METHODS]
+    return np.stack([p for p, _ in scans], axis=-1), np.stack([f for _, f in scans], axis=-1)
 
 
-def replicate_seed(master_seed: int, hr: float, ss: int, replicate: int) -> int:
-    return mix64(master_seed, float_bits(hr), ss, replicate)
+def replicate_seed(master_seed: int, hr: float, ss: int, replicate):
+    """Trial seed of a replicate index, or uint64 seeds of an array of indices."""
+    return mix64_array((master_seed, float_bits(hr), ss), replicate)
 
 
-def _run_one(args) -> ReplicateResult:
-    master_seed, hr, ss, alpha, model, r = args
-    config = TrialConfig(
-        sample_size=ss, hazard_ratio=hr, control_model=model, seed=replicate_seed(master_seed, hr, ss, r)
-    )
-    return ReplicateResult(replicate=r, scans=scan_trial(simulate_trial(config), alpha))
+BLOCK_ROWS = 4096  # subject rows simulated and scanned in one pass; bounds a block's arrays to a few MB
+
+
+def plan_blocks(replicates: int, ss: int, workers: int = 1) -> Iterator[tuple[int, int]]:
+    """Consecutive (start, stop) replicate ranges covering 0..replicates-1 in order.
+
+    Blocks are as few as the row budget allows -- at most BLOCK_ROWS subject
+    rows each, or one replicate when a single trial is larger -- and their
+    sizes differ by at most one. A pooled run rounds the count up to a
+    multiple of workers (at most one block per replicate), so every worker
+    gets an equal share.
+    """
+    count = -(-replicates // max(1, BLOCK_ROWS // ss))
+    if workers > 1:
+        count = min(replicates, -(-count // workers) * workers)
+    for k in range(count):
+        yield k * replicates // count, (k + 1) * replicates // count
+
+
+def _run_block(point: tuple, block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    master_seed, hr, ss, alpha, model = point
+    seeds = replicate_seed(master_seed, hr, ss, np.arange(*block, dtype=np.uint64))
+    return scan_trial(simulate_block(model, hr, ss, seeds), alpha)
 
 
 def run_replicates(
@@ -192,34 +212,53 @@ def run_replicates(
     master_seed: int,
     alpha: float = 0.05,
     workers: int = 1,
-) -> list[ReplicateResult]:
+) -> ReplicateScans:
     """Simulate and scan `replicates` independent trials at one grid point.
 
-    Output is ordered by replicate index and is byte-identical for any
+    Replicates run in blocks (plan_blocks), a block at a time in this
+    process or spread over a pool of `workers` processes. Row r of the
+    result is replicate r, and it is the same for any block split and any
     worker count, because each replicate's seed depends only on
     (master_seed, hr, ss, replicate index).
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    args = [(master_seed, float(hr), int(ss), float(alpha), profile, r) for r in range(replicates)]
+    point = (master_seed, float(hr), int(ss), float(alpha), profile)
+    final_p = np.empty((replicates, len(METHODS)))
+    first_month = np.empty((replicates, len(METHODS)), dtype=np.int64)
+
+    def store(block, scans):
+        final_p[slice(*block)], first_month[slice(*block)] = scans
+
+    blocks = plan_blocks(replicates, int(ss), workers)
     if workers <= 1:
-        return [_run_one(a) for a in args]
-    chunk = max(1, replicates // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, args, chunksize=chunk))
+        for block in blocks:
+            store(block, _run_block(point, block))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pending: deque = deque()
+            for block in blocks:  # about two blocks per worker in flight, not all of them
+                pending.append((block, pool.submit(_run_block, point, block)))
+                if len(pending) > 2 * workers:
+                    block, future = pending.popleft()
+                    store(block, future.result())
+            for block, future in pending:
+                store(block, future.result())
+    return ReplicateScans(final_p=final_p, first_month=first_month)
 
 
 def estimate_power(
-    results: Sequence[ReplicateResult], method: str, alpha: float, hr: float, ss: int
+    results: ReplicateScans, method: str, alpha: float, hr: float, ss: int
 ) -> PowerEstimate:
     """Fraction of replicates whose month-60 p-value is below alpha.
 
     Degenerate replicates (NaN p) count as not significant.
     """
-    if not results:
+    final_p = results.final_p[:, METHODS.index(method)]
+    if final_p.size == 0:
         raise ValueError("no replicate results")
-    hits = sum(1 for r in results if r.scans[method].final_p < alpha)
-    return PowerEstimate(method=method, hr=hr, ss=ss, power=hits / len(results), replicates=len(results))
+    hits = int(np.count_nonzero(final_p < alpha))
+    return PowerEstimate(method=method, hr=hr, ss=ss, power=hits / final_p.size, replicates=final_p.size)
 
 
 def _pav_nondecreasing(values: Sequence[float]) -> list[float]:
@@ -273,15 +312,15 @@ def interpolate_sample_size(points: Sequence[tuple[float, float]], target: float
     return x0 + (target - y0) * (x1 - x0) / (y1 - y0)
 
 
-def summarize_tte(
-    results: Sequence[ReplicateResult], method: str, hr: float, ss: int
-) -> TTESummary:
+def first_months(results: ReplicateScans, method: str) -> np.ndarray:
+    """First significant months of the replicates that reached significance."""
+    months = results.first_month[:, METHODS.index(method)]
+    return months[months > 0]
+
+
+def summarize_tte(results: ReplicateScans, method: str, hr: float, ss: int) -> TTESummary:
     """Mean and sample SD of first-significance months for one method."""
-    firsts = [
-        r.scans[method].first_significant_month
-        for r in results
-        if r.scans[method].first_significant_month is not None
-    ]
+    firsts = first_months(results, method)
     n = len(firsts)
     mean = float(np.mean(firsts)) if n else None
     sd = float(np.std(firsts, ddof=1)) if n >= 2 else None
@@ -292,7 +331,7 @@ def summarize_tte(
         mean_months=mean,
         sd_months=sd,
         n_included=n,
-        n_omitted=len(results) - n,
+        n_omitted=len(results.first_month) - n,
     )
 
 
@@ -375,18 +414,11 @@ def tte_rows(
             results = run_replicates(
                 hr, ss, grid.replicates_for(hr), model, grid.master_seed, grid.alpha, workers
             )
-            firsts = {
-                m: [
-                    r.scans[m].first_significant_month
-                    for r in results
-                    if r.scans[m].first_significant_month is not None
-                ]
-                for m in METHODS
-            }
+            firsts = {m: first_months(results, m) for m in METHODS}
             for method in METHODS:
                 summary = summarize_tte(results, method, hr=hr, ss=ss)
                 comparison = None
-                if method != "CWTA" and firsts["CWTA"] and firsts[method]:
+                if method != "CWTA" and firsts["CWTA"].size and firsts[method].size:
                     comparison = compare_tte(firsts["CWTA"], firsts[method])
                 rows.append((summary, comparison))
     return rows

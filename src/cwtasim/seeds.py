@@ -48,20 +48,29 @@ def mix64(*parts: int) -> int:
     return acc
 
 
-def mix64_array(prefix: tuple[int, ...], indices: np.ndarray) -> np.ndarray:
+def _as_uint64(part) -> np.ndarray:
+    if isinstance(part, (int, np.integer)):
+        return np.uint64(int(part) & _MASK64)
+    return np.asarray(part, dtype=np.uint64)
+
+
+def mix64_array(prefix: tuple, indices) -> np.ndarray:
     """Vectorized mix64(*prefix, i) for an array of indices.
 
+    Each prefix part is an int shared by every index, or an array that
+    broadcasts against indices (trial seeds of shape (R, 1) against
+    subject indices of shape (n,) give the (R, n) subject seeds).
     Returns uint64 seeds identical to the scalar path element by element.
     """
-    acc = _OFFSET
-    for part in prefix:
-        acc = splitmix64(acc ^ (part & _MASK64))
-    x = np.asarray(indices, dtype=np.uint64) ^ np.uint64(acc)
+    acc = np.uint64(_OFFSET)
     with np.errstate(over="ignore"):
-        x = x + np.uint64(_GOLDEN)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MULT_A)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MULT_B)
-        return x ^ (x >> np.uint64(31))
+        for part in (*prefix, indices):
+            x = acc ^ _as_uint64(part)
+            x = x + np.uint64(_GOLDEN)
+            x = (x ^ (x >> np.uint64(30))) * np.uint64(_MULT_A)
+            x = (x ^ (x >> np.uint64(27))) * np.uint64(_MULT_B)
+            acc = x ^ (x >> np.uint64(31))
+    return acc
 
 
 def float_bits(x: float) -> int:

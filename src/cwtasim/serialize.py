@@ -75,6 +75,13 @@ def write_trajectories_csv(trial: Trial, path) -> None:
     _write_rows(path, ("subject", "month", "state", "arm", "dropout_month"), rows)
 
 
+def _int_field(path, row: dict, field: str) -> int:
+    try:
+        return int(row[field])
+    except ValueError:
+        raise ValueError(f"{path}: subject {row['subject']} has a non-integer {field} '{row[field]}'") from None
+
+
 def read_trajectories_csv(path) -> Trial:
     """Read long-format trajectories; dropout_month column is optional.
 
@@ -101,8 +108,12 @@ def read_trajectories_csv(path) -> Trial:
             entry = by_subject.setdefault(
                 row["subject"], {"months": [], "states": [], "arm": None, "dropout": None}
             )
-            entry["months"].append(int(row["month"]))
-            entry["states"].append(int(row["state"]))
+            try:
+                month, state = int(row["month"]), int(row["state"])
+            except ValueError:  # raise the error that names the field
+                month, state = _int_field(path, row, "month"), _int_field(path, row, "state")
+            entry["months"].append(month)
+            entry["states"].append(state)
             arm_label = row["arm"].strip().lower()
             if arm_label not in _ARM_BY_LABEL:
                 raise ValueError(f"{path}: unknown arm '{row['arm']}'")
@@ -111,9 +122,8 @@ def read_trajectories_csv(path) -> Trial:
                 entry["arm"] = arm
             elif entry["arm"] != arm:
                 raise ValueError(f"{path}: subject {row['subject']} changes arm")
-            raw_dropout = (row.get("dropout_month") or "").strip()
-            if raw_dropout:
-                d = int(raw_dropout)
+            if (row.get("dropout_month") or "").strip():
+                d = _int_field(path, row, "dropout_month")
                 if entry["dropout"] is not None and entry["dropout"] != d:
                     raise ValueError(f"{path}: subject {row['subject']} has conflicting dropout months")
                 entry["dropout"] = d
@@ -124,14 +134,14 @@ def read_trajectories_csv(path) -> Trial:
     for key, entry in by_subject.items():
         order = np.argsort(entry["months"])
         months = np.asarray(entry["months"])[order]
-        states = np.asarray(entry["states"], dtype=np.int8)[order]
+        states = np.asarray(entry["states"])[order]
         if months[0] != 0 or not np.array_equal(months, np.arange(len(months))):
             raise ValueError(f"{path}: subject {key} months must run 0..k without gaps")
         if states[0] != SD:
             raise ValueError(f"{path}: subject {key} must start at state {SD} (stable disease)")
         if states.min() < 0 or states.max() > 4:
             raise ValueError(f"{path}: subject {key} has states outside 0..4")
-        diffs = np.diff(states.astype(np.int16))
+        diffs = np.diff(states)
         if diffs.size and np.abs(diffs).max() > 1:
             raise ValueError(f"{path}: subject {key} moves more than one level in a month")
         # progression irreversible, death absorbing
@@ -142,7 +152,7 @@ def read_trajectories_csv(path) -> Trial:
             raise ValueError(
                 f"{path}: subject {key} dropout_month {dropout} does not match last observed month"
             )
-        rows.append(states)
+        rows.append(states.astype(np.int8))
     states, censor = trial_state_matrix(rows)
     subjects = by_subject.values()
     return Trial(

@@ -32,7 +32,9 @@ contiguous read.
 A trial has one form from simulation to every statistic: Trial, the
 padded (n, horizon + 1) state matrix with each subject's censor month,
 arm and dropout flag. There are no per-subject objects; the CSV reader
-packs its rows into the same form with trial_state_matrix.
+packs its rows into the same form with trial_state_matrix. simulate_block
+simulates R trials of one design at once, as a Trial with a leading
+replicate axis; simulate_trial is its one-trial call.
 """
 
 from __future__ import annotations
@@ -176,6 +178,13 @@ def apply_hazard_ratio(
     return replace(model, worsen_prob=worsen, improve_prob=improve)
 
 
+def _check_sample_size(sample_size: int) -> None:
+    if sample_size < 2 or sample_size % 2 != 0:
+        raise ValueError(
+            f"sample_size must be an even integer >= 2 for 1:1 allocation, got {sample_size}"
+        )
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     sample_size: int
@@ -185,10 +194,7 @@ class TrialConfig:
     improvement_hr: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sample_size < 2 or self.sample_size % 2 != 0:
-            raise ValueError(
-                f"sample_size must be an even integer >= 2 for 1:1 allocation, got {self.sample_size}"
-            )
+        _check_sample_size(self.sample_size)
         if not self.hazard_ratio > 0.0:
             raise ValueError(f"hazard_ratio must be positive, got {self.hazard_ratio}")
 
@@ -201,6 +207,10 @@ class Trial:
     every month after censor[i], the last observed month, holds -1.
     arms[i] is the Arm index. dropped[i] tells a subject who dropped out
     at the horizon month apart from one observed to the end.
+
+    A block of R trials of one design has the same form with a leading
+    replicate axis on states (R, n, horizon + 1), censor and dropped
+    (R, n); arms stays (n,), shared by every trial of the block.
     """
 
     states: np.ndarray
@@ -210,45 +220,50 @@ class Trial:
 
     @property
     def horizon(self) -> int:
-        return self.states.shape[1] - 1
+        return self.states.shape[-1] - 1
 
 
-def subject_uniforms(base_seed: int, n: int, horizon: int) -> np.ndarray:
+def subject_uniforms(base_seed, n: int, horizon: int) -> np.ndarray:
     """(n, horizon + 2) uniform draws, row i from the stream mix64(base_seed, i).
 
     Column layout per subject: dropout flag, dropout month, then one draw
     per month 1..horizon. Blocks are always drawn in full so the layout
-    stays fixed regardless of what happens to the subject. The result is
-    the transpose of a C-contiguous (horizon + 2, n) buffer, so each
-    column is contiguous.
+    stays fixed regardless of what happens to the subject. base_seed may
+    also be an array of R trial seeds; the result is then (R, n, horizon + 2),
+    every stream drawn in one pass. Either way it is a view of a
+    C-contiguous buffer with the draw axis first, so one month of every
+    subject is contiguous.
     """
-    seeds = mix64_array((base_seed,), np.arange(n, dtype=np.uint64))
-    return pcg64_uniforms(seeds, horizon + 2).T
+    trial_seeds = base_seed[:, None] if isinstance(base_seed, np.ndarray) else base_seed
+    seeds = mix64_array((trial_seeds,), np.arange(n, dtype=np.uint64))
+    draws = pcg64_uniforms(seeds.ravel(), horizon + 2)
+    return np.moveaxis(draws.reshape((horizon + 2,) + seeds.shape), 0, -1)
 
 
 def _simulate_state_matrix(model: TransitionModel, monthly_u: np.ndarray) -> np.ndarray:
     """Evolve the state ladder for a batch of subjects.
 
-    monthly_u holds one uniform per subject per month. The draw decides
-    [improve | stay | worsen] in that order: improve iff u < p_improve,
-    worsen iff u >= 1 - p_worsen. Model validation guarantees the two
-    intervals never overlap. Months are read and written one column at a
-    time, so a month-major (F-contiguous) monthly_u reads contiguously;
-    the (n, horizon + 1) result is likewise a month-major view.
+    monthly_u holds one uniform per subject per month, months on the last
+    axis; any leading axes (subjects, or replicates and subjects) are kept.
+    The draw decides [improve | stay | worsen] in that order: improve iff
+    u < p_improve, worsen iff u >= 1 - p_worsen. Model validation
+    guarantees the two intervals never overlap. Months are read and
+    written one at a time, so a month-major monthly_u reads contiguously;
+    the (..., horizon + 1) result is likewise a month-major view.
     """
-    n, horizon = monthly_u.shape
+    *lead, horizon = monthly_u.shape
     improve = np.asarray(model.improve_prob)
     worsen = np.asarray(model.worsen_prob)
-    states = np.empty((horizon + 1, n), dtype=np.int8)
+    states = np.empty((horizon + 1, *lead), dtype=np.int8)
     states[0] = SD
-    s = np.full(n, SD, dtype=np.intp)
+    s = np.full(lead, SD, dtype=np.intp)
     for m in range(1, horizon + 1):
-        u = monthly_u[:, m - 1]
+        u = monthly_u[..., m - 1]
         p_improve = improve[s] * (model.improve_decay ** (m - 1))
         p_worsen = worsen[s]
         s = s - (u < p_improve) + (u >= 1.0 - p_worsen)
         states[m] = s
-    return states.T
+    return np.moveaxis(states, 0, -1)
 
 
 def _dropout_from_uniforms(model: TransitionModel, u_flag, u_month):
@@ -262,27 +277,46 @@ def _dropout_from_uniforms(model: TransitionModel, u_flag, u_month):
     return dropped, np.where(dropped, month, model.horizon_months)
 
 
+def simulate_block(
+    control_model: TransitionModel,
+    hazard_ratio: float,
+    sample_size: int,
+    seeds,
+    improvement_hr: float | None = None,
+) -> Trial:
+    """Simulate 1:1 two-arm trials of one design; subjects 0..n/2-1 are control.
+
+    seeds is one trial seed, giving one Trial, or an array of R trial
+    seeds, giving a block of R trials on a leading replicate axis. Every
+    stream is drawn in one pass and each arm evolves once over all of its
+    rows. Subject i of the trial with seed s draws from mix64(s, i), so a
+    trial is the same whichever block it is simulated in.
+    """
+    _check_sample_size(sample_size)
+    model_e = apply_hazard_ratio(control_model, hazard_ratio, improvement_hr)
+    half = sample_size // 2
+    horizon = control_model.horizon_months
+
+    draws = subject_uniforms(seeds, sample_size, horizon)
+    states = np.empty(draws.shape[:-1] + (horizon + 1,), dtype=np.int8)
+    states[..., :half, :] = _simulate_state_matrix(control_model, draws[..., :half, 2:])
+    states[..., half:, :] = _simulate_state_matrix(model_e, draws[..., half:, 2:])
+    dropped, censor = _dropout_from_uniforms(control_model, draws[..., 0], draws[..., 1])
+    states[np.arange(horizon + 1) > censor[..., None]] = -1
+    arms = np.repeat(np.array([Arm.CONTROL, Arm.EXPERIMENTAL], dtype=np.int8), half)
+    return Trial(states=states, censor=censor, arms=arms, dropped=dropped)
+
+
 def simulate_trial(config: TrialConfig) -> Trial:
-    """Simulate a 1:1 two-arm trial; subjects 0..n/2-1 are control.
+    """Simulate one 1:1 two-arm trial; subjects 0..n/2-1 are control.
 
     Bit-reproducible: per-subject streams are derived from
     (config.seed, subject_index), so the same config always yields the
     same trajectories.
     """
-    model_c = config.control_model
-    model_e = apply_hazard_ratio(model_c, config.hazard_ratio, config.improvement_hr)
-    n = config.sample_size
-    half = n // 2
-    horizon = model_c.horizon_months
-
-    blocks = subject_uniforms(config.seed, n, horizon)
-    states = np.empty((n, horizon + 1), dtype=np.int8)
-    states[:half] = _simulate_state_matrix(model_c, blocks[:half, 2:])
-    states[half:] = _simulate_state_matrix(model_e, blocks[half:, 2:])
-    dropped, censor = _dropout_from_uniforms(model_c, blocks[:, 0], blocks[:, 1])
-    states[np.arange(horizon + 1) > censor[:, None]] = -1
-    arms = np.repeat(np.array([Arm.CONTROL, Arm.EXPERIMENTAL], dtype=np.int8), half)
-    return Trial(states=states, censor=censor, arms=arms, dropped=dropped)
+    return simulate_block(
+        config.control_model, config.hazard_ratio, config.sample_size, config.seed, config.improvement_hr
+    )
 
 
 def trial_state_matrix(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

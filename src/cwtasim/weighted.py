@@ -21,8 +21,11 @@ n_j * Q_j - W_j**2 = d_j * (n_j - d_j). The test statistic is
 z = sum_j (O1_j - E1_j) / sqrt(sum_j V_j), squared against a chi-square
 with one degree of freedom (equivalently, two-sided normal on z).
 
-Events are read straight from a Trial's padded state matrix. The
-trajectory curve prod (1 - W_j / n_j) is the Kaplan-Meier product limit
+Events are read straight from a Trial's padded state matrix, into an
+event table (extract_weighted_events) or, for the replicate scans, straight
+into the monthly sums (trial_event_sums); monthly_weighted_terms takes
+either's sums, with or without a leading replicate axis. The trajectory
+curve prod (1 - W_j / n_j) is the Kaplan-Meier product limit
 (kaplan_meier.product_limit) with weighted events in place of unit ones.
 """
 
@@ -116,6 +119,15 @@ class WeightedEventTable:
             horizon=int(horizon),
         )
 
+    def event_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(W, Q, O1, at_risk) by month: the arguments of monthly_weighted_terms."""
+        width = self.horizon + 1
+        is_control = self.arms == int(Arm.CONTROL)
+        w_sum = np.bincount(self.months, weights=self.weights, minlength=width)
+        q_sum = np.bincount(self.months, weights=self.weights**2, minlength=width)
+        o1 = np.bincount(self.months[is_control], weights=self.weights[is_control], minlength=width)
+        return w_sum, q_sum, o1, self.at_risk
+
 
 @dataclass(frozen=True)
 class TrajectoryStep:
@@ -140,14 +152,6 @@ def extract_weighted_events(trial: Trial, worsening_only: bool = False) -> Weigh
     worsening_only drops improvement events, for sensitivity checks.
     """
     states, censor, arms, horizon = trial.states, trial.censor, trial.arms, trial.horizon
-    dead = states == DEATH
-    died = dead.any(axis=1)
-    death_month = dead.argmax(axis=1)
-    risk_end = np.where(died, death_month, censor)
-    at_risk = np.stack(
-        [at_risk_counts(risk_end[arms == a], horizon) for a in (int(Arm.CONTROL), int(Arm.EXPERIMENTAL))]
-    )
-
     diffs = states[:, 1:].astype(np.int16) - states[:, :-1].astype(np.int16)
     observed = np.arange(1, horizon + 1)[None, :] <= censor[:, None]
     mask = observed & (diffs != 0)
@@ -163,31 +167,60 @@ def extract_weighted_events(trial: Trial, worsening_only: bool = False) -> Weigh
         subjects=rows.astype(np.int64),
         arms=arms[rows],
         weights=weights,
-        at_risk=at_risk,
+        at_risk=_at_risk_by_arm(trial),
         horizon=horizon,
     )
 
 
-def monthly_weighted_terms(table: WeightedEventTable) -> tuple[np.ndarray, np.ndarray]:
+def _at_risk_by_arm(trial: Trial) -> np.ndarray:
+    """(..., 2, horizon + 1) counts of each arm's subjects alive and under observation.
+
+    A subject stays at risk in its death month and through its censor month.
+    """
+    dead = trial.states == DEATH
+    risk_end = np.where(dead.any(axis=-1), dead.argmax(axis=-1), trial.censor)
+    arms = (int(Arm.CONTROL), int(Arm.EXPERIMENTAL))
+    return np.stack([at_risk_counts(risk_end[..., trial.arms == a], trial.horizon) for a in arms], axis=-2)
+
+
+def trial_event_sums(trial: Trial) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(W, Q, O1, at_risk) by month straight from the state matrix, without an event table.
+
+    Equal to extract_weighted_events(trial).event_sums() bit for bit: every
+    weight is a multiple of 1/4, so summing the integer moves per month and
+    dividing by 4 (and their squares by 16) is exact. A block of trials
+    gives sums with a leading replicate axis.
+    """
+    states, horizon = trial.states, trial.horizon
+    moves = np.zeros(states.shape, dtype=np.int16)  # moves[..., m]: the level change into month m
+    np.subtract(states[..., 1:], states[..., :-1], out=moves[..., 1:], dtype=np.int16)
+    moves *= np.arange(horizon + 1) <= trial.censor[..., None]
+    control = trial.arms == int(Arm.CONTROL)
+    w_sum = moves.sum(axis=-2) / MAX_STATE
+    q_sum = (moves * moves).sum(axis=-2) / MAX_STATE**2
+    o1 = moves[..., control, :].sum(axis=-2) / MAX_STATE
+    return w_sum, q_sum, o1, _at_risk_by_arm(trial)
+
+
+def monthly_weighted_terms(
+    w_sum: np.ndarray, q_sum: np.ndarray, o1: np.ndarray, at_risk: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-month (O1_j - E1_j, V_j) arrays for months 1..horizon.
 
-    Months with no events contribute zero, so prefix sums equal the
-    statistic of the table truncated at any month.
+    Takes the sums by month of event weights W_j, squared weights Q_j and
+    control-arm weights O1_j, and at_risk[..., arm, month]; any leading
+    replicate axis is kept. Months with no events contribute zero, so
+    prefix sums equal the statistic of the data truncated at any month.
     """
-    width = table.horizon + 1
-    is_control = table.arms == int(Arm.CONTROL)
-    w_sum = np.bincount(table.months, weights=table.weights, minlength=width)
-    q_sum = np.bincount(table.months, weights=table.weights**2, minlength=width)
-    o1 = np.bincount(table.months[is_control], weights=table.weights[is_control], minlength=width)
-    n1 = table.at_risk[int(Arm.CONTROL)].astype(np.float64)
-    n = table.at_risk.sum(axis=0).astype(np.float64)
+    n1 = at_risk[..., int(Arm.CONTROL), :].astype(np.float64)
+    n = at_risk.sum(axis=-2).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(n > 0, n1 / np.maximum(n, 1.0), 0.0)
         e1 = w_sum * p
         v = np.where(
             n > 1, p * (1.0 - p) * (n * q_sum - w_sum**2) / np.maximum(n - 1.0, 1.0), 0.0
         )
-    return (o1 - e1)[1:], v[1:]
+    return (o1 - e1)[..., 1:], v[..., 1:]
 
 
 def weighted_logrank_test(table: WeightedEventTable) -> TestResult:
@@ -201,7 +234,7 @@ def weighted_logrank_test(table: WeightedEventTable) -> TestResult:
         raise ValueError("weighted_logrank_test requires subjects in both arms")
     if table.n_events == 0:
         raise DegenerateTestError("no weighted events")
-    ome, v = monthly_weighted_terms(table)
+    ome, v = monthly_weighted_terms(*table.event_sums())
     total_v = float(v.sum())
     if total_v <= 0.0:
         raise DegenerateTestError("zero variance: all event months have one-sided risk sets")

@@ -4,7 +4,11 @@ Everything here is deliberately naive pure Python: dictionary loops,
 itertools enumeration, no shared code with the package internals. When a
 package routine and an oracle disagree, the oracle wins. The subject
 stream oracle builds one np.random.default_rng per subject, the stream
-that the package's vectorized generator must reproduce bit for bit.
+that the package's vectorized generator must reproduce bit for bit. The
+replicate oracle is the exception to "no shared code": it is the package's
+former one-replicate-at-a-time path -- simulate_trial, then a per-trial
+scan through the event table with scipy's norm.sf -- kept as the
+reference that the replicate-batched engine must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +19,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cwtasim import Arm, TransitionModel, apply_hazard_ratio
-from cwtasim.seeds import mix64
+from scipy import stats
+
+from cwtasim import (
+    METHODS,
+    Arm,
+    Endpoint,
+    TransitionModel,
+    TrialConfig,
+    apply_hazard_ratio,
+    endpoint_arrays,
+    extract_weighted_events,
+    simulate_trial,
+)
+from cwtasim.kaplan_meier import monthly_logrank_terms
+from cwtasim.seeds import float_bits, mix64
+from cwtasim.weighted import monthly_weighted_terms
 
 
 class Record(NamedTuple):
@@ -207,3 +225,51 @@ def welch_t_df(sample_a, sample_b) -> tuple[float, float]:
     t = (ma - mb) / sqrt(se2)
     df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     return t, df
+
+
+class MethodScan(NamedTuple):
+    """Horizon p-value (NaN when degenerate) and first significant month (None if never)."""
+
+    final_p: float
+    first_significant_month: int | None
+
+
+def scan_from_terms(ome: np.ndarray, v: np.ndarray, alpha: float) -> MethodScan:
+    cum_o = np.cumsum(ome)
+    cum_v = np.cumsum(v)
+    defined = cum_v > 0.0
+    z = np.zeros_like(cum_o)
+    np.divide(cum_o, np.sqrt(cum_v, where=defined, out=np.ones_like(cum_v)), where=defined, out=z)
+    p = np.full_like(cum_o, np.nan)
+    p[defined] = 2.0 * stats.norm.sf(np.abs(z[defined]))
+    significant = np.zeros(p.shape, dtype=bool)
+    significant[defined] = p[defined] < alpha
+    first = int(significant.argmax()) + 1 if significant.any() else None
+    return MethodScan(final_p=float(p[-1]), first_significant_month=first)
+
+
+def scan_one_trial(trial, alpha: float) -> dict[str, MethodScan]:
+    """Monthly significance scans of one trial, one method at a time."""
+    scans: dict[str, MethodScan] = {}
+    for kind in Endpoint:
+        times, events = endpoint_arrays(trial.states, trial.censor, kind)
+        ome, v = monthly_logrank_terms(times, events, trial.arms, trial.horizon)
+        scans[kind.name] = scan_from_terms(ome, v, alpha)
+    table = extract_weighted_events(trial)
+    ome, v = monthly_weighted_terms(*table.event_sums())
+    scans["CWTA"] = scan_from_terms(ome, v, alpha)
+    return scans
+
+
+def run_replicates_one_by_one(hr, ss, replicates, profile, master_seed, alpha=0.05):
+    """(final_p, first_month) columns in METHODS order, built one replicate at a time."""
+    final_p = np.empty((replicates, len(METHODS)))
+    first_month = np.zeros((replicates, len(METHODS)), dtype=np.int64)
+    for r in range(replicates):
+        seed = mix64(master_seed, float_bits(hr), ss, r)
+        trial = simulate_trial(TrialConfig(sample_size=ss, hazard_ratio=hr, control_model=profile, seed=seed))
+        scans = scan_one_trial(trial, alpha)
+        for k, method in enumerate(METHODS):
+            final_p[r, k] = scans[method].final_p
+            first_month[r, k] = scans[method].first_significant_month or 0
+    return final_p, first_month

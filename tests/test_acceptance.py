@@ -25,6 +25,7 @@ from cwtasim import (
     compare_tte,
     control_response_rates,
     estimate_power,
+    first_months,
     interpolate_sample_size,
     km_estimate,
     load_profile,
@@ -299,8 +300,7 @@ def test_criterion_6_time_to_first_signal():
     for m in METHODS:
         summary = summarize_tte(results, m, 0.5, 150)
         means[m] = summary.mean_months
-        firsts[m] = [r.scans[m].first_significant_month for r in results
-                     if r.scans[m].first_significant_month is not None]
+        firsts[m] = first_months(results, m)
     cmp_pfs = compare_tte(firsts["CWTA"], firsts["PFS"])
     cmp_os = compare_tte(firsts["CWTA"], firsts["OS"])
     print(f"\ncriterion 6: means CWTA {means['CWTA']:.2f} / PFS {means['PFS']:.2f} / "

@@ -162,6 +162,13 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "short_row.csv: subject 0" in err
 
+    # a field that is not an integer: the same one-line message, naming the field
+    bad_field = tmp_path / "bad_field.csv"
+    bad_field.write_text("subject,month,state,arm,dropout_month\n0,x,2,control,\n")
+    assert run_cli(["analyze", "--trial", str(bad_field), "--out-dir", str(tmp_path / "z")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad_field.csv: subject 0 has a non-integer month 'x'" in err
+
     # unreachable calibration target
     assert run_cli([
         "calibrate", "--cr", "0.9", "--pr", "0.09", "--template", fast_profile,

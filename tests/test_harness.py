@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cwtasim import (
     METHODS,
-    Arm,
     ExperimentGrid,
+    ReplicateScans,
     Trial,
     TransitionModel,
     TrialConfig,
@@ -22,11 +24,13 @@ from cwtasim import (
     simulate_trial,
     summarize_tte,
 )
-from cwtasim.harness import replicate_seed
+from cwtasim import harness
+from cwtasim.harness import plan_blocks, replicate_seed
 from cwtasim.kaplan_meier import endpoint_arrays, monthly_logrank_terms
+from cwtasim.trajectories import simulate_block
 from cwtasim.weighted import extract_weighted_events, monthly_weighted_terms, weighted_logrank_test
 
-from oracles import welch_t_df
+from oracles import run_replicates_one_by_one, scan_one_trial, welch_t_df
 
 TOL = 1e-12
 
@@ -65,10 +69,10 @@ def test_scan_prefix_sums_equal_truncated_recomputation():
     trial = small_trial()
     horizon = MODEL.horizon_months
     table = extract_weighted_events(trial)
-    ome, v = monthly_weighted_terms(table)
+    ome, v = monthly_weighted_terms(*table.event_sums())
     for month in (1, 3, 7, 12, 24):
         t_table = extract_weighted_events(truncate(trial, month))
-        t_ome, t_v = monthly_weighted_terms(t_table)
+        t_ome, t_v = monthly_weighted_terms(*t_table.event_sums())
         assert float(t_ome.sum()) == pytest.approx(float(ome[:month].sum()), abs=TOL)
         assert float(t_v.sum()) == pytest.approx(float(v[:month].sum()), abs=TOL)
 
@@ -88,32 +92,46 @@ def test_scan_logrank_prefix_sums_equal_truncated_recomputation():
 
 def test_scan_trial_final_p_matches_direct_tests():
     trial = small_trial(seed=21)
-    scans = scan_trial(trial, alpha=0.05)
+    final_p, first_month = scan_trial(trial, alpha=0.05)
+    assert final_p.shape == first_month.shape == (len(METHODS),)
     table = extract_weighted_events(trial)
     direct = weighted_logrank_test(table)
-    assert scans["CWTA"].final_p == pytest.approx(direct.p_value, abs=TOL)
-    # first significant month: no month before it may be significant
-    for method in METHODS:
-        first = scans[method].first_significant_month
-        if first is None:
-            continue
-        assert 1 <= first <= MODEL.horizon_months
+    assert final_p[METHODS.index("CWTA")] == pytest.approx(direct.p_value, abs=TOL)
+    # first significant month: 0 (never) or a month of the horizon
+    for first in first_month:
+        assert first == 0 or 1 <= first <= MODEL.horizon_months
 
 
 def test_scan_first_month_is_earliest_significant():
     trial = small_trial(seed=33, ss=120, hr=0.4)
     alpha = 0.05
-    scans = scan_trial(trial, alpha)
+    _, first_month = scan_trial(trial, alpha)
     table = extract_weighted_events(trial)
-    ome, v = monthly_weighted_terms(table)
+    ome, v = monthly_weighted_terms(*table.event_sums())
     cum_o, cum_v = np.cumsum(ome), np.cumsum(v)
     sig_months = [
         m + 1
         for m in range(len(cum_o))
         if cum_v[m] > 0 and 2 * stats.norm.sf(abs(cum_o[m] / np.sqrt(cum_v[m]))) < alpha
     ]
-    expected = sig_months[0] if sig_months else None
-    assert scans["CWTA"].first_significant_month == expected
+    expected = sig_months[0] if sig_months else 0
+    assert first_month[METHODS.index("CWTA")] == expected
+
+
+def test_scan_of_a_block_is_the_scan_of_each_trial():
+    """Row r of a block's scan equals the R = 1 scan and the one-trial oracle."""
+    seeds = np.array([3, 4, 2**64 - 1], dtype=np.uint64)
+    block = simulate_block(MODEL, 0.6, 30, seeds)
+    final_p, first_month = scan_trial(block, 0.05)
+    assert final_p.shape == first_month.shape == (3, len(METHODS))
+    for r, seed in enumerate(seeds):
+        one = small_trial(seed=int(seed), ss=30)
+        p_one, first_one = scan_trial(one, 0.05)
+        assert np.array_equal(final_p[r], p_one, equal_nan=True)
+        assert np.array_equal(first_month[r], first_one)
+        oracle = scan_one_trial(one, 0.05)
+        assert np.array_equal(p_one, [oracle[m].final_p for m in METHODS], equal_nan=True)
+        assert first_one.tolist() == [oracle[m].first_significant_month or 0 for m in METHODS]
 
 
 # ------------------------------------------------------------- replicates
@@ -128,26 +146,87 @@ def test_replicate_seed_depends_on_all_coordinates():
     assert replicate_seed(1, 0.5, 100, 0) == base
 
 
+def assert_same_scans(a, b):
+    assert a.final_p.shape == b.final_p.shape == b.first_month.shape
+    assert np.array_equal(a.final_p, b.final_p, equal_nan=True)
+    assert np.array_equal(a.first_month, b.first_month)
+
+
 def test_run_replicates_deterministic_and_worker_invariant():
     kwargs = dict(hr=0.6, ss=30, replicates=12, profile=MODEL, master_seed=7)
     serial = run_replicates(**kwargs, workers=1)
-    again = run_replicates(**kwargs, workers=1)
-    parallel = run_replicates(**kwargs, workers=3)
-    for a, b, c in zip(serial, again, parallel):
-        assert a.replicate == b.replicate == c.replicate
-        for m in METHODS:
-            assert a.scans[m] == b.scans[m] == c.scans[m]
+    assert serial.final_p.shape == serial.first_month.shape == (12, len(METHODS))
+    assert_same_scans(serial, run_replicates(**kwargs, workers=1))
+    assert_same_scans(serial, run_replicates(**kwargs, workers=3))
+
+
+@pytest.mark.parametrize("block_rows", [1, 10**6])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_output_is_invariant_to_block_split_and_worker_count(monkeypatch, block_rows, workers):
+    """One replicate per block, or every replicate in one block, on one or two
+    processes: the same rows as the default split."""
+    kwargs = dict(hr=0.7, ss=20, replicates=9, profile=load_profile("moderate"), master_seed=5)
+    expected = run_replicates(**kwargs)
+    monkeypatch.setattr(harness, "BLOCK_ROWS", block_rows)
+    assert_same_scans(expected, run_replicates(**kwargs, workers=workers))
+
+
+# (sample size, replicates): small blocks at every size, and blocks of just
+# under and just over BLOCK_ROWS subject rows (one block, then two)
+ORACLE_CASES = [(n, r) for n in (2, 4, 20, 62, 800) for r in (1, 3)] + [
+    (n, r) for n in (20, 62, 800) for r in ((harness.BLOCK_ROWS - 1) // n, harness.BLOCK_ROWS // n + 1)
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    master_seed=st.one_of(st.sampled_from([0, 101, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    hr=st.floats(0.5, 1.0),
+    case=st.sampled_from(ORACLE_CASES),
+    profile=st.sampled_from(["moderate", "high"]),
+    alpha=st.sampled_from([0.01, 0.05]),
+)
+def test_run_replicates_matches_one_by_one_oracle(master_seed, hr, case, profile, alpha):
+    """The block engine reproduces the per-replicate reference bit for bit:
+    final p-values (NaN where degenerate) and first significant months."""
+    n, replicates = case
+    model = load_profile(profile)
+    got = run_replicates(hr, n, replicates, model, master_seed, alpha)
+    final_p, first_month = run_replicates_one_by_one(hr, n, replicates, model, master_seed, alpha)
+    assert_same_scans(got, ReplicateScans(final_p, first_month))
+
+
+def test_plan_blocks_cover_replicates_within_the_row_budget(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK_ROWS", 100)
+    for replicates in (1, 2, 7, 50, 101):
+        for ss in (2, 30, 100, 150):
+            for workers in (1, 2, 3, 8):
+                blocks = list(plan_blocks(replicates, ss, workers))
+                covered = [r for start, stop in blocks for r in range(start, stop)]
+                assert covered == list(range(replicates))  # each once, in order
+                for start, stop in blocks:
+                    assert (stop - start) * ss <= 100 or stop - start == 1
+                if workers > 1:
+                    assert len(blocks) >= min(workers, replicates)
+    assert list(plan_blocks(3, 150)) == [(0, 1), (1, 2), (2, 3)]  # a trial above the budget alone
+    assert list(plan_blocks(7, 30)) == [(0, 2), (2, 4), (4, 7)]  # 3 per block at most, sizes even
+    assert list(plan_blocks(7, 30, workers=2)) == [(0, 1), (1, 3), (3, 5), (5, 7)]  # 2 per worker
+
+
+def test_plan_blocks_is_lazy():
+    blocks = plan_blocks(10**12, 2)
+    assert next(blocks) == (0, harness.BLOCK_ROWS // 2)
 
 
 def test_estimate_power_recounts_final_p():
     results = run_replicates(hr=0.4, ss=60, replicates=40, profile=MODEL, master_seed=3)
-    for method in METHODS:
+    for k, method in enumerate(METHODS):
         est = estimate_power(results, method, 0.05, hr=0.4, ss=60)
-        manual = sum(1 for r in results if r.scans[method].final_p < 0.05) / len(results)
+        manual = sum(1 for p in results.final_p[:, k] if p < 0.05) / 40
         assert est.power == pytest.approx(manual, abs=TOL)
         assert est.replicates == 40
     with pytest.raises(ValueError):
-        estimate_power([], "CWTA", 0.05, 0.4, 60)
+        estimate_power(ReplicateScans(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64)), "CWTA", 0.05, 0.4, 60)
 
 
 # ---------------------------------------------------------- interpolation
@@ -194,28 +273,23 @@ def test_interpolation_unsorted_input_is_sorted():
 
 
 def test_summarize_tte_mean_and_sd():
-    class FakeScan:
-        def __init__(self, first):
-            self.first_significant_month = first
-            self.final_p = 0.5
+    def results(*cwta_firsts):
+        """Scans whose CWTA column holds the given first months (0 = never)."""
+        first_month = np.zeros((len(cwta_firsts), len(METHODS)), dtype=np.int64)
+        first_month[:, METHODS.index("CWTA")] = cwta_firsts
+        return ReplicateScans(np.full(first_month.shape, 0.5), first_month)
 
-    class FakeResult:
-        def __init__(self, r, first):
-            self.replicate = r
-            self.scans = {"CWTA": FakeScan(first)}
-
-    results = [FakeResult(0, 10), FakeResult(1, 20), FakeResult(2, None)]
-    s = summarize_tte(results, "CWTA", hr=0.5, ss=100)
+    s = summarize_tte(results(10, 20, 0), "CWTA", hr=0.5, ss=100)
     assert s.mean_months == pytest.approx(15.0, abs=TOL)
     assert s.sd_months == pytest.approx(np.sqrt(50.0), abs=TOL)
     assert (s.n_included, s.n_omitted) == (2, 1)
 
-    none_at_all = summarize_tte([FakeResult(0, None)], "CWTA", hr=0.5, ss=100)
+    none_at_all = summarize_tte(results(0), "CWTA", hr=0.5, ss=100)
     assert none_at_all.mean_months is None
     assert none_at_all.sd_months is None
     assert (none_at_all.n_included, none_at_all.n_omitted) == (0, 1)
 
-    single = summarize_tte([FakeResult(0, 8)], "CWTA", hr=0.5, ss=100)
+    single = summarize_tte(results(8), "CWTA", hr=0.5, ss=100)
     assert single.mean_months == pytest.approx(8.0)
     assert single.sd_months is None
 

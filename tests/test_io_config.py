@@ -189,6 +189,14 @@ def test_read_trajectories_rejects_structural_violations(tmp_path):
         read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,\n0,1\n"))  # no state or arm
     with pytest.raises(ValueError, match=r"bad\.csv: subject 1 has a truncated row"):
         read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,\n1,0,2\n"))  # no arm
+    with pytest.raises(ValueError, match=r"bad\.csv: subject 0 has a non-integer month 'x'"):
+        read_trajectories_csv(bad_csv(tmp_path, "0,x,2,control,\n"))
+    with pytest.raises(ValueError, match=r"bad\.csv: subject 3 has a non-integer state '2\.5'"):
+        read_trajectories_csv(bad_csv(tmp_path, "3,0,2.5,control,\n"))
+    with pytest.raises(ValueError, match=r"bad\.csv: subject 0 has a non-integer dropout_month 'z'"):
+        read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,z\n"))
+    with pytest.raises(ValueError, match=r"bad\.csv: subject 0 has states outside 0\.\.4"):
+        read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,\n0,1,300,control,\n"))  # not an int8
     missing = tmp_path / "missing_cols.csv"
     missing.write_text("subject,month\n0,0\n")
     with pytest.raises(ValueError, match="needs columns"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from cwtasim import (
     Arm,
@@ -15,6 +16,8 @@ from cwtasim import (
     km_estimate,
     logrank_test,
 )
+from cwtasim import kaplan_meier
+from cwtasim.kaplan_meier import two_sided_p
 from cwtasim.trajectories import trial_state_matrix
 
 from oracles import (
@@ -150,6 +153,17 @@ def test_logrank_four_subject_hand_fixture():
     assert result.statistic == pytest.approx(z * z, abs=TOL)
     assert result.p_value == pytest.approx(norm_two_sided_p(z), abs=1e-9)
     assert result.z > 0  # control failed earlier: positive favours experimental
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-300, 1.96, 8.0, 38.0, 40.0, np.inf, -1.96, -40.0, -np.inf])
+def test_p_value_equals_norm_sf_bit_for_bit(z):
+    """test_from_sums and the monthly scans share two_sided_p = 2 * ndtr(-|z|);
+    it must equal 2 * norm.sf(|z|) exactly, into the subnormal tail and at +-inf."""
+    expected = 2.0 * float(stats.norm.sf(abs(z)))
+    assert float(two_sided_p(z)).hex() == expected.hex()
+    assert kaplan_meier.test_from_sums(z, 1.0).p_value.hex() == expected.hex()
+    scan_p = two_sided_p(np.array([z, -z]))
+    assert [float(p).hex() for p in scan_p] == [expected.hex()] * 2
 
 
 def test_logrank_single_event_fixture():

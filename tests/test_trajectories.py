@@ -25,6 +25,7 @@ from cwtasim import (
 from cwtasim.seeds import CHUNK, pcg64_uniforms
 from cwtasim.trajectories import (
     _simulate_state_matrix,
+    simulate_block,
     subject_uniforms,
     trial_state_matrix,
 )
@@ -311,6 +312,24 @@ def test_dropout_month_uses_second_draw():
 def test_arm_split_is_first_half_control():
     trial = simulate_trial(TrialConfig(sample_size=8, hazard_ratio=0.5, control_model=model(), seed=3))
     assert trial.arms.tolist() == [Arm.CONTROL] * 4 + [Arm.EXPERIMENTAL] * 4
+
+
+def test_block_rows_equal_single_trials():
+    """A block of trials is the trials simulated one at a time, row for row,
+    down to the uniform streams; an odd sample size is refused either way."""
+    m = model(dropout_rate=0.3, horizon_months=18)
+    seeds = np.array([0, 7, 2**32, 2**64 - 1], dtype=np.uint64)
+    block = simulate_block(m, 0.6, 10, seeds, improvement_hr=0.8)
+    draws = subject_uniforms(seeds, 10, 18)
+    assert block.states.shape == (4, 10, 19) and block.censor.shape == block.dropped.shape == (4, 10)
+    for r, seed in enumerate(seeds):
+        one = simulate_trial(TrialConfig(10, 0.6, m, int(seed), improvement_hr=0.8))
+        assert np.array_equal(block.states[r], one.states)
+        assert np.array_equal(block.censor[r], one.censor) and np.array_equal(block.dropped[r], one.dropped)
+        assert np.array_equal(block.arms, one.arms)
+        assert np.array_equal(draws[r], subject_uniforms(int(seed), 10, 18))
+    with pytest.raises(ValueError, match="even"):
+        simulate_block(m, 0.6, 9, seeds)
 
 
 def test_seed_changes_trajectories():

@@ -14,12 +14,15 @@ from cwtasim import (
     WeightedEvent,
     WeightedEventTable,
     cwta_curve,
+    TrialConfig,
     extract_weighted_events,
+    load_profile,
     logrank_test,
+    simulate_trial,
     weighted_logrank_test,
 )
-from cwtasim.trajectories import trial_state_matrix
-from cwtasim.weighted import monthly_weighted_terms
+from cwtasim.trajectories import simulate_block, trial_state_matrix
+from cwtasim.weighted import monthly_weighted_terms, trial_event_sums
 
 from oracles import Record, columns, exact_label_moments, naive_weighted_sums
 
@@ -98,7 +101,7 @@ def test_monthly_moments_match_exact_label_enumeration():
         if w != 0.0
     ]
     table = table_from(events, [[3, 3], [3, 3]], horizon=1)
-    ome, v = monthly_weighted_terms(table)
+    ome, v = monthly_weighted_terms(*table.event_sums())
     observed = sum(e.weight for e in events if e.arm == Arm.CONTROL)
     assert observed - ome[0] == pytest.approx(mean_exact, abs=TOL)
     assert v[0] == pytest.approx(var_exact, abs=TOL)
@@ -113,7 +116,7 @@ def test_exact_moments_hold_for_unbalanced_arms():
         if w != 0.0
     ]
     table = table_from(events, [[2, 2], [3, 3]], horizon=1)
-    ome, v = monthly_weighted_terms(table)
+    ome, v = monthly_weighted_terms(*table.event_sums())
     observed = sum(e.weight for e in events if e.arm == Arm.CONTROL)
     assert observed - ome[0] == pytest.approx(mean_exact, abs=TOL)
     assert v[0] == pytest.approx(var_exact, abs=TOL)
@@ -237,6 +240,25 @@ def test_extract_events_censoring_truncates_observation():
     assert table.at_risk[int(Arm.CONTROL)].tolist() == [1, 1, 1, 0]
 
 
+@pytest.mark.parametrize("profile", ["moderate", "high"])
+def test_trial_event_sums_equal_event_table_sums(profile):
+    """The scan's event-table-free sums equal the table's bincounts bit for bit,
+    for one trial and for every row of a block."""
+    model = load_profile(profile)
+    seeds = np.array([0, 9, 2**64 - 1], dtype=np.uint64)
+    block = simulate_block(model, 0.6, 40, seeds)
+    for r, seed in enumerate(seeds):
+        one = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.6, control_model=model, seed=int(seed)))
+        expected = extract_weighted_events(one).event_sums()
+        for got in (trial_event_sums(one), [x[r] for x in trial_event_sums(block)]):
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    # a dropout, an improvement and a relapse before censoring
+    handmade = trial(([2, 1, 2, 3], Arm.CONTROL), ([2, 3, 4], Arm.EXPERIMENTAL), ([2, 2], Arm.CONTROL))
+    for a, b in zip(trial_event_sums(handmade), extract_weighted_events(handmade).event_sums()):
+        assert np.array_equal(a, b)
+
+
 # ------------------------------------------------------------------ curve
 
 
@@ -286,7 +308,7 @@ def test_weighted_statistic_matches_naive_on_generated_tables(raw):
         events.append(ev(month, i, arm, weight))
     at_risk = [[len(raw)] * (horizon + 1), [len(raw)] * (horizon + 1)]
     table = table_from(events, at_risk, horizon)
-    ome, v = monthly_weighted_terms(table)
+    ome, v = monthly_weighted_terms(*table.event_sums())
     o_naive, v_naive = naive_weighted_sums(
         [e.month for e in events],
         [e.arm for e in events],
