@@ -257,7 +257,7 @@ def run_cli(argv: list[str]) -> int:
             args.workers = resolve_workers(args.workers, os.cpu_count())
         return _COMMANDS[args.command](args)
     except (ConfigError, CalibrationError, DegenerateTestError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}".replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)  # one line
         return 2
 
 

@@ -9,12 +9,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from importlib import resources
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trajectories import SD, Arm, TransitionModel, Trial, trial_state_matrix
+from .trajectories import DEATH, PD, SD, Arm, TransitionModel, Trial
 
 BUILTIN_PROFILES = ("moderate", "high")
 
@@ -75,92 +77,134 @@ def write_trajectories_csv(trial: Trial, path) -> None:
     _write_rows(path, ("subject", "month", "state", "arm", "dropout_month"), rows)
 
 
-def _int_field(path, row: dict, field: str) -> int:
-    try:
-        return int(row[field])
-    except ValueError:
-        raise ValueError(f"{path}: subject {row['subject']} has a non-integer {field} '{row[field]}'") from None
+_REQUIRED = ("subject", "month", "state", "arm")
+CHUNK_ROWS = 8_000  # rows tokenized at a time: bounds the strings alive at once
+
+
+def _columns(path, header: list[str] | None) -> tuple[dict[str, int], int]:
+    """Column index by name (a repeated name reads its last column) and dropout_month's."""
+    if header is None:
+        raise ValueError(f"{path}: empty trajectory file")
+    col = {name: i for i, name in enumerate(header)}
+    if not set(_REQUIRED) <= col.keys():
+        raise ValueError(f"{path}: trajectory CSV needs columns {sorted(_REQUIRED)}")
+    return col, col.get("dropout_month", sys.maxsize)  # absent, or past a short row's end: blank
+
+
+def _first_row_fault(path) -> str:
+    """The message of the earliest row-level fault, from a row-by-row rescan."""
+    arms: dict[str, Arm] = {}
+    dropouts: dict[str, int] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            col, d = _columns(path, next(reader, None))
+            for row in filter(None, reader):  # csv.reader yields [] for a blank line
+                key = row[col["subject"]] if col["subject"] < len(row) else None
+                if len(row) <= max(col[name] for name in _REQUIRED):
+                    return f"{path}: subject {key} has a truncated row (needs {', '.join(_REQUIRED)})"
+                try:
+                    for name in ("month", "state"):
+                        int(row[col[name]])
+                except ValueError:
+                    return f"{path}: subject {key} has a non-integer {name} '{row[col[name]]}'"
+                arm = _ARM_BY_LABEL.get(row[col["arm"]].strip().lower())
+                if arm is None:
+                    return f"{path}: unknown arm '{row[col['arm']]}'"
+                if arms.setdefault(key, arm) != arm:
+                    return f"{path}: subject {key} changes arm"
+                if (raw := row[d] if d < len(row) else "").strip():
+                    try:
+                        dropout = int(raw)
+                    except ValueError:
+                        return f"{path}: subject {key} has a non-integer dropout_month '{raw}'"
+                    if dropouts.setdefault(key, dropout) != dropout:
+                        return f"{path}: subject {key} has conflicting dropout months"
+        except csv.Error as exc:
+            return f"{path}: line {reader.line_num}: {exc}"
+        except UnicodeDecodeError as exc:
+            return f"{path}: {exc}"
+
+
+def _narrow(texts: list[str], convert, dtype) -> np.ndarray:
+    """convert(text) for each text, called once per distinct text."""
+    table = {text: convert(text) for text in set(texts)}
+    return np.fromiter(map(table.__getitem__, texts), dtype, len(texts))
 
 
 def read_trajectories_csv(path) -> Trial:
-    """Read long-format trajectories; dropout_month column is optional.
+    """Read long-format trajectories; the dropout_month column is optional.
 
-    Subjects keep the order in which they first appear. Validates the
-    structural invariants analyses rely on: months form a contiguous 0..k
-    run per subject, the baseline state is SD, moves are single-level,
-    progression is irreversible and death absorbing.
+    Subjects keep the order in which they first appear; rows may come in
+    any order. CHUNK_ROWS rows at a time become narrow integer columns,
+    scattered into the padded state matrix and checked with whole-array
+    operations. A row fault names the earliest offending row, a structural
+    fault the first offending subject (rules in the README).
     """
-    required = ("subject", "month", "state", "arm")
-    by_subject: dict[str, dict] = {}
+    index: dict[str, int] = {}  # subject key -> code, in first-appearance order
+    dropout_code: dict[int, int] = {}  # dropout month -> code, exact for any integer
+    parts = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty trajectory file")
-        if not set(required) <= set(reader.fieldnames):
-            raise ValueError(f"{path}: trajectory CSV needs columns {sorted(required)}")
-        # a short row fills its trailing fields with None
-        last_required = max(required, key=reader.fieldnames.index)
-        for row in reader:
-            if row[last_required] is None:
-                raise ValueError(
-                    f"{path}: subject {row['subject']} has a truncated row (needs {', '.join(required)})"
-                )
-            entry = by_subject.setdefault(
-                row["subject"], {"months": [], "states": [], "arm": None, "dropout": None}
-            )
-            try:
-                month, state = int(row["month"]), int(row["state"])
-            except ValueError:  # raise the error that names the field
-                month, state = _int_field(path, row, "month"), _int_field(path, row, "state")
-            entry["months"].append(month)
-            entry["states"].append(state)
-            arm_label = row["arm"].strip().lower()
-            if arm_label not in _ARM_BY_LABEL:
-                raise ValueError(f"{path}: unknown arm '{row['arm']}'")
-            arm = _ARM_BY_LABEL[arm_label]
-            if entry["arm"] is None:
-                entry["arm"] = arm
-            elif entry["arm"] != arm:
-                raise ValueError(f"{path}: subject {row['subject']} changes arm")
-            if (row.get("dropout_month") or "").strip():
-                d = _int_field(path, row, "dropout_month")
-                if entry["dropout"] is not None and entry["dropout"] != d:
-                    raise ValueError(f"{path}: subject {row['subject']} has conflicting dropout months")
-                entry["dropout"] = d
-    if not by_subject:
+        reader = csv.reader(fh)
+        # a truncated row raises IndexError, an unknown arm KeyError, a non-integer field
+        # ValueError; the rescan then reports the earliest fault, or the header's
+        try:
+            col, d = _columns(path, next(reader, None))
+            while rows := list(islice(reader, CHUNK_ROWS)):
+                rows = [row for row in rows if row]
+                keys = [row[col["subject"]] for row in rows]
+                for key in dict.fromkeys(keys):
+                    index.setdefault(key, len(index))
+                parts.append((
+                    np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)),
+                    # out-of-range months and states stay out of range
+                    _narrow([row[col["month"]] for row in rows], lambda t: min(max(int(t), -1), 2**31 - 1), np.int32),
+                    _narrow([row[col["state"]] for row in rows], lambda t: min(max(int(t), -1), 5), np.int8),
+                    _narrow([row[col["arm"]] for row in rows], lambda t: _ARM_BY_LABEL[t.strip().lower()], np.int8),
+                    _narrow(
+                        [row[d] if d < len(row) else "" for row in rows],
+                        lambda t: dropout_code.setdefault(int(t), len(dropout_code)) if t.strip() else -1,
+                        np.int32,
+                    ),
+                ))
+                del rows, keys  # free this chunk's strings before the next is read
+        except (LookupError, ValueError, csv.Error):
+            raise ValueError(_first_row_fault(path)) from None
+    if not index:
         raise ValueError(f"{path}: no trajectory rows")
-
-    rows = []
-    for key, entry in by_subject.items():
-        order = np.argsort(entry["months"])
-        months = np.asarray(entry["months"])[order]
-        states = np.asarray(entry["states"])[order]
-        if months[0] != 0 or not np.array_equal(months, np.arange(len(months))):
-            raise ValueError(f"{path}: subject {key} months must run 0..k without gaps")
-        if states[0] != SD:
-            raise ValueError(f"{path}: subject {key} must start at state {SD} (stable disease)")
-        if states.min() < 0 or states.max() > 4:
-            raise ValueError(f"{path}: subject {key} has states outside 0..4")
-        diffs = np.diff(states)
-        if diffs.size and np.abs(diffs).max() > 1:
-            raise ValueError(f"{path}: subject {key} moves more than one level in a month")
-        # progression irreversible, death absorbing
-        if np.any((states[:-1] == 3) & (diffs < 0)) or np.any((states[:-1] == 4) & (diffs != 0)):
-            raise ValueError(f"{path}: subject {key} violates irreversibility")
-        dropout = entry["dropout"]
-        if dropout is not None and dropout != len(states) - 1:
-            raise ValueError(
-                f"{path}: subject {key} dropout_month {dropout} does not match last observed month"
-            )
-        rows.append(states.astype(np.int8))
-    states, censor = trial_state_matrix(rows)
-    subjects = by_subject.values()
-    return Trial(
-        states=states,
-        censor=censor,
-        arms=np.array([e["arm"] for e in subjects], dtype=np.int8),
-        dropped=np.array([e["dropout"] is not None for e in subjects], dtype=bool),
-    )
+    n = len(index)
+    arms, dropouts = np.full(n, -1, dtype=np.int8), np.full(n, -1, dtype=np.int32)
+    for codes, _, _, arm, drops in parts:  # some row's value; then every row must agree
+        arms[codes] = arm
+        dropouts[codes[drops >= 0]] = drops[drops >= 0]
+    if any((arms[c] != a).any() or (dropouts[c[k >= 0]] != k[k >= 0]).any() for c, _, _, a, k in parts):
+        raise ValueError(_first_row_fault(path))
+    count = sum(np.bincount(codes, minlength=n) for codes, *_ in parts)
+    states = np.full((n, int(count.max())), -1, dtype=np.int8)
+    seen = np.zeros(states.shape, dtype=bool)
+    for codes, months, values, *_ in parts:
+        inside = (months >= 0) & (months < count[codes])
+        states[codes[inside], months[inside]] = values[inside]
+        seen[codes[inside], months[inside]] = True
+    observed = np.arange(states.shape[1]) < count[:, None]
+    moves, before, step = np.diff(states, axis=1), states[:, :-1], observed[:, 1:]
+    reverses = ((before == PD) & (moves < 0)) | ((before == DEATH) & (moves != 0))  # PD, death are final
+    ends = np.array([m if 0 <= m < states.shape[1] else -1 for m in dropout_code] + [-1])  # by code; -1 unset
+    checks = [
+        (seen.sum(axis=1) != count, "months must run 0..k without gaps"),
+        (states[:, 0] != SD, f"must start at state {SD} (stable disease)"),
+        ((observed & ((states < 0) | (states > 4))).any(axis=1), "has states outside 0..4"),
+        ((step & (np.abs(moves) > 1)).any(axis=1), "moves more than one level in a month"),
+        ((step & reverses).any(axis=1), "violates irreversibility"),
+        ((dropouts >= 0) & (ends[dropouts] != count - 1), "dropout_month {} does not match last observed month"),
+    ]
+    for group in (checks, [(count == 1, "has no follow-up after month 0")]):
+        if (bad := np.logical_or.reduce([fault for fault, _ in group])).any():
+            s = int(bad.argmax())
+            message = next(text for fault, text in group if fault[s])
+            dropout = list(dropout_code)[dropouts[s]] if dropouts[s] >= 0 else None
+            raise ValueError(f"{path}: subject {list(index)[s]} " + message.format(dropout))
+    return Trial(states=states, censor=count - 1, arms=arms, dropped=dropouts >= 0)
 
 
 def write_km_curve_csv(curve, path) -> None:

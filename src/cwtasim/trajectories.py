@@ -32,7 +32,7 @@ contiguous read.
 A trial has one form from simulation to every statistic: Trial, the
 padded (n, horizon + 1) state matrix with each subject's censor month,
 arm and dropout flag. There are no per-subject objects; the CSV reader
-packs its rows into the same form with trial_state_matrix. simulate_block
+scatters its rows straight into the same form. simulate_block
 simulates R trials of one design at once, as a Trial with a leading
 replicate axis; simulate_trial is its one-trial call.
 """
@@ -318,17 +318,3 @@ def simulate_trial(config: TrialConfig) -> Trial:
         config.control_model, config.hazard_ratio, config.sample_size, config.seed, config.improvement_hr
     )
 
-
-def trial_state_matrix(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack per-subject observed states into (states, censor).
-
-    Row i holds subject i's states for months 0..k_i. states is
-    (n, max k_i + 1) int8 with -1 after each row's end, and censor[i] = k_i.
-    """
-    if not rows:
-        raise ValueError("no trajectories supplied")
-    censor = np.array([len(r) - 1 for r in rows], dtype=np.int64)
-    states = np.full((len(rows), int(censor.max()) + 1), -1, dtype=np.int8)
-    for i, r in enumerate(rows):
-        states[i, : len(r)] = r
-    return states, censor

@@ -9,10 +9,15 @@ replicate oracle is the exception to "no shared code": it is the package's
 former one-replicate-at-a-time path -- simulate_trial, then a per-trial
 scan through the event table with scipy's norm.sf -- kept as the
 reference that the replicate-batched engine must reproduce bit for bit.
+read_trajectories_rowwise is the former row-by-row CSV reader (one dict
+per row, per-subject checks in a loop), the reference for the columnar
+read_trajectories_csv; trial_state_matrix packs per-subject rows the way
+it did.
 """
 
 from __future__ import annotations
 
+import csv
 from itertools import combinations
 from math import erf, sqrt
 from typing import NamedTuple
@@ -25,7 +30,9 @@ from cwtasim import (
     METHODS,
     Arm,
     Endpoint,
+    SD,
     TransitionModel,
+    Trial,
     TrialConfig,
     apply_hazard_ratio,
     endpoint_arrays,
@@ -273,3 +280,111 @@ def run_replicates_one_by_one(hr, ss, replicates, profile, master_seed, alpha=0.
             final_p[r, k] = scans[method].final_p
             first_month[r, k] = scans[method].first_significant_month or 0
     return final_p, first_month
+
+
+def trial_state_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Pack per-subject observed states into (states, censor).
+
+    Row i holds subject i's states for months 0..k_i. states is
+    (n, max k_i + 1) int8 with -1 after each row's end, and censor[i] = k_i.
+    """
+    if not rows:
+        raise ValueError("no trajectories supplied")
+    censor = np.array([len(r) - 1 for r in rows], dtype=np.int64)
+    states = np.full((len(rows), int(censor.max()) + 1), -1, dtype=np.int8)
+    for i, r in enumerate(rows):
+        states[i, : len(r)] = r
+    return states, censor
+
+
+_ARM_BY_LABEL = {arm.label: arm for arm in Arm}
+
+
+def _int_field(path, row: dict, field: str) -> int:
+    try:
+        return int(row[field])
+    except ValueError:
+        raise ValueError(f"{path}: subject {row['subject']} has a non-integer {field} '{row[field]}'") from None
+
+
+def read_trajectories_rowwise(path) -> Trial:
+    """The former row-by-row trajectory CSV reader: one dict per row.
+
+    Reads long-format trajectories; dropout_month column is optional.
+
+    Subjects keep the order in which they first appear. Validates the
+    structural invariants analyses rely on: months form a contiguous 0..k
+    run per subject, the baseline state is SD, moves are single-level,
+    progression is irreversible and death absorbing.
+    """
+    required = ("subject", "month", "state", "arm")
+    by_subject: dict[str, dict] = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty trajectory file")
+        if not set(required) <= set(reader.fieldnames):
+            raise ValueError(f"{path}: trajectory CSV needs columns {sorted(required)}")
+        # a short row fills its trailing fields with None
+        last_required = max(required, key=reader.fieldnames.index)
+        for row in reader:
+            if row[last_required] is None:
+                raise ValueError(
+                    f"{path}: subject {row['subject']} has a truncated row (needs {', '.join(required)})"
+                )
+            entry = by_subject.setdefault(
+                row["subject"], {"months": [], "states": [], "arm": None, "dropout": None}
+            )
+            try:
+                month, state = int(row["month"]), int(row["state"])
+            except ValueError:  # raise the error that names the field
+                month, state = _int_field(path, row, "month"), _int_field(path, row, "state")
+            entry["months"].append(month)
+            entry["states"].append(state)
+            arm_label = row["arm"].strip().lower()
+            if arm_label not in _ARM_BY_LABEL:
+                raise ValueError(f"{path}: unknown arm '{row['arm']}'")
+            arm = _ARM_BY_LABEL[arm_label]
+            if entry["arm"] is None:
+                entry["arm"] = arm
+            elif entry["arm"] != arm:
+                raise ValueError(f"{path}: subject {row['subject']} changes arm")
+            if (row.get("dropout_month") or "").strip():
+                d = _int_field(path, row, "dropout_month")
+                if entry["dropout"] is not None and entry["dropout"] != d:
+                    raise ValueError(f"{path}: subject {row['subject']} has conflicting dropout months")
+                entry["dropout"] = d
+    if not by_subject:
+        raise ValueError(f"{path}: no trajectory rows")
+
+    rows = []
+    for key, entry in by_subject.items():
+        order = np.argsort(entry["months"])
+        months = np.asarray(entry["months"])[order]
+        states = np.asarray(entry["states"])[order]
+        if months[0] != 0 or not np.array_equal(months, np.arange(len(months))):
+            raise ValueError(f"{path}: subject {key} months must run 0..k without gaps")
+        if states[0] != SD:
+            raise ValueError(f"{path}: subject {key} must start at state {SD} (stable disease)")
+        if states.min() < 0 or states.max() > 4:
+            raise ValueError(f"{path}: subject {key} has states outside 0..4")
+        diffs = np.diff(states)
+        if diffs.size and np.abs(diffs).max() > 1:
+            raise ValueError(f"{path}: subject {key} moves more than one level in a month")
+        # progression irreversible, death absorbing
+        if np.any((states[:-1] == 3) & (diffs < 0)) or np.any((states[:-1] == 4) & (diffs != 0)):
+            raise ValueError(f"{path}: subject {key} violates irreversibility")
+        dropout = entry["dropout"]
+        if dropout is not None and dropout != len(states) - 1:
+            raise ValueError(
+                f"{path}: subject {key} dropout_month {dropout} does not match last observed month"
+            )
+        rows.append(states.astype(np.int8))
+    states, censor = trial_state_matrix(rows)
+    subjects = by_subject.values()
+    return Trial(
+        states=states,
+        censor=censor,
+        arms=np.array([e["arm"] for e in subjects], dtype=np.int8),
+        dropped=np.array([e["dropout"] is not None for e in subjects], dtype=bool),
+    )

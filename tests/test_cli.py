@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cwtasim import load_profile, read_trajectories_csv, save_profile
 from cwtasim.cli import resolve_workers, run_cli
@@ -151,7 +153,7 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys):
 
     # analyze on a single-arm file
     single = tmp_path / "single_arm.csv"
-    single.write_text("subject,month,state,arm,dropout_month\n0,0,2,control,\n")
+    single.write_text("subject,month,state,arm,dropout_month\n0,0,2,control,\n0,1,2,control,\n")
     assert run_cli(["analyze", "--trial", str(single), "--out-dir", str(tmp_path / "x")]) == 2
     assert "both arms" in capsys.readouterr().err
 
@@ -169,6 +171,26 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "bad_field.csv: subject 0 has a non-integer month 'x'" in err
 
+    # a field beyond the csv module's size limit: the file and the line, not a traceback
+    huge = tmp_path / "huge_field.csv"
+    huge.write_text("subject,month,state,arm,dropout_month\n0,0,2,control,\n0,1," + "2" * 131_073 + ",control,\n")
+    assert run_cli(["analyze", "--trial", str(huge), "--out-dir", str(tmp_path / "h")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "huge_field.csv: line 3: field larger than field limit" in err
+
+    # bytes that are not UTF-8: the message names the file
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe\x00subject")
+    assert run_cli(["analyze", "--trial", str(binary), "--out-dir", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {binary}: 'utf-8' codec can't decode")
+
+    # a subject with only its month-0 row, named before any analysis runs
+    baseline = tmp_path / "baseline_only.csv"
+    baseline.write_text("subject,month,state,arm\n0,0,2,control\n0,1,2,control\n1,0,2,experimental\n")
+    assert run_cli(["analyze", "--trial", str(baseline), "--out-dir", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == f"error: {baseline}: subject 1 has no follow-up after month 0\n"
+
     # unreachable calibration target
     assert run_cli([
         "calibrate", "--cr", "0.9", "--pr", "0.09", "--template", fast_profile,
@@ -181,3 +203,42 @@ def test_usage_errors_return_argparse_code():
     assert run_cli([]) == 2
     assert run_cli(["simulate", "--sample-size", "nope"]) == 2
     assert run_cli(["unknown-command"]) == 2
+
+
+HEADERS = [
+    "subject,month,state,arm,dropout_month",
+    "subject,month,state,arm",
+    "arm,state,month,subject",
+    "subject,month,state,arm,month",
+    "subject,month",
+    "\ufeffsubject,month,state,arm",
+    "",
+]
+# no field value names the experimental arm, so a file the reader accepts still
+# fails analyze (one arm): every input below must exit 2
+FIELDS = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "4", "-1", "7", "300", "9" * 25, "x", "", " "]),
+    st.sampled_from(["control", " CONTROL", "placebo"]),
+    st.text(alphabet=',"\r\n 0123-+_.\x00\ufeff\xe9', max_size=6),
+    st.text(alphabet="\r\n 02x", max_size=4).map(lambda s: f'"{s}"'),  # quoted, may hold line breaks
+)
+MALFORMED_CSV = st.builds(
+    lambda header, rows, end: header + end + end.join(",".join(r) for r in rows),
+    st.sampled_from(HEADERS),
+    st.lists(st.lists(FIELDS, max_size=6), max_size=12),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+).map(lambda text: text.encode("utf-8"))
+RANDOM_BYTES = st.one_of(
+    st.binary(max_size=200), st.binary(max_size=200).map(lambda b: HEADERS[0].encode() + b"\n" + b)
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=st.one_of(MALFORMED_CSV, RANDOM_BYTES))
+@example(content=b'subject,month,state,arm\n"a\nb",0\n')  # a line break inside the echoed subject
+def test_analyze_rejects_malformed_input_with_one_line(tmp_path, capsys, content):
+    trial = tmp_path / "trial.csv"
+    trial.write_bytes(content)
+    assert run_cli(["analyze", "--trial", str(trial), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), captured.err

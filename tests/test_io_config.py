@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cwtasim import (
     Arm,
     ConfigError,
     TransitionModel,
+    Trial,
     TrialConfig,
     default_replicates_for_tte,
     load_profile,
@@ -20,6 +25,7 @@ from cwtasim import (
     simulate_trial,
     write_trajectories_csv,
 )
+from cwtasim import serialize
 from cwtasim.config import DEFAULT_HAZARD_RATIOS
 from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, km_estimate, logrank_test
 from cwtasim.serialize import (
@@ -33,6 +39,8 @@ from cwtasim.serialize import (
     write_tte_csv,
 )
 from cwtasim.weighted import cwta_curve, extract_weighted_events, weighted_logrank_test
+
+from oracles import read_trajectories_rowwise
 
 MODEL = TransitionModel(
     improve_prob=(0.0, 0.05, 0.03, 0.0, 0.0),
@@ -197,10 +205,141 @@ def test_read_trajectories_rejects_structural_violations(tmp_path):
         read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,z\n"))
     with pytest.raises(ValueError, match=r"bad\.csv: subject 0 has states outside 0\.\.4"):
         read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,\n0,1,300,control,\n"))  # not an int8
+    with pytest.raises(ValueError, match=r"bad\.csv: subject 0 has states outside 0\.\.4"):
+        read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,\n0,1,1,control,\n0,2,-1,control,\n"))
     missing = tmp_path / "missing_cols.csv"
     missing.write_text("subject,month\n0,0\n")
     with pytest.raises(ValueError, match="needs columns"):
         read_trajectories_csv(missing)
+    # a month-0 row alone gives no time at risk; reported after every other subject check
+    with pytest.raises(ValueError, match=r"bad\.csv: subject 1 has no follow-up after month 0"):
+        read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,\n0,1,2,control,\n1,0,2,control,\n"))
+    with pytest.raises(ValueError, match="subject 2 months must run"):
+        read_trajectories_csv(bad_csv(tmp_path, "1,0,2,control,\n2,1,2,control,\n"))
+
+
+READER_MODEL = TransitionModel(
+    improve_prob=(0.0, 0.2, 0.15, 0.0, 0.0),
+    worsen_prob=(0.1, 0.2, 0.25, 0.35, 0.0),
+    improve_decay=0.9,
+    horizon_months=5,
+    dropout_rate=0.4,
+)
+HEADER = ["subject", "month", "state", "arm", "dropout_month"]
+# values a mutation writes into one field: valid, out of range and not integers
+FIELD_VALUES = {
+    "subject": ["0", "1", "9", " 0", ""],
+    "month": ["0", "1", "2", "3", "6", "9", "-1", " 2", "x", "1.5", ""],
+    "state": ["0", "1", "2", "3", "4", "5", "-1", "300", "+2", "x", ""],
+    "arm": ["control", "experimental", " Experimental ", "CONTROL", "placebo", ""],
+    "dropout_month": ["", " ", "1", "2", "3", "5", "9", "-1", "z"],
+}
+
+
+def reader_outcome(reader, path):
+    try:
+        return reader(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(path, subject_order):
+    """The columnar reader agrees with the row-by-row reference, Trial or message.
+
+    The one difference: the reference accepts a subject with only a month-0
+    row, which the columnar reader rejects once every other check passes.
+    """
+    got, want = reader_outcome(read_trajectories_csv, path), reader_outcome(read_trajectories_rowwise, path)
+    if isinstance(want, Trial) and (want.censor == 0).any():
+        key = subject_order[int(np.argmax(want.censor == 0))]
+        assert got == f"{path}: subject {key} has no follow-up after month 0"
+    elif isinstance(want, str):
+        assert got == want
+    else:
+        for name in ("states", "censor", "arms", "dropped"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+def mutated_trajectory_file(draw, path) -> list[str]:
+    """Rewrite a simulated trial's CSV at path: re-laid-out, with at most one fault.
+
+    Returns the subject keys in first-appearance order.
+    """
+    n = draw(st.integers(1, 5)) * 2
+    seed = draw(st.integers(0, 2**32))
+    config = TrialConfig(sample_size=n, hazard_ratio=0.7, control_model=READER_MODEL, seed=seed)
+    write_trajectories_csv(simulate_trial(config), path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    if draw(st.booleans()):  # subjects' rows shuffled and interleaved
+        rows = draw(st.permutations(rows))
+    fault = draw(st.sampled_from(["none", "field", "delete", "duplicate", "truncate", "baseline-only"]))
+    if fault == "field":
+        i, field = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(HEADER))
+        rows[i][HEADER.index(field)] = draw(st.sampled_from(FIELD_VALUES[field]))
+    elif fault == "delete":
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    elif fault == "duplicate":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    elif fault == "truncate":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][: draw(st.integers(1, 3))]
+    elif fault == "baseline-only":
+        key = draw(st.sampled_from(sorted({r[0] for r in rows})))
+        rows = [r for r in rows if r[0] != key or r[1] == "0"]
+    if draw(st.booleans()):  # without the dropout_month column
+        header, rows = header[:4], [r[:4] for r in rows]
+    if draw(st.booleans()):  # an extra column
+        header, rows = header + ["note"], [r + [draw(st.sampled_from(["", "a,b", 'say "hi"']))] for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [])  # blank lines
+    with open(path, "w", newline="") as fh:
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        terminator = draw(st.sampled_from(["\n", "\r\n"]))
+        csv.writer(fh, quoting=quoting, lineterminator=terminator).writerows([header, *rows])
+    return list(dict.fromkeys(r[0] for r in rows if r))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), chunk_rows=st.sampled_from([1, 2, 3, 7, serialize.CHUNK_ROWS]))
+def test_columnar_reader_matches_rowwise_reference(tmp_path, data, chunk_rows):
+    path = tmp_path / "trial.csv"
+    order = mutated_trajectory_file(data.draw, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "CHUNK_ROWS", chunk_rows)
+        assert_same_outcome(path, order)
+
+
+def test_subject_rows_straddling_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(serialize, "CHUNK_ROWS", 4)
+    trial = simulate_trial(TrialConfig(sample_size=6, hazard_ratio=0.7, control_model=READER_MODEL, seed=3))
+    path = tmp_path / "trial.csv"
+    write_trajectories_csv(trial, path)
+    header, *rows = path.read_text().splitlines()
+    assert any(len({r.split(",")[0] for r in rows[k : k + 2]}) == 1 for k in range(3, len(rows), 4))
+    assert_same_outcome(path, [str(i) for i in range(6)])
+    # faults whose two rows sit in different chunks
+    for body in ("0,0,2,control,\n1,0,2,control,\n1,1,2,control,\n1,2,2,control,\n0,1,2,experimental,\n",
+                 "0,0,2,control,1\n1,0,2,control,\n1,1,2,control,\n1,2,2,control,\n0,1,2,control,2\n"):
+        path.write_text(header + "\n" + body)
+        assert_same_outcome(path, ["0", "1"])
+        assert "subject 0" in reader_outcome(read_trajectories_csv, path)
+
+
+def test_columnar_reader_peak_memory_is_bounded_by_the_reference(tmp_path):
+    config = TrialConfig(sample_size=2000, hazard_ratio=0.7, control_model=load_profile("moderate"), seed=0)
+    path = tmp_path / "trial.csv"
+    write_trajectories_csv(simulate_trial(config), path)
+    peaks = {}
+    for reader in (read_trajectories_rowwise, read_trajectories_csv):
+        tracemalloc.start()
+        try:
+            reader(path)
+            peaks[reader] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[read_trajectories_csv] <= 1.5 * peaks[read_trajectories_rowwise], peaks
 
 
 # -------------------------------------------------------------- curve CSVs

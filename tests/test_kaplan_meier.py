@@ -18,7 +18,6 @@ from cwtasim import (
 )
 from cwtasim import kaplan_meier
 from cwtasim.kaplan_meier import two_sided_p
-from cwtasim.trajectories import trial_state_matrix
 
 from oracles import (
     Record,
@@ -28,6 +27,7 @@ from oracles import (
     naive_km,
     naive_logrank_sums,
     norm_two_sided_p,
+    trial_state_matrix,
 )
 
 TOL = 1e-12

@@ -27,9 +27,8 @@ from cwtasim.trajectories import (
     _simulate_state_matrix,
     simulate_block,
     subject_uniforms,
-    trial_state_matrix,
 )
-from oracles import simulate_subject, subject_rng
+from oracles import simulate_subject, subject_rng, trial_state_matrix
 
 TOL = 1e-12
 

@@ -21,10 +21,10 @@ from cwtasim import (
     simulate_trial,
     weighted_logrank_test,
 )
-from cwtasim.trajectories import simulate_block, trial_state_matrix
+from cwtasim.trajectories import simulate_block
 from cwtasim.weighted import monthly_weighted_terms, trial_event_sums
 
-from oracles import Record, columns, exact_label_moments, naive_weighted_sums
+from oracles import Record, columns, exact_label_moments, naive_weighted_sums, trial_state_matrix
 
 TOL = 1e-12
 
