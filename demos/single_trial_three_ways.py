@@ -19,9 +19,9 @@ from cwtasim import (
     Endpoint,
     cwta_curve,
     endpoint_arrays,
-    extract_weighted_events,
     km_estimate,
     logrank_test,
+    trial_event_sums,
     weighted_logrank_test,
 )
 
@@ -53,11 +53,13 @@ for kind in Endpoint:
     write_km_curves_by_arm_csv(curves, os.path.join(out_dir, f"curve_{kind.name.lower()}.csv"))
 
 # weighted trajectory test: every one-level move is an event with weight
-# 1/4 (positive when worsening, negative when improving)
-table = extract_weighted_events(trial)
-result = weighted_logrank_test(table)
-print(f"CWTA: {table.months.size} weighted events, z = {result.z:+.3f}, p = {result.p_value:.4g}")
-curves = {arm: cwta_curve(table, arm) for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)}
+# 1/4 (positive when worsening, negative when improving); the test and the
+# curves read the monthly sums of these weights and the risk counts
+sums = trial_event_sums(trial)
+result = weighted_logrank_test(sums)
+n_events = round(sums.q_sum.sum() * 16)  # each event's squared weight is 1/16
+print(f"CWTA: {n_events} weighted events, z = {result.z:+.3f}, p = {result.p_value:.4g}")
+curves = {arm: cwta_curve(sums, arm) for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)}
 write_trajectory_curves_by_arm_csv(curves, os.path.join(out_dir, "curve_cwta.csv"))
 
 # plot the two weighted trajectory curves next to the OS KM curves
@@ -68,7 +70,7 @@ for arm in (Arm.CONTROL, Arm.EXPERIMENTAL):
     points = [(0.0, 1.0)] + [(float(s.time), s.survival) for s in km.steps]
     specs.append(CurveSpec(label=f"OS {arm.label}", points=tuple(points), dash="5 3"))
 for arm in (Arm.CONTROL, Arm.EXPERIMENTAL):
-    c = cwta_curve(table, arm)
+    c = cwta_curve(sums, arm)
     specs.append(
         CurveSpec(
             label=f"CWTA {arm.label}",

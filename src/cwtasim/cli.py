@@ -31,7 +31,7 @@ from .config import (
 from .kaplan_meier import DegenerateTestError, Endpoint, endpoint_arrays, km_estimate, logrank_test
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
 from .trajectories import Arm, TrialConfig, simulate_trial
-from .weighted import cwta_curve, extract_weighted_events, weighted_logrank_test
+from .weighted import cwta_curve, trial_event_sums, weighted_logrank_test
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,11 +147,11 @@ def _cmd_analyze(args) -> int:
         except DegenerateTestError:
             results[kind.name] = None
 
-    table = extract_weighted_events(trial)
-    curves = {arm: cwta_curve(table, arm) for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)}
+    sums = trial_event_sums(trial)
+    curves = {arm: cwta_curve(sums, arm) for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)}
     serialize.write_trajectory_curves_by_arm_csv(curves, os.path.join(args.out_dir, "curve_cwta.csv"))
     try:
-        results["CWTA"] = weighted_logrank_test(table)
+        results["CWTA"] = weighted_logrank_test(sums)
     except DegenerateTestError:
         results["CWTA"] = None
 
@@ -166,22 +166,29 @@ def _cmd_analyze(args) -> int:
 
 
 def _grid_from_config(path: str, command: str) -> tuple[harness.ExperimentGrid, str]:
-    with open(path) as fh:
-        cfg = parse_config(fh.read())
-    sizes = cfg.sample_sizes
-    if sizes is None:
-        sizes = DEFAULT_TTE_SIZES if command == "tte" else DEFAULT_POWER_SIZES
-    replicates = cfg.replicates
-    if replicates is None:
-        replicates = default_replicates_for_tte(cfg.hazard_ratios) if command == "tte" else 1000
-    grid = harness.ExperimentGrid(
-        hazard_ratios=cfg.hazard_ratios,
-        sample_sizes=sizes,
-        replicates=replicates,
-        alpha=cfg.alpha,
-        profile=cfg.profile,
-        master_seed=cfg.master_seed,
-    )
+    """The grid and output directory of a config file; a fault of the config
+    or of the profile it names is a ConfigError that starts with the path."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        cfg = parse_config(raw.decode())
+        sizes = cfg.sample_sizes
+        if sizes is None:
+            sizes = DEFAULT_TTE_SIZES if command == "tte" else DEFAULT_POWER_SIZES
+        replicates = cfg.replicates
+        if replicates is None:
+            replicates = default_replicates_for_tte(cfg.hazard_ratios) if command == "tte" else 1000
+        grid = harness.ExperimentGrid(
+            hazard_ratios=cfg.hazard_ratios,
+            sample_sizes=sizes,
+            replicates=replicates,
+            alpha=cfg.alpha,
+            profile=cfg.profile,
+            master_seed=cfg.master_seed,
+        )
+        serialize.load_profile(grid.profile)
+    except (ValueError, OSError) as exc:  # ValueError covers ConfigError and a decode error
+        raise ConfigError(f"{path}: {exc}") from None
     return grid, cfg.output_dir
 
 

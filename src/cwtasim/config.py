@@ -70,7 +70,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate an experiment config JSON document."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")

@@ -1,4 +1,5 @@
-"""Kaplan-Meier estimation and the two-sample logrank test on monthly data.
+"""Kaplan-Meier estimation, the two-sample logrank test on monthly data,
+and the statistics kernel that the weighted test shares.
 
 Endpoints are derived from a trial's padded state matrix: PFS is the first
 month at PD or worse, OS the first month at death; otherwise the subject
@@ -8,9 +9,12 @@ monthly_logrank_terms also take a block of trials on a leading replicate
 axis. Ties follow the standard convention that a subject censored at t is
 still at risk for events at t.
 
-The survival curve is the product limit prod (1 - d_j / n_j), computed by
-product_limit, the same cumulative product that weighted.cwta_curve takes
-over weighted events.
+One kernel, monthly_terms, gives every month's (O - E, V) for all three
+methods: monthly_logrank_terms feeds it unit events (KM-PFS, KM-OS),
+weighted.monthly_weighted_terms weighted ones (CWTA), and
+result_from_terms turns either's terms into a TestResult. Likewise
+product_limit, prod (1 - d_j / n_j), is both the survival curve and
+weighted.cwta_curve over weighted events.
 """
 
 from __future__ import annotations
@@ -133,6 +137,20 @@ def km_estimate(times, events) -> KMCurve:
     )
 
 
+def monthly_terms(observed, w, a, b, n1, n) -> tuple[np.ndarray, np.ndarray]:
+    """(observed - w * p, a * p * (1 - p) * b / max(n - 1, 1)) for months 1..horizon.
+
+    p = n1 / n is the control arm's share of the risk set, 0 where n = 0;
+    the variance is 0 where n <= 1. Arrays hold months 0..horizon on the
+    last axis; leading replicate axes broadcast.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(n > 0, n1 / np.maximum(n, 1), 0.0)
+        e = w * p
+        v = np.where(n > 1, a * p * (1.0 - p) * b / np.maximum(n - 1, 1), 0.0)
+    return (observed - e)[..., 1:], v[..., 1:]
+
+
 def monthly_logrank_terms(
     times: np.ndarray, events: np.ndarray, arms: np.ndarray, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,27 +158,23 @@ def monthly_logrank_terms(
 
     At each month m with d_m events out of n_m at risk (n1_m in control),
     the control arm's observed events d1_m are compared with the
-    hypergeometric mean E1_m = d_m * n1_m / n_m and variance
+    hypergeometric mean E1_m = d_m * p_m and variance
 
         V_m = d_m * p_m * (1 - p_m) * (n_m - d_m) / (n_m - 1),
 
-    p_m = n1_m / n_m, V_m = 0 when n_m <= 1. Returns arrays indexed by
-    month 1..horizon of (d1_m - E1_m) and V_m; months without events
-    contribute zero, so prefix sums give the statistic of the data
-    truncated at any month. times and events may carry a leading
-    replicate axis, (R, n) with arms (n,) shared; the terms are then
-    (R, horizon).
+    p_m = n1_m / n_m: monthly_terms with (observed, w, a, b) =
+    (d1, d, d, n - d). Returns arrays indexed by month 1..horizon of
+    (d1_m - E1_m) and V_m; months without events contribute zero, so
+    prefix sums give the statistic of the data truncated at any month.
+    times and events may carry a leading replicate axis, (R, n) with arms
+    (n,) shared; the terms are then (R, horizon).
     """
     is_control = arms == int(Arm.CONTROL)
     n = at_risk_counts(times, horizon)
     n1 = at_risk_counts(times[..., is_control], horizon)
     d = month_counts(times, horizon, events)
     d1 = month_counts(times, horizon, events & is_control)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(n > 0, n1 / np.maximum(n, 1), 0.0)
-        e1 = d * p
-        v = np.where(n > 1, d * p * (1.0 - p) * (n - d) / np.maximum(n - 1, 1), 0.0)
-    return (d1 - e1)[..., 1:], v[..., 1:]
+    return monthly_terms(d1, d, d, n - d, n1, n)
 
 
 def two_sided_p(z):
@@ -169,13 +183,20 @@ def two_sided_p(z):
     return 2.0 * ndtr(-np.abs(z))
 
 
-def test_from_sums(observed_minus_expected: float, variance: float) -> TestResult:
+def result_from_terms(ome: np.ndarray, v: np.ndarray, one_sided: str) -> TestResult:
+    """The test over all months of per-month (O - E, V) terms: z = sum(O - E) / sqrt(sum(V)).
+
+    Raises DegenerateTestError, naming one_sided as the cause, when the
+    total variance is zero.
+    """
+    observed_minus_expected, variance = float(ome.sum()), float(v.sum())
+    if variance <= 0.0:
+        raise DegenerateTestError(f"zero variance: {one_sided}")
     z = observed_minus_expected / sqrt(variance)
-    p = float(two_sided_p(z))
     return TestResult(
         statistic=z * z,
         z=z,
-        p_value=p,
+        p_value=float(two_sided_p(z)),
         observed_minus_expected=observed_minus_expected,
         variance=variance,
     )
@@ -192,10 +213,7 @@ def logrank_test(times, events, arms) -> TestResult:
     arms = np.asarray(arms, dtype=np.int8)
     if np.unique(arms).size < 2:
         raise ValueError("logrank_test requires records from both arms")
-    ome, v = monthly_logrank_terms(times, events, arms, int(times.max()))
-    total_v = float(v.sum())
     if not events.any():
         raise DegenerateTestError("no events in either arm")
-    if total_v <= 0.0:
-        raise DegenerateTestError("zero variance: every event month has a one-sided risk set")
-    return test_from_sums(float(ome.sum()), total_v)
+    terms = monthly_logrank_terms(times, events, arms, int(times.max()))
+    return result_from_terms(*terms, "every event month has a one-sided risk set")

@@ -50,19 +50,24 @@ def save_profile(model: TransitionModel, path) -> None:
 
 
 def load_profile(name_or_path: str) -> TransitionModel:
-    """Load a transition model: a built-in profile name or a JSON path."""
+    """Load a transition model: a built-in profile name or a JSON path.
+
+    A profile that cannot be decoded, parsed or validated raises ValueError
+    with a message that starts with its name or path.
+    """
     if name_or_path in BUILTIN_PROFILES:
-        text = (
-            resources.files("cwtasim").joinpath("profiles", f"{name_or_path}.json").read_text()
+        raw = resources.files("cwtasim").joinpath("profiles", f"{name_or_path}.json").read_bytes()
+    elif not os.path.exists(name_or_path):
+        raise FileNotFoundError(
+            f"profile '{name_or_path}' is neither a built-in name {BUILTIN_PROFILES} nor a file"
         )
     else:
-        if not os.path.exists(name_or_path):
-            raise FileNotFoundError(
-                f"profile '{name_or_path}' is neither a built-in name {BUILTIN_PROFILES} nor a file"
-            )
-        with open(name_or_path) as fh:
-            text = fh.read()
-    return TransitionModel.from_json_dict(json.loads(text))
+        with open(name_or_path, "rb") as fh:
+            raw = fh.read()
+    try:
+        return TransitionModel.from_json_dict(json.loads(raw.decode()))
+    except (ValueError, RecursionError) as exc:  # a decode, JSON or schema error
+        raise ValueError(f"{name_or_path}: {exc}") from None
 
 
 def write_trajectories_csv(trial: Trial, path) -> None:
@@ -205,22 +210,6 @@ def read_trajectories_csv(path) -> Trial:
             dropout = list(dropout_code)[dropouts[s]] if dropouts[s] >= 0 else None
             raise ValueError(f"{path}: subject {list(index)[s]} " + message.format(dropout))
     return Trial(states=states, censor=count - 1, arms=arms, dropped=dropouts >= 0)
-
-
-def write_km_curve_csv(curve, path) -> None:
-    _write_rows(
-        path,
-        ("time", "survival", "at_risk", "events"),
-        [(s.time, s.survival, s.at_risk, s.events) for s in curve.steps],
-    )
-
-
-def write_trajectory_curve_csv(curve, path) -> None:
-    _write_rows(
-        path,
-        ("month", "value", "at_risk_arm1", "at_risk_arm2"),
-        [(s.month, s.value, s.at_risk_control, s.at_risk_experimental) for s in curve.steps],
-    )
 
 
 def write_km_curves_by_arm_csv(curves: dict, path) -> None:

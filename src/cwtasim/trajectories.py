@@ -131,18 +131,29 @@ class TransitionModel:
         if missing:
             raise ValueError(f"transition model document lacks {', '.join(sorted(missing))}")
 
+        def number(value, field: str) -> float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{field} must be a number, got {value!r}")
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValueError(f"{field} = {value} is out of range") from None
+
         def probs(field: str) -> tuple[float, ...]:
             mapping = data[field]
             if not isinstance(mapping, dict) or not set(mapping) <= set(_STATE_KEYS):
                 raise ValueError(f"{field} must map states '0'..'4' to probabilities")
-            return tuple(float(mapping.get(k, 0.0)) for k in _STATE_KEYS)
+            return tuple(number(mapping.get(k, 0.0), f"{field}['{k}']") for k in _STATE_KEYS)
 
+        horizon = data.get("horizon_months", 60)
+        if isinstance(horizon, bool) or not isinstance(horizon, int):
+            raise ValueError(f"horizon_months must be an integer, got {horizon!r}")
         return cls(
             improve_prob=probs("improve_prob"),
             worsen_prob=probs("worsen_prob"),
-            improve_decay=float(data.get("improve_decay", 1.0)),
-            horizon_months=int(data.get("horizon_months", 60)),
-            dropout_rate=float(data.get("dropout_rate", 0.10)),
+            improve_decay=number(data.get("improve_decay", 1.0), "improve_decay"),
+            horizon_months=horizon,
+            dropout_rate=number(data.get("dropout_rate", 0.10), "dropout_rate"),
         )
 
 

@@ -7,8 +7,12 @@ stream oracle builds one np.random.default_rng per subject, the stream
 that the package's vectorized generator must reproduce bit for bit. The
 replicate oracle is the exception to "no shared code": it is the package's
 former one-replicate-at-a-time path -- simulate_trial, then a per-trial
-scan through the event table with scipy's norm.sf -- kept as the
+scan through the per-event extraction with scipy's norm.sf -- kept as the
 reference that the replicate-batched engine must reproduce bit for bit.
+extract_weighted_events is that former extraction: one WeightedEvent per
+observed move, which event_sums_from validates and sums into the
+EventSums that the package's trial_event_sums computes from the state
+matrix directly.
 read_trajectories_rowwise is the former row-by-row CSV reader (one dict
 per row, per-subject checks in a loop), the reference for the columnar
 read_trajectories_csv; trial_state_matrix packs per-subject rows the way
@@ -27,16 +31,18 @@ import numpy as np
 from scipy import stats
 
 from cwtasim import (
+    DEATH,
+    MAX_STATE,
     METHODS,
     Arm,
     Endpoint,
+    EventSums,
     SD,
     TransitionModel,
     Trial,
     TrialConfig,
     apply_hazard_ratio,
     endpoint_arrays,
-    extract_weighted_events,
     simulate_trial,
 )
 from cwtasim.kaplan_meier import monthly_logrank_terms
@@ -221,6 +227,75 @@ def exact_label_moments(weights: list[float], n_control: int) -> tuple[float, fl
     return mean, var
 
 
+class WeightedEvent(NamedTuple):
+    """One weighted event: a subject's level change into month, weight (new - old) / 4."""
+
+    month: int
+    subject: int
+    arm: Arm
+    weight: float
+
+
+def event_sums_from(events, at_risk, horizon: int) -> EventSums:
+    """Validate explicit weighted events and risk counts, and sum them by month.
+
+    at_risk[a][m] counts arm-a subjects at risk in month m. Rejects an
+    event month outside 1..horizon, a weight that is zero or beyond the
+    ordinal span (|w| > 1), risk counts of the wrong shape or that are
+    negative or rise over months, two events of one subject in one month,
+    and an event in an empty risk set. Events are summed in (month,
+    subject) order.
+    """
+    at_risk = np.asarray(at_risk, dtype=np.int64)
+    if at_risk.shape != (2, horizon + 1):
+        raise ValueError(f"at_risk must have shape (2, {horizon + 1})")
+    if np.any(at_risk < 0) or np.any(np.diff(at_risk, axis=1) > 0):
+        raise ValueError("at_risk counts must be non-negative and non-increasing over months")
+    events = sorted(events, key=lambda e: (e.month, e.subject))
+    for e in events:
+        if not 1 <= e.month <= horizon:
+            raise ValueError(f"event month must lie in 1..{horizon}, got {e.month}")
+        if e.weight == 0.0 or abs(e.weight) > 1.0:
+            raise ValueError(f"event weight must be non-zero with |w| <= 1, got {e.weight}")
+        if at_risk[int(e.arm), e.month] < 1:
+            raise ValueError(f"event in month {e.month} for arm {int(e.arm)} with empty risk set")
+    if len({(e.month, e.subject) for e in events}) != len(events):
+        raise ValueError("a subject may contribute at most one event per month")
+    width = horizon + 1
+    months = np.array([e.month for e in events], dtype=np.int64)
+    weights = np.array([e.weight for e in events], dtype=np.float64)
+    control = np.array([e.arm == Arm.CONTROL for e in events], dtype=bool)
+    return EventSums(
+        w_sum=np.bincount(months, weights=weights, minlength=width),
+        q_sum=np.bincount(months, weights=weights**2, minlength=width),
+        o1=np.bincount(months[control], weights=weights[control], minlength=width),
+        at_risk=at_risk,
+    )
+
+
+def extract_weighted_events(trial: Trial) -> tuple[list[WeightedEvent], np.ndarray]:
+    """The former per-event extraction: (events, at_risk) of one trial.
+
+    Any observed one-level change in month m becomes an event of weight
+    (new - old) / 4, listed in (month, subject) order. A subject stays at
+    risk in its death month and through its censor month; at_risk is
+    (2, horizon + 1).
+    """
+    states, censor, arms, horizon = trial.states, trial.censor, trial.arms, trial.horizon
+    diffs = states[:, 1:].astype(np.int16) - states[:, :-1].astype(np.int16)
+    observed = np.arange(1, horizon + 1)[None, :] <= censor[:, None]
+    rows, cols = np.nonzero(observed & (diffs != 0))
+    events = [
+        WeightedEvent(int(c) + 1, int(r), Arm(int(arms[r])), float(diffs[r, c]) / MAX_STATE)
+        for r, c in zip(rows, cols)
+    ]
+    dead = states == DEATH
+    risk_end = np.where(dead.any(axis=1), dead.argmax(axis=1), censor)
+    months = np.arange(horizon + 1)
+    at_risk = np.array([(risk_end[arms == a, None] >= months).sum(axis=0) for a in (0, 1)], dtype=np.int64)
+    return sorted(events, key=lambda e: (e.month, e.subject)), at_risk
+
+
 def welch_t_df(sample_a, sample_b) -> tuple[float, float]:
     """Welch t statistic and Welch-Satterthwaite degrees of freedom."""
     na, nb = len(sample_a), len(sample_b)
@@ -262,8 +337,8 @@ def scan_one_trial(trial, alpha: float) -> dict[str, MethodScan]:
         times, events = endpoint_arrays(trial.states, trial.censor, kind)
         ome, v = monthly_logrank_terms(times, events, trial.arms, trial.horizon)
         scans[kind.name] = scan_from_terms(ome, v, alpha)
-    table = extract_weighted_events(trial)
-    ome, v = monthly_weighted_terms(*table.event_sums())
+    sums = event_sums_from(*extract_weighted_events(trial), trial.horizon)
+    ome, v = monthly_weighted_terms(*sums)
     scans["CWTA"] = scan_from_terms(ome, v, alpha)
     return scans
 

@@ -48,9 +48,16 @@ from cwtasim.trajectories import (
     _dropout_from_uniforms,
     subject_uniforms,
 )
-from cwtasim.weighted import WeightedEvent, WeightedEventTable
 
-from oracles import Record, columns, exact_logrank_permutation_p, naive_km, naive_logrank_sums
+from oracles import (
+    Record,
+    WeightedEvent,
+    columns,
+    event_sums_from,
+    exact_logrank_permutation_p,
+    naive_km,
+    naive_logrank_sums,
+)
 
 MASTER_SEED = 0  # package default; all Monte Carlo criteria run on it
 
@@ -147,7 +154,7 @@ def test_criterion_1_estimator_oracles():
 # --------------------------------------------------------------- criterion 2
 
 
-def records_as_unit_weight_table(records):
+def records_as_unit_weight_sums(records):
     """Each event becomes a weight-1.0 entry; at-risk counts from the records."""
     events = [
         WeightedEvent(month=r.time, subject=i, arm=r.arm, weight=1.0)
@@ -158,7 +165,7 @@ def records_as_unit_weight_table(records):
     at_risk = np.zeros((2, horizon + 1), dtype=np.int64)
     for r in records:
         at_risk[int(r.arm), : r.time + 1] += 1
-    return WeightedEventTable.from_events(events, at_risk=at_risk, horizon=horizon)
+    return event_sums_from(events, at_risk=at_risk, horizon=horizon)
 
 
 def test_criterion_2_unit_weight_reduction():
@@ -181,8 +188,7 @@ def test_criterion_2_unit_weight_reduction():
             km_result = logrank(records)
         except Exception:
             continue
-        table = records_as_unit_weight_table(records)
-        w_result = weighted_logrank_test(table)
+        w_result = weighted_logrank_test(records_as_unit_weight_sums(records))
         assert abs(w_result.statistic - km_result.statistic) <= 1e-12
         assert abs(w_result.z - km_result.z) <= 1e-12
         assert abs(w_result.p_value - km_result.p_value) <= 1e-12

@@ -146,7 +146,39 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text('{"alpha": 2.0}')
     assert run_cli(["power", "--config", str(bad_cfg)]) == 2
-    assert "alpha" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad_cfg}: ") and "alpha" in err
+
+    # a malformed profile: one line that names the file and the field, never a traceback
+    for name, text, expected in (
+        ("null_prob.json", '{"improve_prob": {"0": null}, "worsen_prob": {}}', "improve_prob['0'] must be a number"),
+        ("list_horizon.json", '{"improve_prob": {}, "worsen_prob": {}, "horizon_months": [1]}', "horizon_months"),
+        ("truncated.json", '{"improve_prob": {"0": 0.0}, "wor', "Unterminated string"),
+        ("deep.json", "[" * 100_000, "recursion"),
+    ):
+        profile = tmp_path / name
+        profile.write_text(text)
+        assert run_cli([
+            "simulate", "--profile", str(profile), "--sample-size", "4",
+            "--hr", "0.7", "--out", str(tmp_path / "never.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {profile}: ") and expected in err, err
+
+    # a malformed config, or one naming a malformed profile: the line starts with the config's path
+    for name, text, expected in (
+        ("truncated_cfg.json", '{"alpha": 0.0', "config is not valid JSON"),
+        ("deep_cfg.json", "[" * 100_000, "recursion"),
+        ("binary_cfg.json", "\udcff", "'utf-8' codec can't decode"),
+        ("unmapped_hr.json", '{"hazard_ratios": [0.5], "replicates": {"0.6": 3}}', "lacks hazard ratio"),
+        ("bad_profile_cfg.json", json.dumps({"profile": str(tmp_path / "null_prob.json")}), "null_prob.json: "),
+        ("no_profile_cfg.json", '{"profile": "no-such-profile"}', "neither a built-in name"),
+    ):
+        config = tmp_path / name
+        config.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert run_cli(["power", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {config}: ") and expected in err, err
 
     assert run_cli(["analyze", "--trial", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -242,3 +274,82 @@ def test_analyze_rejects_malformed_input_with_one_line(tmp_path, capsys, content
     assert run_cli(["analyze", "--trial", str(trial), "--out-dir", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), captured.err
+
+
+def _is_json_object(raw: bytes) -> bool:
+    try:
+        return isinstance(json.loads(raw), dict)
+    except (ValueError, RecursionError):
+        return False
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def malformed_documents(valid: dict, bad_values: dict, required=()):
+    """JSON texts that break a valid document: one field set to a value it
+    rejects, an unknown field, a required field dropped, a strict prefix of
+    the text, a top-level value that is not an object, or random bytes."""
+    text = json.dumps(valid)
+    edits = [
+        st.sampled_from([(f, v) for f, values in bad_values.items() for v in values]).map(
+            lambda fv: json.dumps({**valid, fv[0]: fv[1]})
+        ),
+        st.builds(
+            lambda key, value: json.dumps({**valid, key: value}),
+            st.text(max_size=8).filter(lambda key: key not in valid and key not in bad_values),
+            JSON_VALUES,
+        ),
+        st.integers(0, len(text) - 1).map(lambda i: text[:i]),
+        st.lists(JSON_VALUES, max_size=3).map(json.dumps),
+    ]
+    if required:
+        edits.append(st.sampled_from(required).map(lambda f: json.dumps({k: v for k, v in valid.items() if k != f})))
+    random_bytes = st.one_of(st.binary(max_size=200), st.binary(max_size=40).map(lambda b: text.encode() + b))
+    return st.one_of(st.one_of(edits).map(str.encode), random_bytes.filter(lambda b: not _is_json_object(b)))
+
+
+VALID_CONFIG = {"profile": "moderate", "hazard_ratios": [0.5], "sample_sizes": [20], "replicates": 2, "master_seed": 0}
+BAD_CONFIG_VALUES = {  # values each config field rejects
+    "profile": [None, True, 3, [], {}, "", "no-such-profile"],
+    "hazard_ratios": [None, 0.5, "0.5", [], [0], [-0.5], [True], ["x"], [None], [float("nan")]],
+    "sample_sizes": [None, 20, "20", [], [3], [0], [-2], [2.5], [True]],
+    "replicates": [None, 0, -1, True, 2.5, "3", [2], {"0.6": 2}, {"0.5": 0}, {"x": 2}],
+    "alpha": [None, 0, 1, 1.5, -0.1, True, "0.05", [0.05], float("nan")],
+    "master_seed": [None, 1.5, True, "0", [0], {}],
+    "output_dir": [None, "", 3, True, []],
+}
+BAD_PROFILE_VALUES = {  # values each profile field rejects
+    "improve_prob": [None, 0.1, [], "x", {"5": 0.1}, {"0": 0.1}, {"1": None}, {"1": True}, {"1": [0.1]},
+                     {"1": "0.1"}, {"1": 1.5}, {"1": -0.1}, {"1": 10**400}, {"1": float("inf")}],
+    "worsen_prob": [None, [], {"4": 0.1}, {"1": None}, {"1": False}, {"1": {}}, {"1": 2}, {"2": float("nan")}],
+    "improve_decay": [None, True, "0.9", [0.9], 0, 1.5, -1, float("nan")],
+    "horizon_months": [None, True, [1], "60", 60.5, 1.0, 0, -3],
+    "dropout_rate": [None, False, "0.1", [], -0.1, 1.5, float("nan")],
+}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=malformed_documents(VALID_CONFIG, BAD_CONFIG_VALUES))
+def test_malformed_config_exits_2_naming_the_file(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    assert run_cli(["power", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {config}: "), err
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=malformed_documents(FAST.to_json_dict(), BAD_PROFILE_VALUES, required=("improve_prob", "worsen_prob")))
+def test_malformed_profile_exits_2_naming_the_file(tmp_path, capsys, content):
+    profile = tmp_path / "profile.json"
+    profile.write_bytes(content)
+    out = tmp_path / "trial.csv"
+    assert run_cli(["simulate", "--profile", str(profile), "--sample-size", "4", "--hr", "0.7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {profile}: "), err
+    assert not out.exists()

@@ -28,7 +28,7 @@ from cwtasim import harness
 from cwtasim.harness import plan_blocks, replicate_seed
 from cwtasim.kaplan_meier import endpoint_arrays, monthly_logrank_terms
 from cwtasim.trajectories import simulate_block
-from cwtasim.weighted import extract_weighted_events, monthly_weighted_terms, weighted_logrank_test
+from cwtasim.weighted import monthly_weighted_terms, trial_event_sums, weighted_logrank_test
 
 from oracles import run_replicates_one_by_one, scan_one_trial, welch_t_df
 
@@ -63,16 +63,14 @@ def test_scan_prefix_sums_equal_truncated_recomputation():
     """The monthly scan must equal analyzing truncated data from scratch.
 
     Cumulative per-month terms at month m are compared against rebuilding
-    the weighted table from trajectories administratively censored at m.
+    the weighted event sums from trajectories administratively censored at m.
     This is the dual route that justifies computing scans as prefix sums.
     """
     trial = small_trial()
     horizon = MODEL.horizon_months
-    table = extract_weighted_events(trial)
-    ome, v = monthly_weighted_terms(*table.event_sums())
+    ome, v = monthly_weighted_terms(*trial_event_sums(trial))
     for month in (1, 3, 7, 12, 24):
-        t_table = extract_weighted_events(truncate(trial, month))
-        t_ome, t_v = monthly_weighted_terms(*t_table.event_sums())
+        t_ome, t_v = monthly_weighted_terms(*trial_event_sums(truncate(trial, month)))
         assert float(t_ome.sum()) == pytest.approx(float(ome[:month].sum()), abs=TOL)
         assert float(t_v.sum()) == pytest.approx(float(v[:month].sum()), abs=TOL)
 
@@ -94,8 +92,7 @@ def test_scan_trial_final_p_matches_direct_tests():
     trial = small_trial(seed=21)
     final_p, first_month = scan_trial(trial, alpha=0.05)
     assert final_p.shape == first_month.shape == (len(METHODS),)
-    table = extract_weighted_events(trial)
-    direct = weighted_logrank_test(table)
+    direct = weighted_logrank_test(trial_event_sums(trial))
     assert final_p[METHODS.index("CWTA")] == pytest.approx(direct.p_value, abs=TOL)
     # first significant month: 0 (never) or a month of the horizon
     for first in first_month:
@@ -106,8 +103,7 @@ def test_scan_first_month_is_earliest_significant():
     trial = small_trial(seed=33, ss=120, hr=0.4)
     alpha = 0.05
     _, first_month = scan_trial(trial, alpha)
-    table = extract_weighted_events(trial)
-    ome, v = monthly_weighted_terms(*table.event_sums())
+    ome, v = monthly_weighted_terms(*trial_event_sums(trial))
     cum_o, cum_v = np.cumsum(ome), np.cumsum(v)
     sig_months = [
         m + 1

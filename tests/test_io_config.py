@@ -30,15 +30,14 @@ from cwtasim.config import DEFAULT_HAZARD_RATIOS
 from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, km_estimate, logrank_test
 from cwtasim.serialize import (
     read_curves_csv,
-    write_km_curve_csv,
     write_km_curves_by_arm_csv,
     write_power_csv,
     write_sample_size_csv,
     write_tests_csv,
-    write_trajectory_curve_csv,
+    write_trajectory_curves_by_arm_csv,
     write_tte_csv,
 )
-from cwtasim.weighted import cwta_curve, extract_weighted_events, weighted_logrank_test
+from cwtasim.weighted import cwta_curve, trial_event_sums, weighted_logrank_test
 
 from oracles import read_trajectories_rowwise
 
@@ -351,14 +350,18 @@ def endpoints(trial, kind):
 
 def test_km_curve_csv_and_read_back(tmp_path):
     trial = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.5, control_model=MODEL, seed=4))
-    curve = km_estimate(*endpoints(trial, Endpoint.PFS))
+    times, events = endpoints(trial, Endpoint.PFS)
+    curves = {
+        arm: km_estimate(times[trial.arms == arm], events[trial.arms == arm])
+        for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)
+    }
     path = tmp_path / "curve.csv"
-    write_km_curve_csv(curve, path)
-    curves = read_curves_csv(path)
-    assert len(curves) == 1
-    label, points = curves[0]
-    assert points[0] == (0.0, 1.0)  # anchor
-    assert len(points) == len(curve.steps) + 1
+    write_km_curves_by_arm_csv(curves, path)
+    read = read_curves_csv(path)
+    assert [label for label, _ in read] == ["control", "experimental"]
+    for (_, points), curve in zip(read, curves.values()):
+        assert points[0] == (0.0, 1.0)  # anchor
+        assert len(points) == len(curve.steps) + 1
 
 
 def test_km_curves_by_arm_csv(tmp_path):
@@ -376,15 +379,17 @@ def test_km_curves_by_arm_csv(tmp_path):
 
 def test_trajectory_curve_csv(tmp_path):
     trial = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.5, control_model=MODEL, seed=4))
-    table = extract_weighted_events(trial)
-    curve = cwta_curve(table, Arm.CONTROL)
+    sums = trial_event_sums(trial)
+    curves = {arm: cwta_curve(sums, arm) for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)}
     path = tmp_path / "cwta.csv"
-    write_trajectory_curve_csv(curve, path)
-    label, points = read_curves_csv(path)[0]
-    assert len(points) == len(curve.steps)
-    assert points[0] == (0.0, 1.0)  # month-0 value is 1, no synthetic anchor
-    values = [v for _, v in points]
-    assert values == pytest.approx([s.value for s in curve.steps])
+    write_trajectory_curves_by_arm_csv(curves, path)
+    read = read_curves_csv(path)
+    assert [label for label, _ in read] == ["control", "experimental"]
+    for (_, points), curve in zip(read, curves.values()):
+        assert len(points) == len(curve.steps)
+        assert points[0] == (0.0, 1.0)  # month-0 value is 1, no synthetic anchor
+        values = [v for _, v in points]
+        assert values == pytest.approx([s.value for s in curve.steps])
 
 
 def test_read_curves_csv_errors(tmp_path):
@@ -407,9 +412,8 @@ def test_read_curves_csv_errors(tmp_path):
 
 def test_tests_csv_blank_for_degenerate(tmp_path):
     trial = simulate_trial(TrialConfig(sample_size=60, hazard_ratio=0.5, control_model=MODEL, seed=4))
-    table = extract_weighted_events(trial)
     results = {
-        "CWTA": weighted_logrank_test(table),
+        "CWTA": weighted_logrank_test(trial_event_sums(trial)),
         "PFS": logrank_test(*endpoints(trial, Endpoint.PFS), trial.arms),
         "OS": None,  # degenerate -> blank numeric fields
     }

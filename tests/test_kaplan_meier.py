@@ -157,11 +157,12 @@ def test_logrank_four_subject_hand_fixture():
 
 @pytest.mark.parametrize("z", [0.0, 1e-300, 1.96, 8.0, 38.0, 40.0, np.inf, -1.96, -40.0, -np.inf])
 def test_p_value_equals_norm_sf_bit_for_bit(z):
-    """test_from_sums and the monthly scans share two_sided_p = 2 * ndtr(-|z|);
+    """result_from_terms and the monthly scans share two_sided_p = 2 * ndtr(-|z|);
     it must equal 2 * norm.sf(|z|) exactly, into the subnormal tail and at +-inf."""
     expected = 2.0 * float(stats.norm.sf(abs(z)))
     assert float(two_sided_p(z)).hex() == expected.hex()
-    assert kaplan_meier.test_from_sums(z, 1.0).p_value.hex() == expected.hex()
+    result = kaplan_meier.result_from_terms(np.array([z]), np.array([1.0]), "")
+    assert result.p_value.hex() == expected.hex()
     scan_p = two_sided_p(np.array([z, -z]))
     assert [float(p).hex() for p in scan_p] == [expected.hex()] * 2
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cwtasim import mix64, mix64_array, splitmix64
-from cwtasim.seeds import float_bits
+from cwtasim import mix64, mix64_array
+from cwtasim.seeds import float_bits, splitmix64
 
 
 def test_splitmix64_is_deterministic_and_64_bit():

@@ -11,11 +11,8 @@ from cwtasim import (
     Arm,
     DegenerateTestError,
     Trial,
-    WeightedEvent,
-    WeightedEventTable,
     cwta_curve,
     TrialConfig,
-    extract_weighted_events,
     load_profile,
     logrank_test,
     simulate_trial,
@@ -24,13 +21,18 @@ from cwtasim import (
 from cwtasim.trajectories import simulate_block
 from cwtasim.weighted import monthly_weighted_terms, trial_event_sums
 
-from oracles import Record, columns, exact_label_moments, naive_weighted_sums, trial_state_matrix
+from oracles import (
+    Record,
+    WeightedEvent,
+    columns,
+    event_sums_from,
+    exact_label_moments,
+    extract_weighted_events,
+    naive_weighted_sums,
+    trial_state_matrix,
+)
 
 TOL = 1e-12
-
-
-def table_from(events, at_risk, horizon):
-    return WeightedEventTable.from_events(events, np.asarray(at_risk), horizon)
 
 
 def ev(month, subject, arm, weight):
@@ -53,12 +55,12 @@ def test_single_event_table_hand_fixture():
     W = 0.25, Q = 0.0625, p = 1/2: E1 = 0.125 and
     V = (1/2)(1/2)(2 * 0.0625 - 0.0625) / 1 = 0.015625, so z = 1.
     """
-    table = table_from(
+    sums = event_sums_from(
         [ev(1, 0, Arm.CONTROL, 0.25)],
         [[1, 1], [1, 1]],
         horizon=1,
     )
-    result = weighted_logrank_test(table)
+    result = weighted_logrank_test(sums)
     assert result.observed_minus_expected == pytest.approx(0.125, abs=TOL)
     assert result.variance == pytest.approx(0.015625, abs=TOL)
     assert result.z == pytest.approx(1.0, abs=TOL)
@@ -74,8 +76,7 @@ def test_weighted_terms_match_naive_on_mixed_table():
         ev(3, 0, Arm.CONTROL, 0.5),
     ]
     at_risk = [[2, 2, 2, 1], [2, 2, 2, 2]]
-    table = table_from(events, at_risk, horizon=3)
-    got = weighted_logrank_test(table)
+    got = weighted_logrank_test(event_sums_from(events, at_risk, horizon=3))
     o_minus_e, variance = naive_weighted_sums(
         [e.month for e in events],
         [e.arm for e in events],
@@ -100,8 +101,7 @@ def test_monthly_moments_match_exact_label_enumeration():
         for i, w in enumerate(weights)
         if w != 0.0
     ]
-    table = table_from(events, [[3, 3], [3, 3]], horizon=1)
-    ome, v = monthly_weighted_terms(*table.event_sums())
+    ome, v = monthly_weighted_terms(*event_sums_from(events, [[3, 3], [3, 3]], horizon=1))
     observed = sum(e.weight for e in events if e.arm == Arm.CONTROL)
     assert observed - ome[0] == pytest.approx(mean_exact, abs=TOL)
     assert v[0] == pytest.approx(var_exact, abs=TOL)
@@ -115,53 +115,58 @@ def test_exact_moments_hold_for_unbalanced_arms():
         for i, w in enumerate(weights)
         if w != 0.0
     ]
-    table = table_from(events, [[2, 2], [3, 3]], horizon=1)
-    ome, v = monthly_weighted_terms(*table.event_sums())
+    ome, v = monthly_weighted_terms(*event_sums_from(events, [[2, 2], [3, 3]], horizon=1))
     observed = sum(e.weight for e in events if e.arm == Arm.CONTROL)
     assert observed - ome[0] == pytest.approx(mean_exact, abs=TOL)
     assert v[0] == pytest.approx(var_exact, abs=TOL)
 
 
 def test_degenerate_no_events():
-    table = table_from([], [[2, 2], [2, 2]], horizon=1)
+    sums = event_sums_from([], [[2, 2], [2, 2]], horizon=1)
     with pytest.raises(DegenerateTestError):
-        weighted_logrank_test(table)
+        weighted_logrank_test(sums)
 
 
 def test_degenerate_one_sided_risk_set():
-    table = table_from([ev(2, 0, Arm.CONTROL, 0.25)], [[1, 1, 1], [1, 0, 0]], horizon=2)
+    sums = event_sums_from([ev(2, 0, Arm.CONTROL, 0.25)], [[1, 1, 1], [1, 0, 0]], horizon=2)
     with pytest.raises(DegenerateTestError):
-        weighted_logrank_test(table)
+        weighted_logrank_test(sums)
 
 
 def test_requires_both_arms_populated():
-    table = table_from([ev(1, 0, Arm.CONTROL, 0.25)], [[1, 1], [0, 0]], horizon=1)
+    sums = event_sums_from([ev(1, 0, Arm.CONTROL, 0.25)], [[1, 1], [0, 0]], horizon=1)
     with pytest.raises(ValueError):
-        weighted_logrank_test(table)
+        weighted_logrank_test(sums)
 
 
 def test_event_validation():
+    both = [[1, 1], [1, 1]]
     with pytest.raises(ValueError):
-        ev(0, 0, Arm.CONTROL, 0.25)  # month must be >= 1
+        event_sums_from([ev(0, 0, Arm.CONTROL, 0.25)], both, horizon=1)  # month must be >= 1
     with pytest.raises(ValueError):
-        ev(1, 0, Arm.CONTROL, 0.0)  # zero weight is not an event
+        event_sums_from([ev(2, 0, Arm.CONTROL, 0.25)], both, horizon=1)  # beyond the horizon
     with pytest.raises(ValueError):
-        ev(1, 0, Arm.CONTROL, 1.25)  # beyond the ordinal span
+        event_sums_from([ev(1, 0, Arm.CONTROL, 0.0)], both, horizon=1)  # zero weight is not an event
     with pytest.raises(ValueError):
-        table_from(
+        event_sums_from([ev(1, 0, Arm.CONTROL, 1.25)], both, horizon=1)  # beyond the ordinal span
+    with pytest.raises(ValueError):
+        event_sums_from(
             [ev(1, 0, Arm.CONTROL, 0.25), ev(1, 0, Arm.CONTROL, 0.25)],
-            [[1, 1], [1, 1]],
+            both,
             horizon=1,
         )  # one event per subject-month
     with pytest.raises(ValueError):
-        table_from([ev(1, 0, Arm.CONTROL, 0.25)], [[1, 0], [1, 1]], horizon=1)
+        event_sums_from([ev(1, 0, Arm.CONTROL, 0.25)], [[1, 0], [1, 1]], horizon=1)
+    for at_risk in ([[1, 1]], [[1, 2], [1, 1]], [[1, 1], [-1, -1]]):  # shape, rising, negative
+        with pytest.raises(ValueError):
+            event_sums_from([], at_risk, horizon=1)
 
 
 # --------------------------------------------- reduction to plain logrank
 
 
-def km_records_as_weighted_table(records):
-    """Unit-weight table equivalent to a list of time-to-event records."""
+def km_records_as_event_sums(records):
+    """Unit-weight event sums equivalent to a list of time-to-event records."""
     events = [
         ev(r.time, i, r.arm, 1.0) for i, r in enumerate(records) if r.event
     ]
@@ -169,7 +174,7 @@ def km_records_as_weighted_table(records):
     at_risk = np.zeros((2, horizon + 1), dtype=np.int64)
     for r in records:
         at_risk[int(r.arm), : r.time + 1] += 1
-    return table_from(events, at_risk, horizon)
+    return event_sums_from(events, at_risk, horizon)
 
 
 def test_unit_weights_reduce_to_logrank_on_random_datasets():
@@ -193,7 +198,7 @@ def test_unit_weights_reduce_to_logrank_on_random_datasets():
             km_result = logrank_test(*columns(records))
         except (DegenerateTestError, ValueError):
             continue
-        weighted_result = weighted_logrank_test(km_records_as_weighted_table(records))
+        weighted_result = weighted_logrank_test(km_records_as_event_sums(records))
         assert weighted_result.observed_minus_expected == pytest.approx(
             km_result.observed_minus_expected, abs=TOL
         )
@@ -208,54 +213,46 @@ def test_unit_weights_reduce_to_logrank_on_random_datasets():
 
 
 def test_extract_events_from_worsening_trajectory():
-    table = extract_weighted_events(trial(([2, 3, 4], Arm.CONTROL), ([2, 2, 2], Arm.EXPERIMENTAL)))
-    assert table.n_events == 2
-    first, second = table.events
+    events, at_risk = extract_weighted_events(trial(([2, 3, 4], Arm.CONTROL), ([2, 2, 2], Arm.EXPERIMENTAL)))
+    assert len(events) == 2
+    first, second = events
     assert (first.month, first.weight) == (1, 0.25)
     assert (second.month, second.weight) == (2, 0.25)
     # the dying subject stays at risk through its death month
-    assert table.at_risk[int(Arm.CONTROL)].tolist() == [1, 1, 1]
-    assert table.at_risk[int(Arm.EXPERIMENTAL)].tolist() == [1, 1, 1]
+    assert at_risk[int(Arm.CONTROL)].tolist() == [1, 1, 1]
+    assert at_risk[int(Arm.EXPERIMENTAL)].tolist() == [1, 1, 1]
 
 
 def test_extract_events_improvement_and_relapse():
-    table = extract_weighted_events(trial(([2, 1, 1, 2], Arm.CONTROL), ([2, 2, 2, 2], Arm.EXPERIMENTAL)))
-    weights = [(e.month, e.weight) for e in table.events]
+    events, _ = extract_weighted_events(trial(([2, 1, 1, 2], Arm.CONTROL), ([2, 2, 2, 2], Arm.EXPERIMENTAL)))
+    weights = [(e.month, e.weight) for e in events]
     assert weights == [(1, -0.25), (3, 0.25)]
-
-
-def test_extract_events_worsening_only_flag():
-    table = extract_weighted_events(
-        trial(([2, 1, 2, 3], Arm.CONTROL), ([2, 2, 2, 2], Arm.EXPERIMENTAL)),
-        worsening_only=True,
-    )
-    weights = [(e.month, e.weight) for e in table.events]
-    assert weights == [(2, 0.25), (3, 0.25)]
 
 
 def test_extract_events_censoring_truncates_observation():
     # dropout at month 2: the month-3 move is never observed
-    table = extract_weighted_events(trial(([2, 2, 3], Arm.CONTROL), ([2, 2, 2, 2], Arm.EXPERIMENTAL)))
-    assert [(e.month, e.weight) for e in table.events] == [(2, 0.25)]
-    assert table.at_risk[int(Arm.CONTROL)].tolist() == [1, 1, 1, 0]
+    events, at_risk = extract_weighted_events(trial(([2, 2, 3], Arm.CONTROL), ([2, 2, 2, 2], Arm.EXPERIMENTAL)))
+    assert [(e.month, e.weight) for e in events] == [(2, 0.25)]
+    assert at_risk[int(Arm.CONTROL)].tolist() == [1, 1, 1, 0]
 
 
 @pytest.mark.parametrize("profile", ["moderate", "high"])
 def test_trial_event_sums_equal_event_table_sums(profile):
-    """The scan's event-table-free sums equal the table's bincounts bit for bit,
+    """trial_event_sums equals the bincounts of the per-event extraction bit for bit,
     for one trial and for every row of a block."""
     model = load_profile(profile)
     seeds = np.array([0, 9, 2**64 - 1], dtype=np.uint64)
     block = simulate_block(model, 0.6, 40, seeds)
     for r, seed in enumerate(seeds):
         one = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.6, control_model=model, seed=int(seed)))
-        expected = extract_weighted_events(one).event_sums()
+        expected = event_sums_from(*extract_weighted_events(one), one.horizon)
         for got in (trial_event_sums(one), [x[r] for x in trial_event_sums(block)]):
             for a, b in zip(got, expected):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
     # a dropout, an improvement and a relapse before censoring
     handmade = trial(([2, 1, 2, 3], Arm.CONTROL), ([2, 3, 4], Arm.EXPERIMENTAL), ([2, 2], Arm.CONTROL))
-    for a, b in zip(trial_event_sums(handmade), extract_weighted_events(handmade).event_sums()):
+    expected = event_sums_from(*extract_weighted_events(handmade), handmade.horizon)
+    for a, b in zip(trial_event_sums(handmade), expected):
         assert np.array_equal(a, b)
 
 
@@ -270,9 +267,9 @@ def test_cwta_curve_hand_values():
     """
     events = [ev(1, 0, Arm.CONTROL, 0.25), ev(2, 4, Arm.EXPERIMENTAL, -0.25)]
     at_risk = [[4, 4, 4], [4, 4, 4]]
-    table = table_from(events, at_risk, horizon=2)
-    control = cwta_curve(table, Arm.CONTROL)
-    experimental = cwta_curve(table, Arm.EXPERIMENTAL)
+    sums = event_sums_from(events, at_risk, horizon=2)
+    control = cwta_curve(sums, Arm.CONTROL)
+    experimental = cwta_curve(sums, Arm.EXPERIMENTAL)
     assert [s.value for s in control.steps] == pytest.approx([1.0, 0.9375, 0.9375], abs=TOL)
     assert [s.value for s in experimental.steps] == pytest.approx([1.0, 1.0, 1.0625], abs=TOL)
     assert control.steps[1].at_risk_control == 4
@@ -280,9 +277,9 @@ def test_cwta_curve_hand_values():
 
 
 def test_cwta_curve_empty_arm_rejected():
-    table = table_from([ev(1, 0, Arm.CONTROL, 0.25)], [[1, 1], [0, 0]], horizon=1)
+    sums = event_sums_from([ev(1, 0, Arm.CONTROL, 0.25)], [[1, 1], [0, 0]], horizon=1)
     with pytest.raises(ValueError):
-        cwta_curve(table, Arm.EXPERIMENTAL)
+        cwta_curve(sums, Arm.EXPERIMENTAL)
 
 
 # -------------------------------------------------------------- properties
@@ -307,8 +304,7 @@ def test_weighted_statistic_matches_naive_on_generated_tables(raw):
         arm = Arm.CONTROL if is_control else Arm.EXPERIMENTAL
         events.append(ev(month, i, arm, weight))
     at_risk = [[len(raw)] * (horizon + 1), [len(raw)] * (horizon + 1)]
-    table = table_from(events, at_risk, horizon)
-    ome, v = monthly_weighted_terms(*table.event_sums())
+    ome, v = monthly_weighted_terms(*event_sums_from(events, at_risk, horizon))
     o_naive, v_naive = naive_weighted_sums(
         [e.month for e in events],
         [e.arm for e in events],
@@ -331,8 +327,8 @@ def test_swapping_arm_labels_flips_the_sign():
         ev(e.month, e.subject, Arm.EXPERIMENTAL if e.arm == Arm.CONTROL else Arm.CONTROL, e.weight)
         for e in events
     ]
-    a = weighted_logrank_test(table_from(events, at_risk, horizon=3))
-    b = weighted_logrank_test(table_from(flipped, at_risk, horizon=3))
+    a = weighted_logrank_test(event_sums_from(events, at_risk, horizon=3))
+    b = weighted_logrank_test(event_sums_from(flipped, at_risk, horizon=3))
     assert a.z == pytest.approx(-b.z, abs=TOL)
     assert a.p_value == pytest.approx(b.p_value, abs=TOL)
     assert a.variance == pytest.approx(b.variance, abs=TOL)
