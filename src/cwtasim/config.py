@@ -7,7 +7,7 @@ running a default. The schema (all fields optional):
       "profile": "moderate" | "high" | "path/to/profile.json",
       "hazard_ratios": [0.5, 0.6, 0.7, 0.8],
       "sample_sizes": [20, 60, ...],            # even, 1:1 allocation
-      "replicates": 1000 | {"0.5": 100, ...},   # per-HR mapping allowed
+      "replicates": 1000 | {"0.5": 100, ...},   # per-HR mapping allowed; <= 10**7
       "alpha": 0.05,
       "master_seed": 0,
       "output_dir": "results"
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 DEFAULT_HAZARD_RATIOS = (0.5, 0.6, 0.7, 0.8)
 DEFAULT_POWER_SIZES = (20, 40, 60, 80, 100, 140, 180, 240, 320, 400, 500)
 DEFAULT_TTE_SIZES = (30, 60, 90, 120, 150, 180, 210, 240, 270, 300, 350, 400, 450, 500)
+MAX_REPLICATES = 10**7  # per grid point; the result columns alone take about 0.5 GB
 
 
 class ConfigError(ValueError):
@@ -61,8 +62,8 @@ def _check_hr(value, context: str) -> float:
 def _check_replicate_count(value, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{context}: replicates must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{context}: replicates must be >= 1, got {value}")
+    if not 1 <= value <= MAX_REPLICATES:
+        raise ConfigError(f"{context}: replicates must lie in 1..{MAX_REPLICATES}, got {value}")
     return value
 
 

@@ -33,6 +33,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy import stats
 
+from .config import MAX_REPLICATES
 from .kaplan_meier import Endpoint, endpoint_arrays, monthly_logrank_terms, two_sided_p
 from .seeds import float_bits, mix64_array
 from .trajectories import TransitionModel, Trial, simulate_block
@@ -132,14 +133,14 @@ class ExperimentGrid:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if isinstance(self.replicates, int):
-            if self.replicates < 1:
-                raise ValueError("replicates must be >= 1")
+            counts = [self.replicates]
         else:
             missing = [hr for hr in self.hazard_ratios if hr not in self.replicates]
             if missing:
                 raise ValueError(f"replicates mapping lacks hazard ratio(s): {missing}")
-            if any(int(r) < 1 for r in self.replicates.values()):
-                raise ValueError("replicates must be >= 1")
+            counts = [int(r) for r in self.replicates.values()]
+        if not all(1 <= r <= MAX_REPLICATES for r in counts):
+            raise ValueError(f"replicates must lie in 1..{MAX_REPLICATES}, got {self.replicates}")
 
     def replicates_for(self, hr: float) -> int:
         if isinstance(self.replicates, int):

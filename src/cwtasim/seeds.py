@@ -11,13 +11,16 @@ np.random.default_rng(seed).random(width) would give for each, bit for
 bit, without building one generator per seed: it is a numpy version of
 NumPy's SeedSequence hashing (on uint32 words) and of the PCG64 XSL-RR
 128/64 generator (O'Neill 2014), with 128-bit integers held as uint64
-halves. Its constants are NumPy's and equally frozen.
+halves. Its constants are NumPy's and equally frozen. Streams are stepped
+CHUNK seeds at a time: LANES consecutive draws of every stream are held
+as lanes, and each round advances all lanes by LANES draws with one
+128-bit multiply by a constant and one add, in place. LANES and CHUNK
+change only the speed, never a drawn value.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,7 +93,8 @@ _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-CHUNK = 256  # subjects per pass of the draw kernel; keeps temporaries in cache
+LANES = 8  # draws per round of the draw kernel
+CHUNK = 4096  # seeds per pass: a grid block (harness.BLOCK_ROWS rows) in one pass, lane arrays in cache
 
 _U32_16 = np.uint32(16)
 _U64_MASK32 = np.uint64(_MASK32)
@@ -144,67 +148,113 @@ def _seed_sequence_state(seeds: np.ndarray) -> list[np.ndarray]:
     return [words[2 * i] | (words[2 * i + 1] << _U64_32) for i in range(4)]
 
 
-def _as_factor(values: list[int]) -> tuple[np.ndarray, ...]:
-    """128-bit constants as (width, 1) uint64 columns: hi, lo, lo's low and high 32 bits."""
-    hi = np.array([v >> 64 for v in values], dtype=np.uint64)[:, None]
-    lo = np.array([v & _MASK64 for v in values], dtype=np.uint64)[:, None]
-    factor = (hi, lo, lo & _U64_MASK32, lo >> _U64_32)
-    for column in factor:
-        column.flags.writeable = False  # shared by every caller through the cache
-    return factor
+def _const128(value: int) -> tuple[np.uint64, ...]:
+    """A 128-bit constant as uint64 scalars: hi, lo, lo's low and high 32 bits."""
+    lo = value & _MASK64
+    return tuple(np.uint64(v) for v in (value >> 64, lo, lo & _MASK32, lo >> 32))
 
 
-@lru_cache(maxsize=8)
-def _jump_tables(width: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Factors (A, C): draw k outputs from the state A[k] * init + C[k] * inc.
-
-    PCG64 seeding sets state = inc, adds init and steps once; each draw
-    steps once more and outputs the new state. So draw k (k = 1..width)
-    outputs from M**(k+1) * init + C_(k+2) * inc, where M is the multiplier
-    and C_j the sum of M**i over i < j, all mod 2**128.
-    """
-    powers, sums = [1], [0]
-    for _ in range(width + 2):
-        sums.append((sums[-1] + powers[-1]) & _MASK128)
-        powers.append((powers[-1] * _PCG_MULT) & _MASK128)
-    return _as_factor(powers[2 : width + 2]), _as_factor(sums[3 : width + 3])
+# PCG64 steps the state s <- M * s + inc; LANES steps at once are
+# s <- M**LANES * s + C_LANES * inc, where C_j = sum of M**i over i < j.
+_M = _const128(_PCG_MULT)
+_M_LANES = _const128(pow(_PCG_MULT, LANES, 1 << 128))
+_C_LANES = _const128(sum(pow(_PCG_MULT, i, 1 << 128) for i in range(LANES)) & _MASK128)
 
 
-def _mul128(factor: tuple[np.ndarray, ...], x_hi: np.ndarray, x_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) of factor[k] * x[j] mod 2**128 for every k (rows) and j (columns).
+def _mul128(hi: np.ndarray, lo: np.ndarray, const: tuple[np.uint64, ...], scratch: np.ndarray) -> None:
+    """(hi, lo) <- const * (hi, lo) mod 2**128, in place.
 
     uint64 products wrap, which gives the low word and the cross terms;
-    only the high word of lo * lo needs 32-bit halves.
+    only the high word of lo * const_lo needs 32-bit halves. scratch is
+    three uint64 arrays shaped like hi.
     """
-    f_hi, f_lo, f_lo32, f_hi32 = factor
-    x_lo32, x_hi32 = x_lo & _U64_MASK32, x_lo >> _U64_32
-    t = ((f_lo32 * x_lo32) >> _U64_32) + f_hi32 * x_lo32
-    u = (t & _U64_MASK32) + f_lo32 * x_hi32
-    hi = f_hi32 * x_hi32 + (t >> _U64_32) + (u >> _U64_32) + f_lo * x_hi + f_hi * x_lo
-    return hi, f_lo * x_lo
+    c_hi, c_lo, c_lo32, c_hi32 = const
+    t, u, w = scratch
+    np.multiply(hi, c_lo, out=hi)
+    np.multiply(lo, c_hi, out=w)
+    hi += w
+    np.bitwise_and(lo, _U64_MASK32, out=t)
+    np.right_shift(lo, _U64_32, out=u)
+    lo *= c_lo
+    # high word of (c_lo32 + c_hi32 * 2**32) * (t + u * 2**32)
+    np.multiply(u, c_hi32, out=w)
+    hi += w
+    u *= c_lo32
+    np.multiply(t, c_lo32, out=w)
+    w >>= _U64_32
+    t *= c_hi32
+    t += w
+    np.right_shift(t, _U64_32, out=w)
+    hi += w
+    t &= _U64_MASK32
+    u += t
+    u >>= _U64_32
+    hi += u
+
+
+def _add128(hi: np.ndarray, lo: np.ndarray, add_hi: np.ndarray, add_lo: np.ndarray, carry: np.ndarray) -> None:
+    """(hi, lo) <- (hi, lo) + (add_hi, add_lo) mod 2**128, in place."""
+    lo += add_lo
+    np.less(lo, add_lo, out=carry)
+    hi += add_hi
+    hi += carry
 
 
 def pcg64_uniforms(seeds: np.ndarray, width: int) -> np.ndarray:
     """(width, n) doubles; column j is default_rng(int(seeds[j])).random(width).
 
-    Seeds are hashed in one pass; draws are computed for CHUNK seeds at a
-    time, every draw of a chunk in one broadcast over the jump tables.
+    Seeds are hashed in one pass, then streamed CHUNK seeds at a time.
+    PCG64 seeding sets state = init + inc and steps once; each draw steps
+    once more and outputs the new state. A chunk is stepped one draw at a
+    time up to draw LANES, which gives a (LANES, chunk) array whose lane k
+    holds the state of draw k + 1. Each round then writes the outputs of
+    all lanes to LANES rows of out, and the next round first advances every
+    lane by LANES draws: one multiply by M**LANES and one add of
+    C_LANES * inc, a term computed once per seed. The last round writes
+    only the rows that are left.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(seeds)
     inc_hi = (seq_hi << _U64_1) | (seq_lo >> _U64_63)
     inc_lo = (seq_lo << _U64_1) | _U64_1
-    a, c = _jump_tables(width)
     out = np.empty((width, len(seeds)))
+    if not width:
+        return out
+    lanes, size = min(LANES, width), min(CHUNK, len(seeds))
+    lane_buf = np.empty((2, lanes, size), dtype=np.uint64)
+    scratch_buf = np.empty((3, lanes, size), dtype=np.uint64)
+    carry_buf = np.empty((lanes, size), dtype=bool)
     for start in range(0, len(seeds), CHUNK):
         part = slice(start, start + CHUNK)
-        a_hi, a_lo = _mul128(a, init_hi[part], init_lo[part])
-        c_hi, c_lo = _mul128(c, inc_hi[part], inc_lo[part])
-        s_lo = a_lo + c_lo
-        s_hi = a_hi + c_hi + (s_lo < a_lo)
-        # XSL-RR output: rotate hi ^ lo right by the top six bits of the state
-        x = s_hi ^ s_lo
-        rot = s_hi >> _U64_58
-        x = (x >> rot) | (x << ((_U64_64 - rot) & _U64_63))
-        np.multiply(x >> _U64_11, 1.0 / 9007199254740992.0, out=out[:, part])
+        c_hi, c_lo = inc_hi[part], inc_lo[part]
+        m = len(c_lo)
+        hi, lo = lane_buf[:, :, :m]
+        scratch, carry = scratch_buf[:, :, :m], carry_buf[:, :m]
+
+        s_hi, s_lo = init_hi[part].copy(), init_lo[part].copy()
+        _add128(s_hi, s_lo, c_hi, c_lo, carry[0])
+        for k in range(-1, lanes):  # the seeding step, then draws 1..lanes
+            _mul128(s_hi, s_lo, _M, scratch[:, 0])
+            _add128(s_hi, s_lo, c_hi, c_lo, carry[0])
+            if k >= 0:
+                hi[k], lo[k] = s_hi, s_lo
+        d_hi, d_lo = c_hi.copy(), c_lo.copy()
+        _mul128(d_hi, d_lo, _C_LANES, scratch[:, 0])
+
+        for first in range(0, width, LANES):
+            if first:
+                _mul128(hi, lo, _M_LANES, scratch)
+                _add128(hi, lo, d_hi, d_lo, carry)
+            rows = min(LANES, width - first)
+            x, rot, w = scratch[:, :rows]
+            # XSL-RR output: rotate hi ^ lo right by the top six bits of the state
+            np.bitwise_xor(hi[:rows], lo[:rows], out=x)
+            np.right_shift(hi[:rows], _U64_58, out=rot)
+            np.right_shift(x, rot, out=w)
+            np.subtract(_U64_64, rot, out=rot)
+            rot &= _U64_63
+            x <<= rot
+            x |= w
+            x >>= _U64_11
+            np.multiply(x, 1.0 / 9007199254740992.0, out=out[first : first + rows, part])
     return out

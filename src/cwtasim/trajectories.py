@@ -24,10 +24,13 @@ then one per month -- whether or not the subject drops out or dies early.
 Trials are therefore bit-reproducible, and identical whether subjects are
 simulated one at a time or as a vectorized batch. No generator is built
 per subject: subject_uniforms draws all streams at once with
-seeds.pcg64_uniforms, a vectorized SeedSequence + PCG64 that the oracle
-test checks bit for bit against default_rng. It returns a month-major
-(F-contiguous) view, so reading one month for every subject is a
-contiguous read.
+seeds.pcg64_uniforms, a vectorized SeedSequence + PCG64 that steps every
+stream in lanes of consecutive draws and that the oracle test checks bit
+for bit against default_rng. It returns a month-major (F-contiguous)
+view, so reading one month for every subject is a contiguous read. One
+call draws at most MAX_DRAWS uniforms, and a model's horizon is at most
+MAX_HORIZON months, so an oversized sample or horizon is refused with a
+ValueError instead of exhausting memory.
 
 A trial has one form from simulation to every statistic: Trial, the
 padded (n, horizon + 1) state matrix with each subject's censor month,
@@ -51,6 +54,8 @@ from .seeds import mix64_array, pcg64_uniforms
 CR, PR, SD, PD, DEATH = 0, 1, 2, 3, 4
 N_STATES = 5
 MAX_STATE = 4  # ordinal span; one level change = weight 1/MAX_STATE
+MAX_HORIZON = 1200  # months of follow-up a model may ask for (100 years)
+MAX_DRAWS = 2**27  # uniforms one subject_uniforms call may draw (1 GiB of doubles)
 
 _STATE_KEYS = tuple(str(s) for s in range(N_STATES))
 
@@ -104,8 +109,8 @@ class TransitionModel:
                 raise ValueError(f"improve_prob[{s}] + worsen_prob[{s}] exceeds 1")
         if not 0.0 < self.improve_decay <= 1.0:
             raise ValueError(f"improve_decay must lie in (0, 1], got {self.improve_decay}")
-        if int(self.horizon_months) < 1:
-            raise ValueError("horizon_months must be a positive integer")
+        if not 1 <= int(self.horizon_months) <= MAX_HORIZON:
+            raise ValueError(f"horizon_months must lie in 1..{MAX_HORIZON}, got {self.horizon_months}")
         object.__setattr__(self, "horizon_months", int(self.horizon_months))
         if not 0.0 <= self.dropout_rate <= 1.0:
             raise ValueError(f"dropout_rate = {self.dropout_rate} is not a probability")
@@ -243,8 +248,15 @@ def subject_uniforms(base_seed, n: int, horizon: int) -> np.ndarray:
     also be an array of R trial seeds; the result is then (R, n, horizon + 2),
     every stream drawn in one pass. Either way it is a view of a
     C-contiguous buffer with the draw axis first, so one month of every
-    subject is contiguous.
+    subject is contiguous. A call that would draw more than MAX_DRAWS
+    uniforms raises ValueError before it allocates anything.
     """
+    need = np.size(base_seed) * n * (horizon + 2)
+    if need > MAX_DRAWS:
+        raise ValueError(
+            f"sample size {n} at a {horizon}-month horizon needs {need} uniforms, "
+            f"more than the {MAX_DRAWS} one pass may draw"
+        )
     trial_seeds = base_seed[:, None] if isinstance(base_seed, np.ndarray) else base_seed
     seeds = mix64_array((trial_seeds,), np.arange(n, dtype=np.uint64))
     draws = pcg64_uniforms(seeds.ravel(), horizon + 2)

@@ -155,6 +155,8 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys):
         ("list_horizon.json", '{"improve_prob": {}, "worsen_prob": {}, "horizon_months": [1]}', "horizon_months"),
         ("truncated.json", '{"improve_prob": {"0": 0.0}, "wor', "Unterminated string"),
         ("deep.json", "[" * 100_000, "recursion"),
+        ("long_horizon.json", '{"improve_prob": {}, "worsen_prob": {}, "horizon_months": 1000000000}',
+         "horizon_months must lie in 1..1200"),
     ):
         profile = tmp_path / name
         profile.write_text(text)
@@ -173,12 +175,30 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys):
         ("unmapped_hr.json", '{"hazard_ratios": [0.5], "replicates": {"0.6": 3}}', "lacks hazard ratio"),
         ("bad_profile_cfg.json", json.dumps({"profile": str(tmp_path / "null_prob.json")}), "null_prob.json: "),
         ("no_profile_cfg.json", '{"profile": "no-such-profile"}', "neither a built-in name"),
+        ("many_reps_cfg.json", '{"replicates": 1000000000000000}', "replicates must lie in 1..10000000"),
+        ("many_reps_map_cfg.json", '{"hazard_ratios": [0.5], "replicates": {"0.5": 1000000000000000}}',
+         "replicates must lie in 1..10000000"),
     ):
         config = tmp_path / name
         config.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert run_cli(["power", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {config}: ") and expected in err, err
+
+    # a sample too large to draw: one line naming the sample size, before anything is allocated
+    huge_cfg = tmp_path / "huge_n_cfg.json"
+    huge_cfg.write_text(json.dumps({"profile": fast_profile, "sample_sizes": [2_000_000_000_000],
+                                    "output_dir": str(tmp_path / "huge_out")}))
+    for argv in (
+        ["simulate", "--profile", fast_profile, "--sample-size", "2000000000000",
+         "--hr", "0.7", "--out", str(tmp_path / "never.csv")],
+        ["power", "--config", str(huge_cfg)],
+        ["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
+         "--subjects", "2000000000000", "--out", str(tmp_path / "never.json")],
+    ):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: sample size 2000000000000 at a 18-month"), err
 
     assert run_cli(["analyze", "--trial", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -318,7 +338,7 @@ BAD_CONFIG_VALUES = {  # values each config field rejects
     "profile": [None, True, 3, [], {}, "", "no-such-profile"],
     "hazard_ratios": [None, 0.5, "0.5", [], [0], [-0.5], [True], ["x"], [None], [float("nan")]],
     "sample_sizes": [None, 20, "20", [], [3], [0], [-2], [2.5], [True]],
-    "replicates": [None, 0, -1, True, 2.5, "3", [2], {"0.6": 2}, {"0.5": 0}, {"x": 2}],
+    "replicates": [None, 0, -1, True, 2.5, "3", [2], {"0.6": 2}, {"0.5": 0}, {"x": 2}, 10**15, {"0.5": 10**7 + 1}],
     "alpha": [None, 0, 1, 1.5, -0.1, True, "0.05", [0.05], float("nan")],
     "master_seed": [None, 1.5, True, "0", [0], {}],
     "output_dir": [None, "", 3, True, []],
@@ -328,7 +348,7 @@ BAD_PROFILE_VALUES = {  # values each profile field rejects
                      {"1": "0.1"}, {"1": 1.5}, {"1": -0.1}, {"1": 10**400}, {"1": float("inf")}],
     "worsen_prob": [None, [], {"4": 0.1}, {"1": None}, {"1": False}, {"1": {}}, {"1": 2}, {"2": float("nan")}],
     "improve_decay": [None, True, "0.9", [0.9], 0, 1.5, -1, float("nan")],
-    "horizon_months": [None, True, [1], "60", 60.5, 1.0, 0, -3],
+    "horizon_months": [None, True, [1], "60", 60.5, 1.0, 0, -3, 1201, 10**9],
     "dropout_rate": [None, False, "0.1", [], -0.1, 1.5, float("nan")],
 }
 

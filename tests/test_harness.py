@@ -345,6 +345,9 @@ def test_experiment_grid_validation():
         ExperimentGrid(hazard_ratios=(-0.5,), sample_sizes=(100,), replicates=10)
     with pytest.raises(ValueError):
         ExperimentGrid(hazard_ratios=(0.5, 0.7), sample_sizes=(100,), replicates={0.5: 100})
+    for replicates in (10**7 + 1, {0.5: 10**15}):
+        with pytest.raises(ValueError, match="replicates must lie in 1..10000000"):
+            ExperimentGrid(hazard_ratios=(0.5,), sample_sizes=(100,), replicates=replicates)
     grid = ExperimentGrid(hazard_ratios=(0.5, 0.7), sample_sizes=(100,), replicates={0.5: 100, 0.7: 200})
     assert grid.replicates_for(0.5) == 100
     assert grid.replicates_for(0.7) == 200

@@ -22,8 +22,9 @@ from cwtasim import (
     apply_hazard_ratio,
     simulate_trial,
 )
-from cwtasim.seeds import CHUNK, pcg64_uniforms
+from cwtasim.seeds import CHUNK, LANES, pcg64_uniforms
 from cwtasim.trajectories import (
+    MAX_DRAWS,
     _simulate_state_matrix,
     simulate_block,
     subject_uniforms,
@@ -64,6 +65,8 @@ def test_probability_bounds_checked():
         model(dropout_rate=-0.1)
     with pytest.raises(ValueError):
         model(horizon_months=0)
+    with pytest.raises(ValueError, match="horizon_months must lie in 1..1200"):
+        model(horizon_months=1201)
 
 
 def test_trial_config_requires_even_positive_sample():
@@ -245,24 +248,33 @@ def test_subject_uniform_layout_is_fixed():
         assert np.array_equal(blocks[i], expected)
 
 
+def test_subject_uniforms_counts_every_trial_of_a_block_against_the_cap():
+    """Each trial alone would fit; the block of three would not, so nothing is drawn."""
+    assert 2**20 * 64 <= MAX_DRAWS < 3 * 2**20 * 64
+    with pytest.raises(ValueError, match="sample size 1048576 at a 62-month horizon needs 201326592"):
+        subject_uniforms(np.zeros(3, dtype=np.uint64), 2**20, 62)
+
+
 # -------------------------------- vectorized streams against the oracle
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 SEEDS = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
 # empty, single, either side of one chunk, and several chunks with a ragged tail
 SUBJECT_COUNTS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 37)
+# widths inside, at and past one and two rounds of LANES draws, and past a 60-month block's 62
+MAX_WIDTH = max(70, 2 * LANES + 1)
 
 
 def test_pcg64_uniforms_edge_seeds_at_every_width():
     seeds = np.array(EDGE_SEEDS, dtype=np.uint64)
-    for width in range(1, 71):
+    for width in range(1, MAX_WIDTH + 1):
         got = pcg64_uniforms(seeds, width)
         for j, seed in enumerate(EDGE_SEEDS):
             assert np.array_equal(got[:, j], np.random.default_rng(seed).random(width)), (seed, width)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seeds=st.lists(SEEDS, max_size=40), width=st.integers(1, 70))
+@given(seeds=st.lists(SEEDS, max_size=40), width=st.integers(1, MAX_WIDTH))
 def test_pcg64_uniforms_match_default_rng(seeds, width):
     got = pcg64_uniforms(np.array(seeds, dtype=np.uint64), width)
     assert got.shape == (width, len(seeds)) and got.flags.c_contiguous
