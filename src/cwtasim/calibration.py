@@ -103,21 +103,26 @@ class CalibrationError(RuntimeError):
 
 
 def _observed_months(model: TransitionModel, blocks: np.ndarray) -> np.ndarray:
-    """(n, horizon + 1) mask of the months each subject is observed, from its dropout draws.
+    """(horizon + 1, n) month-major mask of the months each subject is observed.
 
-    It depends only on the uniforms and on the dropout rate and horizon,
-    which calibration never changes, so it is built once per block.
+    It depends only on the dropout draws and on the dropout rate and
+    horizon, which calibration never changes, so it is built once per
+    block, in the layout of the kernel's state buffer.
     """
     _, censor = _dropout_from_uniforms(model, blocks[:, 0], blocks[:, 1])
-    return np.arange(model.horizon_months + 1) <= censor[:, None]
+    return np.arange(model.horizon_months + 1)[:, None] <= censor
 
 
 def _response_rates(
     model: TransitionModel, monthly_u: np.ndarray, observed: np.ndarray
 ) -> tuple[float, float]:
-    """(CR rate, PR rate) of best overall response over the observed months."""
-    states = _simulate_state_matrix(model, monthly_u)
-    best = np.where(observed, states, N_STATES).min(axis=1)
+    """(CR rate, PR rate) of best overall response over the observed months.
+
+    observed is month-major, like the kernel's state buffer, so the best
+    state is a running minimum over contiguous month rows.
+    """
+    states = np.moveaxis(_simulate_state_matrix(model, monthly_u), -1, 0)
+    best = states.min(axis=0, where=observed, initial=N_STATES)
     return float(np.mean(best == CR)), float(np.mean(best == PR))
 
 

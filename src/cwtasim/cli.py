@@ -30,7 +30,7 @@ from .config import (
 )
 from .kaplan_meier import DegenerateTestError, Endpoint, endpoint_arrays, km_estimate, logrank_test
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
-from .trajectories import Arm, TrialConfig, simulate_trial
+from .trajectories import Arm, TrialConfig, check_draws, simulate_trial
 from .weighted import cwta_curve, trial_event_sums, weighted_logrank_test
 
 
@@ -167,7 +167,8 @@ def _cmd_analyze(args) -> int:
 
 def _grid_from_config(path: str, command: str) -> tuple[harness.ExperimentGrid, str]:
     """The grid and output directory of a config file; a fault of the config
-    or of the profile it names is a ConfigError that starts with the path."""
+    or of the profile it names, or a sample size too large to draw, is a
+    ConfigError that starts with the path, raised before anything runs."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -186,7 +187,9 @@ def _grid_from_config(path: str, command: str) -> tuple[harness.ExperimentGrid, 
             profile=cfg.profile,
             master_seed=cfg.master_seed,
         )
-        serialize.load_profile(grid.profile)
+        horizon = serialize.load_profile(grid.profile).horizon_months
+        for ss in grid.sample_sizes:  # one trial is the largest block: several share BLOCK_ROWS rows
+            check_draws(ss, horizon)
     except (ValueError, OSError) as exc:  # ValueError covers ConfigError and a decode error
         raise ConfigError(f"{path}: {exc}") from None
     return grid, cfg.output_dir

@@ -220,7 +220,9 @@ def run_replicates(
     process or spread over a pool of `workers` processes. Row r of the
     result is replicate r, and it is the same for any block split and any
     worker count, because each replicate's seed depends only on
-    (master_seed, hr, ss, replicate index).
+    (master_seed, hr, ss, replicate index). If a block fails or the run
+    is interrupted, the pool's queued blocks are cancelled before the
+    exception propagates; only blocks already running are waited for.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -237,14 +239,18 @@ def run_replicates(
             store(block, _run_block(point, block))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending: deque = deque()
-            for block in blocks:  # about two blocks per worker in flight, not all of them
-                pending.append((block, pool.submit(_run_block, point, block)))
-                if len(pending) > 2 * workers:
-                    block, future = pending.popleft()
+            try:
+                pending: deque = deque()
+                for block in blocks:  # about two blocks per worker in flight, not all of them
+                    pending.append((block, pool.submit(_run_block, point, block)))
+                    if len(pending) > 2 * workers:
+                        block, future = pending.popleft()
+                        store(block, future.result())
+                for block, future in pending:
                     store(block, future.result())
-            for block, future in pending:
-                store(block, future.result())
+            except BaseException:  # an interrupt too: drop the queued blocks rather than wait for them
+                pool.shutdown(cancel_futures=True)
+                raise
     return ReplicateScans(final_p=final_p, first_month=first_month)
 
 

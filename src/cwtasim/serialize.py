@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trajectories import DEATH, PD, SD, Arm, TransitionModel, Trial
+from .trajectories import DEATH, N_STATES, PD, SD, Arm, TransitionModel, Trial
 
 BUILTIN_PROFILES = ("moderate", "high")
 
@@ -70,16 +70,36 @@ def load_profile(name_or_path: str) -> TransitionModel:
         raise ValueError(f"{name_or_path}: {exc}") from None
 
 
+WRITE_SUBJECTS = 1_024  # subjects formatted per write: bounds the text alive at once
+
+
 def write_trajectories_csv(trial: Trial, path) -> None:
-    """Long-format trajectory CSV: subject,month,state,arm,dropout_month."""
+    """Long-format trajectory CSV: subject,month,state,arm,dropout_month.
+
+    Rows are written WRITE_SUBJECTS subjects at a time, straight from the
+    state matrix. A subject's rows differ only in month and state, so they
+    are one join of "month,state" texts, looked up by month * N_STATES +
+    state, between the subject's own "subject," prefix and
+    ",arm,dropout_month" line ending. Observed states are 0..4, as in any
+    Trial.
+    """
+    cells = [f"{m},{s}" for m in range(trial.horizon + 1) for s in range(N_STATES)]
+    codes = N_STATES * np.arange(trial.horizon + 1)
     labels = [Arm(a).label for a in trial.arms.tolist()]
-    rows = []
-    for i, (states, last, dropped) in enumerate(
-        zip(trial.states.tolist(), trial.censor.tolist(), trial.dropped.tolist())
-    ):
-        d = last if dropped else None
-        rows.extend((i, month, states[month], labels[i], d) for month in range(last + 1))
-    _write_rows(path, ("subject", "month", "state", "arm", "dropout_month"), rows)
+    with open(path, "w", newline="") as fh:
+        fh.write("subject,month,state,arm,dropout_month\n")
+        for start in range(0, len(labels), WRITE_SUBJECTS):
+            stop = min(start + WRITE_SUBJECTS, len(labels))
+            text = []
+            for i, row, last, dropped in zip(
+                range(start, stop),
+                (trial.states[start:stop] + codes).tolist(),
+                trial.censor[start:stop].tolist(),
+                trial.dropped[start:stop].tolist(),
+            ):
+                head, tail = f"{i},", f",{labels[i]},{last if dropped else ''}\n"
+                text.append(head + (tail + head).join(map(cells.__getitem__, row[: last + 1])) + tail)
+            fh.write("".join(text))
 
 
 _REQUIRED = ("subject", "month", "state", "arm")

@@ -38,6 +38,13 @@ arm and dropout flag. There are no per-subject objects; the CSV reader
 scatters its rows straight into the same form. simulate_block
 simulates R trials of one design at once, as a Trial with a leading
 replicate axis; simulate_trial is its one-trial call.
+
+_simulate_state_matrix is the one month-step kernel, for trials and for
+calibration alike. It evolves both arms of a block in one pass, each row
+gathering its thresholds from the two arms' stacked per-state tables at
+its state plus N_STATES times its arm. The structural zeros (CR never
+improves, death never worsens) keep that index inside its arm's entries,
+which is why the gather's mode="clip" never clips.
 """
 
 from __future__ import annotations
@@ -181,7 +188,9 @@ def apply_hazard_ratio(
     precision -- the exact discrete-time counterpart of multiplying a
     continuous hazard by hr. Improvement probabilities are left untouched
     (treatment effects act on worsening only) unless improvement_hr is
-    given, in which case the same transform is applied to them.
+    given, in which case the same transform is applied to them. The
+    improvement decay is never changed, so both arms share the control
+    model's.
     """
     if not hr > 0.0:
         raise ValueError(f"hazard ratio must be positive, got {hr}")
@@ -239,6 +248,16 @@ class Trial:
         return self.states.shape[-1] - 1
 
 
+def check_draws(n: int, horizon: int, trials: int = 1) -> None:
+    """Raise ValueError if trials x n subjects' streams exceed MAX_DRAWS uniforms."""
+    need = trials * n * (horizon + 2)
+    if need > MAX_DRAWS:
+        raise ValueError(
+            f"sample size {n} at a {horizon}-month horizon needs {need} uniforms, "
+            f"more than the {MAX_DRAWS} one pass may draw"
+        )
+
+
 def subject_uniforms(base_seed, n: int, horizon: int) -> np.ndarray:
     """(n, horizon + 2) uniform draws, row i from the stream mix64(base_seed, i).
 
@@ -251,41 +270,60 @@ def subject_uniforms(base_seed, n: int, horizon: int) -> np.ndarray:
     subject is contiguous. A call that would draw more than MAX_DRAWS
     uniforms raises ValueError before it allocates anything.
     """
-    need = np.size(base_seed) * n * (horizon + 2)
-    if need > MAX_DRAWS:
-        raise ValueError(
-            f"sample size {n} at a {horizon}-month horizon needs {need} uniforms, "
-            f"more than the {MAX_DRAWS} one pass may draw"
-        )
+    check_draws(n, horizon, np.size(base_seed))
     trial_seeds = base_seed[:, None] if isinstance(base_seed, np.ndarray) else base_seed
     seeds = mix64_array((trial_seeds,), np.arange(n, dtype=np.uint64))
     draws = pcg64_uniforms(seeds.ravel(), horizon + 2)
     return np.moveaxis(draws.reshape((horizon + 2,) + seeds.shape), 0, -1)
 
 
-def _simulate_state_matrix(model: TransitionModel, monthly_u: np.ndarray) -> np.ndarray:
-    """Evolve the state ladder for a batch of subjects.
+def _simulate_state_matrix(
+    model: TransitionModel, monthly_u: np.ndarray, experimental: TransitionModel | None = None
+) -> np.ndarray:
+    """Evolve the state ladder for a batch of subjects: the one month-step kernel.
 
     monthly_u holds one uniform per subject per month, months on the last
     axis; any leading axes (subjects, or replicates and subjects) are kept.
+    Without experimental every row evolves under model. With it, the last
+    leading axis is the subjects of 1:1 trials: its first half evolves
+    under model (control), its second half under experimental, both arms
+    in the same pass. The improvement decay is model's for both arms;
+    apply_hazard_ratio never changes it.
+
     The draw decides [improve | stay | worsen] in that order: improve iff
     u < p_improve, worsen iff u >= 1 - p_worsen. Model validation
-    guarantees the two intervals never overlap. Months are read and
-    written one at a time, so a month-major monthly_u reads contiguously;
-    the (..., horizon + 1) result is likewise a month-major view.
+    guarantees the two intervals never overlap. Each month stacks the
+    arms' tables improve_prob * decay**(m - 1) and 1 - worsen_prob, entry
+    s + N_STATES * k for state s of arm k, and gathers every row's two
+    thresholds from them. Each entry is the very product or difference
+    the per-subject rule computes, so the states are that rule's bit for
+    bit. A row's index never leaves its arm's N_STATES entries, since CR
+    cannot improve and death cannot worsen, so mode="clip" never clips.
+    States are updated in place, in int8, one month-major row a month,
+    and the arm offset is removed once at the end; the (..., horizon + 1)
+    result is a month-major view.
     """
     *lead, horizon = monthly_u.shape
-    improve = np.asarray(model.improve_prob)
-    worsen = np.asarray(model.worsen_prob)
+    models = (model,) if experimental is None else (model, experimental)
+    improve = np.array([arm.improve_prob for arm in models]).ravel()
+    worsen_from = 1.0 - np.array([arm.worsen_prob for arm in models]).ravel()
+    offset = np.zeros(lead[-1:], dtype=np.int8)
+    if experimental is not None:
+        offset[lead[-1] // 2 :] = N_STATES
     states = np.empty((horizon + 1, *lead), dtype=np.int8)
-    states[0] = SD
-    s = np.full(lead, SD, dtype=np.intp)
+    states[0] = SD + offset
+    index = states[0].astype(np.intp)
+    p_improve, p_worsen_from, moved = np.empty(lead), np.empty(lead), np.empty(lead, dtype=bool)
     for m in range(1, horizon + 1):
         u = monthly_u[..., m - 1]
-        p_improve = improve[s] * (model.improve_decay ** (m - 1))
-        p_worsen = worsen[s]
-        s = s - (u < p_improve) + (u >= 1.0 - p_worsen)
-        states[m] = s
+        np.take(improve * model.improve_decay ** (m - 1), index, out=p_improve, mode="clip")
+        np.take(worsen_from, index, out=p_worsen_from, mode="clip")
+        np.less(u, p_improve, out=moved)
+        np.subtract(states[m - 1], moved, out=states[m])
+        np.greater_equal(u, p_worsen_from, out=moved)
+        states[m] += moved
+        index[...] = states[m]
+    states -= offset
     return np.moveaxis(states, 0, -1)
 
 
@@ -311,9 +349,9 @@ def simulate_block(
 
     seeds is one trial seed, giving one Trial, or an array of R trial
     seeds, giving a block of R trials on a leading replicate axis. Every
-    stream is drawn in one pass and each arm evolves once over all of its
-    rows. Subject i of the trial with seed s draws from mix64(s, i), so a
-    trial is the same whichever block it is simulated in.
+    stream is drawn in one pass, and both arms of every trial evolve in
+    one kernel call. Subject i of the trial with seed s draws from
+    mix64(s, i), so a trial is the same whichever block it is simulated in.
     """
     _check_sample_size(sample_size)
     model_e = apply_hazard_ratio(control_model, hazard_ratio, improvement_hr)
@@ -321,9 +359,7 @@ def simulate_block(
     horizon = control_model.horizon_months
 
     draws = subject_uniforms(seeds, sample_size, horizon)
-    states = np.empty(draws.shape[:-1] + (horizon + 1,), dtype=np.int8)
-    states[..., :half, :] = _simulate_state_matrix(control_model, draws[..., :half, 2:])
-    states[..., half:, :] = _simulate_state_matrix(model_e, draws[..., half:, 2:])
+    states = _simulate_state_matrix(control_model, draws[..., 2:], model_e)
     dropped, censor = _dropout_from_uniforms(control_model, draws[..., 0], draws[..., 1])
     states[np.arange(horizon + 1) > censor[..., None]] = -1
     arms = np.repeat(np.array([Arm.CONTROL, Arm.EXPERIMENTAL], dtype=np.int8), half)

@@ -16,7 +16,9 @@ matrix directly.
 read_trajectories_rowwise is the former row-by-row CSV reader (one dict
 per row, per-subject checks in a loop), the reference for the columnar
 read_trajectories_csv; trial_state_matrix packs per-subject rows the way
-it did.
+it did. write_trajectories_rowwise is the former writer (one tuple per
+row, each value formatted on its own through the csv module), the
+reference for the chunked write_trajectories_csv.
 """
 
 from __future__ import annotations
@@ -89,7 +91,11 @@ def _trajectory_from_block(model: TransitionModel, block) -> tuple[np.ndarray, i
 
 
 def simulate_subject(
-    control_model: TransitionModel, arm: Arm, hr: float, rng: np.random.Generator
+    control_model: TransitionModel,
+    arm: Arm,
+    hr: float,
+    rng: np.random.Generator,
+    improvement_hr: float | None = None,
 ) -> tuple[np.ndarray, int | None]:
     """Simulate one subject, consuming horizon + 2 uniforms from rng.
 
@@ -98,7 +104,7 @@ def simulate_subject(
     """
     model = control_model
     if arm == Arm.EXPERIMENTAL:
-        model = apply_hazard_ratio(control_model, hr)
+        model = apply_hazard_ratio(control_model, hr, improvement_hr)
     block = rng.random(control_model.horizon_months + 2)
     return _trajectory_from_block(model, block)
 
@@ -463,3 +469,19 @@ def read_trajectories_rowwise(path) -> Trial:
         arms=np.array([e["arm"] for e in subjects], dtype=np.int8),
         dropped=np.array([e["dropout"] is not None for e in subjects], dtype=bool),
     )
+
+
+def write_trajectories_rowwise(trial: Trial, path) -> None:
+    """The former trajectory CSV writer: one tuple per row through csv.writer."""
+    labels = [Arm(a).label for a in trial.arms.tolist()]
+    rows = []
+    for i, (states, last, dropped) in enumerate(
+        zip(trial.states.tolist(), trial.censor.tolist(), trial.dropped.tolist())
+    ):
+        d = last if dropped else None
+        rows.extend((i, month, states[month], labels[i], d) for month in range(last + 1))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("subject", "month", "state", "arm", "dropout_month"))
+        for row in rows:
+            writer.writerow(["" if v is None else str(v) for v in row])

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from cwtasim.calibration import (
+    CALIBRATION_SEED,
     CalibrationError,
     CalibrationTarget,
     calibrate_transition_model,
     control_response_rates,
 )
-from cwtasim.trajectories import TransitionModel
+from cwtasim.trajectories import CR, PR, Arm, TransitionModel
+from oracles import simulate_subject, subject_rng
 
 TEMPLATE = TransitionModel(
     improve_prob=(0.0, 0.0, 0.0, 0.0, 0.0),
@@ -34,6 +36,26 @@ def test_target_json_round_trip():
     assert CalibrationTarget.from_json_dict(t.to_json_dict()) == t
     with pytest.raises(ValueError, match="unknown fields"):
         CalibrationTarget.from_json_dict({"cr_rate": 0.05, "pr_rate": 0.3, "bonus": 1})
+
+
+def test_response_rates_match_per_subject_oracle():
+    """Best overall response over each subject's observed months, one subject
+    at a time; half the subjects drop out, so the observed mask matters."""
+    model = TransitionModel(
+        improve_prob=(0.0, 0.12, 0.1, 0.0, 0.0),
+        worsen_prob=TEMPLATE.worsen_prob,
+        improve_decay=0.9,
+        horizon_months=24,
+        dropout_rate=0.5,
+    )
+    n = 300
+    best = [
+        int(simulate_subject(model, Arm.CONTROL, 1.0, subject_rng(CALIBRATION_SEED, i))[0].min())
+        for i in range(n)
+    ]
+    expected = (best.count(CR) / n, best.count(PR) / n)
+    assert 0.0 < expected[0] and 0.0 < expected[1]
+    assert control_response_rates(model, n_subjects=n) == expected
 
 
 def test_zero_targets_leave_improvement_at_zero():

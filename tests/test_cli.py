@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cwtasim import load_profile, read_trajectories_csv, save_profile
+from cwtasim import harness, load_profile, read_trajectories_csv, save_profile
 from cwtasim.cli import resolve_workers, run_cli
 from cwtasim.trajectories import TransitionModel
 
@@ -142,7 +142,7 @@ def test_workers_below_one_exits_2_before_the_grid(tmp_path, fast_profile, capsy
     assert not (tmp_path / "out").exists()
 
 
-def test_error_paths_exit_2(tmp_path, fast_profile, capsys):
+def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text('{"alpha": 2.0}')
     assert run_cli(["power", "--config", str(bad_cfg)]) == 2
@@ -185,20 +185,29 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {config}: ") and expected in err, err
 
-    # a sample too large to draw: one line naming the sample size, before anything is allocated
-    huge_cfg = tmp_path / "huge_n_cfg.json"
-    huge_cfg.write_text(json.dumps({"profile": fast_profile, "sample_sizes": [2_000_000_000_000],
-                                    "output_dir": str(tmp_path / "huge_out")}))
-    for argv in (
-        ["simulate", "--profile", fast_profile, "--sample-size", "2000000000000",
-         "--hr", "0.7", "--out", str(tmp_path / "never.csv")],
-        ["power", "--config", str(huge_cfg)],
-        ["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
-         "--subjects", "2000000000000", "--out", str(tmp_path / "never.json")],
+    # a sample too large to draw: one line naming the sample size, before anything is allocated;
+    # in a grid config the line starts with the config's path, and no block of the grid runs
+    huge = "sample size 2000000000000 at a 18-month"
+    blocks_run = []
+    monkeypatch.setattr(harness, "_run_block", lambda *args: blocks_run.append(args))
+    cfgs = []
+    for name, sizes in (("huge_n_cfg.json", [2_000_000_000_000]), ("late_huge_n_cfg.json", [400, 2_000_000_000_000])):
+        cfgs.append(tmp_path / name)
+        cfgs[-1].write_text(json.dumps({"profile": fast_profile, "sample_sizes": sizes, "replicates": 200,
+                                        "output_dir": str(tmp_path / "huge_out")}))
+    for argv, start in (
+        (["simulate", "--profile", fast_profile, "--sample-size", "2000000000000",
+          "--hr", "0.7", "--out", str(tmp_path / "never.csv")], f"error: {huge}"),
+        (["power", "--config", str(cfgs[0])], f"error: {cfgs[0]}: {huge}"),
+        (["power", "--config", str(cfgs[1])], f"error: {cfgs[1]}: {huge}"),
+        (["tte", "--config", str(cfgs[1])], f"error: {cfgs[1]}: {huge}"),
+        (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
+          "--subjects", "2000000000000", "--out", str(tmp_path / "never.json")], f"error: {huge}"),
     ):
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: sample size 2000000000000 at a 18-month"), err
+        assert err.count("\n") == 1 and err.startswith(start), err
+    assert blocks_run == [] and not (tmp_path / "huge_out").exists()
 
     assert run_cli(["analyze", "--trial", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +210,40 @@ def test_plan_blocks_cover_replicates_within_the_row_budget(monkeypatch):
     assert list(plan_blocks(3, 150)) == [(0, 1), (1, 2), (2, 3)]  # a trial above the budget alone
     assert list(plan_blocks(7, 30)) == [(0, 2), (2, 4), (4, 7)]  # 3 per block at most, sizes even
     assert list(plan_blocks(7, 30, workers=2)) == [(0, 1), (1, 3), (3, 5), (5, 7)]  # 2 per worker
+
+
+def test_interrupt_cancels_queued_blocks(monkeypatch):
+    """A KeyboardInterrupt from a block propagates, and the blocks still queued
+    in the pool never run. The pool is one thread of this process, and a
+    block after the first waits until the pool is shut down, so the queue
+    is still full when the interrupt arrives; no signal is sent."""
+    ran, release = [], threading.Event()
+
+    def run_block(point, block):
+        ran.append(block)
+        if block[0] == 0:
+            raise KeyboardInterrupt
+        release.wait(timeout=30)
+        rows = block[1] - block[0]
+        return np.zeros((rows, 3)), np.zeros((rows, 3), dtype=np.int64)
+
+    class OneThreadPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=1)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()  # lets the running block finish, and any block left in the queue run
+            super().shutdown(wait=wait)
+
+    monkeypatch.setattr(harness, "_run_block", run_block)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", OneThreadPool)
+    monkeypatch.setattr(harness, "BLOCK_ROWS", 2)  # one replicate per block
+    with pytest.raises(KeyboardInterrupt):
+        harness.run_replicates(0.7, 2, 12, MODEL, 0, workers=2)
+    # block 0, and block 1 if the thread took it up before the queue was cancelled;
+    # blocks 2..4 were queued (2 * workers + 1 in flight) and must never run
+    assert ran in ([(0, 1)], [(0, 1), (1, 2)]), ran
 
 
 def test_plan_blocks_is_lazy():

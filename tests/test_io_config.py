@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from cwtasim.serialize import (
 )
 from cwtasim.weighted import cwta_curve, trial_event_sums, weighted_logrank_test
 
-from oracles import read_trajectories_rowwise
+from oracles import read_trajectories_rowwise, write_trajectories_rowwise
 
 MODEL = TransitionModel(
     improve_prob=(0.0, 0.05, 0.03, 0.0, 0.0),
@@ -167,6 +168,27 @@ def test_trajectories_csv_is_byte_stable(tmp_path):
     write_trajectories_csv(trial, a)
     write_trajectories_csv(trial, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_trajectories_csv_matches_rowwise_writer(tmp_path):
+    """The chunked writer writes the former row-by-row writer's bytes: across
+    chunk boundaries, for dropped subjects, for a dropout at the horizon
+    month (dropout_month filled although the subject is followed to the
+    end) and for a trial of one subject."""
+    model = TransitionModel(MODEL.improve_prob, MODEL.worsen_prob, 0.95, 18, dropout_rate=0.4)
+    trial = simulate_trial(TrialConfig(2 * serialize.WRITE_SUBJECTS + 6, 0.6, model, seed=8))
+    assert trial.dropped.any() and (~trial.dropped).any()
+    followed = np.flatnonzero(trial.censor == trial.horizon)
+    dropped = trial.dropped.copy()
+    dropped[followed[:3]] = True
+    at_horizon = replace(trial, dropped=dropped)
+    i = followed[-1]
+    one = Trial(trial.states[i : i + 1], np.array([18]), trial.arms[i : i + 1], np.array([True]))
+    for k, case in enumerate((trial, at_horizon, one, replace(one, dropped=np.array([False])))):
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        write_trajectories_csv(case, got)
+        write_trajectories_rowwise(case, want)
+        assert got.read_bytes() == want.read_bytes(), k
 
 
 def bad_csv(tmp_path, body):

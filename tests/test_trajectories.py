@@ -3,6 +3,7 @@ the randomness contract (fixed draw layout, scalar == vectorized)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import log
 
 import numpy as np
@@ -20,6 +21,7 @@ from cwtasim import (
     TransitionModel,
     TrialConfig,
     apply_hazard_ratio,
+    load_profile,
     simulate_trial,
 )
 from cwtasim.seeds import CHUNK, LANES, pcg64_uniforms
@@ -306,6 +308,34 @@ def test_state_evolution_is_layout_independent(seed, n, sd_improve, pr_improve, 
     from_c = _simulate_state_matrix(m, np.ascontiguousarray(monthly))
     assert from_f.shape == (n, 25)
     assert np.array_equal(from_f, from_c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    profile=st.sampled_from(("moderate", "high")),
+    hr=st.floats(0.5, 1.0),
+    improvement_hr=st.one_of(st.none(), st.floats(0.5, 2.0)),
+    decay=st.floats(0.5, 1.0),
+    replicates=st.sampled_from((1, 3)),
+    half=st.integers(1, 8),
+    seed=SEEDS,
+)
+def test_block_rows_match_per_subject_oracle(profile, hr, improvement_hr, decay, replicates, half, seed):
+    """Both arms of a block, evolved in one pass, are the per-subject rule row by row.
+
+    A drawn improvement_hr is the one case where the stacked arm tables
+    also differ in their improvement probabilities."""
+    m = replace(load_profile(profile), improve_decay=decay)
+    seeds = np.array([seed ^ r for r in range(replicates)], dtype=np.uint64)
+    block = simulate_block(m, hr, 2 * half, seeds, improvement_hr)
+    for r, trial_seed in enumerate(seeds.tolist()):
+        for i in range(2 * half):
+            arm = Arm.CONTROL if i < half else Arm.EXPERIMENTAL
+            states, dropout = simulate_subject(m, arm, hr, subject_rng(trial_seed, i), improvement_hr)
+            last = int(block.censor[r, i])
+            assert np.array_equal(block.states[r, i, : last + 1], states), (r, i)
+            assert (block.states[r, i, last + 1 :] == -1).all()
+            assert dropout == (last if block.dropped[r, i] else None)
 
 
 def test_dropout_month_uses_second_draw():
