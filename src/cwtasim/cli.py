@@ -21,16 +21,10 @@ from .calibration import (
     calibrate_transition_model,
     control_response_rates,
 )
-from .config import (
-    DEFAULT_POWER_SIZES,
-    DEFAULT_TTE_SIZES,
-    ConfigError,
-    default_replicates_for_tte,
-    parse_config,
-)
+from .config import ConfigError, ExperimentGrid, parse_config
 from .kaplan_meier import DegenerateTestError, Endpoint, endpoint_arrays, km_estimate, logrank_test
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
-from .trajectories import Arm, TrialConfig, check_draws, simulate_trial
+from .trajectories import Arm, TrialConfig, apply_hazard_ratio, check_draws, simulate_trial
 from .weighted import cwta_curve, trial_event_sums, weighted_logrank_test
 
 
@@ -165,34 +159,26 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _grid_from_config(path: str, command: str) -> tuple[harness.ExperimentGrid, str]:
+def _grid_from_config(path: str, command: str) -> tuple[ExperimentGrid, str]:
     """The grid and output directory of a config file; a fault of the config
-    or of the profile it names, or a sample size too large to draw, is a
-    ConfigError that starts with the path, raised before anything runs."""
+    or of the profile it names, a sample size too large to draw or a hazard
+    ratio the profile cannot take is a ConfigError that starts with the
+    path, raised before anything runs."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        cfg = parse_config(raw.decode())
-        sizes = cfg.sample_sizes
-        if sizes is None:
-            sizes = DEFAULT_TTE_SIZES if command == "tte" else DEFAULT_POWER_SIZES
-        replicates = cfg.replicates
-        if replicates is None:
-            replicates = default_replicates_for_tte(cfg.hazard_ratios) if command == "tte" else 1000
-        grid = harness.ExperimentGrid(
-            hazard_ratios=cfg.hazard_ratios,
-            sample_sizes=sizes,
-            replicates=replicates,
-            alpha=cfg.alpha,
-            profile=cfg.profile,
-            master_seed=cfg.master_seed,
-        )
-        horizon = serialize.load_profile(grid.profile).horizon_months
+        grid, output_dir = parse_config(raw.decode(), command)
+        model = serialize.load_profile(grid.profile)
         for ss in grid.sample_sizes:  # one trial is the largest block: several share BLOCK_ROWS rows
-            check_draws(ss, horizon)
+            check_draws(ss, model.horizon_months)
+        for hr in grid.hazard_ratios:
+            try:
+                apply_hazard_ratio(model, hr)
+            except ValueError as exc:
+                raise ValueError(f"hazard ratio {hr} does not fit profile {grid.profile}: {exc}") from None
     except (ValueError, OSError) as exc:  # ValueError covers ConfigError and a decode error
         raise ConfigError(f"{path}: {exc}") from None
-    return grid, cfg.output_dir
+    return grid, output_dir
 
 
 def _cmd_power(args) -> int:
@@ -206,6 +192,7 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_samplesize(args) -> int:
+    harness.check_target(args.target)
     grid, out_dir = _grid_from_config(args.config, "samplesize")
     os.makedirs(out_dir, exist_ok=True)
     power = harness.power_rows(grid, workers=args.workers)

@@ -1,23 +1,34 @@
-"""Experiment configuration: a strict JSON document.
+"""Experiment configuration: the grid type and its strict JSON document.
 
-Unknown fields are rejected so typos fail loudly instead of silently
-running a default. The schema (all fields optional):
+ExperimentGrid is the one description of a power/TTE experiment, and its
+constructor is the one place each grid rule is checked. parse_config reads
+the JSON document into a grid plus an output directory. Unknown fields are
+rejected so typos fail loudly instead of silently running a default. The
+schema (all fields optional):
 
     {
       "profile": "moderate" | "high" | "path/to/profile.json",
-      "hazard_ratios": [0.5, 0.6, 0.7, 0.8],
-      "sample_sizes": [20, 60, ...],            # even, 1:1 allocation
+      "hazard_ratios": [0.5, 0.6, 0.7, 0.8],    # distinct, > 0
+      "sample_sizes": [20, 60, ...],            # distinct, even (1:1 allocation)
       "replicates": 1000 | {"0.5": 100, ...},   # per-HR mapping allowed; <= 10**7
       "alpha": 0.05,
       "master_seed": 0,
       "output_dir": "results"
     }
+
+Defaults depend on the command: power and samplesize run
+DEFAULT_POWER_SIZES at 1000 replicates, tte runs DEFAULT_TTE_SIZES at 100
+replicates below HR 0.8 and 1000 at or above it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
+from typing import Mapping
+
+from .trajectories import _check_sample_size
 
 DEFAULT_HAZARD_RATIOS = (0.5, 0.6, 0.7, 0.8)
 DEFAULT_POWER_SIZES = (20, 40, 60, 80, 100, 140, 180, 240, 320, 400, 500)
@@ -29,112 +40,127 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    profile: str = "moderate"
-    hazard_ratios: tuple[float, ...] = DEFAULT_HAZARD_RATIOS
-    sample_sizes: tuple[int, ...] | None = None
-    replicates: int | dict | None = None
-    alpha: float = 0.05
-    master_seed: int = 0
-    output_dir: str = "."
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-_KNOWN_FIELDS = (
-    "profile",
-    "hazard_ratios",
-    "sample_sizes",
-    "replicates",
-    "alpha",
-    "master_seed",
-    "output_dir",
-)
-
-
-def _check_hr(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}: hazard ratio must be a number, got {value!r}")
+def _check_hr(value, context: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{context}: hazard ratio must be a number, got {value!r}")
     if not value > 0:
-        raise ConfigError(f"{context}: hazard ratio must be positive, got {value}")
-    return float(value)
+        raise ValueError(f"{context}: hazard ratio must be positive, got {value}")
 
 
-def _check_replicate_count(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}: replicates must be an integer, got {value!r}")
+def _check_replicate_count(value) -> None:
+    if not _is_int(value):
+        raise ValueError(f"replicates must be an integer, got {value!r}")
     if not 1 <= value <= MAX_REPLICATES:
-        raise ConfigError(f"{context}: replicates must lie in 1..{MAX_REPLICATES}, got {value}")
-    return value
+        raise ValueError(f"replicates must lie in 1..{MAX_REPLICATES}, got {value}")
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate an experiment config JSON document."""
+def _check_list(name: str, values) -> None:
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"{name}: must be a non-empty list, got {values!r}")
+
+
+def _check_distinct(name: str, values) -> None:
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{name}: {value} is listed more than once")
+        seen.add(value)
+
+
+@dataclass(frozen=True)
+class ExperimentGrid:
+    """A power/TTE experiment: HR x sample-size grid plus run parameters.
+
+    replicates is either one count for every grid point or a mapping from
+    hazard ratio to count (every listed HR must then be present). Grid
+    points run hazard ratio by hazard ratio, each over every sample size.
+    """
+
+    hazard_ratios: tuple[float, ...]
+    sample_sizes: tuple[int, ...]
+    replicates: int | Mapping[float, int]
+    alpha: float = 0.05
+    profile: str = "moderate"
+    master_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.profile, str) or not self.profile:
+            raise ValueError(f"profile: must be a non-empty string, got {self.profile!r}")
+        _check_list("hazard_ratios", self.hazard_ratios)
+        for hr in self.hazard_ratios:
+            _check_hr(hr, "hazard_ratios")
+        _check_distinct("hazard_ratios", self.hazard_ratios)
+        _check_list("sample_sizes", self.sample_sizes)
+        for ss in self.sample_sizes:
+            if not _is_int(ss):
+                raise ValueError(f"sample_sizes: sizes must be integers, got {ss!r}")
+            _check_sample_size(ss)
+        _check_distinct("sample_sizes", self.sample_sizes)
+        if isinstance(self.replicates, Mapping):
+            for hr, count in self.replicates.items():
+                _check_hr(hr, "replicates")
+                _check_replicate_count(count)
+            missing = [hr for hr in self.hazard_ratios if hr not in self.replicates]
+            if missing:
+                raise ValueError(f"replicates mapping lacks hazard ratio(s): {missing}")
+        else:
+            _check_replicate_count(self.replicates)
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
+            raise ValueError(f"alpha: must be a number, got {self.alpha!r}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha: must lie in the open interval (0, 1), got {self.alpha}")
+        if not _is_int(self.master_seed):
+            raise ValueError(f"master_seed: must be an integer, got {self.master_seed!r}")
+        object.__setattr__(self, "hazard_ratios", tuple(float(hr) for hr in self.hazard_ratios))
+        object.__setattr__(self, "sample_sizes", tuple(int(ss) for ss in self.sample_sizes))
+        object.__setattr__(self, "alpha", float(self.alpha))
+
+    def replicates_for(self, hr: float) -> int:
+        if isinstance(self.replicates, Mapping):
+            return int(self.replicates[hr])
+        return int(self.replicates)
+
+
+_KNOWN_FIELDS = {field.name for field in fields(ExperimentGrid)} | {"output_dir"}
+
+
+def parse_config(text: str, command: str) -> tuple[ExperimentGrid, str]:
+    """The grid and output directory of an experiment config JSON document,
+    with the defaults of a grid command (power, samplesize or tte)."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(data) - set(_KNOWN_FIELDS)
+    unknown = set(data) - _KNOWN_FIELDS
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
 
-    out: dict = {}
-    if "profile" in data:
-        if not isinstance(data["profile"], str) or not data["profile"]:
-            raise ConfigError("profile: must be a non-empty string")
-        out["profile"] = data["profile"]
-    if "hazard_ratios" in data:
-        hrs = data["hazard_ratios"]
-        if not isinstance(hrs, list) or not hrs:
-            raise ConfigError("hazard_ratios: must be a non-empty list")
-        out["hazard_ratios"] = tuple(_check_hr(v, "hazard_ratios") for v in hrs)
-    if "sample_sizes" in data:
-        sizes = data["sample_sizes"]
-        if not isinstance(sizes, list) or not sizes:
-            raise ConfigError("sample_sizes: must be a non-empty list")
-        checked = []
-        for v in sizes:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ConfigError(f"sample_sizes: sizes must be integers, got {v!r}")
-            if v < 2 or v % 2 != 0:
-                raise ConfigError(
-                    f"sample_sizes: {v} is invalid; subjects are allocated 1:1, so sizes must be even and >= 2"
-                )
-            checked.append(v)
-        out["sample_sizes"] = tuple(checked)
-    if "replicates" in data:
-        reps = data["replicates"]
-        if isinstance(reps, dict):
-            parsed: dict[float, int] = {}
-            for key, value in reps.items():
-                try:
-                    hr = float(key)
-                except ValueError:
-                    raise ConfigError(f"replicates: key {key!r} is not a hazard ratio") from None
-                parsed[_check_hr(hr, "replicates")] = _check_replicate_count(value, "replicates")
-            out["replicates"] = parsed
-        else:
-            out["replicates"] = _check_replicate_count(reps, "replicates")
-    if "alpha" in data:
-        alpha = data["alpha"]
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-            raise ConfigError(f"alpha: must be a number, got {alpha!r}")
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError(f"alpha: must lie in the open interval (0, 1), got {alpha}")
-        out["alpha"] = float(alpha)
-    if "master_seed" in data:
-        seed = data["master_seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"master_seed: must be an integer, got {seed!r}")
-        out["master_seed"] = seed
-    if "output_dir" in data:
-        if not isinstance(data["output_dir"], str) or not data["output_dir"]:
-            raise ConfigError("output_dir: must be a non-empty string")
-        out["output_dir"] = data["output_dir"]
-    return ExperimentConfig(**out)
-
-
-def default_replicates_for_tte(hazard_ratios: tuple[float, ...]) -> dict[float, int]:
-    """Weak effects need more replicates for stable survival-time spreads."""
-    return {hr: (1000 if hr >= 0.8 else 100) for hr in hazard_ratios}
+    values = dict(data)
+    output_dir = values.pop("output_dir", ".")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("output_dir: must be a non-empty string")
+    if isinstance(values.get("replicates"), dict):
+        replicates: dict[float, object] = {}
+        for key, value in values["replicates"].items():
+            try:
+                replicates[float(key)] = value
+            except ValueError:
+                raise ConfigError(f"replicates: key {key!r} is not a hazard ratio") from None
+        values["replicates"] = replicates
+    values.setdefault("hazard_ratios", DEFAULT_HAZARD_RATIOS)
+    values.setdefault("sample_sizes", DEFAULT_TTE_SIZES if command == "tte" else DEFAULT_POWER_SIZES)
+    tte_default = command == "tte" and "replicates" not in values
+    values.setdefault("replicates", 1000)
+    try:
+        grid = ExperimentGrid(**values)
+        if tte_default:  # weak effects need more replicates for stable survival-time spreads
+            grid = replace(grid, replicates={hr: 1000 if hr >= 0.8 else 100 for hr in grid.hazard_ratios})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return grid, output_dir

@@ -14,7 +14,8 @@ Replicates run in blocks of consecutive indices, at most BLOCK_ROWS
 subject rows each: a block's trials are simulated together
 (trajectories.simulate_block) and scanned together (scan_trial), every
 per-month array carrying a leading replicate axis. Results are columns,
-one row per replicate and one column per method.
+one row per replicate and one column per method. Every grid command runs
+through run_grid, which streams all points' blocks through one pool.
 
 Replicate seeds are mixed from (master_seed, hazard-ratio bits, sample
 size, replicate index), and every step treats replicates independently,
@@ -28,14 +29,15 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats
 
-from .config import MAX_REPLICATES
+from .config import ExperimentGrid
 from .kaplan_meier import Endpoint, endpoint_arrays, monthly_logrank_terms, two_sided_p
 from .seeds import float_bits, mix64_array
+from .serialize import load_profile
 from .trajectories import TransitionModel, Trial, simulate_block
 from .weighted import monthly_weighted_terms, trial_event_sums
 
@@ -104,50 +106,6 @@ class TTEComparison:
     zero_variance: bool
 
 
-@dataclass(frozen=True)
-class ExperimentGrid:
-    """A power/TTE experiment: HR x sample-size grid plus run parameters.
-
-    replicates is either one count for every grid point or a mapping from
-    hazard ratio to count (every listed HR must then be present).
-    """
-
-    hazard_ratios: tuple[float, ...]
-    sample_sizes: tuple[int, ...]
-    replicates: int | Mapping[float, int]
-    alpha: float = 0.05
-    profile: str = "moderate"
-    master_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.hazard_ratios:
-            raise ValueError("hazard_ratios must not be empty")
-        for hr in self.hazard_ratios:
-            if not hr > 0:
-                raise ValueError(f"hazard ratio must be positive, got {hr}")
-        if not self.sample_sizes:
-            raise ValueError("sample_sizes must not be empty")
-        for ss in self.sample_sizes:
-            if ss < 2 or ss % 2 != 0:
-                raise ValueError(f"sample size {ss} is not even (subjects are allocated 1:1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if isinstance(self.replicates, int):
-            counts = [self.replicates]
-        else:
-            missing = [hr for hr in self.hazard_ratios if hr not in self.replicates]
-            if missing:
-                raise ValueError(f"replicates mapping lacks hazard ratio(s): {missing}")
-            counts = [int(r) for r in self.replicates.values()]
-        if not all(1 <= r <= MAX_REPLICATES for r in counts):
-            raise ValueError(f"replicates must lie in 1..{MAX_REPLICATES}, got {self.replicates}")
-
-    def replicates_for(self, hr: float) -> int:
-        if isinstance(self.replicates, int):
-            return self.replicates
-        return int(self.replicates[hr])
-
-
 def _scan(ome: np.ndarray, v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(final p, first significant month or 0) from per-month terms on the last axis."""
     cum_o = np.cumsum(ome, axis=-1)
@@ -205,6 +163,72 @@ def _run_block(point: tuple, block: tuple[int, int]) -> tuple[np.ndarray, np.nda
     return scan_trial(simulate_block(model, hr, ss, seeds), alpha)
 
 
+def _grid_blocks(grid: ExperimentGrid, model: TransitionModel, workers: int) -> Iterator[tuple]:
+    """(point, block, scans) for every block of the grid, in grid order.
+
+    point is (master_seed, hr, ss, alpha, model). scans is the point's
+    result buffer, allocated when its first block is planned, so only
+    points whose blocks have been planned and not all gathered hold one.
+    """
+    for hr in grid.hazard_ratios:
+        for ss in grid.sample_sizes:
+            replicates = grid.replicates_for(hr)
+            scans = ReplicateScans(
+                final_p=np.empty((replicates, len(METHODS))),
+                first_month=np.empty((replicates, len(METHODS)), dtype=np.int64),
+            )
+            point = (grid.master_seed, hr, ss, grid.alpha, model)
+            for block in plan_blocks(replicates, ss, workers):
+                yield point, block, scans
+
+
+def _in_flight(pool: ProcessPoolExecutor, tasks: Iterator[tuple], workers: int) -> Iterator[tuple]:
+    """(task, block result) in task order, with at most 2 * workers + 1 blocks submitted and unread."""
+    pending: deque = deque()
+    for task in tasks:
+        pending.append((task, pool.submit(_run_block, *task[:2])))
+        if len(pending) > 2 * workers:
+            task, future = pending.popleft()
+            yield task, future.result()
+    for task, future in pending:
+        yield task, future.result()
+
+
+def _gather(done: Iterator[tuple]) -> Iterator[tuple[float, int, ReplicateScans]]:
+    """(hr, ss, scans) of each point, once the result of its last block is stored."""
+    for (point, block, scans), result in done:
+        scans.final_p[slice(*block)], scans.first_month[slice(*block)] = result
+        if block[1] == len(scans.final_p):  # blocks arrive in order, so this was the point's last
+            yield point[1], point[2], scans
+
+
+def run_grid(
+    grid: ExperimentGrid, model: TransitionModel, workers: int = 1
+) -> Iterator[tuple[float, int, ReplicateScans]]:
+    """Simulate and scan every grid point; yields (hr, ss, scans) in grid order.
+
+    The points run under `model` (grid.profile is not read). Replicates run
+    in blocks (plan_blocks), a block at a time in this process, or at
+    workers > 1 through one pool of `workers` processes for the whole grid,
+    with at most 2 * workers + 1 blocks in flight across points. Row r of a
+    point's scans is replicate r, and it is the same for any block split,
+    worker count and grid, because each replicate's seed depends only on
+    (master_seed, hr, ss, replicate index). If a block fails, the run is
+    interrupted or the generator is closed, the pool's queued blocks are
+    cancelled; only blocks already running are waited for.
+    """
+    tasks = _grid_blocks(grid, model, workers)
+    if workers <= 1:
+        yield from _gather((task, _run_block(*task[:2])) for task in tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            yield from _gather(_in_flight(pool, tasks, workers))
+        except BaseException:  # an interrupt or a close too: drop the queued blocks rather than wait for them
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_replicates(
     hr: float,
     ss: int,
@@ -214,44 +238,11 @@ def run_replicates(
     alpha: float = 0.05,
     workers: int = 1,
 ) -> ReplicateScans:
-    """Simulate and scan `replicates` independent trials at one grid point.
-
-    Replicates run in blocks (plan_blocks), a block at a time in this
-    process or spread over a pool of `workers` processes. Row r of the
-    result is replicate r, and it is the same for any block split and any
-    worker count, because each replicate's seed depends only on
-    (master_seed, hr, ss, replicate index). If a block fails or the run
-    is interrupted, the pool's queued blocks are cancelled before the
-    exception propagates; only blocks already running are waited for.
-    """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    point = (master_seed, float(hr), int(ss), float(alpha), profile)
-    final_p = np.empty((replicates, len(METHODS)))
-    first_month = np.empty((replicates, len(METHODS)), dtype=np.int64)
-
-    def store(block, scans):
-        final_p[slice(*block)], first_month[slice(*block)] = scans
-
-    blocks = plan_blocks(replicates, int(ss), workers)
-    if workers <= 1:
-        for block in blocks:
-            store(block, _run_block(point, block))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                pending: deque = deque()
-                for block in blocks:  # about two blocks per worker in flight, not all of them
-                    pending.append((block, pool.submit(_run_block, point, block)))
-                    if len(pending) > 2 * workers:
-                        block, future = pending.popleft()
-                        store(block, future.result())
-                for block, future in pending:
-                    store(block, future.result())
-            except BaseException:  # an interrupt too: drop the queued blocks rather than wait for them
-                pool.shutdown(cancel_futures=True)
-                raise
-    return ReplicateScans(final_p=final_p, first_month=first_month)
+    """Simulate and scan `replicates` independent trials at one grid point:
+    run_grid on the one-point grid (hr, ss)."""
+    grid = ExperimentGrid((hr,), (ss,), replicates, alpha, master_seed=master_seed)
+    [(_, _, scans)] = run_grid(grid, profile, workers)
+    return scans
 
 
 def estimate_power(
@@ -285,6 +276,12 @@ def _pav_nondecreasing(values: Sequence[float]) -> list[float]:
     return out
 
 
+def check_target(target: float) -> None:
+    """Reject a target power outside the open interval (0, 1), NaN included."""
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target power must lie in (0, 1), got {target}")
+
+
 def interpolate_sample_size(points: Sequence[tuple[float, float]], target: float = 0.8) -> float:
     """Smallest sample size reaching the target power, by interpolation.
 
@@ -297,8 +294,7 @@ def interpolate_sample_size(points: Sequence[tuple[float, float]], target: float
     """
     if not points:
         raise ValueError("no power points supplied")
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target power must lie in (0, 1), got {target}")
+    check_target(target)
     pts = sorted((float(ss), float(p)) for ss, p in points)
     sizes = [ss for ss, _ in pts]
     if len(set(sizes)) != len(sizes):
@@ -373,23 +369,13 @@ def compare_tte(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTEComp
     return TTEComparison(pct_delta=pct, t_statistic=t, df=df, p_value=p, zero_variance=False)
 
 
-def _resolve_profile(profile: str) -> TransitionModel:
-    from .serialize import load_profile
-
-    return load_profile(profile)
-
-
 def power_rows(grid: ExperimentGrid, workers: int = 1) -> list[PowerEstimate]:
     """Power of every method at every (hr, ss) grid point."""
-    model = _resolve_profile(grid.profile)
-    rows: list[PowerEstimate] = []
-    for hr in grid.hazard_ratios:
-        for ss in grid.sample_sizes:
-            results = run_replicates(
-                hr, ss, grid.replicates_for(hr), model, grid.master_seed, grid.alpha, workers
-            )
-            rows.extend(estimate_power(results, m, grid.alpha, hr=hr, ss=ss) for m in METHODS)
-    return rows
+    return [
+        estimate_power(results, method, grid.alpha, hr=hr, ss=ss)
+        for hr, ss, results in run_grid(grid, load_profile(grid.profile), workers)
+        for method in METHODS
+    ]
 
 
 def sample_size_rows(
@@ -414,18 +400,13 @@ def tte_rows(
     grid: ExperimentGrid, workers: int = 1
 ) -> list[tuple[TTESummary, TTEComparison | None]]:
     """TTE summaries per grid point, each KM method compared against CWTA."""
-    model = _resolve_profile(grid.profile)
     rows: list[tuple[TTESummary, TTEComparison | None]] = []
-    for hr in grid.hazard_ratios:
-        for ss in grid.sample_sizes:
-            results = run_replicates(
-                hr, ss, grid.replicates_for(hr), model, grid.master_seed, grid.alpha, workers
-            )
-            firsts = {m: first_months(results, m) for m in METHODS}
-            for method in METHODS:
-                summary = summarize_tte(results, method, hr=hr, ss=ss)
-                comparison = None
-                if method != "CWTA" and firsts["CWTA"].size and firsts[method].size:
-                    comparison = compare_tte(firsts["CWTA"], firsts[method])
-                rows.append((summary, comparison))
+    for hr, ss, results in run_grid(grid, load_profile(grid.profile), workers):
+        firsts = {m: first_months(results, m) for m in METHODS}
+        for method in METHODS:
+            summary = summarize_tte(results, method, hr=hr, ss=ss)
+            comparison = None
+            if method != "CWTA" and firsts["CWTA"].size and firsts[method].size:
+                comparison = compare_tte(firsts["CWTA"], firsts[method])
+            rows.append((summary, comparison))
     return rows

@@ -186,21 +186,30 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
         assert err.count("\n") == 1 and err.startswith(f"error: {config}: ") and expected in err, err
 
     # a sample too large to draw: one line naming the sample size, before anything is allocated;
-    # in a grid config the line starts with the config's path, and no block of the grid runs
+    # in a grid config the line starts with the config's path, and no block of the grid runs.
+    # Likewise a hazard ratio the profile cannot take, and a samplesize target outside (0, 1).
     huge = "sample size 2000000000000 at a 18-month"
     blocks_run = []
     monkeypatch.setattr(harness, "_run_block", lambda *args: blocks_run.append(args))
     cfgs = []
-    for name, sizes in (("huge_n_cfg.json", [2_000_000_000_000]), ("late_huge_n_cfg.json", [400, 2_000_000_000_000])):
+    for name, fields in (
+        ("huge_n_cfg.json", {"profile": fast_profile, "sample_sizes": [2_000_000_000_000]}),
+        ("late_huge_n_cfg.json", {"profile": fast_profile, "sample_sizes": [400, 2_000_000_000_000]}),
+        ("late_bad_hr_cfg.json", {"profile": "moderate", "hazard_ratios": [0.5, 100]}),
+        ("valid_cfg.json", {"profile": fast_profile, "sample_sizes": [20, 40]}),
+    ):
         cfgs.append(tmp_path / name)
-        cfgs[-1].write_text(json.dumps({"profile": fast_profile, "sample_sizes": sizes, "replicates": 200,
-                                        "output_dir": str(tmp_path / "huge_out")}))
+        cfgs[-1].write_text(json.dumps({**fields, "replicates": 200, "output_dir": str(tmp_path / "huge_out")}))
     for argv, start in (
         (["simulate", "--profile", fast_profile, "--sample-size", "2000000000000",
           "--hr", "0.7", "--out", str(tmp_path / "never.csv")], f"error: {huge}"),
         (["power", "--config", str(cfgs[0])], f"error: {cfgs[0]}: {huge}"),
         (["power", "--config", str(cfgs[1])], f"error: {cfgs[1]}: {huge}"),
         (["tte", "--config", str(cfgs[1])], f"error: {cfgs[1]}: {huge}"),
+        (["power", "--config", str(cfgs[2])],
+         f"error: {cfgs[2]}: hazard ratio 100.0 does not fit profile moderate: improve_prob[1] + worsen_prob[1] exceeds 1"),
+        (["samplesize", "--config", str(cfgs[3]), "--target", "1.5"], "error: target power must lie in (0, 1), got 1.5"),
+        (["samplesize", "--config", str(cfgs[3]), "--target", "nan"], "error: target power must lie in (0, 1), got nan"),
         (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
           "--subjects", "2000000000000", "--out", str(tmp_path / "never.json")], f"error: {huge}"),
     ):
@@ -345,8 +354,8 @@ def malformed_documents(valid: dict, bad_values: dict, required=()):
 VALID_CONFIG = {"profile": "moderate", "hazard_ratios": [0.5], "sample_sizes": [20], "replicates": 2, "master_seed": 0}
 BAD_CONFIG_VALUES = {  # values each config field rejects
     "profile": [None, True, 3, [], {}, "", "no-such-profile"],
-    "hazard_ratios": [None, 0.5, "0.5", [], [0], [-0.5], [True], ["x"], [None], [float("nan")]],
-    "sample_sizes": [None, 20, "20", [], [3], [0], [-2], [2.5], [True]],
+    "hazard_ratios": [None, 0.5, "0.5", [], [0], [-0.5], [True], ["x"], [None], [float("nan")], [0.5, 0.5]],
+    "sample_sizes": [None, 20, "20", [], [3], [0], [-2], [2.5], [True], [20, 20]],
     "replicates": [None, 0, -1, True, 2.5, "3", [2], {"0.6": 2}, {"0.5": 0}, {"x": 2}, 10**15, {"0.5": 10**7 + 1}],
     "alpha": [None, 0, 1, 1.5, -0.1, True, "0.05", [0.05], float("nan")],
     "master_seed": [None, 1.5, True, "0", [0], {}],

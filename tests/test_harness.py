@@ -212,16 +212,22 @@ def test_plan_blocks_cover_replicates_within_the_row_budget(monkeypatch):
     assert list(plan_blocks(7, 30, workers=2)) == [(0, 1), (1, 3), (3, 5), (5, 7)]  # 2 per worker
 
 
-def test_interrupt_cancels_queued_blocks(monkeypatch):
-    """A KeyboardInterrupt from a block propagates, and the blocks still queued
-    in the pool never run. The pool is one thread of this process, and a
-    block after the first waits until the pool is shut down, so the queue
-    is still full when the interrupt arrives; no signal is sent."""
-    ran, release = [], threading.Event()
+@pytest.mark.parametrize(
+    "sizes, replicates",
+    [((2,), 12), ((2, 4, 6), 2)],  # one point of 12 blocks; three points of 2 blocks each
+    ids=["one_point", "three_points"],
+)
+def test_interrupt_cancels_queued_blocks(monkeypatch, sizes, replicates):
+    """A KeyboardInterrupt from a block propagates through run_grid, and the
+    blocks still queued in the pool never run, whichever grid point they
+    belong to. The pool is one thread of this process, and a block after
+    the first waits until the pool is shut down, so the queue is still full
+    when the interrupt arrives; no signal is sent."""
+    ran, submitted, release = [], [], threading.Event()
 
     def run_block(point, block):
-        ran.append(block)
-        if block[0] == 0:
+        ran.append((point[2], block))
+        if point[2] == sizes[0] and block[0] == 0:
             raise KeyboardInterrupt
         release.wait(timeout=30)
         rows = block[1] - block[0]
@@ -231,6 +237,10 @@ def test_interrupt_cancels_queued_blocks(monkeypatch):
         def __init__(self, max_workers):
             super().__init__(max_workers=1)
 
+        def submit(self, fn, point, block):
+            submitted.append((point[2], block))
+            return super().submit(fn, point, block)
+
         def shutdown(self, wait=True, *, cancel_futures=False):
             super().shutdown(wait=False, cancel_futures=cancel_futures)
             release.set()  # lets the running block finish, and any block left in the queue run
@@ -239,11 +249,38 @@ def test_interrupt_cancels_queued_blocks(monkeypatch):
     monkeypatch.setattr(harness, "_run_block", run_block)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", OneThreadPool)
     monkeypatch.setattr(harness, "BLOCK_ROWS", 2)  # one replicate per block
+    grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=sizes, replicates=replicates)
     with pytest.raises(KeyboardInterrupt):
-        harness.run_replicates(0.7, 2, 12, MODEL, 0, workers=2)
+        list(harness.run_grid(grid, MODEL, workers=2))
+    # 2 * workers + 1 blocks were in flight, spanning every point of the three-point grid
+    assert len(submitted) == 5 and {ss for ss, _ in submitted} == set(sizes), submitted
     # block 0, and block 1 if the thread took it up before the queue was cancelled;
-    # blocks 2..4 were queued (2 * workers + 1 in flight) and must never run
-    assert ran in ([(0, 1)], [(0, 1), (1, 2)]), ran
+    # blocks 2..4 were queued and must never run
+    assert ran in (submitted[:1], submitted[:2]), ran
+
+
+def test_run_grid_runs_one_pool_in_grid_order(monkeypatch):
+    """A multi-point grid at workers 2 builds exactly one pool, yields its
+    points in grid order, and gives each point the rows of run_replicates
+    at workers 1; at workers 1 no pool is built."""
+    pools = []
+
+    class SpyPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(harness, "BLOCK_ROWS", 60)  # several blocks per point
+    grid = ExperimentGrid(
+        hazard_ratios=(0.5, 0.7), sample_sizes=(20, 40, 62), replicates={0.5: 9, 0.7: 5}, master_seed=11
+    )
+    points = list(harness.run_grid(grid, MODEL, workers=2))
+    assert pools == [2]
+    assert [(hr, ss) for hr, ss, _ in points] == [(hr, ss) for hr in (0.5, 0.7) for ss in (20, 40, 62)]
+    for hr, ss, scans in points:
+        assert_same_scans(scans, run_replicates(hr, ss, grid.replicates_for(hr), MODEL, 11, workers=1))
+    assert pools == [2]
 
 
 def test_plan_blocks_is_lazy():

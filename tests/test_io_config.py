@@ -18,7 +18,6 @@ from cwtasim import (
     TransitionModel,
     Trial,
     TrialConfig,
-    default_replicates_for_tte,
     load_profile,
     parse_config,
     read_trajectories_csv,
@@ -27,7 +26,7 @@ from cwtasim import (
     write_trajectories_csv,
 )
 from cwtasim import serialize
-from cwtasim.config import DEFAULT_HAZARD_RATIOS
+from cwtasim.config import DEFAULT_HAZARD_RATIOS, DEFAULT_POWER_SIZES, DEFAULT_TTE_SIZES
 from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, km_estimate, logrank_test
 from cwtasim.serialize import (
     read_curves_csv,
@@ -54,15 +53,19 @@ MODEL = TransitionModel(
 
 
 def test_parse_config_defaults():
-    cfg = parse_config("{}")
-    assert cfg.profile == "moderate"
-    assert cfg.hazard_ratios == DEFAULT_HAZARD_RATIOS
-    assert cfg.sample_sizes is None
-    assert cfg.alpha == 0.05
+    grid, output_dir = parse_config("{}", "power")
+    assert grid.profile == "moderate"
+    assert grid.hazard_ratios == DEFAULT_HAZARD_RATIOS
+    assert grid.sample_sizes == DEFAULT_POWER_SIZES
+    assert grid.replicates == 1000
+    assert grid.alpha == 0.05
+    assert grid.master_seed == 0
+    assert output_dir == "."
+    assert parse_config("{}", "samplesize") == (grid, ".")
 
 
 def test_parse_config_full_document():
-    cfg = parse_config(
+    grid, output_dir = parse_config(
         json.dumps(
             {
                 "profile": "high",
@@ -73,34 +76,35 @@ def test_parse_config_full_document():
                 "master_seed": 42,
                 "output_dir": "out",
             }
-        )
+        ),
+        "tte",
     )
-    assert cfg.profile == "high"
-    assert cfg.hazard_ratios == (0.5, 0.7)
-    assert cfg.sample_sizes == (40, 80)
-    assert cfg.replicates == {0.5: 200, 0.7: 100}
-    assert cfg.alpha == 0.01
-    assert cfg.master_seed == 42
-    assert cfg.output_dir == "out"
+    assert grid.profile == "high"
+    assert grid.hazard_ratios == (0.5, 0.7)
+    assert grid.sample_sizes == (40, 80)
+    assert grid.replicates == {0.5: 200, 0.7: 100}
+    assert grid.alpha == 0.01
+    assert grid.master_seed == 42
+    assert output_dir == "out"
 
 
 def test_parse_config_rejects_unknown_field():
     with pytest.raises(ConfigError, match="sample_size_list"):
-        parse_config('{"sample_size_list": [10]}')
+        parse_config('{"sample_size_list": [10]}', "power")
 
 
 def test_parse_config_rejects_bad_alpha():
     with pytest.raises(ConfigError, match="alpha"):
-        parse_config('{"alpha": 1.5}')
+        parse_config('{"alpha": 1.5}', "power")
     with pytest.raises(ConfigError, match="alpha"):
-        parse_config('{"alpha": "big"}')
+        parse_config('{"alpha": "big"}', "power")
 
 
 def test_parse_config_odd_sample_size_names_allocation():
     with pytest.raises(ConfigError, match="1:1"):
-        parse_config('{"sample_sizes": [101]}')
+        parse_config('{"sample_sizes": [101]}', "power")
     with pytest.raises(ConfigError, match="1:1"):
-        parse_config('{"sample_sizes": [0]}')
+        parse_config('{"sample_sizes": [0]}', "tte")
 
 
 def test_parse_config_rejects_bad_values():
@@ -117,14 +121,21 @@ def test_parse_config_rejects_bad_values():
         '{"master_seed": 1.5}',
         '{"output_dir": ""}',
         '{"sample_sizes": [40.0]}',
+        '{"hazard_ratios": [0.5, 0.5]}',
+        '{"hazard_ratios": [0.5, 0.50]}',
+        '{"sample_sizes": [20, 40, 20]}',
     ):
-        with pytest.raises(ConfigError):
-            parse_config(doc)
+        for command in ("power", "tte"):
+            with pytest.raises(ConfigError):
+                parse_config(doc, command)
 
 
 def test_default_tte_replicates_rule():
-    reps = default_replicates_for_tte((0.5, 0.7, 0.8))
-    assert reps == {0.5: 100, 0.7: 100, 0.8: 1000}
+    grid, _ = parse_config('{"hazard_ratios": [0.5, 0.7, 0.8]}', "tte")
+    assert grid.replicates == {0.5: 100, 0.7: 100, 0.8: 1000}
+    assert grid.sample_sizes == DEFAULT_TTE_SIZES
+    grid, _ = parse_config('{"hazard_ratios": [0.5, 0.8], "replicates": 7}', "tte")
+    assert grid.replicates == 7  # a count in the config overrides the rule
 
 
 # ---------------------------------------------------------------- profiles
