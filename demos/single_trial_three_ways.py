@@ -12,18 +12,11 @@ curves as CSV and renders them to one SVG.
 import os
 
 # the simulator: ordinal states CR=0, PR=1, SD=2, PD=3, death=4
-from cwtasim import Arm, TrialConfig, load_profile, simulate_trial
+from cwtasim import TrialConfig, load_profile, simulate_trial
 
 # the three analyses
-from cwtasim import (
-    Endpoint,
-    cwta_curve,
-    endpoint_arrays,
-    km_estimate,
-    logrank_test,
-    trial_event_sums,
-    weighted_logrank_test,
-)
+from cwtasim import METHODS, Endpoint, arm_counts, count_tests, monthly_counts
+from cwtasim.kaplan_meier import km_curve, product_limit
 
 # CSV + SVG output helpers
 from cwtasim.serialize import write_km_curves_by_arm_csv, write_trajectory_curves_by_arm_csv
@@ -40,43 +33,33 @@ trial = simulate_trial(
 )
 print(f"simulated {len(trial.arms)} subjects over {trial.horizon} months")
 
-# Kaplan-Meier endpoints: one event-or-censoring time per subject, read
-# from the trial's (subjects x months) state matrix
-for kind in Endpoint:
-    times, events = endpoint_arrays(trial.states, trial.censor, kind)
-    result = logrank_test(times, events, trial.arms)
-    print(f"{kind.name}: {events.sum()} events, z = {result.z:+.3f}, p = {result.p_value:.4g}")
-    curves = {
-        arm: km_estimate(times[trial.arms == arm], events[trial.arms == arm])
-        for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)
-    }
-    write_km_curves_by_arm_csv(curves, os.path.join(out_dir, f"curve_{kind.name.lower()}.csv"))
+# one pass over the trial's (subjects x months) state matrix gives each
+# method's monthly counts: Kaplan-Meier endpoints count one event-or-censoring
+# time per subject; the weighted trajectory test counts every one-level move
+# as an event of weight 1/4 (positive when worsening, negative when improving)
+counts = monthly_counts(trial)
+tests = count_tests(counts)
+for method in METHODS:
+    print(f"{method}: z = {tests[method].z:+.3f}, p = {tests[method].p_value:.4g}")
 
-# weighted trajectory test: every one-level move is an event with weight
-# 1/4 (positive when worsening, negative when improving); the test and the
-# curves read the monthly sums of these weights and the risk counts
-sums = trial_event_sums(trial)
-result = weighted_logrank_test(sums)
-n_events = round(sums.q_sum.sum() * 16)  # each event's squared weight is 1/16
-print(f"CWTA: {n_events} weighted events, z = {result.z:+.3f}, p = {result.p_value:.4g}")
-curves = {arm: cwta_curve(sums, arm) for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)}
-write_trajectory_curves_by_arm_csv(curves, os.path.join(out_dir, "curve_cwta.csv"))
+# each arm's curve is the product limit of that arm's monthly events and risk set
+arms = {method: arm_counts(counts[method]) for method in METHODS}
+for kind in Endpoint:
+    curves = {arm: km_curve(*c) for arm, c in arms[kind.name].items()}
+    write_km_curves_by_arm_csv(curves, os.path.join(out_dir, f"curve_{kind.name.lower()}.csv"))
+cwta_curves = {arm: product_limit(*c) for arm, c in arms["CWTA"].items()}
+write_trajectory_curves_by_arm_csv(
+    cwta_curves, os.path.join(out_dir, "curve_cwta.csv"), [n for _, n in arms["CWTA"].values()]
+)
 
 # plot the two weighted trajectory curves next to the OS KM curves
 specs = []
-os_times, os_events = endpoint_arrays(trial.states, trial.censor, Endpoint.OS)
-for arm in (Arm.CONTROL, Arm.EXPERIMENTAL):
-    km = km_estimate(os_times[trial.arms == arm], os_events[trial.arms == arm])
+for arm, c in arms["OS"].items():
+    km = km_curve(*c)
     points = [(0.0, 1.0)] + [(float(s.time), s.survival) for s in km.steps]
     specs.append(CurveSpec(label=f"OS {arm.label}", points=tuple(points), dash="5 3"))
-for arm in (Arm.CONTROL, Arm.EXPERIMENTAL):
-    c = cwta_curve(sums, arm)
-    specs.append(
-        CurveSpec(
-            label=f"CWTA {arm.label}",
-            points=tuple((float(s.month), s.value) for s in c.steps),
-        )
-    )
+for arm, values in cwta_curves.items():
+    specs.append(CurveSpec(label=f"CWTA {arm.label}", points=tuple(enumerate(values.tolist()))))
 svg = emit_svg_stepplot(
     PlotSpec(curves=tuple(specs), title="One trial, two views", y_label="survival / trajectory value")
 )

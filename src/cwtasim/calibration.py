@@ -28,7 +28,6 @@ from .trajectories import (
     CR,
     PR,
     SD,
-    N_STATES,
     TransitionModel,
     _dropout_from_uniforms,
     _simulate_state_matrix,
@@ -102,27 +101,33 @@ class CalibrationError(RuntimeError):
         self.achieved_pr = achieved_pr
 
 
-def _observed_months(model: TransitionModel, blocks: np.ndarray) -> np.ndarray:
-    """(horizon + 1, n) month-major mask of the months each subject is observed.
+def _observed_months(model: TransitionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dropped, last): the subjects censored before the horizon, and the last
+    month each is observed; every other subject is observed in every month.
 
-    It depends only on the dropout draws and on the dropout rate and
-    horizon, which calibration never changes, so it is built once per
-    block, in the layout of the kernel's state buffer.
+    Both depend only on the dropout draws and on the dropout rate and
+    horizon, which calibration never changes, so they are built once per
+    block.
     """
     _, censor = _dropout_from_uniforms(model, blocks[:, 0], blocks[:, 1])
-    return np.arange(model.horizon_months + 1)[:, None] <= censor
+    dropped = np.flatnonzero(censor < model.horizon_months)
+    return dropped, censor[dropped]
 
 
 def _response_rates(
-    model: TransitionModel, monthly_u: np.ndarray, observed: np.ndarray
+    model: TransitionModel, monthly_u: np.ndarray, observed: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, float]:
     """(CR rate, PR rate) of best overall response over the observed months.
 
-    observed is month-major, like the kernel's state buffer, so the best
-    state is a running minimum over contiguous month rows.
+    observed is _observed_months'. The kernel's state buffer is month-major,
+    so the best state is a minimum over contiguous month rows; the subjects
+    who dropped out take a running minimum over their own columns instead,
+    read at their last observed month.
     """
+    dropped, last = observed
     states = np.moveaxis(_simulate_state_matrix(model, monthly_u), -1, 0)
-    best = states.min(axis=0, where=observed, initial=N_STATES)
+    best = states.min(axis=0)
+    best[dropped] = np.minimum.accumulate(states[:, dropped], axis=0)[last, np.arange(len(dropped))]
     return float(np.mean(best == CR)), float(np.mean(best == PR))
 
 

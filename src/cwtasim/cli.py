@@ -22,10 +22,10 @@ from .calibration import (
     control_response_rates,
 )
 from .config import ConfigError, ExperimentGrid, parse_config
-from .kaplan_meier import DegenerateTestError, Endpoint, endpoint_arrays, km_estimate, logrank_test
+from .kaplan_meier import DegenerateTestError, km_curve, product_limit
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
 from .trajectories import Arm, TrialConfig, apply_hazard_ratio, check_draws, simulate_trial
-from .weighted import cwta_curve, trial_event_sums, weighted_logrank_test
+from .weighted import METHODS, arm_counts, count_tests, monthly_counts
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,31 +126,18 @@ def _cmd_analyze(args) -> int:
         raise ValueError("analyze needs subjects in both arms")
     os.makedirs(args.out_dir, exist_ok=True)
 
-    results: dict = {}
-    for kind in Endpoint:
-        times, events = endpoint_arrays(trial.states, trial.censor, kind)
-        curves = {
-            arm: km_estimate(times[trial.arms == arm], events[trial.arms == arm])
-            for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)
-        }
-        serialize.write_km_curves_by_arm_csv(
-            curves, os.path.join(args.out_dir, f"curve_{kind.name.lower()}.csv")
-        )
-        try:
-            results[kind.name] = logrank_test(times, events, trial.arms)
-        except DegenerateTestError:
-            results[kind.name] = None
-
-    sums = trial_event_sums(trial)
-    curves = {arm: cwta_curve(sums, arm) for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)}
-    serialize.write_trajectory_curves_by_arm_csv(curves, os.path.join(args.out_dir, "curve_cwta.csv"))
-    try:
-        results["CWTA"] = weighted_logrank_test(sums)
-    except DegenerateTestError:
-        results["CWTA"] = None
-
+    counts = monthly_counts(trial)
+    for method in METHODS:
+        arms = arm_counts(counts[method])
+        path = os.path.join(args.out_dir, f"curve_{method.lower()}.csv")
+        if method == "CWTA":
+            curves = {arm: product_limit(*arms[arm]) for arm in arms}
+            serialize.write_trajectory_curves_by_arm_csv(curves, path, [n for _, n in arms.values()])
+        else:
+            serialize.write_km_curves_by_arm_csv({arm: km_curve(*arms[arm]) for arm in arms}, path)
+    results = count_tests(counts)
     serialize.write_tests_csv(results, os.path.join(args.out_dir, "tests.csv"))
-    for method in ("CWTA", "PFS", "OS"):
+    for method in METHODS:
         r = results[method]
         if r is None:
             print(f"{method}: degenerate (no usable events)")
@@ -198,6 +185,9 @@ def _cmd_samplesize(args) -> int:
     power = harness.power_rows(grid, workers=args.workers)
     serialize.write_power_csv(power, os.path.join(out_dir, "power.csv"))
     rows = harness.sample_size_rows(power, target=args.target)
+    for row in rows:
+        if row.sample_size is None:
+            print(f"warning: {row.method} at HR {row.hr}: {row.unreached}", file=sys.stderr)
     out = os.path.join(out_dir, "sample_size.csv")
     serialize.write_sample_size_csv(rows, out)
     print(f"wrote {out}")

@@ -2,7 +2,9 @@
 time-to-first-efficacy-signal scans.
 
 Each replicate simulates one trial and evaluates KM-PFS, KM-OS and the
-weighted trajectory test on the data truncated at every month 1..horizon.
+weighted trajectory test on the data truncated at every month 1..horizon,
+all three from one pass over the trial (weighted.monthly_counts) and one
+kernel (kaplan_meier.monthly_terms).
 Truncating at month m administratively censors everyone still under
 observation at m; because subjects censored at m remain at risk through
 m, the risk sets at months <= m are identical to the full data's, so the
@@ -35,13 +37,11 @@ import numpy as np
 from scipy import stats
 
 from .config import ExperimentGrid
-from .kaplan_meier import Endpoint, endpoint_arrays, monthly_logrank_terms, two_sided_p
+from .kaplan_meier import monthly_terms, two_sided_p
 from .seeds import float_bits, mix64_array
 from .serialize import load_profile
 from .trajectories import TransitionModel, Trial, simulate_block
-from .weighted import monthly_weighted_terms, trial_event_sums
-
-METHODS = ("CWTA", "PFS", "OS")
+from .weighted import METHODS, monthly_counts
 
 
 class ReplicateScans(NamedTuple):
@@ -67,9 +67,17 @@ class PowerEstimate:
 
 @dataclass(frozen=True)
 class SampleSizeEstimate:
+    """sample_size is None when the grid does not reach the target power;
+    unreached then gives the peak smoothed power."""
+
     method: str
     hr: float
-    sample_size: float
+    sample_size: float | None
+    unreached: str | None = None
+
+
+class TargetNotReachedError(ValueError):
+    """No sample size of a power curve's grid reaches the target power."""
 
 
 @dataclass(frozen=True)
@@ -123,13 +131,11 @@ def scan_trial(trial: Trial, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Monthly significance scans of a trial, or a block of trials, for all three methods.
 
     Returns (final_p, first_month) with a last axis in METHODS order:
-    (3,) arrays for one trial, (R, 3) for a block.
+    (3,) arrays for one trial, (R, 3) for a block. Every method sums
+    months 1..horizon of the one monthly_counts pass.
     """
-    terms = {"CWTA": monthly_weighted_terms(*trial_event_sums(trial))}
-    for kind in Endpoint:
-        times, events = endpoint_arrays(trial.states, trial.censor, kind)
-        terms[kind.name] = monthly_logrank_terms(times, events, trial.arms, trial.horizon)
-    scans = [_scan(*terms[method], alpha) for method in METHODS]
+    counts = monthly_counts(trial)
+    scans = [_scan(*monthly_terms(*counts[method]), alpha) for method in METHODS]
     return np.stack([p for p, _ in scans], axis=-1), np.stack([f for _, f in scans], axis=-1)
 
 
@@ -303,7 +309,7 @@ def interpolate_sample_size(points: Sequence[tuple[float, float]], target: float
     reached = [i for i, p in enumerate(smooth) if p >= target]
     if not reached:
         peak = max(range(len(smooth)), key=smooth.__getitem__)
-        raise ValueError(
+        raise TargetNotReachedError(
             f"target power {target} not reached on the grid "
             f"(max smoothed power {smooth[peak]:.4f} at sample size {sizes[peak]:.0f})"
         )
@@ -381,18 +387,21 @@ def power_rows(grid: ExperimentGrid, workers: int = 1) -> list[PowerEstimate]:
 def sample_size_rows(
     power_estimates: Sequence[PowerEstimate], target: float = 0.8
 ) -> list[SampleSizeEstimate]:
-    """Interpolated target-power sample size per (method, hr)."""
+    """Interpolated target-power sample size per (method, hr).
+
+    A pair whose grid never reaches the target gets a row without a sample
+    size that says why; a ValueError naming every pair is raised only when
+    no pair reaches it.
+    """
     rows: list[SampleSizeEstimate] = []
-    seen: list[tuple[float, str]] = []
-    for est in power_estimates:
-        key = (est.hr, est.method)
-        if key not in seen:
-            seen.append(key)
-    for hr, method in seen:
+    for hr, method in dict.fromkeys((e.hr, e.method) for e in power_estimates):
         points = [(e.ss, e.power) for e in power_estimates if e.hr == hr and e.method == method]
-        rows.append(
-            SampleSizeEstimate(method=method, hr=hr, sample_size=interpolate_sample_size(points, target))
-        )
+        try:
+            rows.append(SampleSizeEstimate(method, hr, interpolate_sample_size(points, target)))
+        except TargetNotReachedError as exc:
+            rows.append(SampleSizeEstimate(method, hr, None, unreached=str(exc)))
+    if rows and all(row.sample_size is None for row in rows):
+        raise ValueError("; ".join(f"{row.method} at HR {row.hr}: {row.unreached}" for row in rows))
     return rows
 
 

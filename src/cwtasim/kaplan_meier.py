@@ -5,16 +5,17 @@ Endpoints are derived from a trial's padded state matrix: PFS is the first
 month at PD or worse, OS the first month at death; otherwise the subject
 is censored at its last observed month. Every routine takes these
 columns (times, events, arms) as arrays; endpoint_arrays and
-monthly_logrank_terms also take a block of trials on a leading replicate
-axis. Ties follow the standard convention that a subject censored at t is
+endpoint_counts also take a block of trials on a leading replicate axis.
+Ties follow the standard convention that a subject censored at t is
 still at risk for events at t.
 
-One kernel, monthly_terms, gives every month's (O - E, V) for all three
-methods: monthly_logrank_terms feeds it unit events (KM-PFS, KM-OS),
-weighted.monthly_weighted_terms weighted ones (CWTA), and
-result_from_terms turns either's terms into a TestResult. Likewise
-product_limit, prod (1 - d_j / n_j), is both the survival curve and
-weighted.cwta_curve over weighted events.
+endpoint_counts turns an endpoint's columns into monthly counts: the
+arguments of monthly_terms, the one kernel that gives every month's
+(O - E, V) for all three methods, and result_from_terms turns those terms
+into a TestResult. weighted.monthly_counts builds the counts of all three
+methods from one trial. product_limit, prod (1 - d_j / n_j), is both the
+survival curve (km_curve) and the CWTA trajectory curve, over one arm's
+unit or weighted events.
 """
 
 from __future__ import annotations
@@ -117,24 +118,29 @@ def _time_to_event(times, events, caller: str) -> tuple[np.ndarray, np.ndarray]:
     return times, events
 
 
+def km_curve(events: np.ndarray, at_risk: np.ndarray) -> KMCurve:
+    """The product-limit curve of one group's monthly event and risk counts,
+    with a step at each month that has events."""
+    survival = product_limit(events, at_risk)
+    return KMCurve(
+        steps=tuple(
+            KMStep(time=int(t), survival=float(survival[t]), at_risk=int(at_risk[t]), events=int(events[t]))
+            for t in np.flatnonzero(events)
+        )
+    )
+
+
 def km_estimate(times, events) -> KMCurve:
     """Product-limit survival estimate.
 
     S(t) = prod_{t_j <= t} (1 - d_j / n_j) over distinct event times t_j,
     with n_j counting every subject whose time is >= t_j (so subjects
-    censored exactly at t_j remain at risk there).
+    censored exactly at t_j remain at risk there). The records are counted
+    as one arm by endpoint_counts.
     """
     times, events = _time_to_event(times, events, "km_estimate")
-    horizon = int(times.max())
-    n = at_risk_counts(times, horizon)
-    d = month_counts(times, horizon, events)
-    survival = product_limit(d, n)
-    return KMCurve(
-        steps=tuple(
-            KMStep(time=int(t), survival=float(survival[t]), at_risk=int(n[t]), events=int(d[t]))
-            for t in np.flatnonzero(d)
-        )
-    )
+    d, _, _, _, n, _ = endpoint_counts(times, events, np.full(times.shape, int(Arm.CONTROL)), int(times.max()))
+    return km_curve(d, n)
 
 
 def monthly_terms(observed, w, a, b, n1, n) -> tuple[np.ndarray, np.ndarray]:
@@ -151,30 +157,24 @@ def monthly_terms(observed, w, a, b, n1, n) -> tuple[np.ndarray, np.ndarray]:
     return (observed - e)[..., 1:], v[..., 1:]
 
 
-def monthly_logrank_terms(
-    times: np.ndarray, events: np.ndarray, arms: np.ndarray, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-month logrank contributions for the control arm.
+def endpoint_counts(times: np.ndarray, events: np.ndarray, arms: np.ndarray, horizon: int) -> tuple:
+    """monthly_terms' arguments (d1, d, d, n - d, n1, n) of one endpoint, months 0..horizon.
 
-    At each month m with d_m events out of n_m at risk (n1_m in control),
-    the control arm's observed events d1_m are compared with the
+    At each month m with d_m events out of n_m at risk (n1_m and d1_m in
+    control), the control arm's observed events d1_m are compared with the
     hypergeometric mean E1_m = d_m * p_m and variance
 
         V_m = d_m * p_m * (1 - p_m) * (n_m - d_m) / (n_m - 1),
 
-    p_m = n1_m / n_m: monthly_terms with (observed, w, a, b) =
-    (d1, d, d, n - d). Returns arrays indexed by month 1..horizon of
-    (d1_m - E1_m) and V_m; months without events contribute zero, so
-    prefix sums give the statistic of the data truncated at any month.
-    times and events may carry a leading replicate axis, (R, n) with arms
-    (n,) shared; the terms are then (R, horizon).
+    p_m = n1_m / n_m. times and events may carry a leading replicate axis,
+    (R, n) with arms (n,) shared; the counts are then (R, horizon + 1).
     """
-    is_control = arms == int(Arm.CONTROL)
-    n = at_risk_counts(times, horizon)
-    n1 = at_risk_counts(times[..., is_control], horizon)
+    control = arms == int(Arm.CONTROL)
+    n1 = at_risk_counts(times[..., control], horizon)
+    n = n1 + at_risk_counts(times[..., ~control], horizon)
     d = month_counts(times, horizon, events)
-    d1 = month_counts(times, horizon, events & is_control)
-    return monthly_terms(d1, d, d, n - d, n1, n)
+    d1 = month_counts(times, horizon, events & control)
+    return d1, d, d, n - d, n1, n
 
 
 def two_sided_p(z):
@@ -183,15 +183,15 @@ def two_sided_p(z):
     return 2.0 * ndtr(-np.abs(z))
 
 
-def result_from_terms(ome: np.ndarray, v: np.ndarray, one_sided: str) -> TestResult:
+def result_from_terms(ome: np.ndarray, v: np.ndarray) -> TestResult:
     """The test over all months of per-month (O - E, V) terms: z = sum(O - E) / sqrt(sum(V)).
 
-    Raises DegenerateTestError, naming one_sided as the cause, when the
-    total variance is zero.
+    Raises DegenerateTestError when the total variance is zero: there are
+    no events, or every event month has a one-sided risk set.
     """
     observed_minus_expected, variance = float(ome.sum()), float(v.sum())
     if variance <= 0.0:
-        raise DegenerateTestError(f"zero variance: {one_sided}")
+        raise DegenerateTestError("zero variance: no events, or every event month has a one-sided risk set")
     z = observed_minus_expected / sqrt(variance)
     return TestResult(
         statistic=z * z,
@@ -215,5 +215,4 @@ def logrank_test(times, events, arms) -> TestResult:
         raise ValueError("logrank_test requires records from both arms")
     if not events.any():
         raise DegenerateTestError("no events in either arm")
-    terms = monthly_logrank_terms(times, events, arms, int(times.max()))
-    return result_from_terms(*terms, "every event month has a one-sided risk set")
+    return result_from_terms(*monthly_terms(*endpoint_counts(times, events, arms, int(times.max()))))

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .trajectories import DEATH, N_STATES, PD, SD, Arm, TransitionModel, Trial
+from .weighted import METHODS
 
 BUILTIN_PROFILES = ("moderate", "high")
 
@@ -241,18 +242,23 @@ def write_km_curves_by_arm_csv(curves: dict, path) -> None:
     _write_rows(path, ("arm", "time", "survival", "at_risk", "events"), rows)
 
 
-def write_trajectory_curves_by_arm_csv(curves: dict, path) -> None:
+def write_trajectory_curves_by_arm_csv(curves: dict, path, at_risk) -> None:
+    """Both arms' trajectory curves in one file, a row per arm and month.
+
+    curves[arm][m] is the arm's value in month m; at_risk[a][m] counts the
+    subjects of arm a at risk then.
+    """
     rows = []
     for arm in (Arm.CONTROL, Arm.EXPERIMENTAL):
-        for s in curves[arm].steps:
-            rows.append((arm.label, s.month, s.value, s.at_risk_control, s.at_risk_experimental))
+        for m, value in enumerate(curves[arm].tolist()):
+            rows.append((arm.label, m, value, at_risk[0][m], at_risk[1][m]))
     _write_rows(path, ("arm", "month", "value", "at_risk_arm1", "at_risk_arm2"), rows)
 
 
 def write_tests_csv(results: dict, path) -> None:
     """Three-method test summary; degenerate tests leave numeric fields blank."""
     rows = []
-    for method in ("CWTA", "PFS", "OS"):
+    for method in METHODS:
         r = results.get(method)
         if r is None:
             rows.append((method, None, None, None, None, None))

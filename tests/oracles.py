@@ -7,12 +7,12 @@ stream oracle builds one np.random.default_rng per subject, the stream
 that the package's vectorized generator must reproduce bit for bit. The
 replicate oracle is the exception to "no shared code": it is the package's
 former one-replicate-at-a-time path -- simulate_trial, then a per-trial
-scan through the per-event extraction with scipy's norm.sf -- kept as the
-reference that the replicate-batched engine must reproduce bit for bit.
-extract_weighted_events is that former extraction: one WeightedEvent per
-observed move, which event_sums_from validates and sums into the
-EventSums that the package's trial_event_sums computes from the state
-matrix directly.
+scan through the per-event extraction and per-endpoint logrank terms with
+scipy's norm.sf -- kept as the reference that the replicate-batched engine
+must reproduce bit for bit. extract_weighted_events is that former
+extraction: one WeightedEvent per observed move, which event_sums_from
+validates and sums into EventSums, whose counts() are the CWTA counts that
+the package's monthly_counts computes from the state matrix directly.
 read_trajectories_rowwise is the former row-by-row CSV reader (one dict
 per row, per-subject checks in a loop), the reference for the columnar
 read_trajectories_csv; trial_state_matrix packs per-subject rows the way
@@ -38,7 +38,6 @@ from cwtasim import (
     METHODS,
     Arm,
     Endpoint,
-    EventSums,
     SD,
     TransitionModel,
     Trial,
@@ -47,9 +46,9 @@ from cwtasim import (
     endpoint_arrays,
     simulate_trial,
 )
-from cwtasim.kaplan_meier import monthly_logrank_terms
+from cwtasim.kaplan_meier import at_risk_counts, month_counts, monthly_terms
 from cwtasim.seeds import float_bits, mix64
-from cwtasim.weighted import monthly_weighted_terms
+from cwtasim.weighted import weighted_counts
 
 
 class Record(NamedTuple):
@@ -242,6 +241,25 @@ class WeightedEvent(NamedTuple):
     weight: float
 
 
+class EventSums(NamedTuple):
+    """A table's weighted events summed by month, with its risk counts.
+
+    w_sum, q_sum and o1 sum the event weights, squared weights and
+    control-arm weights of months 0..horizon; at_risk[arm, month] counts
+    that arm's subjects at risk.
+    """
+
+    w_sum: np.ndarray
+    q_sum: np.ndarray
+    o1: np.ndarray
+    at_risk: np.ndarray
+
+    def counts(self) -> tuple:
+        """The package's CWTA counts of these sums: monthly_terms' arguments."""
+        n1 = self.at_risk[int(Arm.CONTROL)]
+        return weighted_counts(self.o1, self.w_sum, self.q_sum, n1, self.at_risk.sum(axis=0))
+
+
 def event_sums_from(events, at_risk, horizon: int) -> EventSums:
     """Validate explicit weighted events and risk counts, and sum them by month.
 
@@ -336,16 +354,32 @@ def scan_from_terms(ome: np.ndarray, v: np.ndarray, alpha: float) -> MethodScan:
     return MethodScan(final_p=float(p[-1]), first_significant_month=first)
 
 
+def logrank_terms(times, events, arms, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The former per-endpoint logrank terms of months 1..horizon: monthly_terms
+    of (d1, d, d, n - d, n1, n), each risk set counted on its own."""
+    is_control = arms == int(Arm.CONTROL)
+    n = at_risk_counts(times, horizon)
+    n1 = at_risk_counts(times[is_control], horizon)
+    d = month_counts(times, horizon, events)
+    d1 = month_counts(times, horizon, events & is_control)
+    return monthly_terms(d1, d, d, n - d, n1, n)
+
+
+def weighted_terms(sums: EventSums) -> tuple[np.ndarray, np.ndarray]:
+    """The former weighted terms of months 1..horizon, from float risk counts."""
+    n1 = sums.at_risk[int(Arm.CONTROL)].astype(np.float64)
+    n = sums.at_risk.sum(axis=0).astype(np.float64)
+    return monthly_terms(sums.o1, sums.w_sum, 1.0, n * sums.q_sum - sums.w_sum**2, n1, n)
+
+
 def scan_one_trial(trial, alpha: float) -> dict[str, MethodScan]:
     """Monthly significance scans of one trial, one method at a time."""
     scans: dict[str, MethodScan] = {}
     for kind in Endpoint:
         times, events = endpoint_arrays(trial.states, trial.censor, kind)
-        ome, v = monthly_logrank_terms(times, events, trial.arms, trial.horizon)
-        scans[kind.name] = scan_from_terms(ome, v, alpha)
+        scans[kind.name] = scan_from_terms(*logrank_terms(times, events, trial.arms, trial.horizon), alpha)
     sums = event_sums_from(*extract_weighted_events(trial), trial.horizon)
-    ome, v = monthly_weighted_terms(*sums)
-    scans["CWTA"] = scan_from_terms(ome, v, alpha)
+    scans["CWTA"] = scan_from_terms(*weighted_terms(sums), alpha)
     return scans
 
 

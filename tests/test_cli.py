@@ -109,6 +109,35 @@ def test_power_and_samplesize_and_tte_commands(tmp_path, fast_profile):
     assert len(tte_lines) == 1 + 3 * 2
 
 
+def test_samplesize_writes_reached_pairs_and_names_the_rest(tmp_path, fast_profile, capsys):
+    """On the toy grid only CWTA reaches 45 % power: its row has a sample
+    size, PFS's and OS's are blank and named on stderr with their peaks."""
+    cfg = small_config(tmp_path, profile=fast_profile)
+    assert run_cli(["power", "--config", cfg]) == 0
+    power_csv = (tmp_path / "out" / "power.csv").read_bytes()
+    capsys.readouterr()
+    assert run_cli(["samplesize", "--config", cfg, "--target", "0.45"]) == 0
+    assert (tmp_path / "out" / "power.csv").read_bytes() == power_csv
+    rows = (tmp_path / "out" / "sample_size.csv").read_text().splitlines()
+    assert rows[0] == "method,hr,sample_size_80"
+    assert rows[1].startswith("CWTA,0.5,") and 20 < float(rows[1].split(",")[2]) < 40
+    assert rows[2:] == ["PFS,0.5,", "OS,0.5,"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {method} at HR 0.5: target power 0.45 not reached on the grid "
+        f"(max smoothed power {peak} at sample size 20)"
+        for method, peak in (("PFS", "0.3333"), ("OS", "0.3750"))
+    ]
+
+
+def test_samplesize_exits_2_with_one_line_when_no_pair_is_reached(tmp_path, fast_profile, capsys):
+    cfg = small_config(tmp_path, profile=fast_profile)
+    assert run_cli(["samplesize", "--config", cfg, "--target", "0.8"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: CWTA at HR 0.5: target power 0.8 not reached")
+    assert "; PFS at HR 0.5: " in err and "; OS at HR 0.5: " in err
+    assert not (tmp_path / "out" / "sample_size.csv").exists()
+
+
 def test_worker_count_does_not_change_output(tmp_path, fast_profile):
     cfg1 = small_config(tmp_path / "one" if False else tmp_path, profile=fast_profile)
     assert run_cli(["power", "--config", cfg1, "--workers", "1"]) == 0

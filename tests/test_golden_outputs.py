@@ -1,7 +1,9 @@
 """Byte-identity of the CLI's deterministic outputs.
 
 The SHA-256 digests below are those of files written by the package before
-the statistics kernel and the CWTA event path were unified. A refactor that
+the statistics kernel and the CWTA event path were unified; the digests of
+the trial whose endpoints end before the horizon were recorded before the
+three methods shared one monthly-counts pass. A refactor that
 changes any byte of a simulated trial, of analyze's tests and curves, or of
 a grid's power and time-to-signal tables fails here. When an output changes
 on purpose, the digests are re-recorded in the same change and the reason
@@ -33,6 +35,34 @@ ANALYZE_DIGESTS = {
         "curve_cwta.csv": "b61f7af3b3d91069e3a7a1a9d5d63dcb3702dfc7964f6528d3fed50e331d2380",
     },
 }
+# Sixteen subjects, arms alternating from control, one state per month. Every
+# subject observed to month 24 has died by month 23, so PFS and OS end before
+# the horizon: their logrank sums run over fewer months than CWTA's, and
+# numpy's pairwise sum rounds a zero-padded sum differently.
+TRAILING_PATHS = (
+    "2222222222222222222344444",
+    "2222212221110012333344444",
+    "2122121112122212222223344",
+    "2112100001000123333333344",
+    "2222222222222112222",
+    "2112210123333333333334444",
+    "2100001234444444444444444",
+    "2222112221123334444444444",
+    "2100012333333333333333444",
+    "2221112222233333333333344",
+    "2222112112112222222333444",
+    "2101001122222212212344444",
+    "2222223344444444444444444",
+    "2221112221123333333334444",
+    "2111221123333444444444444",
+    "222212222210011",
+)
+TRAILING_DIGESTS = {
+    "tests.csv": "517c886ce9ec06d530647c7f75894900259feeffb697f1925801661e54d1345f",
+    "curve_pfs.csv": "afbaaa9f34260b6f30734e0b51107e96884e0dd44f647c2e127695fb1cb87046",
+    "curve_os.csv": "ba21a1711fcc9e27a1324109df63e8e4284dfe9c80e11eb609f23badfa23ca12",
+    "curve_cwta.csv": "78c4e792fcaae749c7c8ead74a78636ae3f200d0295d78ac5a0e099b5f323bbe",
+}
 GRID_DIGESTS = {
     "power.csv": "943990d4e121ea49dc697a4730864ad09af8439b4dd155ba0043e1c45422cced",
     "tte.csv": "535cf000ba1b374f49f8341ff48af6305f7397d03c0b7b7b438cfb4ec401a6a5",
@@ -52,6 +82,18 @@ def test_simulate_and_analyze_outputs_are_byte_identical(tmp_path, seed):
     ]) == 0
     assert run_cli(["analyze", "--trial", str(trial), "--out-dir", str(tmp_path)]) == 0
     assert _digests(tmp_path, ANALYZE_DIGESTS[seed]) == ANALYZE_DIGESTS[seed]
+
+
+def test_analyze_of_endpoints_ending_before_the_horizon_is_byte_identical(tmp_path):
+    horizon = max(map(len, TRAILING_PATHS)) - 1
+    rows = ["subject,month,state,arm,dropout_month"]
+    for i, path in enumerate(TRAILING_PATHS):
+        arm, dropout = ("control", "experimental")[i % 2], len(path) - 1 if len(path) <= horizon else ""
+        rows += [f"{i},{month},{state},{arm},{dropout}" for month, state in enumerate(path)]
+    trial = tmp_path / "trajectories.csv"
+    trial.write_text("\n".join(rows) + "\n")
+    assert run_cli(["analyze", "--trial", str(trial), "--out-dir", str(tmp_path)]) == 0
+    assert _digests(tmp_path, TRAILING_DIGESTS) == TRAILING_DIGESTS
 
 
 def test_grid_outputs_are_byte_identical(tmp_path):

@@ -29,9 +29,9 @@ from cwtasim import (
 )
 from cwtasim import harness
 from cwtasim.harness import plan_blocks, replicate_seed
-from cwtasim.kaplan_meier import endpoint_arrays, monthly_logrank_terms
+from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, endpoint_counts, logrank_test, monthly_terms
 from cwtasim.trajectories import simulate_block
-from cwtasim.weighted import monthly_weighted_terms, trial_event_sums, weighted_logrank_test
+from cwtasim.weighted import count_tests, monthly_counts
 
 from oracles import run_replicates_one_by_one, scan_one_trial, welch_t_df
 
@@ -71,9 +71,9 @@ def test_scan_prefix_sums_equal_truncated_recomputation():
     """
     trial = small_trial()
     horizon = MODEL.horizon_months
-    ome, v = monthly_weighted_terms(*trial_event_sums(trial))
+    ome, v = monthly_terms(*monthly_counts(trial)["CWTA"])
     for month in (1, 3, 7, 12, 24):
-        t_ome, t_v = monthly_weighted_terms(*trial_event_sums(truncate(trial, month)))
+        t_ome, t_v = monthly_terms(*monthly_counts(truncate(trial, month))["CWTA"])
         assert float(t_ome.sum()) == pytest.approx(float(ome[:month].sum()), abs=TOL)
         assert float(t_v.sum()) == pytest.approx(float(v[:month].sum()), abs=TOL)
 
@@ -82,11 +82,11 @@ def test_scan_logrank_prefix_sums_equal_truncated_recomputation():
     trial = small_trial(seed=5)
     horizon = MODEL.horizon_months
     times, events = endpoint_arrays(trial.states, trial.censor, 3)
-    ome, v = monthly_logrank_terms(times, events, trial.arms, horizon)
+    ome, v = monthly_terms(*endpoint_counts(times, events, trial.arms, horizon))
     for month in (2, 5, 9, 16, 24):
         truncated = truncate(trial, month)
         t_times, t_events = endpoint_arrays(truncated.states, truncated.censor, 3)
-        t_ome, t_v = monthly_logrank_terms(t_times, t_events, truncated.arms, month)
+        t_ome, t_v = monthly_terms(*endpoint_counts(t_times, t_events, truncated.arms, month))
         assert float(t_ome.sum()) == pytest.approx(float(ome[:month].sum()), abs=TOL)
         assert float(t_v.sum()) == pytest.approx(float(v[:month].sum()), abs=TOL)
 
@@ -95,8 +95,12 @@ def test_scan_trial_final_p_matches_direct_tests():
     trial = small_trial(seed=21)
     final_p, first_month = scan_trial(trial, alpha=0.05)
     assert final_p.shape == first_month.shape == (len(METHODS),)
-    direct = weighted_logrank_test(trial_event_sums(trial))
-    assert final_p[METHODS.index("CWTA")] == pytest.approx(direct.p_value, abs=TOL)
+    direct = count_tests(monthly_counts(trial))
+    for method in METHODS:
+        assert final_p[METHODS.index(method)] == pytest.approx(direct[method].p_value, abs=TOL)
+    for kind in Endpoint:  # analyze's KM tests are the column entry point's, bit for bit
+        times, events = endpoint_arrays(trial.states, trial.censor, kind)
+        assert direct[kind.name] == logrank_test(times, events, trial.arms)
     # first significant month: 0 (never) or a month of the horizon
     for first in first_month:
         assert first == 0 or 1 <= first <= MODEL.horizon_months
@@ -106,7 +110,7 @@ def test_scan_first_month_is_earliest_significant():
     trial = small_trial(seed=33, ss=120, hr=0.4)
     alpha = 0.05
     _, first_month = scan_trial(trial, alpha)
-    ome, v = monthly_weighted_terms(*trial_event_sums(trial))
+    ome, v = monthly_terms(*monthly_counts(trial)["CWTA"])
     cum_o, cum_v = np.cumsum(ome), np.cumsum(v)
     sig_months = [
         m + 1

@@ -27,7 +27,7 @@ from cwtasim import (
 )
 from cwtasim import serialize
 from cwtasim.config import DEFAULT_HAZARD_RATIOS, DEFAULT_POWER_SIZES, DEFAULT_TTE_SIZES
-from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, km_estimate, logrank_test
+from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, km_estimate, logrank_test, product_limit
 from cwtasim.serialize import (
     read_curves_csv,
     write_km_curves_by_arm_csv,
@@ -37,7 +37,7 @@ from cwtasim.serialize import (
     write_trajectory_curves_by_arm_csv,
     write_tte_csv,
 )
-from cwtasim.weighted import cwta_curve, trial_event_sums, weighted_logrank_test
+from cwtasim.weighted import arm_counts, count_tests, monthly_counts
 
 from oracles import read_trajectories_rowwise, write_trajectories_rowwise
 
@@ -412,17 +412,17 @@ def test_km_curves_by_arm_csv(tmp_path):
 
 def test_trajectory_curve_csv(tmp_path):
     trial = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.5, control_model=MODEL, seed=4))
-    sums = trial_event_sums(trial)
-    curves = {arm: cwta_curve(sums, arm) for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)}
+    arms = arm_counts(monthly_counts(trial)["CWTA"])
+    curves = {arm: product_limit(*arms[arm]) for arm in arms}
     path = tmp_path / "cwta.csv"
-    write_trajectory_curves_by_arm_csv(curves, path)
+    write_trajectory_curves_by_arm_csv(curves, path, [n for _, n in arms.values()])
     read = read_curves_csv(path)
     assert [label for label, _ in read] == ["control", "experimental"]
     for (_, points), curve in zip(read, curves.values()):
-        assert len(points) == len(curve.steps)
+        assert len(points) == len(curve) == trial.horizon + 1
         assert points[0] == (0.0, 1.0)  # month-0 value is 1, no synthetic anchor
         values = [v for _, v in points]
-        assert values == pytest.approx([s.value for s in curve.steps])
+        assert values == pytest.approx(curve.tolist())
 
 
 def test_read_curves_csv_errors(tmp_path):
@@ -446,7 +446,7 @@ def test_read_curves_csv_errors(tmp_path):
 def test_tests_csv_blank_for_degenerate(tmp_path):
     trial = simulate_trial(TrialConfig(sample_size=60, hazard_ratio=0.5, control_model=MODEL, seed=4))
     results = {
-        "CWTA": weighted_logrank_test(trial_event_sums(trial)),
+        "CWTA": count_tests(monthly_counts(trial))["CWTA"],
         "PFS": logrank_test(*endpoints(trial, Endpoint.PFS), trial.arms),
         "OS": None,  # degenerate -> blank numeric fields
     }

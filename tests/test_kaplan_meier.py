@@ -161,7 +161,7 @@ def test_p_value_equals_norm_sf_bit_for_bit(z):
     it must equal 2 * norm.sf(|z|) exactly, into the subnormal tail and at +-inf."""
     expected = 2.0 * float(stats.norm.sf(abs(z)))
     assert float(two_sided_p(z)).hex() == expected.hex()
-    result = kaplan_meier.result_from_terms(np.array([z]), np.array([1.0]), "")
+    result = kaplan_meier.result_from_terms(np.array([z]), np.array([1.0]))
     assert result.p_value.hex() == expected.hex()
     scan_p = two_sided_p(np.array([z, -z]))
     assert [float(p).hex() for p in scan_p] == [expected.hex()] * 2

@@ -11,15 +11,15 @@ from cwtasim import (
     Arm,
     DegenerateTestError,
     Trial,
-    cwta_curve,
     TrialConfig,
+    arm_counts,
     load_profile,
     logrank_test,
+    monthly_counts,
     simulate_trial,
-    weighted_logrank_test,
 )
+from cwtasim.kaplan_meier import monthly_terms, product_limit, result_from_terms
 from cwtasim.trajectories import simulate_block
-from cwtasim.weighted import monthly_weighted_terms, trial_event_sums
 
 from oracles import (
     Record,
@@ -37,6 +37,11 @@ TOL = 1e-12
 
 def ev(month, subject, arm, weight):
     return WeightedEvent(month=month, subject=subject, arm=arm, weight=weight)
+
+
+def cwta_test(sums):
+    """The CWTA test of an event table, as count_tests takes it from a trial's counts."""
+    return result_from_terms(*monthly_terms(*sums.counts()))
 
 
 def trial(*subjects):
@@ -60,7 +65,7 @@ def test_single_event_table_hand_fixture():
         [[1, 1], [1, 1]],
         horizon=1,
     )
-    result = weighted_logrank_test(sums)
+    result = cwta_test(sums)
     assert result.observed_minus_expected == pytest.approx(0.125, abs=TOL)
     assert result.variance == pytest.approx(0.015625, abs=TOL)
     assert result.z == pytest.approx(1.0, abs=TOL)
@@ -76,7 +81,7 @@ def test_weighted_terms_match_naive_on_mixed_table():
         ev(3, 0, Arm.CONTROL, 0.5),
     ]
     at_risk = [[2, 2, 2, 1], [2, 2, 2, 2]]
-    got = weighted_logrank_test(event_sums_from(events, at_risk, horizon=3))
+    got = cwta_test(event_sums_from(events, at_risk, horizon=3))
     o_minus_e, variance = naive_weighted_sums(
         [e.month for e in events],
         [e.arm for e in events],
@@ -101,7 +106,7 @@ def test_monthly_moments_match_exact_label_enumeration():
         for i, w in enumerate(weights)
         if w != 0.0
     ]
-    ome, v = monthly_weighted_terms(*event_sums_from(events, [[3, 3], [3, 3]], horizon=1))
+    ome, v = monthly_terms(*event_sums_from(events, [[3, 3], [3, 3]], horizon=1).counts())
     observed = sum(e.weight for e in events if e.arm == Arm.CONTROL)
     assert observed - ome[0] == pytest.approx(mean_exact, abs=TOL)
     assert v[0] == pytest.approx(var_exact, abs=TOL)
@@ -115,7 +120,7 @@ def test_exact_moments_hold_for_unbalanced_arms():
         for i, w in enumerate(weights)
         if w != 0.0
     ]
-    ome, v = monthly_weighted_terms(*event_sums_from(events, [[2, 2], [3, 3]], horizon=1))
+    ome, v = monthly_terms(*event_sums_from(events, [[2, 2], [3, 3]], horizon=1).counts())
     observed = sum(e.weight for e in events if e.arm == Arm.CONTROL)
     assert observed - ome[0] == pytest.approx(mean_exact, abs=TOL)
     assert v[0] == pytest.approx(var_exact, abs=TOL)
@@ -124,19 +129,20 @@ def test_exact_moments_hold_for_unbalanced_arms():
 def test_degenerate_no_events():
     sums = event_sums_from([], [[2, 2], [2, 2]], horizon=1)
     with pytest.raises(DegenerateTestError):
-        weighted_logrank_test(sums)
+        cwta_test(sums)
 
 
 def test_degenerate_one_sided_risk_set():
     sums = event_sums_from([ev(2, 0, Arm.CONTROL, 0.25)], [[1, 1, 1], [1, 0, 0]], horizon=2)
     with pytest.raises(DegenerateTestError):
-        weighted_logrank_test(sums)
+        cwta_test(sums)
 
 
 def test_requires_both_arms_populated():
+    """With one arm empty every risk set is one-sided, so the variance is zero."""
     sums = event_sums_from([ev(1, 0, Arm.CONTROL, 0.25)], [[1, 1], [0, 0]], horizon=1)
-    with pytest.raises(ValueError):
-        weighted_logrank_test(sums)
+    with pytest.raises(DegenerateTestError):
+        cwta_test(sums)
 
 
 def test_event_validation():
@@ -198,7 +204,7 @@ def test_unit_weights_reduce_to_logrank_on_random_datasets():
             km_result = logrank_test(*columns(records))
         except (DegenerateTestError, ValueError):
             continue
-        weighted_result = weighted_logrank_test(km_records_as_event_sums(records))
+        weighted_result = cwta_test(km_records_as_event_sums(records))
         assert weighted_result.observed_minus_expected == pytest.approx(
             km_result.observed_minus_expected, abs=TOL
         )
@@ -237,22 +243,22 @@ def test_extract_events_censoring_truncates_observation():
 
 
 @pytest.mark.parametrize("profile", ["moderate", "high"])
-def test_trial_event_sums_equal_event_table_sums(profile):
-    """trial_event_sums equals the bincounts of the per-event extraction bit for bit,
-    for one trial and for every row of a block."""
+def test_monthly_counts_equal_event_table_sums(profile):
+    """monthly_counts' CWTA counts equal those of the per-event extraction's
+    bincounts bit for bit, for one trial and for every row of a block."""
     model = load_profile(profile)
     seeds = np.array([0, 9, 2**64 - 1], dtype=np.uint64)
-    block = simulate_block(model, 0.6, 40, seeds)
+    block = monthly_counts(simulate_block(model, 0.6, 40, seeds))["CWTA"]
     for r, seed in enumerate(seeds):
         one = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.6, control_model=model, seed=int(seed)))
-        expected = event_sums_from(*extract_weighted_events(one), one.horizon)
-        for got in (trial_event_sums(one), [x[r] for x in trial_event_sums(block)]):
+        expected = event_sums_from(*extract_weighted_events(one), one.horizon).counts()
+        for got in (monthly_counts(one)["CWTA"], [x if np.isscalar(x) else x[r] for x in block]):
             for a, b in zip(got, expected):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
     # a dropout, an improvement and a relapse before censoring
     handmade = trial(([2, 1, 2, 3], Arm.CONTROL), ([2, 3, 4], Arm.EXPERIMENTAL), ([2, 2], Arm.CONTROL))
-    expected = event_sums_from(*extract_weighted_events(handmade), handmade.horizon)
-    for a, b in zip(trial_event_sums(handmade), expected):
+    expected = event_sums_from(*extract_weighted_events(handmade), handmade.horizon).counts()
+    for a, b in zip(monthly_counts(handmade)["CWTA"], expected):
         assert np.array_equal(a, b)
 
 
@@ -267,19 +273,10 @@ def test_cwta_curve_hand_values():
     """
     events = [ev(1, 0, Arm.CONTROL, 0.25), ev(2, 4, Arm.EXPERIMENTAL, -0.25)]
     at_risk = [[4, 4, 4], [4, 4, 4]]
-    sums = event_sums_from(events, at_risk, horizon=2)
-    control = cwta_curve(sums, Arm.CONTROL)
-    experimental = cwta_curve(sums, Arm.EXPERIMENTAL)
-    assert [s.value for s in control.steps] == pytest.approx([1.0, 0.9375, 0.9375], abs=TOL)
-    assert [s.value for s in experimental.steps] == pytest.approx([1.0, 1.0, 1.0625], abs=TOL)
-    assert control.steps[1].at_risk_control == 4
-    assert control.steps[1].at_risk_experimental == 4
-
-
-def test_cwta_curve_empty_arm_rejected():
-    sums = event_sums_from([ev(1, 0, Arm.CONTROL, 0.25)], [[1, 1], [0, 0]], horizon=1)
-    with pytest.raises(ValueError):
-        cwta_curve(sums, Arm.EXPERIMENTAL)
+    arms = arm_counts(event_sums_from(events, at_risk, horizon=2).counts())
+    assert product_limit(*arms[Arm.CONTROL]).tolist() == pytest.approx([1.0, 0.9375, 0.9375], abs=TOL)
+    assert product_limit(*arms[Arm.EXPERIMENTAL]).tolist() == pytest.approx([1.0, 1.0, 1.0625], abs=TOL)
+    assert arms[Arm.CONTROL][1][1] == arms[Arm.EXPERIMENTAL][1][1] == 4
 
 
 # -------------------------------------------------------------- properties
@@ -304,7 +301,7 @@ def test_weighted_statistic_matches_naive_on_generated_tables(raw):
         arm = Arm.CONTROL if is_control else Arm.EXPERIMENTAL
         events.append(ev(month, i, arm, weight))
     at_risk = [[len(raw)] * (horizon + 1), [len(raw)] * (horizon + 1)]
-    ome, v = monthly_weighted_terms(*event_sums_from(events, at_risk, horizon))
+    ome, v = monthly_terms(*event_sums_from(events, at_risk, horizon).counts())
     o_naive, v_naive = naive_weighted_sums(
         [e.month for e in events],
         [e.arm for e in events],
@@ -327,8 +324,8 @@ def test_swapping_arm_labels_flips_the_sign():
         ev(e.month, e.subject, Arm.EXPERIMENTAL if e.arm == Arm.CONTROL else Arm.CONTROL, e.weight)
         for e in events
     ]
-    a = weighted_logrank_test(event_sums_from(events, at_risk, horizon=3))
-    b = weighted_logrank_test(event_sums_from(flipped, at_risk, horizon=3))
+    a = cwta_test(event_sums_from(events, at_risk, horizon=3))
+    b = cwta_test(event_sums_from(flipped, at_risk, horizon=3))
     assert a.z == pytest.approx(-b.z, abs=TOL)
     assert a.p_value == pytest.approx(b.p_value, abs=TOL)
     assert a.variance == pytest.approx(b.variance, abs=TOL)
