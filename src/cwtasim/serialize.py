@@ -7,6 +7,7 @@ fixed order, so identical inputs always produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trajectories import DEATH, N_STATES, PD, SD, Arm, TransitionModel, Trial
+from .trajectories import DEATH, MAX_HORIZON, N_STATES, PD, SD, Arm, TransitionModel, Trial
 from .weighted import METHODS
 
 BUILTIN_PROFILES = ("moderate", "high")
@@ -104,7 +105,8 @@ def write_trajectories_csv(trial: Trial, path) -> None:
 
 
 _REQUIRED = ("subject", "month", "state", "arm")
-CHUNK_ROWS = 8_000  # rows tokenized at a time: bounds the strings alive at once
+CHUNK_BYTES = 1 << 18  # plain bytes tokenized at a time, cut at a line end: bounds the arrays alive at once
+CHUNK_ROWS = 8_000  # rows of quoted or CR input tokenized at a time: bounds the strings alive at once
 
 
 def _columns(path, header: list[str] | None) -> tuple[dict[str, int], int]:
@@ -152,48 +154,146 @@ def _first_row_fault(path) -> str:
             return f"{path}: {exc}"
 
 
-def _narrow(texts: list[str], convert, dtype) -> np.ndarray:
-    """convert(text) for each text, called once per distinct text."""
-    table = {text: convert(text) for text in set(texts)}
-    return np.fromiter(map(table.__getitem__, texts), dtype, len(texts))
+def _part(texts, index: dict[str, int], dropout_code: dict[int, int]) -> tuple:
+    """One chunk's narrow integer columns from its subject, month, state, arm and dropout texts."""
+    keys, months, states, arms, drops = texts
+    return (
+        _narrow(keys, lambda t: index.setdefault(t, len(index)), np.int32),  # codes follow first appearance
+        # out-of-range months and states stay out of range
+        _narrow(months, lambda t: min(max(int(t), -1), 2**31 - 1), np.int32),
+        _narrow(states, lambda t: min(max(int(t), -1), 5), np.int8),
+        _narrow(arms, lambda t: _ARM_BY_LABEL[t.strip().lower()], np.int8),
+        _narrow(drops, lambda t: dropout_code.setdefault(int(t), len(dropout_code)) if t.strip() else -1, np.int32),
+    )
+
+
+def _narrow(texts, convert, dtype) -> np.ndarray:
+    """convert(text) for each text, called once per distinct text in first-appearance order.
+
+    texts is a list of str, or an array of UTF-8 fields each padded with at
+    least one "," (which no field holds): fixed-width bytes, or 8-byte words.
+    """
+    if isinstance(texts, list):
+        table = {text: convert(text) for text in dict.fromkeys(texts)}
+        return np.fromiter(map(table.__getitem__, texts), dtype, len(texts))
+    distinct, first, inverse = np.unique(texts, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    table = np.empty(len(distinct), dtype)
+    padded = distinct[order].view(f"S{distinct.itemsize}").tolist()
+    table[order] = [convert(t.rstrip(b",").decode()) for t in padded]
+    return table[inverse]
+
+
+# by field size n < 8: the mask of an 8-byte word's first n bytes, and "," in the rest
+_WORD_KEEP = np.frombuffer(b"".join(b"\xff" * n + bytes(8 - n) for n in range(8)), np.uint64)
+_WORD_PAD = np.frombuffer(b"".join(bytes(n) + b"," * (8 - n) for n in range(8)), np.uint64)
+
+
+def _plain_fields(chunk, col: dict[str, int], d: int) -> list:
+    """The subject, month, state, arm and dropout texts of chunk's non-blank lines.
+
+    chunk is whole lines, each ending in "\n", with no '"' and no "\r": every
+    "," and "\n" ends a field, and a dropout past a short line's end reads
+    as blank. A column becomes an array of 8-byte words or fixed-width
+    bytes, or a list of str where padding its few long fields would outgrow
+    the chunk.
+    """
+    str(chunk, "utf-8")  # UTF-8, as csv.reader's text stream must be
+    buf = np.frombuffer(chunk, np.uint8)
+    # field i spans bounds[i] + 1 .. bounds[i + 1], which is a "," or "\n"
+    bounds = np.concatenate(([-1], np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))))
+    if np.diff(bounds).max() - 1 > (limit := csv.field_size_limit()):  # bytes; the limit counts characters
+        chars = np.concatenate(([0], np.cumsum((buf & 0xC0) != 0x80)))
+        if (chars[bounds[1:]] - chars[bounds[:-1] + 1] > limit).any():
+            raise csv.Error(f"field larger than field limit ({limit})")
+    last = np.flatnonzero(buf[bounds[1:]] == ord("\n"))  # each line's last field
+    first = np.concatenate(([0], last[:-1] + 1))
+    filled = (last > first) | (bounds[first + 1] > bounds[first] + 1)  # csv.reader skips a blank line
+    first, width = first[filled], (last - first + 1)[filled]
+    if (width <= max(col[name] for name in _REQUIRED)).any():
+        raise IndexError("truncated row")
+    columns = []
+    for k in [col[name] for name in _REQUIRED] + [d]:
+        field = first + np.minimum(k, width - 1)
+        at = bounds[field] + 1
+        size = np.where(width > k, bounds[field + 1] - at, 0)
+        w = max(int(size.max(initial=0)) + 1, 8)
+        if len(size) * w > 2 * len(buf):  # a few long fields: a str each, not a padded row each
+            columns.append([str(chunk[s : s + n], "utf-8") for s, n in zip(at.tolist(), size.tolist())])
+            continue
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((buf, np.zeros(w, np.uint8))), w)[at]
+        if w == 8:  # a field of up to 7 bytes and its padding as one word, which sorts fast
+            columns.append(windows.view(np.uint64).ravel() & _WORD_KEEP[size] | _WORD_PAD[size])
+        else:
+            columns.append(np.where(np.arange(w) < size[:, None], windows, ord(",")).view(f"S{w}").ravel())
+    return columns
+
+
+def _csv_parts(fh, path, col, d, index, dropout_code):
+    """Each CHUNK_ROWS rows' parts tuple, tokenized by csv.reader from fh (a text stream)."""
+    reader = csv.reader(fh)
+    if col is None:
+        col, d = _columns(path, next(reader, None))
+    while rows := list(islice(reader, CHUNK_ROWS)):
+        rows = [row for row in rows if row]
+        texts = [[row[col[name]] for row in rows] for name in _REQUIRED]
+        yield _part(texts + [[row[d] if d < len(row) else "" for row in rows]], index, dropout_code)
+        del rows, texts  # free this chunk's strings before the next is read
+
+
+def _parts(fh, path, index, dropout_code):
+    """Each chunk's parts tuple, read from fh (a binary stream).
+
+    Plain bytes, with no '"' and no "\r", are tokenized CHUNK_BYTES at a time
+    with array operations. From the first chunk holding either byte on,
+    csv.reader, the one exact tokenizer of quoted input, reads the rest:
+    before any quote, every "\n" ends a record, so that chunk starts one.
+    """
+    col = d = None
+    done, pending = 0, b""  # bytes tokenized so far; a line begun but not ended
+    while True:
+        data = fh.read(CHUNK_BYTES)
+        end, data = not data, pending + data
+        if b'"' in data or b"\r" in data:
+            fh.seek(done)
+            yield from _csv_parts(io.TextIOWrapper(fh, newline=""), path, col, d, index, dropout_code)
+            return
+        if end and data and not data.endswith(b"\n"):
+            data += b"\n"  # the last line needs no line end
+        cut = data.rfind(b"\n") + 1
+        chunk, pending = memoryview(data)[:cut], data[cut:]
+        done += cut
+        if col is None and cut:
+            header = data[: data.index(b"\n")]
+            col, d = _columns(path, str(header, "utf-8").split(","))
+            chunk = chunk[len(header) + 1 :]
+        if chunk:
+            yield _part(_plain_fields(chunk, col, d), index, dropout_code)
+        if end:
+            if col is None:
+                _columns(path, None)  # an empty file: raises
+            return
 
 
 def read_trajectories_csv(path) -> Trial:
     """Read long-format trajectories; the dropout_month column is optional.
 
     Subjects keep the order in which they first appear; rows may come in
-    any order. CHUNK_ROWS rows at a time become narrow integer columns,
-    scattered into the padded state matrix and checked with whole-array
-    operations. A row fault names the earliest offending row, a structural
-    fault the first offending subject (rules in the README).
+    any order. The file is read CHUNK_BYTES at a time, and each chunk's
+    fields become narrow integer columns, converting each distinct text
+    once; a file holding '"' or "\r" is tokenized by csv.reader from the
+    first chunk holding one. The columns are scattered into the padded
+    state matrix and checked with whole-array operations. A row fault
+    names the earliest offending row, a structural fault the first
+    offending subject (rules in the README).
     """
     index: dict[str, int] = {}  # subject key -> code, in first-appearance order
     dropout_code: dict[int, int] = {}  # dropout month -> code, exact for any integer
-    parts = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
         # a truncated row raises IndexError, an unknown arm KeyError, a non-integer field
         # ValueError; the rescan then reports the earliest fault, or the header's
         try:
-            col, d = _columns(path, next(reader, None))
-            while rows := list(islice(reader, CHUNK_ROWS)):
-                rows = [row for row in rows if row]
-                keys = [row[col["subject"]] for row in rows]
-                for key in dict.fromkeys(keys):
-                    index.setdefault(key, len(index))
-                parts.append((
-                    np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)),
-                    # out-of-range months and states stay out of range
-                    _narrow([row[col["month"]] for row in rows], lambda t: min(max(int(t), -1), 2**31 - 1), np.int32),
-                    _narrow([row[col["state"]] for row in rows], lambda t: min(max(int(t), -1), 5), np.int8),
-                    _narrow([row[col["arm"]] for row in rows], lambda t: _ARM_BY_LABEL[t.strip().lower()], np.int8),
-                    _narrow(
-                        [row[d] if d < len(row) else "" for row in rows],
-                        lambda t: dropout_code.setdefault(int(t), len(dropout_code)) if t.strip() else -1,
-                        np.int32,
-                    ),
-                ))
-                del rows, keys  # free this chunk's strings before the next is read
+            parts = list(_parts(fh, path, index, dropout_code))
         except (LookupError, ValueError, csv.Error):
             raise ValueError(_first_row_fault(path)) from None
     if not index:
@@ -206,6 +306,9 @@ def read_trajectories_csv(path) -> Trial:
     if any((arms[c] != a).any() or (dropouts[c[k >= 0]] != k[k >= 0]).any() for c, _, _, a, k in parts):
         raise ValueError(_first_row_fault(path))
     count = sum(np.bincount(codes, minlength=n) for codes, *_ in parts)
+    if (long := count > MAX_HORIZON + 1).any():  # refused before the matrix is allocated
+        s = int(long.argmax())
+        raise ValueError(f"{path}: subject {list(index)[s]} has {count[s]} rows, more than months 0..{MAX_HORIZON}")
     states = np.full((n, int(count.max())), -1, dtype=np.int8)
     seen = np.zeros(states.shape, dtype=bool)
     for codes, months, values, *_ in parts:
@@ -318,27 +421,33 @@ def read_curves_csv(path) -> list[tuple[str, list[tuple[float, float]]]]:
     otherwise a single unnamed curve. KM curves get a (0, 1) anchor so
     the plotted step starts at full survival.
     """
+    groups: dict[str, list[tuple[float, float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty curve file") from None
-        rows = [row for row in reader if row]
-    header = [h.strip() for h in header]
-    has_arm = header and header[0] == "arm"
-    cols = header[1:] if has_arm else header
-    if cols[:2] == ["time", "survival"]:
-        x_col, y_col, anchor = 0, 1, (0.0, 1.0)
-    elif cols[:2] == ["month", "value"]:
-        x_col, y_col, anchor = 0, 1, None
-    else:
-        raise ValueError(f"{path}: unrecognized curve columns {header}")
-    groups: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        label = row[0] if has_arm else ""
-        payload = row[1:] if has_arm else row
-        groups.setdefault(label, []).append((float(payload[x_col]), float(payload[y_col])))
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty curve file")
+            header = [h.strip() for h in header]
+            has_arm = header[:1] == ["arm"]
+            cols = header[1:] if has_arm else header
+            if cols[:2] == ["time", "survival"]:
+                anchor = (0.0, 1.0)
+            elif cols[:2] == ["month", "value"]:
+                anchor = None
+            else:
+                raise ValueError(f"{path}: unrecognized curve columns {header}")
+            for row in filter(None, reader):  # csv.reader yields [] for a blank line
+                label, payload = (row[0], row[1:]) if has_arm else ("", row)
+                try:
+                    point = (float(payload[0]), float(payload[1]))
+                except (IndexError, ValueError):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: needs numeric {cols[0]} and {cols[1]}, got {row}"
+                    ) from None
+                groups.setdefault(label, []).append(point)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not groups:
         raise ValueError(f"{path}: curve file has a header but no data rows")
     out = []

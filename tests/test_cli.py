@@ -284,6 +284,19 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {binary}: 'utf-8' codec can't decode")
 
+    # a curve file with a short row: plot names the file and the line
+    curve = tmp_path / "short_curve.csv"
+    curve.write_text("arm,time,survival,at_risk,events\ncontrol,1\n")
+    assert run_cli(["plot", str(curve), "--out", str(tmp_path / "never.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {curve}: line 2: "), err
+
+    # a subject with more rows than months 0..1200: named before the state matrix is allocated
+    many = tmp_path / "many_rows.csv"
+    many.write_text("subject,month,state,arm\n" + "".join(f"{s},{m},2,control\n" for s in (0, 1) for m in range(2000)))
+    assert run_cli(["analyze", "--trial", str(many), "--out-dir", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == f"error: {many}: subject 0 has 2000 rows, more than months 0..1200\n"
+
     # a subject with only its month-0 row, named before any analysis runs
     baseline = tmp_path / "baseline_only.csv"
     baseline.write_text("subject,month,state,arm\n0,0,2,control\n0,1,2,control\n1,0,2,experimental\n")

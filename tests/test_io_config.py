@@ -248,6 +248,10 @@ def test_read_trajectories_rejects_structural_violations(tmp_path):
         read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,\n0,1,2,control,\n1,0,2,control,\n"))
     with pytest.raises(ValueError, match="subject 2 months must run"):
         read_trajectories_csv(bad_csv(tmp_path, "1,0,2,control,\n2,1,2,control,\n"))
+    # more rows than months 0..MAX_HORIZON: refused before the state matrix is allocated
+    body = "".join(f"{s},{m},2,control,\n" for s, rows in ((1, 2), (7, 1202), (4, 1300)) for m in range(rows))
+    with pytest.raises(ValueError, match=r"bad\.csv: subject 7 has 1202 rows, more than months 0\.\.1200"):
+        read_trajectories_csv(bad_csv(tmp_path, body))
 
 
 READER_MODEL = TransitionModel(
@@ -334,17 +338,59 @@ def mutated_trajectory_file(draw, path) -> list[str]:
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), chunk_rows=st.sampled_from([1, 2, 3, 7, serialize.CHUNK_ROWS]))
-def test_columnar_reader_matches_rowwise_reference(tmp_path, data, chunk_rows):
+@given(
+    data=st.data(),
+    chunk_rows=st.sampled_from([1, 2, 3, 7, serialize.CHUNK_ROWS]),
+    chunk_bytes=st.sampled_from([1, 5, 16, 40, 100, serialize.CHUNK_BYTES]),  # a line is about 15 bytes
+)
+def test_columnar_reader_matches_rowwise_reference(tmp_path, data, chunk_rows, chunk_bytes):
     path = tmp_path / "trial.csv"
     order = mutated_trajectory_file(data.draw, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(serialize, "CHUNK_ROWS", chunk_rows)
+        mp.setattr(serialize, "CHUNK_BYTES", chunk_bytes)
         assert_same_outcome(path, order)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda f: f[:3] + [f'"{f[3]}"'] + f[4:],  # a quoted arm
+        lambda f: [f'"{f[0]}\n{f[0]}"'] + f[1:],  # a quoted subject holding a line break
+        lambda f: f[:-1] + [f[-1] + "\r"],  # a CRLF line end
+    ],
+)
+def test_plain_file_turning_quoted_past_its_first_chunk(tmp_path, monkeypatch, edit):
+    """The rows after a chunk holding '"' or CR are read by csv.reader, as the reference reads them."""
+    monkeypatch.setattr(serialize, "CHUNK_BYTES", 64)
+    trial = simulate_trial(TrialConfig(sample_size=6, hazard_ratio=0.7, control_model=READER_MODEL, seed=3))
+    path = tmp_path / "trial.csv"
+    write_trajectories_csv(trial, path)
+    header, *rows = path.read_text().splitlines()
+    k = len(rows) - 3
+    rows[k] = ",".join(edit(rows[k].split(",")))
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert len(header) + sum(len(r) + 1 for r in rows[:k]) > 3 * serialize.CHUNK_BYTES
+    order = list(dict.fromkeys(r.split(",")[0] for r in rows))
+    assert_same_outcome(path, order)
+
+
+def test_one_long_field_among_short_ones(tmp_path):
+    """A month padded to thousands of characters reads as the reference reads it."""
+    trial = simulate_trial(TrialConfig(sample_size=6, hazard_ratio=0.7, control_model=READER_MODEL, seed=3))
+    path = tmp_path / "trial.csv"
+    write_trajectories_csv(trial, path)
+    header, *rows = path.read_text().splitlines()
+    fields = rows[-1].split(",")
+    rows[-1] = ",".join([fields[0], fields[1].rjust(5_000), *fields[2:]])
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert_same_outcome(path, [str(i) for i in range(6)])
+    assert isinstance(read_trajectories_csv(path), Trial)
 
 
 def test_subject_rows_straddling_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(serialize, "CHUNK_ROWS", 4)
+    monkeypatch.setattr(serialize, "CHUNK_BYTES", 64)
     trial = simulate_trial(TrialConfig(sample_size=6, hazard_ratio=0.7, control_model=READER_MODEL, seed=3))
     path = tmp_path / "trial.csv"
     write_trajectories_csv(trial, path)
@@ -438,6 +484,15 @@ def test_read_curves_csv_errors(tmp_path):
     odd.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="unrecognized"):
         read_curves_csv(odd)
+    # a short row or a non-numeric cell: one message naming the file and the line
+    short = tmp_path / "short.csv"
+    short.write_text("arm,time,survival,at_risk,events\ncontrol,0,1.0,5,0\ncontrol,1\n")
+    with pytest.raises(ValueError, match=r"short\.csv: line 3: needs numeric time and survival"):
+        read_curves_csv(short)
+    word = tmp_path / "word.csv"
+    word.write_text("month,value,at_risk_arm1,at_risk_arm2\n0,1.0,5,5\n\n1,high,4,5\n")
+    with pytest.raises(ValueError, match=r"word\.csv: line 4: needs numeric month and value"):
+        read_curves_csv(word)
 
 
 # ------------------------------------------------------------ result CSVs
