@@ -92,6 +92,17 @@ def resolve_workers(requested: int, cpus: int | None) -> int:
     return requested
 
 
+def _usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity set where the OS has one.
+
+    The set reflects taskset and cpusets, which os.cpu_count() ignores; the
+    fallback is os.cpu_count(), None when unknown.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _cmd_calibrate(args) -> int:
     template = DEFAULT_TEMPLATE if args.template is None else serialize.load_profile(args.template)
     target = CalibrationTarget(cr_rate=args.cr, pr_rate=args.pr, tolerance=args.tolerance)
@@ -241,7 +252,7 @@ def run_cli(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         if hasattr(args, "workers"):
-            args.workers = resolve_workers(args.workers, os.cpu_count())
+            args.workers = resolve_workers(args.workers, _usable_cpus())
         return _COMMANDS[args.command](args)
     except (ConfigError, CalibrationError, DegenerateTestError, ValueError, OSError) as exc:
         print(f"error: {exc}".replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)  # one line

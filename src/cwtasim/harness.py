@@ -34,7 +34,7 @@ from math import sqrt
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .config import ExperimentGrid
 from .kaplan_meier import monthly_terms, two_sided_p
@@ -348,10 +348,12 @@ def compare_tte(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTEComp
     """Welch unequal-variance comparison of first-significance months.
 
     sample_a is the reference (CWTA); pct_delta = (mean_B - mean_A) / mean_B.
-    Uses the Welch-Satterthwaite degrees of freedom and a two-sided t
-    p-value. With one observation on either side the p-value is undefined
-    (None); with zero pooled variance p collapses to 0 or 1 by the means
-    and zero_variance is flagged.
+    Uses the Welch-Satterthwaite degrees of freedom and the two-sided t
+    p-value 2 * scipy.special.stdtr(df, -|t|): scipy.stats.t.sf(x, df) is
+    stdtr(df, -x), so this is its value bit for bit without loading
+    scipy.stats. With one observation on either side the p-value is
+    undefined (None); with zero pooled variance p collapses to 0 or 1 by
+    the means and zero_variance is flagged.
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
@@ -371,7 +373,7 @@ def compare_tte(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTEComp
     df = se2**2 / (
         (var_a / a.size) ** 2 / (a.size - 1) + (var_b / b.size) ** 2 / (b.size - 1)
     )
-    p = 2.0 * float(stats.t.sf(abs(t), df))
+    p = 2.0 * float(stdtr(df, -abs(t)))
     return TTEComparison(pct_delta=pct, t_statistic=t, df=df, p_value=p, zero_variance=False)
 
 

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from importlib import resources
 from itertools import islice
@@ -119,6 +120,17 @@ def _columns(path, header: list[str] | None) -> tuple[dict[str, int], int]:
     return col, col.get("dropout_month", sys.maxsize)  # absent, or past a short row's end: blank
 
 
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # the texts int() parses, its digit limit aside
+
+
+def _int_fault(name: str, text: str) -> str:
+    """Why int(text) raised: past Python's integer digit limit, or not an integer."""
+    limit = sys.get_int_max_str_digits()
+    if limit and _INTEGER.fullmatch(text) and sum(map(str.isdecimal, text)) > limit:
+        return f"has a {name} of more than {limit} digits"
+    return f"has a non-integer {name} '{text}'"
+
+
 def _first_row_fault(path) -> str:
     """The message of the earliest row-level fault, from a row-by-row rescan."""
     arms: dict[str, Arm] = {}
@@ -135,7 +147,7 @@ def _first_row_fault(path) -> str:
                     for name in ("month", "state"):
                         int(row[col[name]])
                 except ValueError:
-                    return f"{path}: subject {key} has a non-integer {name} '{row[col[name]]}'"
+                    return f"{path}: subject {key} {_int_fault(name, row[col[name]])}"
                 arm = _ARM_BY_LABEL.get(row[col["arm"]].strip().lower())
                 if arm is None:
                     return f"{path}: unknown arm '{row[col['arm']]}'"
@@ -145,7 +157,7 @@ def _first_row_fault(path) -> str:
                     try:
                         dropout = int(raw)
                     except ValueError:
-                        return f"{path}: subject {key} has a non-integer dropout_month '{raw}'"
+                        return f"{path}: subject {key} {_int_fault('dropout_month', raw)}"
                     if dropouts.setdefault(key, dropout) != dropout:
                         return f"{path}: subject {key} has conflicting dropout months"
         except csv.Error as exc:

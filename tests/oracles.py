@@ -24,6 +24,7 @@ reference for the chunked write_trajectories_csv.
 from __future__ import annotations
 
 import csv
+import sys
 from itertools import combinations
 from math import erf, sqrt
 from typing import NamedTuple
@@ -419,7 +420,17 @@ def _int_field(path, row: dict, field: str) -> int:
     try:
         return int(row[field])
     except ValueError:
-        raise ValueError(f"{path}: subject {row['subject']} has a non-integer {field} '{row[field]}'") from None
+        pass
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # an integer that parses without the limit failed on its length
+    try:
+        int(row[field])
+        fault = f"a {field} of more than {limit} digits"
+    except ValueError:
+        fault = f"a non-integer {field} '{row[field]}'"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    raise ValueError(f"{path}: subject {row['subject']} has {fault}")
 
 
 def read_trajectories_rowwise(path) -> Trial:

@@ -1,8 +1,12 @@
-"""End-to-end CLI tests driving run_cli() in-process."""
+"""End-to-end CLI tests driving run_cli() in-process, and one fresh-interpreter import check."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -145,6 +149,21 @@ def test_worker_count_does_not_change_output(tmp_path, fast_profile):
     assert run_cli(["power", "--config", cfg1, "--workers", "3"]) == 0
     multi = (tmp_path / "out" / "power.csv").read_bytes()
     assert single == multi
+
+
+def test_workers_capped_at_the_affinity_set(tmp_path, fast_profile, monkeypatch, capsys):
+    cfg = small_config(tmp_path, profile=fast_profile)
+    assert run_cli(["power", "--config", cfg, "--workers", "1"]) == 0
+    single = (tmp_path / "out" / "power.csv").read_bytes()
+    capsys.readouterr()
+    pools = []
+    power_rows = harness.power_rows
+    monkeypatch.setattr(harness, "power_rows", lambda grid, workers: pools.append(workers) or power_rows(grid, workers))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_cli(["power", "--config", cfg, "--workers", "2"]) == 0
+    assert pools == [1]
+    assert "warning: --workers 2 exceeds the 1 available CPUs; using 1" in capsys.readouterr().err
+    assert (tmp_path / "out" / "power.csv").read_bytes() == single
 
 
 def test_resolve_workers_bounds(capsys):
@@ -433,3 +452,15 @@ def test_malformed_profile_exits_2_naming_the_file(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {profile}: "), err
     assert not out.exists()
+
+
+def test_import_loads_no_scipy_stats():
+    """The package needs only scipy.special; scipy.stats would add about 430 modules to every start."""
+    code = (
+        "import sys, cwtasim, cwtasim.cli; "
+        "print(sorted(k for k in sys.modules if k == 'scipy.stats' or k.startswith('scipy.stats.')))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -382,6 +382,24 @@ def test_compare_tte_matches_hand_welch_and_scipy():
     assert not got.zero_variance
 
 
+def test_compare_tte_p_value_is_scipy_t_sf_bit_for_bit():
+    rng = np.random.default_rng(1301)
+    samples = [
+        ([1.0, 2.0, 3.0], [0.0, 2.0, 4.0]),  # t = 0
+        ([0.0, 1000.0], [5.0, 5.001]),  # df near 1
+        (rng.normal(12.0, 3.0, 60_000), rng.normal(12.02, 4.0, 70_000)),  # df above 1e5
+    ]
+    sizes = rng.integers(2, 300, (300, 2))
+    samples += [(rng.integers(1, 61, na), rng.integers(1, 61, nb)) for na, nb in sizes[:150]]
+    samples += [(rng.gamma(2.0, 6.0, na), rng.gamma(2.0, 6.5, nb)) for na, nb in sizes[150:]]
+    got = [compare_tte(a, b) for a, b in samples]
+    assert got[0].t_statistic == 0.0 and got[0].p_value == 1.0
+    assert 1.0 < got[1].df < 1.0001
+    assert got[2].df > 1e5 and got[2].p_value < 0.9
+    for g in got:
+        assert g.p_value == 2.0 * stats.t.sf(abs(g.t_statistic), g.df)
+
+
 def test_compare_tte_identical_samples():
     got = compare_tte([5.0, 7.0, 9.0], [5.0, 7.0, 9.0])
     assert got.pct_delta == pytest.approx(0.0, abs=TOL)

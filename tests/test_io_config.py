@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -235,6 +236,8 @@ def test_read_trajectories_rejects_structural_violations(tmp_path):
         read_trajectories_csv(bad_csv(tmp_path, "3,0,2.5,control,\n"))
     with pytest.raises(ValueError, match=r"bad\.csv: subject 0 has a non-integer dropout_month 'z'"):
         read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,z\n"))
+    with pytest.raises(ValueError, match=r"bad\.csv: subject 0 has a month of more than 4300 digits$"):
+        read_trajectories_csv(bad_csv(tmp_path, f"0,0,2,control,\n0,{'1'.zfill(5_000)},2,control,\n"))
     with pytest.raises(ValueError, match=r"bad\.csv: subject 0 has states outside 0\.\.4"):
         read_trajectories_csv(bad_csv(tmp_path, "0,0,2,control,\n0,1,300,control,\n"))  # not an int8
     with pytest.raises(ValueError, match=r"bad\.csv: subject 0 has states outside 0\.\.4"):
@@ -386,6 +389,23 @@ def test_one_long_field_among_short_ones(tmp_path):
     path.write_text("\n".join([header, *rows]) + "\n")
     assert_same_outcome(path, [str(i) for i in range(6)])
     assert isinstance(read_trajectories_csv(path), Trial)
+
+
+@pytest.mark.parametrize("field", [1, 2, 4])
+def test_integer_past_the_digit_limit(tmp_path, field):
+    """A zero-padded month, state or dropout_month past int()'s digit limit is named as such."""
+    trial = simulate_trial(TrialConfig(sample_size=6, hazard_ratio=0.7, control_model=READER_MODEL, seed=3))
+    path = tmp_path / "trial.csv"
+    write_trajectories_csv(trial, path)
+    header, *rows = path.read_text().splitlines()
+    fields = rows[-1].split(",")
+    fields[field] = (fields[field] or "1").zfill(sys.get_int_max_str_digits() + 1)
+    rows[-1] = ",".join(fields)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert_same_outcome(path, [str(i) for i in range(6)])
+    name = HEADER[field]
+    with pytest.raises(ValueError, match=f"subject 5 has a {name} of more than {sys.get_int_max_str_digits()} digits$"):
+        read_trajectories_csv(path)
 
 
 def test_subject_rows_straddling_chunks(tmp_path, monkeypatch):
