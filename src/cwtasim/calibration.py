@@ -125,7 +125,7 @@ def _response_rates(
     read at their last observed month.
     """
     dropped, last = observed
-    states = np.moveaxis(_simulate_state_matrix(model, monthly_u), -1, 0)
+    states = _simulate_state_matrix((model,), monthly_u).T
     best = states.min(axis=0)
     best[dropped] = np.minimum.accumulate(states[:, dropped], axis=0)[last, np.arange(len(dropped))]
     return float(np.mean(best == CR)), float(np.mean(best == PR))
@@ -180,6 +180,8 @@ def calibrate_transition_model(
     """
     if n_subjects < 1:
         raise ValueError("n_subjects must be positive")
+    if budget < 1:
+        raise ValueError("budget must be positive")
     blocks = subject_uniforms(seed, n_subjects, template.horizon_months)
     monthly_u, observed = blocks[:, 2:], _observed_months(template, blocks)
 

@@ -104,6 +104,9 @@ def _usable_cpus() -> int | None:
 
 
 def _cmd_calibrate(args) -> int:
+    for flag, value in (("--budget", args.budget), ("--subjects", args.subjects)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     template = DEFAULT_TEMPLATE if args.template is None else serialize.load_profile(args.template)
     target = CalibrationTarget(cr_rate=args.cr, pr_rate=args.pr, tolerance=args.tolerance)
     model = calibrate_transition_model(
@@ -167,7 +170,7 @@ def _grid_from_config(path: str, command: str) -> tuple[ExperimentGrid, str]:
     try:
         grid, output_dir = parse_config(raw.decode(), command)
         model = serialize.load_profile(grid.profile)
-        for ss in grid.sample_sizes:  # one trial is the largest block: several share BLOCK_ROWS rows
+        for ss in grid.sample_sizes:  # a block is at most BLOCK_ROWS rows or one trial, so this covers every block
             check_draws(ss, model.horizon_months)
         for hr in grid.hazard_ratios:
             try:

@@ -12,17 +12,22 @@ monthly statistics are exact prefix sums of per-month terms computed
 once. A test with zero cumulative variance at month m is treated as not
 significant there.
 
-Replicates run in blocks of consecutive indices, at most BLOCK_ROWS
-subject rows each: a block's trials are simulated together
-(trajectories.simulate_block) and scanned together (scan_trial), every
-per-month array carrying a leading replicate axis. Results are columns,
-one row per replicate and one column per method. Every grid command runs
-through run_grid, which streams all points' blocks through one pool.
+A grid's replicates form one sequence: its points in grid order and,
+within a point, replicates in index order. The sequence runs in blocks of
+consecutive replicates, at most BLOCK_ROWS subject rows each (a larger
+trial is a block on its own), and a block may span points of different
+hazard ratio and sample size. A block runs as flat subject rows: its
+streams are drawn in one pass and its trials simulated in one kernel pass
+(trajectories.simulate_trials), then scanned together (scan_trial) from
+one monthly_counts pass keyed by the trial boundaries, every per-month
+array carrying a leading trial axis. Results are columns, one row per
+replicate and one column per method. Every grid command runs through
+run_grid, which streams all blocks through one pool.
 
 Replicate seeds are mixed from (master_seed, hazard-ratio bits, sample
-size, replicate index), and every step treats replicates independently,
-so every grid point is reproducible in isolation and results are the
-same for any block split, worker count and execution order.
+size, replicate index), and every step treats trials independently, so
+every grid point is reproducible in isolation and results are the same
+for any block split, worker count and execution order.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .config import ExperimentGrid
 from .kaplan_meier import monthly_terms, two_sided_p
 from .seeds import float_bits, mix64_array
 from .serialize import load_profile
-from .trajectories import TransitionModel, Trial, simulate_block
+from .trajectories import TransitionModel, Trial, simulate_trials
 from .weighted import METHODS, monthly_counts
 
 
@@ -131,7 +136,7 @@ def scan_trial(trial: Trial, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Monthly significance scans of a trial, or a block of trials, for all three methods.
 
     Returns (final_p, first_month) with a last axis in METHODS order:
-    (3,) arrays for one trial, (R, 3) for a block. Every method sums
+    (3,) arrays for one trial, (trials, 3) for a block. Every method sums
     months 1..horizon of the one monthly_counts pass.
     """
     counts = monthly_counts(trial)
@@ -148,7 +153,8 @@ BLOCK_ROWS = 4096  # subject rows simulated and scanned in one pass; bounds a bl
 
 
 def plan_blocks(replicates: int, ss: int, workers: int = 1) -> Iterator[tuple[int, int]]:
-    """Consecutive (start, stop) replicate ranges covering 0..replicates-1 in order.
+    """Consecutive (start, stop) replicate ranges covering 0..replicates-1 in
+    order: the blocks of a one-point grid.
 
     Blocks are as few as the row budget allows -- at most BLOCK_ROWS subject
     rows each, or one replicate when a single trial is larger -- and their
@@ -163,36 +169,71 @@ def plan_blocks(replicates: int, ss: int, workers: int = 1) -> Iterator[tuple[in
         yield k * replicates // count, (k + 1) * replicates // count
 
 
-def _run_block(point: tuple, block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    master_seed, hr, ss, alpha, model = point
-    seeds = replicate_seed(master_seed, hr, ss, np.arange(*block, dtype=np.uint64))
-    return scan_trial(simulate_block(model, hr, ss, seeds), alpha)
+def plan_grid_blocks(
+    points: Sequence[tuple[int, int]], workers: int = 1
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """The blocks of a grid's replicate sequence, each a tuple of (point, start, stop) runs.
 
-
-def _grid_blocks(grid: ExperimentGrid, model: TransitionModel, workers: int) -> Iterator[tuple]:
-    """(point, block, scans) for every block of the grid, in grid order.
-
-    point is (master_seed, hr, ss, alpha, model). scans is the point's
-    result buffer, allocated when its first block is planned, so only
-    points whose blocks have been planned and not all gathered hold one.
+    points lists (replicates, sample size) of every grid point in grid
+    order; a run is replicates start..stop-1 of point `point`. Each point
+    is split as plan_blocks splits it alone, and consecutive pieces of
+    different points then share a block while their rows fit in
+    BLOCK_ROWS. So small points run together, a point of several blocks
+    keeps its own balanced split (blocks filled to the full budget ran
+    slower per row), and a one-point grid is plan_blocks' split. Blocks
+    are consecutive and cover the sequence once, in order.
     """
-    for hr in grid.hazard_ratios:
-        for ss in grid.sample_sizes:
-            replicates = grid.replicates_for(hr)
-            scans = ReplicateScans(
-                final_p=np.empty((replicates, len(METHODS))),
-                first_month=np.empty((replicates, len(METHODS)), dtype=np.int64),
-            )
-            point = (grid.master_seed, hr, ss, grid.alpha, model)
-            for block in plan_blocks(replicates, ss, workers):
-                yield point, block, scans
+    block, rows = [], 0
+    for point, (replicates, ss) in enumerate(points):
+        for start, stop in plan_blocks(replicates, ss, workers):
+            size = (stop - start) * ss
+            if block and (block[-1][0] == point or rows + size > BLOCK_ROWS):
+                yield tuple(block)
+                block, rows = [], 0
+            block.append((point, start, stop))
+            rows += size
+    if block:
+        yield tuple(block)
 
 
-def _in_flight(pool: ProcessPoolExecutor, tasks: Iterator[tuple], workers: int) -> Iterator[tuple]:
+def _run_block(setup: tuple, runs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Scans of one block: its runs (hr, ss, start, stop) simulated as one block of trials."""
+    master_seed, alpha, model = setup
+    designs = [
+        (hr, ss, replicate_seed(master_seed, hr, ss, np.arange(start, stop, dtype=np.uint64)))
+        for hr, ss, start, stop in runs
+    ]
+    return scan_trial(simulate_trials(model, designs), alpha)
+
+
+def _grid_blocks(grid: ExperimentGrid, workers: int) -> Iterator[tuple[tuple, tuple]]:
+    """(runs, buffers) for every block of the grid, in grid order.
+
+    runs are the block's (hr, ss, start, stop) runs; buffers holds each
+    run's point result buffer, allocated when the point's first run is
+    planned, so only points whose blocks have been planned and not all
+    gathered hold one.
+    """
+    points = [(hr, ss) for hr in grid.hazard_ratios for ss in grid.sample_sizes]
+    scans = None
+    for block in plan_grid_blocks([(grid.replicates_for(hr), ss) for hr, ss in points], workers):
+        buffers = []
+        for point, start, _ in block:
+            if start == 0:  # else the run continues the point of the run before it
+                replicates = grid.replicates_for(points[point][0])
+                scans = ReplicateScans(
+                    final_p=np.empty((replicates, len(METHODS))),
+                    first_month=np.empty((replicates, len(METHODS)), dtype=np.int64),
+                )
+            buffers.append(scans)
+        yield tuple((*points[point], start, stop) for point, start, stop in block), tuple(buffers)
+
+
+def _in_flight(pool: ProcessPoolExecutor, setup: tuple, tasks: Iterator[tuple], workers: int) -> Iterator[tuple]:
     """(task, block result) in task order, with at most 2 * workers + 1 blocks submitted and unread."""
     pending: deque = deque()
     for task in tasks:
-        pending.append((task, pool.submit(_run_block, *task[:2])))
+        pending.append((task, pool.submit(_run_block, setup, task[0])))
         if len(pending) > 2 * workers:
             task, future = pending.popleft()
             yield task, future.result()
@@ -201,11 +242,15 @@ def _in_flight(pool: ProcessPoolExecutor, tasks: Iterator[tuple], workers: int) 
 
 
 def _gather(done: Iterator[tuple]) -> Iterator[tuple[float, int, ReplicateScans]]:
-    """(hr, ss, scans) of each point, once the result of its last block is stored."""
-    for (point, block, scans), result in done:
-        scans.final_p[slice(*block)], scans.first_month[slice(*block)] = result
-        if block[1] == len(scans.final_p):  # blocks arrive in order, so this was the point's last
-            yield point[1], point[2], scans
+    """(hr, ss, scans) of each point, once the result of its last replicate is stored."""
+    for (runs, buffers), (final_p, first_month) in done:
+        row = 0
+        for (hr, ss, start, stop), scans in zip(runs, buffers):
+            rows = slice(row, row + stop - start)
+            scans.final_p[start:stop], scans.first_month[start:stop] = final_p[rows], first_month[rows]
+            row = rows.stop
+            if stop == len(scans.final_p):  # blocks arrive in order, so this was the point's last run
+                yield hr, ss, scans
 
 
 def run_grid(
@@ -213,23 +258,25 @@ def run_grid(
 ) -> Iterator[tuple[float, int, ReplicateScans]]:
     """Simulate and scan every grid point; yields (hr, ss, scans) in grid order.
 
-    The points run under `model` (grid.profile is not read). Replicates run
-    in blocks (plan_blocks), a block at a time in this process, or at
-    workers > 1 through one pool of `workers` processes for the whole grid,
-    with at most 2 * workers + 1 blocks in flight across points. Row r of a
-    point's scans is replicate r, and it is the same for any block split,
-    worker count and grid, because each replicate's seed depends only on
-    (master_seed, hr, ss, replicate index). If a block fails, the run is
-    interrupted or the generator is closed, the pool's queued blocks are
-    cancelled; only blocks already running are waited for.
+    The points run under `model` (grid.profile is not read). The grid's
+    replicates run in blocks that may span points (plan_grid_blocks), a
+    block at a time in this process, or at workers > 1 through one pool of
+    `workers` processes for the whole grid, with at most 2 * workers + 1
+    blocks in flight. Row r of a point's scans is replicate r, and it is
+    the same for any block split, worker count and grid, because each
+    replicate's seed depends only on (master_seed, hr, ss, replicate
+    index). If a block fails, the run is interrupted or the generator is
+    closed, the pool's queued blocks are cancelled; only blocks already
+    running are waited for.
     """
-    tasks = _grid_blocks(grid, model, workers)
+    setup = (grid.master_seed, grid.alpha, model)
+    tasks = _grid_blocks(grid, workers)
     if workers <= 1:
-        yield from _gather((task, _run_block(*task[:2])) for task in tasks)
+        yield from _gather((task, _run_block(setup, task[0])) for task in tasks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            yield from _gather(_in_flight(pool, tasks, workers))
+            yield from _gather(_in_flight(pool, setup, tasks, workers))
         except BaseException:  # an interrupt or a close too: drop the queued blocks rather than wait for them
             pool.shutdown(cancel_futures=True)
             raise

@@ -4,8 +4,9 @@ and the statistics kernel that the weighted test shares.
 Endpoints are derived from a trial's padded state matrix: PFS is the first
 month at PD or worse, OS the first month at death; otherwise the subject
 is censored at its last observed month. Every routine takes these
-columns (times, events, arms) as arrays; endpoint_arrays and
-endpoint_counts also take a block of trials on a leading replicate axis.
+columns (times, events, arms) as arrays; the counting routines also take
+a block of trials' rows, keyed by each row's trial index, and then count
+every trial in the same bincount.
 Ties follow the standard convention that a subject censored at t is
 still at risk for events at t.
 
@@ -64,12 +65,11 @@ class DegenerateTestError(RuntimeError):
 
 
 def endpoint_arrays(states: np.ndarray, censor: np.ndarray, threshold: int):
-    """(times, events) of every subject from a padded state matrix.
+    """(times, events) of every subject row from a padded state matrix.
 
     The time is the first month at state >= threshold, else the censor
     month. Padding of -1 never crosses a threshold, so unobserved months
-    cannot fire events. A block of trials, (R, n, horizon + 1) states,
-    gives (R, n) arrays.
+    cannot fire events.
     """
     reached = states >= int(threshold)  # an IntEnum operand takes numpy's slow generic path
     has_event = reached.any(axis=-1)
@@ -78,24 +78,32 @@ def endpoint_arrays(states: np.ndarray, censor: np.ndarray, threshold: int):
     return times.astype(np.int64), has_event
 
 
-def month_counts(months: np.ndarray, horizon: int, where: np.ndarray | None = None) -> np.ndarray:
-    """counts[..., m] = number of entries along the last axis equal to m (and where true).
+def month_counts(
+    months: np.ndarray, horizon: int, where: np.ndarray | None = None, trial: np.ndarray | None = None
+) -> np.ndarray:
+    """counts[m] = number of entries equal to m (and where true), for m = 0..horizon.
 
-    Leading axes index separate trials; all of them are counted with one
-    bincount, each trial offset by horizon + 1 slots.
+    trial, when given, is each entry's trial index in a block of trials, in
+    nondecreasing order from 0; counts is then (trials, horizon + 1), all
+    trials counted with one bincount, trial k offset by k * (horizon + 1)
+    slots.
     """
     width = horizon + 1
-    lead = months.shape[:-1]
-    trials = int(np.prod(lead))
-    slots = months + width * np.arange(trials).reshape(lead + (1,))
+    if trial is None:
+        slots, trials = months, 1
+    else:
+        slots, trials = months + width * trial, int(trial[-1]) + 1
     if where is not None:
         slots = slots[where]
-    return np.bincount(slots.ravel(), minlength=trials * width).reshape(lead + (width,))
+    counts = np.bincount(slots, minlength=trials * width)
+    return counts if trial is None else counts.reshape(trials, width)
 
 
-def at_risk_counts(last_month: np.ndarray, horizon: int) -> np.ndarray:
-    """counts[..., m] = number of entries with last_month >= m, for m = 0..horizon."""
-    return np.cumsum(month_counts(last_month, horizon)[..., ::-1], axis=-1)[..., ::-1]
+def at_risk_counts(
+    last_month: np.ndarray, horizon: int, where: np.ndarray | None = None, trial: np.ndarray | None = None
+) -> np.ndarray:
+    """counts[m] = number of entries with last_month >= m, for m = 0..horizon (per trial, as month_counts)."""
+    return np.cumsum(month_counts(last_month, horizon, where, trial)[..., ::-1], axis=-1)[..., ::-1]
 
 
 def product_limit(w_sum: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -148,7 +156,7 @@ def monthly_terms(observed, w, a, b, n1, n) -> tuple[np.ndarray, np.ndarray]:
 
     p = n1 / n is the control arm's share of the risk set, 0 where n = 0;
     the variance is 0 where n <= 1. Arrays hold months 0..horizon on the
-    last axis; leading replicate axes broadcast.
+    last axis; a leading trial axis broadcasts.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(n > 0, n1 / np.maximum(n, 1), 0.0)
@@ -157,7 +165,9 @@ def monthly_terms(observed, w, a, b, n1, n) -> tuple[np.ndarray, np.ndarray]:
     return (observed - e)[..., 1:], v[..., 1:]
 
 
-def endpoint_counts(times: np.ndarray, events: np.ndarray, arms: np.ndarray, horizon: int) -> tuple:
+def endpoint_counts(
+    times: np.ndarray, events: np.ndarray, arms: np.ndarray, horizon: int, trial: np.ndarray | None = None
+) -> tuple:
     """monthly_terms' arguments (d1, d, d, n - d, n1, n) of one endpoint, months 0..horizon.
 
     At each month m with d_m events out of n_m at risk (n1_m and d1_m in
@@ -166,14 +176,14 @@ def endpoint_counts(times: np.ndarray, events: np.ndarray, arms: np.ndarray, hor
 
         V_m = d_m * p_m * (1 - p_m) * (n_m - d_m) / (n_m - 1),
 
-    p_m = n1_m / n_m. times and events may carry a leading replicate axis,
-    (R, n) with arms (n,) shared; the counts are then (R, horizon + 1).
+    p_m = n1_m / n_m. With trial, each row's trial index in a block (see
+    month_counts), the counts are (trials, horizon + 1).
     """
     control = arms == int(Arm.CONTROL)
-    n1 = at_risk_counts(times[..., control], horizon)
-    n = n1 + at_risk_counts(times[..., ~control], horizon)
-    d = month_counts(times, horizon, events)
-    d1 = month_counts(times, horizon, events & control)
+    n1 = at_risk_counts(times, horizon, control, trial)
+    n = n1 + at_risk_counts(times, horizon, ~control, trial)
+    d = month_counts(times, horizon, events, trial)
+    d1 = month_counts(times, horizon, events & control, trial)
     return d1, d, d, n - d, n1, n
 
 

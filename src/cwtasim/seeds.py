@@ -51,7 +51,8 @@ def mix64(*parts: int) -> int:
     return acc
 
 
-def _as_uint64(part) -> np.ndarray:
+def as_uint64(part) -> np.ndarray:
+    """An int as a uint64 scalar, taken modulo 2**64 like mix64 does; an array as uint64."""
     if isinstance(part, (int, np.integer)):
         return np.uint64(int(part) & _MASK64)
     return np.asarray(part, dtype=np.uint64)
@@ -61,14 +62,14 @@ def mix64_array(prefix: tuple, indices) -> np.ndarray:
     """Vectorized mix64(*prefix, i) for an array of indices.
 
     Each prefix part is an int shared by every index, or an array that
-    broadcasts against indices (trial seeds of shape (R, 1) against
-    subject indices of shape (n,) give the (R, n) subject seeds).
+    broadcasts against indices (each subject row's trial seed against its
+    subject index gives the subject seeds of a block of trials).
     Returns uint64 seeds identical to the scalar path element by element.
     """
     acc = np.uint64(_OFFSET)
     with np.errstate(over="ignore"):
         for part in (*prefix, indices):
-            x = acc ^ _as_uint64(part)
+            x = acc ^ as_uint64(part)
             x = x + np.uint64(_GOLDEN)
             x = (x ^ (x >> np.uint64(30))) * np.uint64(_MULT_A)
             x = (x ^ (x >> np.uint64(27))) * np.uint64(_MULT_B)

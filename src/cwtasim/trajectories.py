@@ -23,28 +23,33 @@ horizon + 2 uniforms in a fixed layout -- dropout flag, dropout month,
 then one per month -- whether or not the subject drops out or dies early.
 Trials are therefore bit-reproducible, and identical whether subjects are
 simulated one at a time or as a vectorized batch. No generator is built
-per subject: subject_uniforms draws all streams at once with
-seeds.pcg64_uniforms, a vectorized SeedSequence + PCG64 that steps every
-stream in lanes of consecutive draws and that the oracle test checks bit
-for bit against default_rng. It returns a month-major (F-contiguous)
-view, so reading one month for every subject is a contiguous read. One
-call draws at most MAX_DRAWS uniforms, and a model's horizon is at most
-MAX_HORIZON months, so an oversized sample or horizon is refused with a
-ValueError instead of exhausting memory.
+per subject: trial_uniforms draws the streams of every subject of a block
+of trials at once with seeds.pcg64_uniforms, a vectorized SeedSequence +
+PCG64 that steps every stream in lanes of consecutive draws and that the
+oracle test checks bit for bit against default_rng; subject_uniforms is
+its one-trial call. It returns a month-major (F-contiguous) view, so
+reading one month for every subject is a contiguous read. One call draws
+at most MAX_DRAWS uniforms, and a model's horizon is at most MAX_HORIZON
+months, so an oversized sample or horizon is refused with a ValueError
+instead of exhausting memory.
 
 A trial has one form from simulation to every statistic: Trial, the
 padded (n, horizon + 1) state matrix with each subject's censor month,
 arm and dropout flag. There are no per-subject objects; the CSV reader
-scatters its rows straight into the same form. simulate_block
-simulates R trials of one design at once, as a Trial with a leading
-replicate axis; simulate_trial is its one-trial call.
+scatters its rows straight into the same form. A block of trials has the
+same flat form, its trials' subject rows one after another, and starts
+holds each trial's first row: the trial boundaries that the monthly
+counts are keyed by. simulate_trials simulates a block whose trials may
+differ in hazard ratio and sample size; simulate_block is its call for
+one design and simulate_trial its call for one trial.
 
 _simulate_state_matrix is the one month-step kernel, for trials and for
-calibration alike. It evolves both arms of a block in one pass, each row
-gathering its thresholds from the two arms' stacked per-state tables at
-its state plus N_STATES times its arm. The structural zeros (CR never
-improves, death never worsens) keep that index inside its arm's entries,
-which is why the gather's mode="clip" never clips.
+calibration alike. It evolves every row of a block in one pass, each row
+gathering its thresholds from stacked per-state tables -- the control
+arm's, then one experimental arm's per hazard ratio -- at its state plus
+N_STATES times its table. The structural zeros (CR never improves, death
+never worsens) keep that index inside its table's entries, which is why
+the gather's mode="clip" never clips.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .seeds import mix64_array, pcg64_uniforms
+from .seeds import as_uint64, mix64_array, pcg64_uniforms
 
 CR, PR, SD, PD, DEATH = 0, 1, 2, 3, 4
 N_STATES = 5
@@ -233,24 +238,26 @@ class Trial:
     arms[i] is the Arm index. dropped[i] tells a subject who dropped out
     at the horizon month apart from one observed to the end.
 
-    A block of R trials of one design has the same form with a leading
-    replicate axis on states (R, n, horizon + 1), censor and dropped
-    (R, n); arms stays (n,), shared by every trial of the block.
+    A block of trials has the same form over all of its trials' rows,
+    which follow each other trial by trial; starts then holds each trial's
+    first row, in increasing order. starts is None for a single trial.
     """
 
     states: np.ndarray
     censor: np.ndarray
     arms: np.ndarray
     dropped: np.ndarray
+    starts: np.ndarray | None = None
 
     @property
     def horizon(self) -> int:
         return self.states.shape[-1] - 1
 
 
-def check_draws(n: int, horizon: int, trials: int = 1) -> None:
-    """Raise ValueError if trials x n subjects' streams exceed MAX_DRAWS uniforms."""
-    need = trials * n * (horizon + 2)
+def check_draws(n: int, horizon: int, rows: int | None = None) -> None:
+    """Raise ValueError if one pass over `rows` subject rows (default n), of
+    trials of sample size at most n, would draw more than MAX_DRAWS uniforms."""
+    need = (n if rows is None else rows) * (horizon + 2)
     if need > MAX_DRAWS:
         raise ValueError(
             f"sample size {n} at a {horizon}-month horizon needs {need} uniforms, "
@@ -258,73 +265,83 @@ def check_draws(n: int, horizon: int, trials: int = 1) -> None:
         )
 
 
-def subject_uniforms(base_seed, n: int, horizon: int) -> np.ndarray:
-    """(n, horizon + 2) uniform draws, row i from the stream mix64(base_seed, i).
+def trial_uniforms(seeds, sizes, horizon: int) -> np.ndarray:
+    """(sum(sizes), horizon + 2) uniform draws of a block of trials, in one pass.
 
-    Column layout per subject: dropout flag, dropout month, then one draw
-    per month 1..horizon. Blocks are always drawn in full so the layout
-    stays fixed regardless of what happens to the subject. base_seed may
-    also be an array of R trial seeds; the result is then (R, n, horizon + 2),
-    every stream drawn in one pass. Either way it is a view of a
-    C-contiguous buffer with the draw axis first, so one month of every
-    subject is contiguous. A call that would draw more than MAX_DRAWS
-    uniforms raises ValueError before it allocates anything.
+    Trial k has seed seeds[k] and sizes[k] subject rows, which follow trial
+    k - 1's; its row i is drawn from the stream mix64(seeds[k], i). Column
+    layout per subject: dropout flag, dropout month, then one draw per
+    month 1..horizon. Blocks are always drawn in full so the layout stays
+    fixed regardless of what happens to the subject. The result is a view
+    of a C-contiguous buffer with the draw axis first, so one month of
+    every subject is contiguous. A block that would draw more than
+    MAX_DRAWS uniforms raises ValueError before anything is allocated.
     """
-    check_draws(n, horizon, np.size(base_seed))
-    trial_seeds = base_seed[:, None] if isinstance(base_seed, np.ndarray) else base_seed
-    seeds = mix64_array((trial_seeds,), np.arange(n, dtype=np.uint64))
-    draws = pcg64_uniforms(seeds.ravel(), horizon + 2)
-    return np.moveaxis(draws.reshape((horizon + 2,) + seeds.shape), 0, -1)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    check_draws(int(sizes.max(initial=0)), horizon, int(sizes.sum()))
+    return pcg64_uniforms(_subject_seeds(seeds, sizes), horizon + 2).T
+
+
+def _subject_seeds(seeds, sizes: np.ndarray) -> np.ndarray:
+    """mix64(seeds[k], i) for subject row i of every trial k, rows trial by trial."""
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    subjects = (np.arange(len(first)) - first).astype(np.uint64)
+    return mix64_array((np.repeat(as_uint64(seeds), sizes),), subjects)
+
+
+def subject_uniforms(base_seed, n: int, horizon: int) -> np.ndarray:
+    """(n, horizon + 2) uniform draws of one trial, row i from the stream
+    mix64(base_seed, i): trial_uniforms for a single trial."""
+    return trial_uniforms(base_seed, (n,), horizon)
 
 
 def _simulate_state_matrix(
-    model: TransitionModel, monthly_u: np.ndarray, experimental: TransitionModel | None = None
+    models: Sequence[TransitionModel], monthly_u: np.ndarray, table: np.ndarray | None = None
 ) -> np.ndarray:
     """Evolve the state ladder for a batch of subjects: the one month-step kernel.
 
-    monthly_u holds one uniform per subject per month, months on the last
-    axis; any leading axes (subjects, or replicates and subjects) are kept.
-    Without experimental every row evolves under model. With it, the last
-    leading axis is the subjects of 1:1 trials: its first half evolves
-    under model (control), its second half under experimental, both arms
-    in the same pass. The improvement decay is model's for both arms;
-    apply_hazard_ratio never changes it.
+    monthly_u is (rows, horizon), one uniform per subject per month. Row i
+    evolves under models[table[i]], or under models[0] when table is None.
+    The improvement decay is models[0]'s for every row; apply_hazard_ratio
+    never changes it.
 
     The draw decides [improve | stay | worsen] in that order: improve iff
     u < p_improve, worsen iff u >= 1 - p_worsen. Model validation
-    guarantees the two intervals never overlap. Each month stacks the
-    arms' tables improve_prob * decay**(m - 1) and 1 - worsen_prob, entry
-    s + N_STATES * k for state s of arm k, and gathers every row's two
-    thresholds from them. Each entry is the very product or difference
-    the per-subject rule computes, so the states are that rule's bit for
-    bit. A row's index never leaves its arm's N_STATES entries, since CR
-    cannot improve and death cannot worsen, so mode="clip" never clips.
-    States are updated in place, in int8, one month-major row a month,
-    and the arm offset is removed once at the end; the (..., horizon + 1)
-    result is a month-major view.
+    guarantees the two intervals never overlap. The tables are built once:
+    improve_prob * decay**(m - 1) for every month m, and 1 - worsen_prob,
+    entry s + N_STATES * k for state s of models[k]; every row gathers its
+    two thresholds from them each month. Each entry is the very product or
+    difference the per-subject rule computes, so the states are that
+    rule's bit for bit. A row's index never leaves its table's N_STATES
+    entries, since CR cannot improve and death cannot worsen, so
+    mode="clip" never clips. States are updated in place, one month-major
+    row a month, offset by N_STATES * table (int8, or int16 when the
+    offsets need it); the offset is removed once at the end, and the
+    (rows, horizon + 1) int8 result is a month-major view.
     """
-    *lead, horizon = monthly_u.shape
-    models = (model,) if experimental is None else (model, experimental)
-    improve = np.array([arm.improve_prob for arm in models]).ravel()
-    worsen_from = 1.0 - np.array([arm.worsen_prob for arm in models]).ravel()
-    offset = np.zeros(lead[-1:], dtype=np.int8)
-    if experimental is not None:
-        offset[lead[-1] // 2 :] = N_STATES
-    states = np.empty((horizon + 1, *lead), dtype=np.int8)
+    rows, horizon = monthly_u.shape
+    decay = models[0].improve_decay
+    improve = np.array([model.improve_prob for model in models]).ravel()
+    improve_by_month = np.array([decay ** (m - 1) for m in range(1, horizon + 1)])[:, None] * improve
+    worsen_from = 1.0 - np.array([model.worsen_prob for model in models]).ravel()
+    dtype = np.int8 if improve.size <= 128 else np.int16
+    offset = 0 if table is None else (N_STATES * table).astype(dtype)
+    states = np.empty((horizon + 1, rows), dtype=dtype)
     states[0] = SD + offset
     index = states[0].astype(np.intp)
-    p_improve, p_worsen_from, moved = np.empty(lead), np.empty(lead), np.empty(lead, dtype=bool)
+    p_improve, p_worsen_from, moved = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
     for m in range(1, horizon + 1):
-        u = monthly_u[..., m - 1]
-        np.take(improve * model.improve_decay ** (m - 1), index, out=p_improve, mode="clip")
-        np.take(worsen_from, index, out=p_worsen_from, mode="clip")
+        u = monthly_u[:, m - 1]
+        improve_by_month[m - 1].take(index, out=p_improve, mode="clip")
+        worsen_from.take(index, out=p_worsen_from, mode="clip")
         np.less(u, p_improve, out=moved)
         np.subtract(states[m - 1], moved, out=states[m])
         np.greater_equal(u, p_worsen_from, out=moved)
         states[m] += moved
         index[...] = states[m]
-    states -= offset
-    return np.moveaxis(states, 0, -1)
+    if table is not None:
+        states -= offset
+    return states.astype(np.int8, copy=False).T
 
 
 def _dropout_from_uniforms(model: TransitionModel, u_flag, u_month):
@@ -338,6 +355,43 @@ def _dropout_from_uniforms(model: TransitionModel, u_flag, u_month):
     return dropped, np.where(dropped, month, model.horizon_months)
 
 
+def simulate_trials(
+    control_model: TransitionModel,
+    designs: Sequence[tuple[float, int, np.ndarray]],
+    improvement_hr: float | None = None,
+) -> Trial:
+    """Simulate a block of 1:1 two-arm trials as flat subject rows.
+
+    designs lists (hazard_ratio, sample_size, seeds) runs: one trial per
+    seed, trials in order, each with subjects 0..n/2-1 in control. Every
+    stream of the block is drawn in one pass (trial_uniforms), and every
+    row evolves in one kernel call under the control arm's table or its
+    hazard ratio's experimental table. Subject i of the trial with seed s
+    draws from mix64(s, i), so a trial is the same whichever block it is
+    simulated in.
+    """
+    horizon = control_model.horizon_months
+    experimental: dict[float, tuple[int, TransitionModel]] = {}  # hazard ratio -> (table, arm model)
+    runs = []  # (experimental table, sample size, trial seeds) of each design
+    for hazard_ratio, sample_size, trial_seeds in designs:
+        _check_sample_size(sample_size)
+        if hazard_ratio not in experimental:
+            arm = apply_hazard_ratio(control_model, hazard_ratio, improvement_hr)
+            experimental[hazard_ratio] = (len(experimental) + 1, arm)
+        runs.append((experimental[hazard_ratio][0], sample_size, np.atleast_1d(as_uint64(trial_seeds))))
+    sizes = np.concatenate([np.full(len(seeds), n) for _, n, seeds in runs])
+
+    draws = trial_uniforms(np.concatenate([seeds for *_, seeds in runs]), sizes, horizon)  # checks the size first
+    table = np.concatenate([np.tile(np.repeat([0, k], n // 2), len(seeds)) for k, n, seeds in runs])
+    models = [control_model] + [arm for _, arm in experimental.values()]
+    states = _simulate_state_matrix(models, draws[:, 2:], table)
+    dropped, censor = _dropout_from_uniforms(control_model, draws[:, 0], draws[:, 1])
+    late = np.flatnonzero(censor < horizon)  # only subjects who dropped out early have months to blank
+    states[late] = np.where(np.arange(horizon + 1) > censor[late, None], -1, states[late])
+    arms = (table > 0).astype(np.int8)  # Arm.EXPERIMENTAL wherever the table is a hazard ratio's
+    return Trial(states=states, censor=censor, arms=arms, dropped=dropped, starts=np.cumsum(sizes) - sizes)
+
+
 def simulate_block(
     control_model: TransitionModel,
     hazard_ratio: float,
@@ -345,25 +399,13 @@ def simulate_block(
     seeds,
     improvement_hr: float | None = None,
 ) -> Trial:
-    """Simulate 1:1 two-arm trials of one design; subjects 0..n/2-1 are control.
+    """Simulate 1:1 two-arm trials of one design: simulate_trials for one run.
 
     seeds is one trial seed, giving one Trial, or an array of R trial
-    seeds, giving a block of R trials on a leading replicate axis. Every
-    stream is drawn in one pass, and both arms of every trial evolve in
-    one kernel call. Subject i of the trial with seed s draws from
-    mix64(s, i), so a trial is the same whichever block it is simulated in.
+    seeds, giving a block of R trials of n rows each.
     """
-    _check_sample_size(sample_size)
-    model_e = apply_hazard_ratio(control_model, hazard_ratio, improvement_hr)
-    half = sample_size // 2
-    horizon = control_model.horizon_months
-
-    draws = subject_uniforms(seeds, sample_size, horizon)
-    states = _simulate_state_matrix(control_model, draws[..., 2:], model_e)
-    dropped, censor = _dropout_from_uniforms(control_model, draws[..., 0], draws[..., 1])
-    states[np.arange(horizon + 1) > censor[..., None]] = -1
-    arms = np.repeat(np.array([Arm.CONTROL, Arm.EXPERIMENTAL], dtype=np.int8), half)
-    return Trial(states=states, censor=censor, arms=arms, dropped=dropped)
+    block = simulate_trials(control_model, ((hazard_ratio, sample_size, seeds),), improvement_hr)
+    return replace(block, starts=None) if np.ndim(seeds) == 0 else block
 
 
 def simulate_trial(config: TrialConfig) -> Trial:
@@ -376,4 +418,3 @@ def simulate_trial(config: TrialConfig) -> Trial:
     return simulate_block(
         config.control_model, config.hazard_ratio, config.sample_size, config.seed, config.improvement_hr
     )
-

@@ -24,7 +24,9 @@ with one degree of freedom (equivalently, two-sided normal on z).
 
 One route leads from a Trial to the statistics of all three methods:
 monthly_counts reads the state matrix once into each method's monthly
-counts, the arguments of monthly_terms. KM-PFS and KM-OS are unit-weight
+counts, the arguments of monthly_terms, for one trial or for every trial
+of a block, whose rows it sums between the trial boundaries (Trial.starts)
+into one row of counts per trial. KM-PFS and KM-OS are unit-weight
 counts of one endpoint (kaplan_meier.endpoint_counts); CWTA's risk set
 is OS's, as a subject leaves both at death or censoring. The grid scans,
 count_tests and every per-arm curve (arm_counts and
@@ -61,26 +63,37 @@ def weighted_counts(o1, w_sum, q_sum, n1, n) -> tuple:
     return o1, w_sum, 1.0, n * q_sum - w_sum**2, n1, n
 
 
+def _per_trial(rows: np.ndarray, starts: np.ndarray | None) -> np.ndarray:
+    """Integer column sums of each trial's rows; of all rows when starts is None."""
+    return rows.sum(axis=0) if starts is None else np.add.reduceat(rows, starts, axis=0, dtype=np.int64)
+
+
 def monthly_counts(trial: Trial) -> dict[str, tuple]:
     """Each method's monthly_terms arguments over months 0..horizon, keyed by METHODS.
 
     Any observed one-level change into month m is a CWTA event of weight
-    (new - old) / 4. Every weight is a multiple of 1/4, so summing the
-    integer moves per month and dividing by 4 (and their squares by 16) is
-    exact, whatever the order of the events. A subject stays at risk for
+    (new - old) / 4; month m is observed where its state is not the -1
+    padding. Every weight is a multiple of 1/4, so summing the integer
+    moves per month and dividing by 4 (and their squares by 16) is exact,
+    whatever the order of the events. A subject stays at risk for
     OS and CWTA through its death or censor month, the OS time, and for
-    PFS through its PFS time. A block of trials gives counts with a
-    leading replicate axis.
+    PFS through its PFS time. A block of trials (trial.starts set) gives
+    counts of shape (trials, horizon + 1), all trials in one pass: moves
+    are summed between the trial boundaries and the endpoint counts are
+    keyed by each row's trial index.
     """
-    states, horizon = trial.states, trial.horizon
-    moves = np.zeros(states.shape, dtype=np.int16)  # moves[..., m]: the level change into month m
-    np.subtract(states[..., 1:], states[..., :-1], out=moves[..., 1:], dtype=np.int16)
-    moves *= np.arange(horizon + 1) <= trial.censor[..., None]
-    w_sum = moves.sum(axis=-2) / MAX_STATE
-    q_sum = (moves * moves).sum(axis=-2) / MAX_STATE**2
-    o1 = moves[..., trial.arms == int(Arm.CONTROL), :].sum(axis=-2) / MAX_STATE
+    states, horizon, starts = trial.states, trial.horizon, trial.starts
+    moves = np.zeros(states.shape[::-1], dtype=np.int8).T  # moves[:, m]: the level change into month m, month-major
+    np.subtract(states[:, 1:], states[:, :-1], out=moves[:, 1:])
+    moves[:, 1:] *= states[:, 1:] >= 0
+    control = (trial.arms == int(Arm.CONTROL)).astype(np.int8)
+    w_sum = _per_trial(moves, starts) / MAX_STATE
+    q_sum = _per_trial(moves * moves, starts) / MAX_STATE**2
+    o1 = _per_trial(moves * control[:, None], starts) / MAX_STATE
+    row_trial = None if starts is None else np.repeat(np.arange(len(starts)), np.diff(starts, append=len(states)))
     pfs, os_ = (
-        endpoint_counts(*endpoint_arrays(states, trial.censor, kind), trial.arms, horizon) for kind in Endpoint
+        endpoint_counts(*endpoint_arrays(states, trial.censor, kind), trial.arms, horizon, row_trial)
+        for kind in Endpoint
     )
     n1, n = os_[4], os_[5]
     return {"CWTA": weighted_counts(o1, w_sum, q_sum, n1, n), "PFS": pfs, "OS": os_}

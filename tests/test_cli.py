@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cwtasim import harness, load_profile, read_trajectories_csv, save_profile
+from cwtasim import calibration, harness, load_profile, read_trajectories_csv, save_profile
 from cwtasim.cli import resolve_workers, run_cli
 from cwtasim.trajectories import TransitionModel
 
@@ -237,8 +237,15 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
     # in a grid config the line starts with the config's path, and no block of the grid runs.
     # Likewise a hazard ratio the profile cannot take, and a samplesize target outside (0, 1).
     huge = "sample size 2000000000000 at a 18-month"
-    blocks_run = []
+    blocks_run, evaluations = [], []
     monkeypatch.setattr(harness, "_run_block", lambda *args: blocks_run.append(args))
+    evaluate = calibration._response_rates
+
+    def recorded(*args):
+        evaluations.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(calibration, "_response_rates", recorded)
     cfgs = []
     for name, fields in (
         ("huge_n_cfg.json", {"profile": fast_profile, "sample_sizes": [2_000_000_000_000]}),
@@ -260,11 +267,18 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
         (["samplesize", "--config", str(cfgs[3]), "--target", "nan"], "error: target power must lie in (0, 1), got nan"),
         (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
           "--subjects", "2000000000000", "--out", str(tmp_path / "never.json")], f"error: {huge}"),
+        # a budget or cohort below one is refused before any evaluation, naming its flag
+        (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
+          "--budget", "0", "--out", str(tmp_path / "never.json")], "error: --budget must be at least 1, got 0"),
+        (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
+          "--budget", "-3", "--out", str(tmp_path / "never.json")], "error: --budget must be at least 1, got -3"),
+        (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
+          "--subjects", "0", "--out", str(tmp_path / "never.json")], "error: --subjects must be at least 1, got 0"),
     ):
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(start), err
-    assert blocks_run == [] and not (tmp_path / "huge_out").exists()
+    assert blocks_run == [] and evaluations == [] and not (tmp_path / "huge_out").exists()
 
     assert run_cli(["analyze", "--trial", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from cwtasim import (
     simulate_trial,
     summarize_tte,
 )
-from cwtasim import harness
-from cwtasim.harness import plan_blocks, replicate_seed
+from cwtasim import harness, trajectories
+from cwtasim.harness import plan_blocks, plan_grid_blocks, replicate_seed
 from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, endpoint_counts, logrank_test, monthly_terms
 from cwtasim.trajectories import simulate_block
 from cwtasim.weighted import count_tests, monthly_counts
@@ -199,6 +200,39 @@ def test_run_replicates_matches_one_by_one_oracle(master_seed, hr, case, profile
     assert_same_scans(got, ReplicateScans(final_p, first_month))
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    master_seed=st.one_of(st.sampled_from([0, 101, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    profile=st.sampled_from(["moderate", "high"]),
+    hrs=st.lists(st.floats(0.5, 1.0), min_size=2, max_size=3, unique=True),
+    counts=st.lists(st.integers(1, 7), min_size=3, max_size=3),
+    block_rows=st.sampled_from([6, 16, 30]),
+    more_sizes=st.lists(st.sampled_from([4, 6, 10, 20]), max_size=2, unique=True),
+    alpha=st.sampled_from([0.01, 0.05]),
+)
+def test_grid_blocks_spanning_points_match_one_by_one_oracle(
+    master_seed, profile, hrs, counts, block_rows, more_sizes, alpha
+):
+    """With a small row budget, blocks span hazard ratios and sample sizes;
+    every point of the grid still equals the per-replicate reference bit for
+    bit, in grid order, on one process and on two."""
+    sizes = tuple(dict.fromkeys([2, block_rows + 2, *more_sizes]))  # 2, and one trial above the budget
+    replicates = dict(zip(hrs, counts))
+    grid = ExperimentGrid(tuple(hrs), sizes, replicates, alpha, profile, master_seed)
+    model = load_profile(profile)
+    expected = {
+        (hr, ss): ReplicateScans(*run_replicates_one_by_one(hr, ss, replicates[hr], model, master_seed, alpha))
+        for hr in hrs
+        for ss in sizes
+    }
+    with mock.patch.object(harness, "BLOCK_ROWS", block_rows):
+        for workers in (1, 2):
+            points = list(harness.run_grid(grid, model, workers))
+            assert [(hr, ss) for hr, ss, _ in points] == list(expected)
+            for hr, ss, scans in points:
+                assert_same_scans(scans, expected[hr, ss])
+
+
 def test_plan_blocks_cover_replicates_within_the_row_budget(monkeypatch):
     monkeypatch.setattr(harness, "BLOCK_ROWS", 100)
     for replicates in (1, 2, 7, 50, 101):
@@ -216,6 +250,71 @@ def test_plan_blocks_cover_replicates_within_the_row_budget(monkeypatch):
     assert list(plan_blocks(7, 30, workers=2)) == [(0, 1), (1, 3), (3, 5), (5, 7)]  # 2 per worker
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(1, 9), st.sampled_from([2, 4, 30, 100, 150])), min_size=1, max_size=6),
+    workers=st.integers(1, 4),
+)
+def test_plan_grid_blocks_cover_the_replicate_sequence_within_the_row_budget(points, workers):
+    """Blocks are consecutive runs of the grid's replicate sequence, each
+    within the row budget or a single replicate, and cover every replicate
+    once, in order; every point keeps plan_blocks' split, so a one-point
+    grid is exactly that split."""
+    with mock.patch.object(harness, "BLOCK_ROWS", 100):
+        blocks = list(plan_grid_blocks(points, workers))
+        sequence = [(point, r) for block in blocks for point, start, stop in block for r in range(start, stop)]
+        assert sequence == [(point, r) for point, (replicates, _) in enumerate(points) for r in range(replicates)]
+        for block in blocks:
+            assert all(start < stop for _, start, stop in block)
+            # runs within a block follow each other: a run starts a point only where the one before ended it
+            for (p0, _, stop0), (p1, start1, _) in zip(block, block[1:]):
+                assert p1 == p0 + 1 and stop0 == points[p0][0] and start1 == 0
+            rows = sum((stop - start) * points[point][1] for point, start, stop in block)
+            assert rows <= 100 or (len(block) == 1 and block[0][2] - block[0][1] == 1)
+        for point, (replicates, ss) in enumerate(points):
+            runs = [(start, stop) for block in blocks for p, start, stop in block if p == point]
+            assert runs == list(plan_blocks(replicates, ss, workers))
+
+
+def test_plan_grid_blocks_pack_small_points_together(monkeypatch):
+    """Small points share blocks up to the row budget; a trial above the
+    budget is a block on its own, and the point after it starts a new
+    block. On a pooled run each point keeps its worker-balanced split."""
+    monkeypatch.setattr(harness, "BLOCK_ROWS", 100)
+    assert list(plan_grid_blocks([(3, 20), (2, 10), (2, 150), (1, 30)])) == [
+        ((0, 0, 3), (1, 0, 2)),
+        ((2, 0, 1),),
+        ((2, 1, 2),),
+        ((3, 0, 1),),
+    ]
+    assert list(plan_grid_blocks([(4, 10), (4, 10), (4, 10)], workers=2)) == [
+        ((0, 0, 2),),
+        ((0, 2, 4), (1, 0, 2)),
+        ((1, 2, 4), (2, 0, 2)),
+        ((2, 2, 4),),
+    ]
+
+
+def test_grid_small_n_shape_runs_as_two_blocks():
+    """HR 0.5 and 0.7 x n 20, 40, 60 x 30 replicates: 7 200 subject rows run as
+    two kernel passes at workers 1, not one per grid point, and give the
+    rows of each point run on its own."""
+    calls = []
+    kernel = trajectories._simulate_state_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return kernel(*args, **kwargs)
+
+    grid = ExperimentGrid(hazard_ratios=(0.5, 0.7), sample_sizes=(20, 40, 60), replicates=30, master_seed=3)
+    model = load_profile("moderate")
+    with mock.patch.object(trajectories, "_simulate_state_matrix", counted):
+        points = list(harness.run_grid(grid, model, workers=1))
+    assert len(calls) == 2 and sum(calls) == 7200, calls
+    for hr, ss, scans in points:
+        assert_same_scans(scans, run_replicates(hr, ss, 30, model, 3))
+
+
 @pytest.mark.parametrize(
     "sizes, replicates",
     [((2,), 12), ((2, 4, 6), 2)],  # one point of 12 blocks; three points of 2 blocks each
@@ -229,21 +328,21 @@ def test_interrupt_cancels_queued_blocks(monkeypatch, sizes, replicates):
     when the interrupt arrives; no signal is sent."""
     ran, submitted, release = [], [], threading.Event()
 
-    def run_block(point, block):
-        ran.append((point[2], block))
-        if point[2] == sizes[0] and block[0] == 0:
+    def run_block(setup, runs):
+        [(_, ss, start, stop)] = runs  # one replicate per block
+        ran.append((ss, (start, stop)))
+        if ss == sizes[0] and start == 0:
             raise KeyboardInterrupt
         release.wait(timeout=30)
-        rows = block[1] - block[0]
-        return np.zeros((rows, 3)), np.zeros((rows, 3), dtype=np.int64)
+        return np.zeros((stop - start, 3)), np.zeros((stop - start, 3), dtype=np.int64)
 
     class OneThreadPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             super().__init__(max_workers=1)
 
-        def submit(self, fn, point, block):
-            submitted.append((point[2], block))
-            return super().submit(fn, point, block)
+        def submit(self, fn, setup, runs):
+            submitted.extend((ss, (start, stop)) for _, ss, start, stop in runs)
+            return super().submit(fn, setup, runs)
 
         def shutdown(self, wait=True, *, cancel_futures=False):
             super().shutdown(wait=False, cancel_futures=cancel_futures)

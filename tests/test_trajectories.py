@@ -29,7 +29,9 @@ from cwtasim.trajectories import (
     MAX_DRAWS,
     _simulate_state_matrix,
     simulate_block,
+    simulate_trials,
     subject_uniforms,
+    trial_uniforms,
 )
 from oracles import simulate_subject, subject_rng, trial_state_matrix
 
@@ -250,11 +252,11 @@ def test_subject_uniform_layout_is_fixed():
         assert np.array_equal(blocks[i], expected)
 
 
-def test_subject_uniforms_counts_every_trial_of_a_block_against_the_cap():
+def test_trial_uniforms_counts_every_trial_of_a_block_against_the_cap():
     """Each trial alone would fit; the block of three would not, so nothing is drawn."""
     assert 2**20 * 64 <= MAX_DRAWS < 3 * 2**20 * 64
     with pytest.raises(ValueError, match="sample size 1048576 at a 62-month horizon needs 201326592"):
-        subject_uniforms(np.zeros(3, dtype=np.uint64), 2**20, 62)
+        trial_uniforms(np.zeros(3, dtype=np.uint64), [2**20] * 3, 62)
 
 
 # -------------------------------- vectorized streams against the oracle
@@ -304,8 +306,8 @@ def test_subject_uniforms_match_per_subject_generators(base_seed, n, horizon):
 def test_state_evolution_is_layout_independent(seed, n, sd_improve, pr_improve, decay):
     m = model(improve=(0.0, pr_improve, sd_improve, 0.0, 0.0), improve_decay=decay, horizon_months=24)
     monthly = subject_uniforms(seed, n, 24)[:, 2:]
-    from_f = _simulate_state_matrix(m, np.asfortranarray(monthly))
-    from_c = _simulate_state_matrix(m, np.ascontiguousarray(monthly))
+    from_f = _simulate_state_matrix((m,), np.asfortranarray(monthly))
+    from_c = _simulate_state_matrix((m,), np.ascontiguousarray(monthly))
     assert from_f.shape == (n, 25)
     assert np.array_equal(from_f, from_c)
 
@@ -328,14 +330,60 @@ def test_block_rows_match_per_subject_oracle(profile, hr, improvement_hr, decay,
     m = replace(load_profile(profile), improve_decay=decay)
     seeds = np.array([seed ^ r for r in range(replicates)], dtype=np.uint64)
     block = simulate_block(m, hr, 2 * half, seeds, improvement_hr)
+    assert block.starts.tolist() == [2 * half * r for r in range(replicates)]
     for r, trial_seed in enumerate(seeds.tolist()):
         for i in range(2 * half):
             arm = Arm.CONTROL if i < half else Arm.EXPERIMENTAL
             states, dropout = simulate_subject(m, arm, hr, subject_rng(trial_seed, i), improvement_hr)
-            last = int(block.censor[r, i])
-            assert np.array_equal(block.states[r, i, : last + 1], states), (r, i)
-            assert (block.states[r, i, last + 1 :] == -1).all()
-            assert dropout == (last if block.dropped[r, i] else None)
+            row = block.starts[r] + i
+            last = int(block.censor[row])
+            assert np.array_equal(block.states[row, : last + 1], states), (r, i)
+            assert (block.states[row, last + 1 :] == -1).all()
+            assert dropout == (last if block.dropped[row] else None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    profile=st.sampled_from(("moderate", "high")),
+    hrs=st.lists(st.floats(0.3, 1.5), min_size=1, max_size=4),
+    improvement_hr=st.one_of(st.none(), st.floats(0.5, 2.0)),
+    designs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6), st.integers(1, 3)), min_size=1, max_size=6),
+    seed=SEEDS,
+)
+def test_trials_of_several_designs_match_per_subject_oracle(profile, hrs, improvement_hr, designs, seed):
+    """One block of several hazard ratios and sample sizes, evolved in one
+    kernel pass from stacked per-(HR, arm) tables, is the per-subject rule
+    row by row, trial by trial; a drawn improvement_hr also makes the
+    experimental tables differ in their improvement probabilities."""
+    m = load_profile(profile)
+    runs = [(hrs[k % len(hrs)], 2 * half, [seed ^ (7 * j + k) for j in range(count)]) for k, half, count in designs]
+    block = simulate_trials(m, [(hr, n, np.array(seeds, dtype=np.uint64)) for hr, n, seeds in runs], improvement_hr)
+    trials = [(hr, n, s) for hr, n, seeds in runs for s in seeds]
+    assert block.starts.tolist() == np.cumsum([0] + [n for _, n, _ in trials])[:-1].tolist()
+    for (hr, n, trial_seed), start in zip(trials, block.starts):
+        for i in range(n):
+            arm = Arm.CONTROL if i < n // 2 else Arm.EXPERIMENTAL
+            states, dropout = simulate_subject(m, arm, hr, subject_rng(trial_seed, i), improvement_hr)
+            row = start + i
+            last = int(block.censor[row])
+            assert block.arms[row] == arm
+            assert np.array_equal(block.states[row, : last + 1], states), (hr, n, trial_seed, i)
+            assert (block.states[row, last + 1 :] == -1).all()
+            assert dropout == (last if block.dropped[row] else None)
+
+
+def test_many_hazard_ratios_in_one_block_match_single_trials():
+    """30 hazard ratios stack 31 tables, more state offsets than int8 holds:
+    every trial still equals its one-trial simulation."""
+    m = load_profile("moderate")
+    hrs = [0.4 + 0.02 * k for k in range(30)]
+    block = simulate_trials(m, [(hr, 4, np.array([k, k + 100], dtype=np.uint64)) for k, hr in enumerate(hrs)])
+    assert block.states.dtype == np.int8 and len(block.starts) == 60
+    for t, start in enumerate(block.starts):
+        hr, seed = hrs[t // 2], t // 2 + 100 * (t % 2)
+        one = simulate_trial(TrialConfig(sample_size=4, hazard_ratio=hr, control_model=m, seed=seed))
+        assert np.array_equal(block.states[start : start + 4], one.states), t
+        assert np.array_equal(block.censor[start : start + 4], one.censor)
 
 
 def test_dropout_month_uses_second_draw():
@@ -361,14 +409,16 @@ def test_block_rows_equal_single_trials():
     m = model(dropout_rate=0.3, horizon_months=18)
     seeds = np.array([0, 7, 2**32, 2**64 - 1], dtype=np.uint64)
     block = simulate_block(m, 0.6, 10, seeds, improvement_hr=0.8)
-    draws = subject_uniforms(seeds, 10, 18)
-    assert block.states.shape == (4, 10, 19) and block.censor.shape == block.dropped.shape == (4, 10)
+    draws = trial_uniforms(seeds, [10] * 4, 18)
+    assert block.states.shape == (40, 19) and block.censor.shape == block.dropped.shape == (40,)
+    assert block.starts.tolist() == [0, 10, 20, 30]
     for r, seed in enumerate(seeds):
         one = simulate_trial(TrialConfig(10, 0.6, m, int(seed), improvement_hr=0.8))
-        assert np.array_equal(block.states[r], one.states)
-        assert np.array_equal(block.censor[r], one.censor) and np.array_equal(block.dropped[r], one.dropped)
-        assert np.array_equal(block.arms, one.arms)
-        assert np.array_equal(draws[r], subject_uniforms(int(seed), 10, 18))
+        rows = slice(10 * r, 10 * r + 10)
+        assert np.array_equal(block.states[rows], one.states)
+        assert np.array_equal(block.censor[rows], one.censor) and np.array_equal(block.dropped[rows], one.dropped)
+        assert np.array_equal(block.arms[rows], one.arms)
+        assert np.array_equal(draws[rows], subject_uniforms(int(seed), 10, 18))
     with pytest.raises(ValueError, match="even"):
         simulate_block(m, 0.6, 9, seeds)
 
