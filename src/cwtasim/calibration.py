@@ -12,9 +12,12 @@ improvement probabilities against those targets:
     responders, so it is bisected against the CR rate.
 
 Rates are measured by Monte Carlo on a fixed calibration seed with the
-same uniforms reused across evaluations (common random numbers), which
-makes each rate a deterministic, effectively monotone function of its
-parameter and the bisection well behaved.
+same uniforms reused across evaluations (common random numbers). The
+counts behind the bisected rates are then exact, non-decreasing step
+functions: responders of a2, complete responders of a1 at a fixed a2. A
+subject's step is its critical probability, the least value at which the
+kernel's own comparison moves it out of SD (or PR) in an observed month
+(see _Cohort), so one kernel run tabulates the steps of a whole bisection.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ import numpy as np
 
 from .trajectories import (
     CR,
+    N_STATES,
     PR,
     SD,
     TransitionModel,
     _dropout_from_uniforms,
     _simulate_state_matrix,
+    json_number,
     subject_uniforms,
 )
 
@@ -75,13 +80,18 @@ class CalibrationTarget:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CalibrationTarget":
-        known = {"cr_rate", "pr_rate", "tolerance"}
-        if not isinstance(data, dict) or not set(data) <= known:
-            raise ValueError("calibration target document has unknown fields")
+        if not isinstance(data, dict):
+            raise ValueError("calibration target document must be a JSON object")
+        unknown = set(data) - {"cr_rate", "pr_rate", "tolerance"}
+        if unknown:
+            raise ValueError(f"calibration target document has unknown fields: {', '.join(sorted(unknown))}")
+        missing = {"cr_rate", "pr_rate"} - set(data)
+        if missing:
+            raise ValueError(f"calibration target document lacks {', '.join(sorted(missing))}")
         return cls(
-            cr_rate=float(data["cr_rate"]),
-            pr_rate=float(data["pr_rate"]),
-            tolerance=float(data.get("tolerance", 0.005)),
+            cr_rate=json_number(data["cr_rate"], "cr_rate"),
+            pr_rate=json_number(data["pr_rate"], "pr_rate"),
+            tolerance=json_number(data.get("tolerance", 0.005), "tolerance"),
         )
 
 
@@ -101,33 +111,125 @@ class CalibrationError(RuntimeError):
         self.achieved_pr = achieved_pr
 
 
-def _observed_months(model: TransitionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dropped, last): the subjects censored before the horizon, and the last
-    month each is observed; every other subject is observed in every month.
+def _critical_probabilities(u: np.ndarray, d: float) -> np.ndarray:
+    """The least double p with d * p > u for each draw u, or inf where no
+    p <= 1 has it (u >= d). Draws are multiples of 2**-53, as every stream
+    draw is, so each is 0 or a normal double.
 
-    Both depend only on the dropout draws and on the dropout rate and
-    horizon, which calibration never changes, so they are built once per
-    block.
+    The kernel improves a subject who draws u in a month whose decay factor
+    is d iff u < d * p, and the rounded product d * p never decreases as p
+    grows, so that holds exactly for the p at or above the result. The
+    search starts from the rounded quotient u / d: the double below it lies
+    below the exact quotient, so its product cannot exceed u, and for a
+    normal u the answer is the quotient or a few doubles above it. At
+    u = 0, d * p must round above zero, i.e. exceed half the least
+    subnormal, so the start is half of 5e-324 / d, likewise never above the
+    answer. Steps go up one double at a time, as int64 bit patterns, which
+    order non-negative doubles as their values.
     """
-    _, censor = _dropout_from_uniforms(model, blocks[:, 0], blocks[:, 1])
-    dropped = np.flatnonzero(censor < model.horizon_months)
-    return dropped, censor[dropped]
+    out = np.full(u.shape, np.inf)
+    live = np.flatnonzero(u < d)  # d * 1.0 = d, so every other draw never improves
+    if not live.size:
+        return out
+    u = u[live]
+    p = u / d
+    p[u == 0.0] = 0.5 * (5e-324 / d)
+    bits = p.view(np.int64)
+    while True:
+        short = ~(d * p > u)
+        if not short.any():
+            break
+        bits += short
+    out[live] = p
+    return out
 
 
-def _response_rates(
-    model: TransitionModel, monthly_u: np.ndarray, observed: tuple[np.ndarray, np.ndarray]
-) -> tuple[float, float]:
+class _Cohort:
+    """A calibration sample: each subject's monthly uniforms and last observed
+    month, drawn once, and the critical-probability tables built from them.
+
+    Hold every improvement probability but improve_prob[s] = p. A subject
+    follows its p = 0 path until its first improvement out of s, which
+    comes in the first month m spent in s on that path where the month's
+    draw is below decay**(m - 1) * p. So it improves out of s in an
+    observed month iff p is at least the least of those months' critical
+    probabilities: a subject's critical value. counts reads a table only
+    where p is at most 1 - worsen_prob[s], so that an improving draw never
+    also worsens the subject, which would keep it in s.
+
+    responders sorts the critical improve_prob[SD] values at zero
+    improvement: a subject is a responder, for any improve_prob[PR], iff
+    improve_prob[SD] reaches its value. complete, once tabulate_complete
+    has run, holds one improve_prob[SD] and the sorted critical
+    improve_prob[PR] values there: reaching CR.
+    """
+
+    def __init__(self, template: TransitionModel, n_subjects: int, seed: int) -> None:
+        blocks = subject_uniforms(seed, n_subjects, template.horizon_months)
+        self.base = replace(template, improve_prob=(0.0,) * N_STATES)
+        self.monthly_u = blocks[:, 2:]
+        _, self.censor = _dropout_from_uniforms(template, blocks[:, 0], blocks[:, 1])
+        self.early = np.flatnonzero(self.censor < template.horizon_months)
+        self.responders: np.ndarray | None = None
+        self.complete: tuple[float, np.ndarray] | None = None
+
+    def _critical_values(self, model: TransitionModel, s: int) -> np.ndarray:
+        """Sorted critical improve_prob[s] of every subject, from one kernel run
+        of model, whose improve_prob[s] must be 0; inf for a subject never in s."""
+        states = _simulate_state_matrix((model,), self.monthly_u).T
+        critical = np.full(len(self.censor), np.inf)
+        for m in range(1, model.horizon_months + 1):
+            rows = np.flatnonzero(states[m - 1] == s)
+            rows = rows[self.censor[rows] >= m]
+            if rows.size:
+                month = _critical_probabilities(self.monthly_u[rows, m - 1], model.improve_decay ** (m - 1))
+                critical[rows] = np.minimum(critical[rows], month)
+        critical.sort()
+        return critical
+
+    def tabulate_responders(self) -> None:
+        self.responders = self._critical_values(self.base, SD)
+
+    def tabulate_complete(self, a2: float) -> None:
+        model = replace(self.base, improve_prob=(0.0, 0.0, a2, 0.0, 0.0))
+        self.complete = (a2, self._critical_values(model, PR))
+
+    def counts(self, model: TransitionModel) -> tuple[int, int] | None:
+        """(complete responders, responders) of model from the tables, or None
+        where no table answers it."""
+        a1, a2 = model.improve_prob[PR], model.improve_prob[SD]
+        if (
+            self.responders is None
+            or replace(model, improve_prob=self.base.improve_prob) != self.base
+            or a2 > 1.0 - model.worsen_prob[SD]
+        ):
+            return None
+        responders = int(np.searchsorted(self.responders, a2, side="right"))
+        if a1 == 0.0:
+            return 0, responders
+        if self.complete is None or self.complete[0] != a2 or a1 > 1.0 - model.worsen_prob[PR]:
+            return None
+        return int(np.searchsorted(self.complete[1], a1, side="right")), responders
+
+
+def _response_rates(model: TransitionModel, cohort: _Cohort) -> tuple[float, float]:
     """(CR rate, PR rate) of best overall response over the observed months.
 
-    observed is _observed_months'. The kernel's state buffer is month-major,
-    so the best state is a minimum over contiguous month rows; the subjects
-    who dropped out take a running minimum over their own columns instead,
-    read at their last observed month.
+    Counted from the cohort's tables where they answer model. Otherwise the
+    kernel runs: its state buffer is month-major, so the best state is a
+    minimum over contiguous month rows; the subjects who dropped out early
+    take a running minimum over their own columns instead, read at their
+    last observed month. Both give the same doubles.
     """
-    dropped, last = observed
-    states = _simulate_state_matrix((model,), monthly_u).T
+    n = len(cohort.censor)
+    counts = cohort.counts(model)
+    if counts is not None:
+        complete, responders = counts
+        return complete / n, (responders - complete) / n
+    early = cohort.early
+    states = _simulate_state_matrix((model,), cohort.monthly_u).T
     best = states.min(axis=0)
-    best[dropped] = np.minimum.accumulate(states[:, dropped], axis=0)[last, np.arange(len(dropped))]
+    best[early] = np.minimum.accumulate(states[:, early], axis=0)[cohort.censor[early], np.arange(len(early))]
     return float(np.mean(best == CR)), float(np.mean(best == PR))
 
 
@@ -135,8 +237,7 @@ def control_response_rates(
     model: TransitionModel, n_subjects: int = 100_000, seed: int = CALIBRATION_SEED
 ) -> tuple[float, float]:
     """Monte Carlo control-arm (CR, PR) best-response rates."""
-    blocks = subject_uniforms(seed, n_subjects, model.horizon_months)
-    return _response_rates(model, blocks[:, 2:], _observed_months(model, blocks))
+    return _response_rates(model, _Cohort(model, n_subjects, seed))
 
 
 def _bisect_rate(
@@ -182,8 +283,8 @@ def calibrate_transition_model(
         raise ValueError("n_subjects must be positive")
     if budget < 1:
         raise ValueError("budget must be positive")
-    blocks = subject_uniforms(seed, n_subjects, template.horizon_months)
-    monthly_u, observed = blocks[:, 2:], _observed_months(template, blocks)
+    cohort = _Cohort(template, n_subjects, seed)
+    cohort.tabulate_responders()
 
     evals = 0
     best: tuple[float, TransitionModel | None, float, float] = (np.inf, None, np.nan, np.nan)
@@ -201,7 +302,7 @@ def calibrate_transition_model(
                 achieved_pr=best[3],
             )
         evals += 1
-        cr, pr = _response_rates(model, monthly_u, observed)
+        cr, pr = _response_rates(model, cohort)
         miss = max(abs(cr - target.cr_rate), abs(pr - target.pr_rate))
         if miss < best[0]:
             best = (miss, model, cr, pr)
@@ -217,6 +318,7 @@ def calibrate_transition_model(
         a2 = _bisect_rate(
             lambda v: sum(measure(a1, v)[1:]), 0.0, a2_max, responder_target, inner_tol, "responder rate"
         )
+        cohort.tabulate_complete(a2)
         a1 = _bisect_rate(
             lambda v: measure(v, a2)[1], 0.0, a1_max, target.cr_rate, inner_tol, "CR rate"
         )

@@ -91,6 +91,17 @@ def _as_prob_tuple(values: Sequence[float], name: str) -> tuple[float, ...]:
     return probs
 
 
+def json_number(value, field: str) -> float:
+    """A JSON document's number as a float; a bool, string, null or other
+    value, or an integer too large for a float, raises ValueError naming field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} = {value} is out of range") from None
+
+
 @dataclass(frozen=True)
 class TransitionModel:
     """Per-state monthly transition probabilities for the control arm.
@@ -148,19 +159,11 @@ class TransitionModel:
         if missing:
             raise ValueError(f"transition model document lacks {', '.join(sorted(missing))}")
 
-        def number(value, field: str) -> float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{field} must be a number, got {value!r}")
-            try:
-                return float(value)
-            except OverflowError:
-                raise ValueError(f"{field} = {value} is out of range") from None
-
         def probs(field: str) -> tuple[float, ...]:
             mapping = data[field]
             if not isinstance(mapping, dict) or not set(mapping) <= set(_STATE_KEYS):
                 raise ValueError(f"{field} must map states '0'..'4' to probabilities")
-            return tuple(number(mapping.get(k, 0.0), f"{field}['{k}']") for k in _STATE_KEYS)
+            return tuple(json_number(mapping.get(k, 0.0), f"{field}['{k}']") for k in _STATE_KEYS)
 
         horizon = data.get("horizon_months", 60)
         if isinstance(horizon, bool) or not isinstance(horizon, int):
@@ -168,9 +171,9 @@ class TransitionModel:
         return cls(
             improve_prob=probs("improve_prob"),
             worsen_prob=probs("worsen_prob"),
-            improve_decay=number(data.get("improve_decay", 1.0), "improve_decay"),
+            improve_decay=json_number(data.get("improve_decay", 1.0), "improve_decay"),
             horizon_months=horizon,
-            dropout_rate=number(data.get("dropout_rate", 0.10), "dropout_rate"),
+            dropout_rate=json_number(data.get("dropout_rate", 0.10), "dropout_rate"),
         )
 
 

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from cwtasim import calibration
 from cwtasim.calibration import (
     CALIBRATION_SEED,
+    DEFAULT_TEMPLATE,
     CalibrationError,
     CalibrationTarget,
+    _critical_probabilities,
     calibrate_transition_model,
     control_response_rates,
 )
-from cwtasim.trajectories import CR, PR, Arm, TransitionModel
+from cwtasim.trajectories import CR, PR, SD, Arm, TransitionModel
 from oracles import simulate_subject, subject_rng
 
 TEMPLATE = TransitionModel(
@@ -36,6 +42,26 @@ def test_target_json_round_trip():
     assert CalibrationTarget.from_json_dict(t.to_json_dict()) == t
     with pytest.raises(ValueError, match="unknown fields"):
         CalibrationTarget.from_json_dict({"cr_rate": 0.05, "pr_rate": 0.3, "bonus": 1})
+    assert CalibrationTarget.from_json_dict({"cr_rate": 0, "pr_rate": 1}) == CalibrationTarget(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"pr_rate": 0.3}, "lacks cr_rate"),
+        ({"cr_rate": 0.05}, "lacks pr_rate"),
+        ({"cr_rate": None, "pr_rate": 0.3}, "cr_rate must be a number, got None"),
+        ({"cr_rate": True, "pr_rate": False}, "cr_rate must be a number, got True"),
+        ({"cr_rate": 0.05, "pr_rate": False}, "pr_rate must be a number, got False"),
+        ({"cr_rate": "0.05", "pr_rate": 0.3}, "cr_rate must be a number, got '0.05'"),
+        ({"cr_rate": 0.05, "pr_rate": 0.3, "tolerance": "0.01"}, "tolerance must be a number"),
+        ({"cr_rate": 0.05, "pr_rate": 10**400}, "pr_rate = 10+ is out of range"),
+        ([0.05, 0.3], "must be a JSON object"),
+    ],
+)
+def test_target_json_rejects_malformed_fields(data, message):
+    with pytest.raises(ValueError, match=message):
+        CalibrationTarget.from_json_dict(data)
 
 
 def test_response_rates_match_per_subject_oracle():
@@ -114,3 +140,111 @@ def test_bad_subject_count():
         calibrate_transition_model(
             CalibrationTarget(cr_rate=0.05, pr_rate=0.30), template=TEMPLATE, n_subjects=0
         )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_critical_probabilities_are_the_least_improving_doubles():
+    """d * p > u holds at the returned p and fails one double below it; inf
+    exactly where even p = 1 fails."""
+    rng = np.random.default_rng(15)
+    u = rng.integers(0, 2**53, 4000) * 2.0**-53
+    edges = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    decays = [1.0, 0.97, 0.5, 1e-3, 0.97**59, 1e-3**102, 5e-324, 1e-310, 2.0**-1022, 0.0]
+    decays += list(rng.uniform(0.0, 1.0, 20))
+    for d in decays:
+        for draws in (u, edges, rng.uniform(0.0, 1e-300, 50), d * rng.uniform(0.999, 1.001, 50)):
+            p = _critical_probabilities(draws, d)
+            never = np.isinf(p)
+            assert np.array_equal(never, draws >= d)
+            p, draws = p[~never], draws[~never]
+            assert np.all((0.0 < p) & (p <= 1.0))
+            assert np.all(d * p > draws)
+            assert not np.any(d * np.nextafter(p, 0.0) > draws)
+
+
+def test_table_rates_match_the_kernel_where_counts_step():
+    """Rates read from the tables equal the kernel's at subjects' critical
+    probabilities and one double below them, where the counts step; a model
+    off the tabulated improve_prob[SD] runs the kernel."""
+    template = replace(TEMPLATE, dropout_rate=0.5)
+    cohort = calibration._Cohort(template, 2_000, 3)
+    kernel_only = calibration._Cohort(template, 2_000, 3)
+    cohort.tabulate_responders()
+    a2s = cohort.responders[cohort.responders <= 1.0 - template.worsen_prob[SD]][::53]
+    cohort.tabulate_complete(a2s[len(a2s) // 2])
+    a1s = cohort.complete[1][cohort.complete[1] <= 1.0 - template.worsen_prob[PR]][::5]
+    assert len(a2s) > 10 and len(a1s) > 10
+    on_table = [(0.0, a2) for a2 in (*a2s, *np.nextafter(a2s, 0.0))]
+    on_table += [(a1, cohort.complete[0]) for a1 in (*a1s, *np.nextafter(a1s, 0.0))]
+    off_table = [(a1, a2) for a1, a2 in zip(a1s, a2s) if a2 != cohort.complete[0]]
+    # valid, since 0.94 + 0.06 rounds to 1, but a draw of 0.94 would both improve and worsen
+    off_table.append((0.0, np.nextafter(1.0 - template.worsen_prob[SD], 1.0)))
+    for (a1, a2), tabulated in [(m, True) for m in on_table] + [(m, False) for m in off_table]:
+        model = replace(template, improve_prob=(0.0, a1, a2, 0.0, 0.0))
+        assert (cohort.counts(model) is not None) == tabulated
+        assert calibration._response_rates(model, cohort) == calibration._response_rates(model, kernel_only)
+
+
+ORACLE_TEMPLATES = [
+    replace(TEMPLATE, improve_decay=1.0),
+    replace(TEMPLATE, improve_decay=1e-3, horizon_months=200),  # decay powers underflow to 0
+    replace(TEMPLATE, horizon_months=1),
+    replace(TEMPLATE, dropout_rate=0.0),
+    replace(TEMPLATE, dropout_rate=1.0),
+]
+ORACLE_TARGETS = [  # (cr, pr, tolerance), budget
+    ((0.05, 0.30, 0.005), 200),
+    ((0.9, 0.05, 0.005), 200),
+    ((0.0, 0.0, 0.005), 200),
+    ((0.05, 0.30, 1e-4), 7),
+]
+
+
+def _search(monkeypatch, template, target, budget, n):
+    """Every evaluation of one search as (model, rates, read from the tables),
+    and its outcome: the fitted model, or the error's text, model and rates."""
+    evaluate, evaluations = calibration._response_rates, []
+
+    def spy(model, cohort):
+        evaluations.append((model, evaluate(model, cohort), cohort.counts(model) is not None))
+        return evaluations[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calibration, "_response_rates", spy)
+        try:
+            outcome = calibrate_transition_model(CalibrationTarget(*target), template, budget, n)
+        except CalibrationError as err:
+            outcome = (str(err), err.model, err.achieved_cr, err.achieved_pr)
+    return evaluations, outcome
+
+
+@pytest.mark.parametrize("n", [1, 3_000])
+def test_critical_tables_answer_every_search_as_the_kernel_does(monkeypatch, n):
+    """Whole searches read from the critical-probability tables make the same
+    evaluations, with the same rates, and end the same way as searches in
+    which every evaluation runs the kernel."""
+    from_tables = 0
+    for template in ORACLE_TEMPLATES:
+        for target, budget in ORACLE_TARGETS:
+            evaluations, outcome = _search(monkeypatch, template, target, budget, n)
+            with monkeypatch.context() as kernel_only:
+                kernel_only.setattr(calibration._Cohort, "counts", lambda self, model: None)
+                expected, expected_outcome = _search(monkeypatch, template, target, budget, n)
+            assert [e[:2] for e in evaluations] == [e[:2] for e in expected]
+            assert outcome == expected_outcome
+            from_tables += sum(e[2] for e in evaluations)
+    assert from_tables > 100
+
+
+def test_moderate_search_runs_the_kernel_twice(monkeypatch):
+    calls = {"_simulate_state_matrix": 0, "_response_rates": 0}
+    for name in calls:
+        original = getattr(calibration, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(calibration, name, counted)
+    calibrate_transition_model(CalibrationTarget(0.05, 0.30, 0.005), DEFAULT_TEMPLATE, n_subjects=10_000)
+    assert calls == {"_simulate_state_matrix": 2, "_response_rates": 20}
