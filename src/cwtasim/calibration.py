@@ -313,18 +313,17 @@ def calibrate_transition_model(
     a2_max = 1.0 - template.worsen_prob[SD]
     a1_max = 1.0 - template.worsen_prob[PR]
 
-    a1, a2 = 0.0, 0.0
-    for _ in range(4):
-        a2 = _bisect_rate(
-            lambda v: sum(measure(a1, v)[1:]), 0.0, a2_max, responder_target, inner_tol, "responder rate"
-        )
-        cohort.tabulate_complete(a2)
-        a1 = _bisect_rate(
-            lambda v: measure(v, a2)[1], 0.0, a1_max, target.cr_rate, inner_tol, "CR rate"
-        )
-        model, cr, pr = measure(a1, a2)
-        if abs(cr - target.cr_rate) <= target.tolerance and abs(pr - target.pr_rate) <= target.tolerance:
-            return model
+    # One pass suffices: the responder count does not depend on improve_prob[PR]
+    # (a subject is a responder once it first enters PR), so a responder rate
+    # and a CR rate each within tolerance / 2 leave the PR rate within tolerance.
+    a2 = _bisect_rate(
+        lambda v: sum(measure(0.0, v)[1:]), 0.0, a2_max, responder_target, inner_tol, "responder rate"
+    )
+    cohort.tabulate_complete(a2)
+    a1 = _bisect_rate(lambda v: measure(v, a2)[1], 0.0, a1_max, target.cr_rate, inner_tol, "CR rate")
+    model, cr, pr = measure(a1, a2)
+    if abs(cr - target.cr_rate) <= target.tolerance and abs(pr - target.pr_rate) <= target.tolerance:
+        return model
     raise CalibrationError(
         "coordinate bisection did not converge jointly",
         model=best[1],

@@ -108,6 +108,9 @@ def write_trajectories_csv(trial: Trial, path) -> None:
 _REQUIRED = ("subject", "month", "state", "arm")
 CHUNK_BYTES = 1 << 18  # plain bytes tokenized at a time, cut at a line end: bounds the arrays alive at once
 CHUNK_ROWS = 8_000  # rows of quoted or CR input tokenized at a time: bounds the strings alive at once
+# state cells (subjects x longest subject's rows) a read Trial may hold, 128 MiB of int8;
+# no less than any trial simulate writes (subjects x (horizon + 2) <= MAX_DRAWS)
+MAX_CELLS = 2**27
 
 
 def _columns(path, header: list[str] | None) -> tuple[dict[str, int], int]:
@@ -184,21 +187,27 @@ def _narrow(texts, convert, dtype) -> np.ndarray:
 
     texts is a list of str, or an array of UTF-8 fields each padded with at
     least one "," (which no field holds): fixed-width bytes, or 8-byte words.
+    An array is narrowed run by run: runs of equal consecutive texts collapse
+    to their heads before np.unique, and the converted heads are repeated
+    back. A text's first appearance heads a run, so the order is the same.
     """
     if isinstance(texts, list):
         table = {text: convert(text) for text in dict.fromkeys(texts)}
         return np.fromiter(map(table.__getitem__, texts), dtype, len(texts))
-    distinct, first, inverse = np.unique(texts, return_index=True, return_inverse=True)
+    head = np.ones(len(texts), bool)  # sized by texts: an empty column has no run
+    head[1:] = texts[1:] != texts[:-1]
+    starts = np.flatnonzero(head)
+    distinct, first, inverse = np.unique(texts[starts], return_index=True, return_inverse=True)
     order = np.argsort(first)
     table = np.empty(len(distinct), dtype)
     padded = distinct[order].view(f"S{distinct.itemsize}").tolist()
     table[order] = [convert(t.rstrip(b",").decode()) for t in padded]
-    return table[inverse]
+    return np.repeat(table[inverse], np.diff(starts, append=len(texts)))
 
 
 # by field size n < 8: the mask of an 8-byte word's first n bytes, and "," in the rest
-_WORD_KEEP = np.frombuffer(b"".join(b"\xff" * n + bytes(8 - n) for n in range(8)), np.uint64)
-_WORD_PAD = np.frombuffer(b"".join(bytes(n) + b"," * (8 - n) for n in range(8)), np.uint64)
+_WORD_KEEP = np.frombuffer(b"".join(b"\xff" * n + bytes(8 - n) for n in range(8)), "<u8")
+_WORD_PAD = np.frombuffer(b"".join(bytes(n) + b"," * (8 - n) for n in range(8)), "<u8")
 
 
 def _plain_fields(chunk, col: dict[str, int], d: int) -> list:
@@ -208,13 +217,16 @@ def _plain_fields(chunk, col: dict[str, int], d: int) -> list:
     "," and "\n" ends a field, and a dropout past a short line's end reads
     as blank. A column becomes an array of 8-byte words or fixed-width
     bytes, or a list of str where padding its few long fields would outgrow
-    the chunk.
+    the chunk. Every column reads one ","-padded copy of the chunk: a field
+    of up to 7 bytes is one fancy index into an unaligned 8-byte word view
+    of it, masked past the field's end; a longer one a fixed-width window.
     """
     str(chunk, "utf-8")  # UTF-8, as csv.reader's text stream must be
     buf = np.frombuffer(chunk, np.uint8)
     # field i spans bounds[i] + 1 .. bounds[i + 1], which is a "," or "\n"
     bounds = np.concatenate(([-1], np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))))
-    if np.diff(bounds).max() - 1 > (limit := csv.field_size_limit()):  # bytes; the limit counts characters
+    longest = int(np.diff(bounds).max())  # a field and its end
+    if longest - 1 > (limit := csv.field_size_limit()):  # bytes; the limit counts characters
         chars = np.concatenate(([0], np.cumsum((buf & 0xC0) != 0x80)))
         if (chars[bounds[1:]] - chars[bounds[:-1] + 1] > limit).any():
             raise csv.Error(f"field larger than field limit ({limit})")
@@ -224,6 +236,8 @@ def _plain_fields(chunk, col: dict[str, int], d: int) -> list:
     first, width = first[filled], (last - first + 1)[filled]
     if (width <= max(col[name] for name in _REQUIRED)).any():
         raise IndexError("truncated row")
+    padded = np.concatenate((buf, np.full(max(longest, 8), ord(","), np.uint8)))  # a window from any field start
+    words = np.ndarray((len(buf) + 1,), "<u8", padded, strides=(1,))
     columns = []
     for k in [col[name] for name in _REQUIRED] + [d]:
         field = first + np.minimum(k, width - 1)
@@ -232,11 +246,10 @@ def _plain_fields(chunk, col: dict[str, int], d: int) -> list:
         w = max(int(size.max(initial=0)) + 1, 8)
         if len(size) * w > 2 * len(buf):  # a few long fields: a str each, not a padded row each
             columns.append([str(chunk[s : s + n], "utf-8") for s, n in zip(at.tolist(), size.tolist())])
-            continue
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((buf, np.zeros(w, np.uint8))), w)[at]
-        if w == 8:  # a field of up to 7 bytes and its padding as one word, which sorts fast
-            columns.append(windows.view(np.uint64).ravel() & _WORD_KEEP[size] | _WORD_PAD[size])
+        elif w == 8:  # a field of up to 7 bytes and its padding as one word, which sorts fast
+            columns.append(words[at] & _WORD_KEEP[size] | _WORD_PAD[size])
         else:
+            windows = np.lib.stride_tricks.sliding_window_view(padded, w)[at]
             columns.append(np.where(np.arange(w) < size[:, None], windows, ord(",")).view(f"S{w}").ravel())
     return columns
 
@@ -321,7 +334,13 @@ def read_trajectories_csv(path) -> Trial:
     if (long := count > MAX_HORIZON + 1).any():  # refused before the matrix is allocated
         s = int(long.argmax())
         raise ValueError(f"{path}: subject {list(index)[s]} has {count[s]} rows, more than months 0..{MAX_HORIZON}")
-    states = np.full((n, int(count.max())), -1, dtype=np.int8)
+    if n * (rows := int(count.max())) > MAX_CELLS:  # also refused before the matrix is allocated
+        key = list(index)[int(count.argmax())]
+        raise ValueError(
+            f"{path}: {n} subjects, the longest (subject {key}) of {rows} rows, "
+            f"need {n * rows} state cells, more than the {MAX_CELLS} a trial may hold"
+        )
+    states = np.full((n, rows), -1, dtype=np.int8)
     seen = np.zeros(states.shape, dtype=bool)
     for codes, months, values, *_ in parts:
         inside = (months >= 0) & (months < count[codes])

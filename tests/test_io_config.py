@@ -27,6 +27,7 @@ from cwtasim import (
     write_trajectories_csv,
 )
 from cwtasim import serialize
+from cwtasim.cli import run_cli
 from cwtasim.config import DEFAULT_HAZARD_RATIOS, DEFAULT_POWER_SIZES, DEFAULT_TTE_SIZES
 from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, km_estimate, logrank_test, product_limit
 from cwtasim.serialize import (
@@ -38,6 +39,7 @@ from cwtasim.serialize import (
     write_trajectory_curves_by_arm_csv,
     write_tte_csv,
 )
+from cwtasim.trajectories import MAX_DRAWS
 from cwtasim.weighted import arm_counts, count_tests, monthly_counts
 
 from oracles import read_trajectories_rowwise, write_trajectories_rowwise
@@ -438,6 +440,93 @@ def test_columnar_reader_peak_memory_is_bounded_by_the_reference(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[read_trajectories_csv] <= 1.5 * peaks[read_trajectories_rowwise], peaks
+
+
+def test_reader_refuses_a_trial_over_the_cell_cap(tmp_path, monkeypatch, capsys):
+    """subjects x longest subject's rows above MAX_CELLS is refused with one line
+    naming the file, the subject count and the longest subject."""
+    assert serialize.MAX_CELLS >= MAX_DRAWS  # every trial simulate can write reads back
+    body = "".join(f"{s},{m},2,control,\n" for s, rows in ((0, 2), (5, 4), (9, 3)) for m in range(rows))
+    path = bad_csv(tmp_path, body)
+    monkeypatch.setattr(serialize, "MAX_CELLS", 12)
+    assert read_trajectories_csv(path).states.shape == (3, 4)
+    monkeypatch.setattr(serialize, "MAX_CELLS", 11)
+    message = r"bad\.csv: 3 subjects, the longest \(subject 5\) of 4 rows, need 12 state cells, more than the 11 "
+    with pytest.raises(ValueError, match=message):
+        read_trajectories_csv(path)
+    assert run_cli(["analyze", "--trial", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "3 subjects" in err, err
+
+
+def narrow_by_unique(texts, convert, dtype):
+    """_narrow's reference: one np.unique over the whole column, no runs."""
+    distinct, first, inverse = np.unique(texts, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    table = np.empty(len(distinct), dtype)
+    padded = distinct[order].view(f"S{distinct.itemsize}").tolist()
+    table[order] = [convert(t.rstrip(b",").decode()) for t in padded]
+    return table[inverse]
+
+
+def padded_words(texts):
+    """Each text padded with "," to 8 bytes, one word each, or to one more than the longest."""
+    fields = [t.encode() for t in texts]
+    w = max(max(map(len, fields), default=0) + 1, 8)
+    padded = [f.ljust(w, b",") for f in fields]
+    return np.frombuffer(b"".join(padded), "<u8") if w == 8 else np.array(padded, f"S{w}")
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["7"] * 50 + ["3"] * 40 + ["7"] * 30 + ["12"] * 2,  # long runs, one value back after another
+        ["a", "b"] * 25,  # alternating: no run longer than one
+        ["x"],  # one row
+        ["experimental", "control", "control", "experimental", "experimental"],  # wider than a word
+        [""] * 3 + ["5"] + [""] * 2,  # blank dropouts
+    ],
+)
+def test_narrow_runs_match_one_unique_over_the_column(texts):
+    """Run-length narrowing gives the codes, and calls convert in the order,
+    of a np.unique over the whole column."""
+    got_calls, want_calls = [], []
+    got = serialize._narrow(padded_words(texts), lambda t: got_calls.append(t) or len(got_calls), np.int32)
+    want = narrow_by_unique(padded_words(texts), lambda t: want_calls.append(t) or len(want_calls), np.int32)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_calls == want_calls == list(dict.fromkeys(texts))
+
+
+def test_a_chunk_of_blank_lines_narrows_to_empty_columns(tmp_path, monkeypatch):
+    columns = serialize._plain_fields(memoryview(b"\n\n\n"), {name: i for i, name in enumerate(HEADER)}, 4)
+    assert [len(c) for c in columns] == [0] * 5
+    assert [len(c) for c in serialize._part(columns, {}, {})] == [0] * 5
+    # through the reader: a run of blank lines one chunk long, between two subjects
+    monkeypatch.setattr(serialize, "CHUNK_BYTES", 8)
+    path = bad_csv(tmp_path, "0,0,2,control,\n0,1,2,control,\n" + "\n" * 40 + "1,0,2,control,\n1,1,3,control,\n")
+    assert_same_outcome(path, ["0", "1"])
+    assert read_trajectories_csv(path).states.tolist() == [[2, 2], [2, 3]]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["12,3,2,control,1234567"],  # a 7-byte last field, ending at the buffer's end
+        ["0,0,2,control,", "", "0,1,2,experimental,"],  # a blank last field; a wide arm
+        ["3,0,2,control,", "3,1,2,control"],  # the last line too short to hold a dropout
+        ["4,0,2,control,", "4,1,2,control,1,extra"],  # an extra last field
+    ],
+)
+def test_word_gather_reads_each_field_to_the_buffer_end(lines):
+    """_plain_fields' words equal each field padded with ",", also for the
+    chunk's last field, and read nothing past the chunk it is given."""
+    text = "\n".join(lines).encode() + b"\n"
+    chunk = memoryview(text + b"99999999")[: len(text)]  # bytes past the chunk that are not ","
+    rows = [line.split(",") for line in lines if line]
+    columns = serialize._plain_fields(chunk, {name: i for i, name in enumerate(HEADER)}, 4)
+    for k, column in enumerate(columns):
+        want = padded_words([row[k] if k < len(row) else "" for row in rows])
+        assert column.dtype == want.dtype and np.array_equal(column, want), HEADER[k]
 
 
 # -------------------------------------------------------------- curve CSVs
