@@ -12,7 +12,7 @@ curves as CSV and renders them to one SVG.
 import os
 
 # the simulator: ordinal states CR=0, PR=1, SD=2, PD=3, death=4
-from cwtasim import TrialConfig, load_profile, simulate_trial
+from cwtasim import load_profile, simulate_trial
 
 # the three analyses
 from cwtasim import METHODS, Endpoint, arm_counts, count_tests, monthly_counts
@@ -28,9 +28,7 @@ os.makedirs(out_dir, exist_ok=True)
 # simulate: the "moderate" profile is calibrated to a control arm with
 # ~5% complete and ~30% partial responders
 model = load_profile("moderate")
-trial = simulate_trial(
-    TrialConfig(sample_size=200, hazard_ratio=0.5, control_model=model, seed=20)
-)
+trial = simulate_trial(model, hazard_ratio=0.5, sample_size=200, seed=20)
 print(f"simulated {len(trial.arms)} subjects over {trial.horizon} months")
 
 # one pass over the trial's (subjects x months) state matrix gives each

@@ -69,7 +69,6 @@ from .trajectories import (
     Arm,
     TransitionModel,
     Trial,
-    TrialConfig,
     apply_hazard_ratio,
     simulate_trial,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "TestResult",
     "TransitionModel",
     "Trial",
-    "TrialConfig",
     "apply_hazard_ratio",
     "arm_counts",
     "calibrate_transition_model",

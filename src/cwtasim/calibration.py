@@ -35,7 +35,6 @@ from .trajectories import (
     TransitionModel,
     _dropout_from_uniforms,
     _simulate_state_matrix,
-    json_number,
     subject_uniforms,
 )
 
@@ -74,25 +73,6 @@ class CalibrationTarget:
             raise ValueError("cr_rate + pr_rate cannot exceed 1")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-
-    def to_json_dict(self) -> dict:
-        return {"cr_rate": self.cr_rate, "pr_rate": self.pr_rate, "tolerance": self.tolerance}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CalibrationTarget":
-        if not isinstance(data, dict):
-            raise ValueError("calibration target document must be a JSON object")
-        unknown = set(data) - {"cr_rate", "pr_rate", "tolerance"}
-        if unknown:
-            raise ValueError(f"calibration target document has unknown fields: {', '.join(sorted(unknown))}")
-        missing = {"cr_rate", "pr_rate"} - set(data)
-        if missing:
-            raise ValueError(f"calibration target document lacks {', '.join(sorted(missing))}")
-        return cls(
-            cr_rate=json_number(data["cr_rate"], "cr_rate"),
-            pr_rate=json_number(data["pr_rate"], "pr_rate"),
-            tolerance=json_number(data.get("tolerance", 0.005), "tolerance"),
-        )
 
 
 class CalibrationError(RuntimeError):

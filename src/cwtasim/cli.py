@@ -24,7 +24,7 @@ from .calibration import (
 from .config import ConfigError, ExperimentGrid, parse_config
 from .kaplan_meier import DegenerateTestError, km_curve, product_limit
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
-from .trajectories import Arm, TrialConfig, apply_hazard_ratio, check_draws, simulate_trial
+from .trajectories import Arm, apply_hazard_ratio, check_draws, simulate_trial
 from .weighted import METHODS, arm_counts, count_tests, monthly_counts
 
 
@@ -121,14 +121,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = serialize.load_profile(args.profile)
-    config = TrialConfig(
-        sample_size=args.sample_size,
-        hazard_ratio=args.hr,
-        control_model=model,
-        seed=args.seed,
-        improvement_hr=args.improvement_hr,
-    )
-    trial = simulate_trial(config)
+    trial = simulate_trial(model, args.hr, args.sample_size, args.seed, args.improvement_hr)
     serialize.write_trajectories_csv(trial, args.out)
     print(f"wrote {args.out} ({args.sample_size} subjects, hr {args.hr}, seed {args.seed})")
     return 0

@@ -14,6 +14,7 @@ import re
 import sys
 from importlib import resources
 from itertools import islice
+from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,8 +135,9 @@ def _int_fault(name: str, text: str) -> str:
     return f"has a non-integer {name} '{text}'"
 
 
-def _first_row_fault(path) -> str:
-    """The message of the earliest row-level fault, from a row-by-row rescan."""
+def _first_row_fault(path) -> str | None:
+    """The message of the earliest row-level fault, from a row-by-row rescan;
+    None if the rescan finds none."""
     arms: dict[str, Arm] = {}
     dropouts: dict[str, int] = {}
     with open(path, newline="") as fh:
@@ -319,8 +321,8 @@ def read_trajectories_csv(path) -> Trial:
         # ValueError; the rescan then reports the earliest fault, or the header's
         try:
             parts = list(_parts(fh, path, index, dropout_code))
-        except (LookupError, ValueError, csv.Error):
-            raise ValueError(_first_row_fault(path)) from None
+        except (LookupError, ValueError, csv.Error) as exc:
+            raise ValueError(_first_row_fault(path) or f"{path}: {type(exc).__name__}: {exc}") from None
     if not index:
         raise ValueError(f"{path}: no trajectory rows")
     n = len(index)
@@ -329,7 +331,7 @@ def read_trajectories_csv(path) -> Trial:
         arms[codes] = arm
         dropouts[codes[drops >= 0]] = drops[drops >= 0]
     if any((arms[c] != a).any() or (dropouts[c[k >= 0]] != k[k >= 0]).any() for c, _, _, a, k in parts):
-        raise ValueError(_first_row_fault(path))
+        raise ValueError(_first_row_fault(path) or f"{path}: a subject's rows disagree on its arm or dropout month")
     count = sum(np.bincount(codes, minlength=n) for codes, *_ in parts)
     if (long := count > MAX_HORIZON + 1).any():  # refused before the matrix is allocated
         s = int(long.argmax())
@@ -472,6 +474,8 @@ def read_curves_csv(path) -> list[tuple[str, list[tuple[float, float]]]]:
                 label, payload = (row[0], row[1:]) if has_arm else ("", row)
                 try:
                     point = (float(payload[0]), float(payload[1]))
+                    if not all(map(isfinite, point)):
+                        raise ValueError
                 except (IndexError, ValueError):
                     raise ValueError(
                         f"{path}: line {reader.line_num}: needs numeric {cols[0]} and {cols[1]}, got {row}"

@@ -9,7 +9,7 @@ spec always yields byte-identical SVG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, log10
+from math import floor, isfinite, log10
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#17becf")
 
@@ -55,6 +55,8 @@ class PlotSpec:
         (x0, x1), (y0, y1) = self.x_range, self.y_range
         if not (x0 < x1 and y0 < y1):
             raise ValueError("axis ranges must be non-degenerate")
+        if not (isfinite(x1 - x0) and isfinite(y1 - y0)):
+            raise ValueError("axis ranges must span a finite width")
         if min(xs) < x0 or max(xs) > x1 or min(ys) < y0 or max(ys) > y1:
             raise ValueError("axis ranges must cover every curve point")
 
@@ -76,6 +78,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(round(t, 10))
+        if t + step == t:  # a step below the spacing of doubles near t would never reach hi
+            break
         t += step
     return ticks
 

@@ -39,9 +39,9 @@ arm and dropout flag. There are no per-subject objects; the CSV reader
 scatters its rows straight into the same form. A block of trials has the
 same flat form, its trials' subject rows one after another, and starts
 holds each trial's first row: the trial boundaries that the monthly
-counts are keyed by. simulate_trials simulates a block whose trials may
-differ in hazard ratio and sample size; simulate_block is its call for
-one design and simulate_trial its call for one trial.
+counts are keyed by. simulate_trials, the one simulator, simulates a
+block whose trials may differ in hazard ratio and sample size;
+simulate_trial is its call for one trial.
 
 _simulate_state_matrix is the one month-step kernel, for trials and for
 calibration alike. It evolves every row of a block in one pass, each row
@@ -218,20 +218,6 @@ def _check_sample_size(sample_size: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    sample_size: int
-    hazard_ratio: float
-    control_model: TransitionModel
-    seed: int
-    improvement_hr: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_sample_size(self.sample_size)
-        if not self.hazard_ratio > 0.0:
-            raise ValueError(f"hazard_ratio must be positive, got {self.hazard_ratio}")
-
-
 @dataclass(frozen=True, eq=False)
 class Trial:
     """A two-arm trial in columnar form: one row per subject.
@@ -395,29 +381,18 @@ def simulate_trials(
     return Trial(states=states, censor=censor, arms=arms, dropped=dropped, starts=np.cumsum(sizes) - sizes)
 
 
-def simulate_block(
+def simulate_trial(
     control_model: TransitionModel,
     hazard_ratio: float,
     sample_size: int,
-    seeds,
+    seed: int,
     improvement_hr: float | None = None,
 ) -> Trial:
-    """Simulate 1:1 two-arm trials of one design: simulate_trials for one run.
+    """Simulate one 1:1 two-arm trial, subjects 0..n/2-1 in control:
+    simulate_trials for one seed, with starts None.
 
-    seeds is one trial seed, giving one Trial, or an array of R trial
-    seeds, giving a block of R trials of n rows each.
+    Bit-reproducible: subject i draws from the stream mix64(seed, i), so the
+    same arguments always yield the same trajectories.
     """
-    block = simulate_trials(control_model, ((hazard_ratio, sample_size, seeds),), improvement_hr)
-    return replace(block, starts=None) if np.ndim(seeds) == 0 else block
-
-
-def simulate_trial(config: TrialConfig) -> Trial:
-    """Simulate one 1:1 two-arm trial; subjects 0..n/2-1 are control.
-
-    Bit-reproducible: per-subject streams are derived from
-    (config.seed, subject_index), so the same config always yields the
-    same trajectories.
-    """
-    return simulate_block(
-        config.control_model, config.hazard_ratio, config.sample_size, config.seed, config.improvement_hr
-    )
+    trial = simulate_trials(control_model, ((hazard_ratio, sample_size, seed),), improvement_hr)
+    return replace(trial, starts=None)

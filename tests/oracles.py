@@ -42,7 +42,6 @@ from cwtasim import (
     SD,
     TransitionModel,
     Trial,
-    TrialConfig,
     apply_hazard_ratio,
     endpoint_arrays,
     simulate_trial,
@@ -390,7 +389,7 @@ def run_replicates_one_by_one(hr, ss, replicates, profile, master_seed, alpha=0.
     first_month = np.zeros((replicates, len(METHODS)), dtype=np.int64)
     for r in range(replicates):
         seed = mix64(master_seed, float_bits(hr), ss, r)
-        trial = simulate_trial(TrialConfig(sample_size=ss, hazard_ratio=hr, control_model=profile, seed=seed))
+        trial = simulate_trial(profile, hr, ss, seed)
         scans = scan_one_trial(trial, alpha)
         for k, method in enumerate(METHODS):
             final_p[r, k] = scans[method].final_p

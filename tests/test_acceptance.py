@@ -20,7 +20,6 @@ import scipy.stats
 from cwtasim import (
     Arm,
     METHODS,
-    TrialConfig,
     calibrate_transition_model,
     compare_tte,
     control_response_rates,
@@ -385,9 +384,7 @@ def test_criterion_9_simulator_invariants():
     dropout 10% +/- band, dropout months uniform (chi-square alpha=0.01), PFS <= OS."""
     model = load_profile("moderate")
     n = 100_000
-    trial = simulate_trial(
-        TrialConfig(sample_size=n, hazard_ratio=0.7, control_model=model, seed=MASTER_SEED)
-    )
+    trial = simulate_trial(model, 0.7, n, MASTER_SEED)
     states, censor = trial.states, trial.censor
 
     # forward-fill the -1 padding beyond each censor month so that

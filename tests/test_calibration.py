@@ -37,33 +37,6 @@ def test_target_validation():
         CalibrationTarget(cr_rate=0.05, pr_rate=0.3, tolerance=0.0)
 
 
-def test_target_json_round_trip():
-    t = CalibrationTarget(cr_rate=0.05, pr_rate=0.30, tolerance=0.01)
-    assert CalibrationTarget.from_json_dict(t.to_json_dict()) == t
-    with pytest.raises(ValueError, match="unknown fields"):
-        CalibrationTarget.from_json_dict({"cr_rate": 0.05, "pr_rate": 0.3, "bonus": 1})
-    assert CalibrationTarget.from_json_dict({"cr_rate": 0, "pr_rate": 1}) == CalibrationTarget(0.0, 1.0)
-
-
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        ({"pr_rate": 0.3}, "lacks cr_rate"),
-        ({"cr_rate": 0.05}, "lacks pr_rate"),
-        ({"cr_rate": None, "pr_rate": 0.3}, "cr_rate must be a number, got None"),
-        ({"cr_rate": True, "pr_rate": False}, "cr_rate must be a number, got True"),
-        ({"cr_rate": 0.05, "pr_rate": False}, "pr_rate must be a number, got False"),
-        ({"cr_rate": "0.05", "pr_rate": 0.3}, "cr_rate must be a number, got '0.05'"),
-        ({"cr_rate": 0.05, "pr_rate": 0.3, "tolerance": "0.01"}, "tolerance must be a number"),
-        ({"cr_rate": 0.05, "pr_rate": 10**400}, "pr_rate = 10+ is out of range"),
-        ([0.05, 0.3], "must be a JSON object"),
-    ],
-)
-def test_target_json_rejects_malformed_fields(data, message):
-    with pytest.raises(ValueError, match=message):
-        CalibrationTarget.from_json_dict(data)
-
-
 def test_response_rates_match_per_subject_oracle():
     """Best overall response over each subject's observed months, one subject
     at a time; half the subjects drop out, so the observed mask matters."""

@@ -1,9 +1,10 @@
-"""End-to-end CLI tests driving run_cli() in-process, and one fresh-interpreter import check."""
+"""End-to-end CLI tests driving run_cli() in-process, and two checks of what importing the package gives."""
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cwtasim import calibration, harness, load_profile, read_trajectories_csv, save_profile
+import cwtasim
+from cwtasim import calibration, harness, load_profile, read_trajectories_csv, save_profile, serialize
 from cwtasim.cli import resolve_workers, run_cli
 from cwtasim.trajectories import TransitionModel
 
@@ -344,6 +346,59 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hr", ["-0.5", "nan"])
+def test_simulate_refuses_a_nonpositive_hazard_ratio_with_one_line(tmp_path, fast_profile, capsys, hr):
+    out = tmp_path / "never.csv"
+    argv = ["simulate", "--profile", fast_profile, "--sample-size", "4", "--hr", hr, "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: hazard ratio must be positive, got {float(hr)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1\n1,inf\n", ": line 3: needs numeric month and value, got ['1', 'inf']"),
+        ("0,1\n1,nan\n", ": line 3: needs numeric month and value, got ['1', 'nan']"),
+        ("0,1\n1,1e400\n", ": line 3: needs numeric month and value, got ['1', '1e400']"),
+        ("-1e308,0.5\n1e308,0.4\n", "error: axis ranges must span a finite width"),
+    ],
+)
+def test_plot_refuses_values_it_cannot_draw_with_one_line(tmp_path, capsys, rows, message):
+    """A value that is not a finite number, or an axis span past the largest
+    double, exits 2 with one line, never an OverflowError or a NaN plot."""
+    curve = tmp_path / "curve.csv"
+    curve.write_text("month,value\n" + rows)
+    svg = tmp_path / "never.svg"
+    assert run_cli(["plot", str(curve), "--out", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+    assert not svg.exists()
+
+
+def test_reader_fault_the_rescan_cannot_place_names_the_file_and_the_exception(tmp_path, monkeypatch, capsys):
+    """Should the row rescan find no faulty row, the reader's message still starts
+    with the file, naming the exception's type and text, in one line."""
+    path = tmp_path / "trial.csv"
+    path.write_text("subject,month,state,arm\n0,0,2,control\n0,1,2,control\n1,0,2,experimental\n1,1,3,experimental\n")
+
+    def broken(*args):
+        raise IndexError("injected")
+
+    monkeypatch.setattr(serialize, "_narrow", broken)
+    with pytest.raises(ValueError) as info:
+        read_trajectories_csv(path)
+    assert str(info.value) == f"{path}: IndexError: injected"
+    assert run_cli(["analyze", "--trial", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: IndexError: injected\n"
+
+    monkeypatch.undo()
+    monkeypatch.setattr(serialize, "_first_row_fault", lambda path: None)
+    path.write_text("subject,month,state,arm\n0,0,2,control\n0,1,2,experimental\n1,0,2,experimental\n1,1,3,experimental\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: a subject's rows disagree on its arm or dropout month$"):
+        read_trajectories_csv(path)
+
+
 def test_usage_errors_return_argparse_code():
     assert run_cli([]) == 2
     assert run_cli(["simulate", "--sample-size", "nope"]) == 2
@@ -478,3 +533,8 @@ def test_import_loads_no_scipy_stats():
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names_resolve():
+    assert len(cwtasim.__all__) == len(set(cwtasim.__all__))
+    assert [name for name in cwtasim.__all__ if not hasattr(cwtasim, name)] == []

@@ -18,7 +18,6 @@ from cwtasim import (
     ReplicateScans,
     Trial,
     TransitionModel,
-    TrialConfig,
     compare_tte,
     estimate_power,
     interpolate_sample_size,
@@ -31,7 +30,7 @@ from cwtasim import (
 from cwtasim import harness, trajectories
 from cwtasim.harness import plan_blocks, plan_grid_blocks, replicate_seed
 from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, endpoint_counts, logrank_test, monthly_terms
-from cwtasim.trajectories import simulate_block
+from cwtasim.trajectories import simulate_trials
 from cwtasim.weighted import count_tests, monthly_counts
 
 from oracles import run_replicates_one_by_one, scan_one_trial, welch_t_df
@@ -47,7 +46,7 @@ MODEL = TransitionModel(
 
 
 def small_trial(seed=11, ss=40, hr=0.6):
-    return simulate_trial(TrialConfig(sample_size=ss, hazard_ratio=hr, control_model=MODEL, seed=seed))
+    return simulate_trial(MODEL, hr, ss, seed)
 
 
 # ------------------------------------------------------------ trial scans
@@ -125,7 +124,7 @@ def test_scan_first_month_is_earliest_significant():
 def test_scan_of_a_block_is_the_scan_of_each_trial():
     """Row r of a block's scan equals the R = 1 scan and the one-trial oracle."""
     seeds = np.array([3, 4, 2**64 - 1], dtype=np.uint64)
-    block = simulate_block(MODEL, 0.6, 30, seeds)
+    block = simulate_trials(MODEL, ((0.6, 30, seeds),))
     final_p, first_month = scan_trial(block, 0.05)
     assert final_p.shape == first_month.shape == (3, len(METHODS))
     for r, seed in enumerate(seeds):

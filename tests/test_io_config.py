@@ -18,7 +18,6 @@ from cwtasim import (
     ConfigError,
     TransitionModel,
     Trial,
-    TrialConfig,
     load_profile,
     parse_config,
     read_trajectories_csv,
@@ -167,7 +166,7 @@ def test_load_profile_unknown_name():
 
 
 def test_trajectories_csv_round_trip(tmp_path):
-    trial = simulate_trial(TrialConfig(sample_size=30, hazard_ratio=0.6, control_model=MODEL, seed=8))
+    trial = simulate_trial(MODEL, 0.6, 30, 8)
     path = tmp_path / "subjects.csv"
     write_trajectories_csv(trial, path)
     again = read_trajectories_csv(path)
@@ -177,7 +176,7 @@ def test_trajectories_csv_round_trip(tmp_path):
 
 
 def test_trajectories_csv_is_byte_stable(tmp_path):
-    trial = simulate_trial(TrialConfig(sample_size=10, hazard_ratio=0.6, control_model=MODEL, seed=8))
+    trial = simulate_trial(MODEL, 0.6, 10, 8)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trajectories_csv(trial, a)
     write_trajectories_csv(trial, b)
@@ -190,7 +189,7 @@ def test_trajectories_csv_matches_rowwise_writer(tmp_path):
     month (dropout_month filled although the subject is followed to the
     end) and for a trial of one subject."""
     model = TransitionModel(MODEL.improve_prob, MODEL.worsen_prob, 0.95, 18, dropout_rate=0.4)
-    trial = simulate_trial(TrialConfig(2 * serialize.WRITE_SUBJECTS + 6, 0.6, model, seed=8))
+    trial = simulate_trial(model, 0.6, 2 * serialize.WRITE_SUBJECTS + 6, 8)
     assert trial.dropped.any() and (~trial.dropped).any()
     followed = np.flatnonzero(trial.censor == trial.horizon)
     dropped = trial.dropped.copy()
@@ -309,8 +308,7 @@ def mutated_trajectory_file(draw, path) -> list[str]:
     """
     n = draw(st.integers(1, 5)) * 2
     seed = draw(st.integers(0, 2**32))
-    config = TrialConfig(sample_size=n, hazard_ratio=0.7, control_model=READER_MODEL, seed=seed)
-    write_trajectories_csv(simulate_trial(config), path)
+    write_trajectories_csv(simulate_trial(READER_MODEL, 0.7, n, seed), path)
     header, *rows = [line.split(",") for line in path.read_text().splitlines()]
     if draw(st.booleans()):  # subjects' rows shuffled and interleaved
         rows = draw(st.permutations(rows))
@@ -368,7 +366,7 @@ def test_columnar_reader_matches_rowwise_reference(tmp_path, data, chunk_rows, c
 def test_plain_file_turning_quoted_past_its_first_chunk(tmp_path, monkeypatch, edit):
     """The rows after a chunk holding '"' or CR are read by csv.reader, as the reference reads them."""
     monkeypatch.setattr(serialize, "CHUNK_BYTES", 64)
-    trial = simulate_trial(TrialConfig(sample_size=6, hazard_ratio=0.7, control_model=READER_MODEL, seed=3))
+    trial = simulate_trial(READER_MODEL, 0.7, 6, 3)
     path = tmp_path / "trial.csv"
     write_trajectories_csv(trial, path)
     header, *rows = path.read_text().splitlines()
@@ -382,7 +380,7 @@ def test_plain_file_turning_quoted_past_its_first_chunk(tmp_path, monkeypatch, e
 
 def test_one_long_field_among_short_ones(tmp_path):
     """A month padded to thousands of characters reads as the reference reads it."""
-    trial = simulate_trial(TrialConfig(sample_size=6, hazard_ratio=0.7, control_model=READER_MODEL, seed=3))
+    trial = simulate_trial(READER_MODEL, 0.7, 6, 3)
     path = tmp_path / "trial.csv"
     write_trajectories_csv(trial, path)
     header, *rows = path.read_text().splitlines()
@@ -396,7 +394,7 @@ def test_one_long_field_among_short_ones(tmp_path):
 @pytest.mark.parametrize("field", [1, 2, 4])
 def test_integer_past_the_digit_limit(tmp_path, field):
     """A zero-padded month, state or dropout_month past int()'s digit limit is named as such."""
-    trial = simulate_trial(TrialConfig(sample_size=6, hazard_ratio=0.7, control_model=READER_MODEL, seed=3))
+    trial = simulate_trial(READER_MODEL, 0.7, 6, 3)
     path = tmp_path / "trial.csv"
     write_trajectories_csv(trial, path)
     header, *rows = path.read_text().splitlines()
@@ -413,7 +411,7 @@ def test_integer_past_the_digit_limit(tmp_path, field):
 def test_subject_rows_straddling_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(serialize, "CHUNK_ROWS", 4)
     monkeypatch.setattr(serialize, "CHUNK_BYTES", 64)
-    trial = simulate_trial(TrialConfig(sample_size=6, hazard_ratio=0.7, control_model=READER_MODEL, seed=3))
+    trial = simulate_trial(READER_MODEL, 0.7, 6, 3)
     path = tmp_path / "trial.csv"
     write_trajectories_csv(trial, path)
     header, *rows = path.read_text().splitlines()
@@ -428,9 +426,8 @@ def test_subject_rows_straddling_chunks(tmp_path, monkeypatch):
 
 
 def test_columnar_reader_peak_memory_is_bounded_by_the_reference(tmp_path):
-    config = TrialConfig(sample_size=2000, hazard_ratio=0.7, control_model=load_profile("moderate"), seed=0)
     path = tmp_path / "trial.csv"
-    write_trajectories_csv(simulate_trial(config), path)
+    write_trajectories_csv(simulate_trial(load_profile("moderate"), 0.7, 2000, 0), path)
     peaks = {}
     for reader in (read_trajectories_rowwise, read_trajectories_csv):
         tracemalloc.start()
@@ -537,7 +534,7 @@ def endpoints(trial, kind):
 
 
 def test_km_curve_csv_and_read_back(tmp_path):
-    trial = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.5, control_model=MODEL, seed=4))
+    trial = simulate_trial(MODEL, 0.5, 40, 4)
     times, events = endpoints(trial, Endpoint.PFS)
     curves = {
         arm: km_estimate(times[trial.arms == arm], events[trial.arms == arm])
@@ -553,7 +550,7 @@ def test_km_curve_csv_and_read_back(tmp_path):
 
 
 def test_km_curves_by_arm_csv(tmp_path):
-    trial = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.5, control_model=MODEL, seed=4))
+    trial = simulate_trial(MODEL, 0.5, 40, 4)
     times, events = endpoints(trial, Endpoint.OS)
     curves = {
         arm: km_estimate(times[trial.arms == arm], events[trial.arms == arm])
@@ -566,7 +563,7 @@ def test_km_curves_by_arm_csv(tmp_path):
 
 
 def test_trajectory_curve_csv(tmp_path):
-    trial = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.5, control_model=MODEL, seed=4))
+    trial = simulate_trial(MODEL, 0.5, 40, 4)
     arms = arm_counts(monthly_counts(trial)["CWTA"])
     curves = {arm: product_limit(*arms[arm]) for arm in arms}
     path = tmp_path / "cwta.csv"
@@ -608,7 +605,7 @@ def test_read_curves_csv_errors(tmp_path):
 
 
 def test_tests_csv_blank_for_degenerate(tmp_path):
-    trial = simulate_trial(TrialConfig(sample_size=60, hazard_ratio=0.5, control_model=MODEL, seed=4))
+    trial = simulate_trial(MODEL, 0.5, 60, 4)
     results = {
         "CWTA": count_tests(monthly_counts(trial))["CWTA"],
         "PFS": logrank_test(*endpoints(trial, Endpoint.PFS), trial.arms),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from math import inf, nextafter
 
 import pytest
 
@@ -108,3 +109,14 @@ def test_validation_errors():
             x_range=(0.0, 5.0),
             y_range=(0.0, 1.0),
         )
+    with pytest.raises(ValueError, match="finite width"):
+        PlotSpec(curves=(CurveSpec(label="c", points=((-1e308, 0.5), (1e308, 0.4))),))
+    with pytest.raises(ValueError, match="finite width"):
+        PlotSpec(curves=(CurveSpec(label="c", points=((0.0, 0.5),)),), y_range=(0.0, inf))
+
+
+def test_ticks_end_on_a_span_narrower_than_a_step_can_resolve():
+    """x values one double apart near 1e300 give a tick step below the spacing
+    of doubles there; the tick loop still ends."""
+    points = ((1e300, 0.5), (nextafter(1e300, inf), 0.4))
+    ET.fromstring(emit_svg_stepplot(PlotSpec(curves=(CurveSpec(label="c", points=points),))))

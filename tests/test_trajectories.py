@@ -19,7 +19,6 @@ from cwtasim import (
     SD,
     Arm,
     TransitionModel,
-    TrialConfig,
     apply_hazard_ratio,
     load_profile,
     simulate_trial,
@@ -28,7 +27,6 @@ from cwtasim.seeds import CHUNK, LANES, pcg64_uniforms
 from cwtasim.trajectories import (
     MAX_DRAWS,
     _simulate_state_matrix,
-    simulate_block,
     simulate_trials,
     subject_uniforms,
     trial_uniforms,
@@ -73,13 +71,22 @@ def test_probability_bounds_checked():
         model(horizon_months=1201)
 
 
-def test_trial_config_requires_even_positive_sample():
-    with pytest.raises(ValueError):
-        TrialConfig(sample_size=101, hazard_ratio=0.5, control_model=model(), seed=1)
-    with pytest.raises(ValueError):
-        TrialConfig(sample_size=0, hazard_ratio=0.5, control_model=model(), seed=1)
-    with pytest.raises(ValueError):
-        TrialConfig(sample_size=100, hazard_ratio=-0.5, control_model=model(), seed=1)
+@pytest.mark.parametrize(
+    "sample_size, hazard_ratio, improvement_hr, message",
+    [
+        (101, 0.5, None, "^sample_size must be an even integer >= 2 for 1:1 allocation, got 101$"),
+        (0, 0.5, None, "^sample_size must be an even integer >= 2 for 1:1 allocation, got 0$"),
+        (100, -0.5, None, "^hazard ratio must be positive, got -0.5$"),
+        (100, float("nan"), None, "^hazard ratio must be positive, got nan$"),
+        (100, 0.5, 0.0, "^improvement hazard ratio must be positive, got 0.0$"),
+    ],
+    ids=["odd n", "n 0", "hr -0.5", "hr nan", "improvement_hr 0"],
+)
+def test_simulate_trial_requires_even_positive_sample_and_positive_ratios(
+    sample_size, hazard_ratio, improvement_hr, message
+):
+    with pytest.raises(ValueError, match=message):
+        simulate_trial(model(), hazard_ratio, sample_size, 1, improvement_hr)
 
 
 def test_json_round_trip():
@@ -168,7 +175,7 @@ def test_pd_without_death_is_not_absorbing_state_math():
 
 def test_moves_are_single_level():
     m = model(improve=(0.0, 0.3, 0.3, 0.0, 0.0), worsen=(0.3, 0.3, 0.3, 0.3, 0.0), dropout_rate=0.0)
-    trial = simulate_trial(TrialConfig(sample_size=200, hazard_ratio=0.7, control_model=m, seed=5))
+    trial = simulate_trial(m, 0.7, 200, 5)
     for states, last in zip(trial.states, trial.censor):
         diffs = np.diff(states[: last + 1].astype(int))
         assert set(diffs.tolist()) <= {-1, 0, 1}
@@ -188,7 +195,7 @@ def test_progression_time_is_geometric():
         horizon_months=60,
         dropout_rate=0.0,
     )
-    trial = simulate_trial(TrialConfig(sample_size=20_000, hazard_ratio=1.0, control_model=m, seed=17))
+    trial = simulate_trial(m, 1.0, 20_000, 17)
     states = trial.states
     progressed = (states >= PD).any(axis=1).mean()
     expected = 1.0 - (1.0 - b) ** 60
@@ -208,7 +215,7 @@ def test_hazard_ratio_halves_cumulative_incidence_on_log_scale():
         horizon_months=40,
         dropout_rate=0.0,
     )
-    trial = simulate_trial(TrialConfig(sample_size=40_000, hazard_ratio=0.5, control_model=m, seed=23))
+    trial = simulate_trial(m, 0.5, 40_000, 23)
     states, arms = trial.states, trial.arms
     progressed = (states >= PD).any(axis=1)
     control_rate = progressed[arms == 0].mean()
@@ -221,9 +228,8 @@ def test_hazard_ratio_halves_cumulative_incidence_on_log_scale():
 
 
 def test_trial_is_deterministic():
-    config = TrialConfig(sample_size=60, hazard_ratio=0.6, control_model=model(), seed=99)
-    a = simulate_trial(config)
-    b = simulate_trial(config)
+    a = simulate_trial(model(), 0.6, 60, 99)
+    b = simulate_trial(model(), 0.6, 60, 99)
     for name in ("states", "censor", "arms", "dropped"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -231,11 +237,9 @@ def test_trial_is_deterministic():
 def test_scalar_and_vectorized_paths_agree():
     """simulate_subject(subject_rng(seed, i)) reproduces simulate_trial row i."""
     m = model(improve_decay=0.9)
-    config = TrialConfig(sample_size=30, hazard_ratio=0.5, control_model=m, seed=41)
-    trial = simulate_trial(config)
-    half = config.sample_size // 2
-    for i in range(config.sample_size):
-        arm = Arm.CONTROL if i < half else Arm.EXPERIMENTAL
+    trial = simulate_trial(m, 0.5, 30, 41)
+    for i in range(30):
+        arm = Arm.CONTROL if i < 15 else Arm.EXPERIMENTAL
         states, dropout = simulate_subject(m, arm, 0.5, subject_rng(41, i))
         last = int(trial.censor[i])
         assert np.array_equal(states, trial.states[i, : last + 1])
@@ -329,7 +333,7 @@ def test_block_rows_match_per_subject_oracle(profile, hr, improvement_hr, decay,
     also differ in their improvement probabilities."""
     m = replace(load_profile(profile), improve_decay=decay)
     seeds = np.array([seed ^ r for r in range(replicates)], dtype=np.uint64)
-    block = simulate_block(m, hr, 2 * half, seeds, improvement_hr)
+    block = simulate_trials(m, ((hr, 2 * half, seeds),), improvement_hr)
     assert block.starts.tolist() == [2 * half * r for r in range(replicates)]
     for r, trial_seed in enumerate(seeds.tolist()):
         for i in range(2 * half):
@@ -381,15 +385,14 @@ def test_many_hazard_ratios_in_one_block_match_single_trials():
     assert block.states.dtype == np.int8 and len(block.starts) == 60
     for t, start in enumerate(block.starts):
         hr, seed = hrs[t // 2], t // 2 + 100 * (t % 2)
-        one = simulate_trial(TrialConfig(sample_size=4, hazard_ratio=hr, control_model=m, seed=seed))
+        one = simulate_trial(m, hr, 4, seed)
         assert np.array_equal(block.states[start : start + 4], one.states), t
         assert np.array_equal(block.censor[start : start + 4], one.censor)
 
 
 def test_dropout_month_uses_second_draw():
     m = model(dropout_rate=1.0, horizon_months=10)
-    config = TrialConfig(sample_size=4, hazard_ratio=1.0, control_model=m, seed=13)
-    trial = simulate_trial(config)
+    trial = simulate_trial(m, 1.0, 4, 13)
     blocks = subject_uniforms(13, 4, horizon=10)
     assert trial.dropped.all()
     for i in range(4):
@@ -399,8 +402,9 @@ def test_dropout_month_uses_second_draw():
 
 
 def test_arm_split_is_first_half_control():
-    trial = simulate_trial(TrialConfig(sample_size=8, hazard_ratio=0.5, control_model=model(), seed=3))
+    trial = simulate_trial(model(), 0.5, 8, 3)
     assert trial.arms.tolist() == [Arm.CONTROL] * 4 + [Arm.EXPERIMENTAL] * 4
+    assert trial.starts is None  # a single trial, not a one-trial block
 
 
 def test_block_rows_equal_single_trials():
@@ -408,24 +412,24 @@ def test_block_rows_equal_single_trials():
     down to the uniform streams; an odd sample size is refused either way."""
     m = model(dropout_rate=0.3, horizon_months=18)
     seeds = np.array([0, 7, 2**32, 2**64 - 1], dtype=np.uint64)
-    block = simulate_block(m, 0.6, 10, seeds, improvement_hr=0.8)
+    block = simulate_trials(m, ((0.6, 10, seeds),), improvement_hr=0.8)
     draws = trial_uniforms(seeds, [10] * 4, 18)
     assert block.states.shape == (40, 19) and block.censor.shape == block.dropped.shape == (40,)
     assert block.starts.tolist() == [0, 10, 20, 30]
     for r, seed in enumerate(seeds):
-        one = simulate_trial(TrialConfig(10, 0.6, m, int(seed), improvement_hr=0.8))
+        one = simulate_trial(m, 0.6, 10, int(seed), improvement_hr=0.8)
         rows = slice(10 * r, 10 * r + 10)
         assert np.array_equal(block.states[rows], one.states)
         assert np.array_equal(block.censor[rows], one.censor) and np.array_equal(block.dropped[rows], one.dropped)
         assert np.array_equal(block.arms[rows], one.arms)
         assert np.array_equal(draws[rows], subject_uniforms(int(seed), 10, 18))
     with pytest.raises(ValueError, match="even"):
-        simulate_block(m, 0.6, 9, seeds)
+        simulate_trials(m, ((0.6, 9, seeds),))
 
 
 def test_seed_changes_trajectories():
-    base = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=1.0, control_model=model(), seed=1))
-    other = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=1.0, control_model=model(), seed=2))
+    base = simulate_trial(model(), 1.0, 40, 1)
+    other = simulate_trial(model(), 1.0, 40, 2)
     assert not np.array_equal(base.states, other.states)
 
 

@@ -11,7 +11,6 @@ from cwtasim import (
     Arm,
     DegenerateTestError,
     Trial,
-    TrialConfig,
     arm_counts,
     load_profile,
     logrank_test,
@@ -19,7 +18,7 @@ from cwtasim import (
     simulate_trial,
 )
 from cwtasim.kaplan_meier import monthly_terms, product_limit, result_from_terms
-from cwtasim.trajectories import simulate_block
+from cwtasim.trajectories import simulate_trials
 
 from oracles import (
     Record,
@@ -248,9 +247,9 @@ def test_monthly_counts_equal_event_table_sums(profile):
     bincounts bit for bit, for one trial and for every row of a block."""
     model = load_profile(profile)
     seeds = np.array([0, 9, 2**64 - 1], dtype=np.uint64)
-    block = monthly_counts(simulate_block(model, 0.6, 40, seeds))["CWTA"]
+    block = monthly_counts(simulate_trials(model, ((0.6, 40, seeds),)))["CWTA"]
     for r, seed in enumerate(seeds):
-        one = simulate_trial(TrialConfig(sample_size=40, hazard_ratio=0.6, control_model=model, seed=int(seed)))
+        one = simulate_trial(model, 0.6, 40, int(seed))
         expected = event_sums_from(*extract_weighted_events(one), one.horizon).counts()
         for got in (monthly_counts(one)["CWTA"], [x if np.isscalar(x) else x[r] for x in block]):
             for a, b in zip(got, expected):
