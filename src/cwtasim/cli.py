@@ -222,7 +222,8 @@ def _cmd_plot(args) -> int:
         curves=tuple(curves), title=args.title, x_label=args.x_label, y_label=args.y_label
     )
     svg = emit_svg_stepplot(spec)
-    with open(args.out, "w") as fh:
+    # UTF-8 whatever the locale; argv bytes the locale could not decode go back out unchanged
+    with open(args.out, "w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write(svg)
     print(f"wrote {args.out}")
     return 0

@@ -147,11 +147,15 @@ def parse_config(text: str, command: str) -> tuple[ExperimentGrid, str]:
         raise ConfigError("output_dir: must be a non-empty string")
     if isinstance(values.get("replicates"), dict):
         replicates: dict[float, object] = {}
+        keys: dict[float, str] = {}  # hazard ratio -> the key that names it
         for key, value in values["replicates"].items():
             try:
-                replicates[float(key)] = value
+                hr = float(key)
             except ValueError:
                 raise ConfigError(f"replicates: key {key!r} is not a hazard ratio") from None
+            if keys.setdefault(hr, key) != key:
+                raise ConfigError(f"replicates: keys {keys[hr]!r} and {key!r} name one hazard ratio, {hr}")
+            replicates[hr] = value
         values["replicates"] = replicates
     values.setdefault("hazard_ratios", DEFAULT_HAZARD_RATIOS)
     values.setdefault("sample_sizes", DEFAULT_TTE_SIZES if command == "tte" else DEFAULT_POWER_SIZES)

@@ -140,7 +140,7 @@ def _first_row_fault(path) -> str | None:
     None if the rescan finds none."""
     arms: dict[str, Arm] = {}
     dropouts: dict[str, int] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is no text
         reader = csv.reader(fh)
         try:
             col, d = _columns(path, next(reader, None))
@@ -172,12 +172,19 @@ def _first_row_fault(path) -> str | None:
 
 
 def _part(texts, index: dict[str, int], dropout_code: dict[int, int]) -> tuple:
-    """One chunk's narrow integer columns from its subject, month, state, arm and dropout texts."""
+    """One chunk's narrow integer columns from its subject, month, state, arm and dropout texts.
+
+    A month column of 8-byte words that all hold 1 to 7 ASCII digits is
+    folded to its values in place (_digit_words); any other month column,
+    whose spellings int() may still accept, goes through _narrow.
+    """
     keys, months, states, arms, drops = texts
+    if (folded := _digit_words(months)) is None:
+        # out-of-range months and states stay out of range
+        folded = _narrow(months, lambda t: min(max(int(t), -1), 2**31 - 1), np.int32)
     return (
         _narrow(keys, lambda t: index.setdefault(t, len(index)), np.int32),  # codes follow first appearance
-        # out-of-range months and states stay out of range
-        _narrow(months, lambda t: min(max(int(t), -1), 2**31 - 1), np.int32),
+        folded,
         _narrow(states, lambda t: min(max(int(t), -1), 5), np.int8),
         _narrow(arms, lambda t: _ARM_BY_LABEL[t.strip().lower()], np.int8),
         _narrow(drops, lambda t: dropout_code.setdefault(int(t), len(dropout_code)) if t.strip() else -1, np.int32),
@@ -207,9 +214,39 @@ def _narrow(texts, convert, dtype) -> np.ndarray:
     return np.repeat(table[inverse], np.diff(starts, append=len(texts)))
 
 
-# by field size n < 8: the mask of an 8-byte word's first n bytes, and "," in the rest
-_WORD_KEEP = np.frombuffer(b"".join(b"\xff" * n + bytes(8 - n) for n in range(8)), "<u8")
-_WORD_PAD = np.frombuffer(b"".join(bytes(n) + b"," * (8 - n) for n in range(8)), "<u8")
+# by the field's bytes n <= 8 in a word: the mask of the word's first n bytes, and "," in the rest
+_WORD_KEEP = np.frombuffer(b"".join(b"\xff" * n + bytes(8 - n) for n in range(9)), "<u8")
+_WORD_PAD = np.frombuffer(b"".join(bytes(n) + b"," * (8 - n) for n in range(9)), "<u8")
+
+
+# bytes repeated across an 8-byte word
+_COMMAS, _ZEROS = np.uint64(0x2C2C2C2C2C2C2C2C), np.uint64(0x3030303030303030)
+_LOW7, _HIGH1 = np.uint64(0x7F7F7F7F7F7F7F7F), np.uint64(0x8080808080808080)
+_HIGH4, _SIXES = np.uint64(0xF0F0F0F0F0F0F0F0), np.uint64(0x0606060606060606)
+
+
+def _digit_words(words) -> np.ndarray | None:
+    """Each word's value as int32 when every word is 1 to 7 ASCII digits padded
+    with ","; None for any other column.
+
+    A word's first byte is its field's first. A field holds no ",", so the
+    bytes that differ from "," are the field's n bytes. Shifted up by the
+    8 - n padding bytes, with "0" filled in below, the word is eight digits,
+    most significant first, which three multiply-add-mask steps (x10, x100,
+    x10 000) fold to one number.
+    """
+    if getattr(words, "dtype", None) != np.uint64:  # a list of str, or fields wider than a word
+        return None
+    z = words ^ _COMMAS  # a field byte keeps some bit; a padding byte is 0
+    n = np.bitwise_count(((z & _LOW7) + _LOW7 | z) & _HIGH1)  # one high bit per field byte
+    digits = words << (64 - 8 * n) | _ZEROS >> (8 * n)
+    # every byte 0x30..0x39: high nibble 3, and 3 still after adding 6 (no byte carries then)
+    if not n.all() or ((digits & _HIGH4) != _ZEROS).any() or ((digits + _SIXES & _HIGH4) != _ZEROS).any():
+        return None
+    v = digits - _ZEROS
+    v = v * np.uint64(10 << 8 | 1) >> np.uint64(8) & np.uint64(0x00FF00FF00FF00FF)  # 2-digit lanes
+    v = v * np.uint64(100 << 16 | 1) >> np.uint64(16) & np.uint64(0x0000FFFF0000FFFF)  # 4-digit lanes
+    return (v * np.uint64(10_000 << 32 | 1) >> np.uint64(32)).astype(np.int32)
 
 
 def _plain_fields(chunk, col: dict[str, int], d: int) -> list:
@@ -217,11 +254,15 @@ def _plain_fields(chunk, col: dict[str, int], d: int) -> list:
 
     chunk is whole lines, each ending in "\n", with no '"' and no "\r": every
     "," and "\n" ends a field, and a dropout past a short line's end reads
-    as blank. A column becomes an array of 8-byte words or fixed-width
-    bytes, or a list of str where padding its few long fields would outgrow
-    the chunk. Every column reads one ","-padded copy of the chunk: a field
-    of up to 7 bytes is one fancy index into an unaligned 8-byte word view
-    of it, masked past the field's end; a longer one a fixed-width window.
+    as blank. A chunk whose lines all hold the same number of fields, c > 1,
+    as every file simulate writes, has its field bounds reshaped to
+    (lines, c); any other chunk (a short or long line, a blank line) finds
+    each line's fields from its last. A column becomes an array of 8-byte
+    words or fixed-width bytes, or a list of str where padding its few long
+    fields would outgrow the chunk. Every column reads one ","-padded copy
+    of the chunk through an unaligned 8-byte word view of it: a field of up
+    to 7 bytes is one word, masked past the field's end, and a longer one
+    the consecutive words that cover it.
     """
     str(chunk, "utf-8")  # UTF-8, as csv.reader's text stream must be
     buf = np.frombuffer(chunk, np.uint8)
@@ -232,28 +273,56 @@ def _plain_fields(chunk, col: dict[str, int], d: int) -> list:
         chars = np.concatenate(([0], np.cumsum((buf & 0xC0) != 0x80)))
         if (chars[bounds[1:]] - chars[bounds[:-1] + 1] > limit).any():
             raise csv.Error(f"field larger than field limit ({limit})")
-    last = np.flatnonzero(buf[bounds[1:]] == ord("\n"))  # each line's last field
-    first = np.concatenate(([0], last[:-1] + 1))
-    filled = (last > first) | (bounds[first + 1] > bounds[first] + 1)  # csv.reader skips a blank line
-    first, width = first[filled], (last - first + 1)[filled]
-    if (width <= max(col[name] for name in _REQUIRED)).any():
-        raise IndexError("truncated row")
-    padded = np.concatenate((buf, np.full(max(longest, 8), ord(","), np.uint8)))  # a window from any field start
-    words = np.ndarray((len(buf) + 1,), "<u8", padded, strides=(1,))
+    ks = [col[name] for name in _REQUIRED] + [d]
+    need = max(ks[:-1])  # the last required field's index
+    lines = int(np.count_nonzero(buf == ord("\n")))
+    c, ragged = divmod(len(bounds) - 1, lines)
+    # as many field ends as lines x c, and every c-th a line end: every line has
+    # c fields, and with c > 1 none is blank (a blank line is one empty field)
+    if not ragged and c > 1 and (buf[bounds[c::c]] == ord("\n")).all():
+        if c <= need:
+            raise IndexError("truncated row")
+        # field k of line i spans bounds[i * c + k] + 1 .. bounds[i * c + k + 1]
+        starts, ends = bounds[:-1].reshape(lines, c) + 1, bounds[1:].reshape(lines, c)
+        spans = [
+            (starts[:, k], ends[:, k] - starts[:, k]) if k < c else (starts[:, 0], np.zeros(lines, np.intp))
+            for k in ks
+        ]
+    else:
+        spans = _ragged_spans(buf, bounds, ks, need)
+    padded = np.concatenate((buf, np.full(longest + 8, ord(","), np.uint8)))  # the words of any field start
+    words = np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
     columns = []
-    for k in [col[name] for name in _REQUIRED] + [d]:
-        field = first + np.minimum(k, width - 1)
-        at = bounds[field] + 1
-        size = np.where(width > k, bounds[field + 1] - at, 0)
+    for at, size in spans:
         w = max(int(size.max(initial=0)) + 1, 8)
         if len(size) * w > 2 * len(buf):  # a few long fields: a str each, not a padded row each
             columns.append([str(chunk[s : s + n], "utf-8") for s, n in zip(at.tolist(), size.tolist())])
         elif w == 8:  # a field of up to 7 bytes and its padding as one word, which sorts fast
             columns.append(words[at] & _WORD_KEEP[size] | _WORD_PAD[size])
-        else:
-            windows = np.lib.stride_tricks.sliding_window_view(padded, w)[at]
-            columns.append(np.where(np.arange(w) < size[:, None], windows, ord(",")).view(f"S{w}").ravel())
+        else:  # a field's words, each masked by the bytes of the field it holds, cut to w bytes
+            j = np.arange(0, w, 8)
+            rest = (size[:, None] - j).clip(0, 8).ravel()
+            cells = words[(at[:, None] + j).ravel()] & _WORD_KEEP[rest] | _WORD_PAD[rest]
+            columns.append(cells.view(f"S{8 * len(j)}").astype(f"S{w}"))
     return columns
+
+
+def _ragged_spans(buf, bounds, ks: list[int], need: int) -> list:
+    """Each column k's (field starts, field sizes) over the non-blank lines of a
+    chunk whose lines may hold different numbers of fields, found from each
+    line's last field; a line of `need` fields or fewer is a truncated row."""
+    last = np.flatnonzero(buf[bounds[1:]] == ord("\n"))  # each line's last field
+    first = np.concatenate(([0], last[:-1] + 1))
+    filled = (last > first) | (bounds[first + 1] > bounds[first] + 1)  # csv.reader skips a blank line
+    first, width = first[filled], (last - first + 1)[filled]
+    if (width <= need).any():
+        raise IndexError("truncated row")
+    spans = []
+    for k in ks:
+        field = first + np.minimum(k, width - 1)
+        at = bounds[field] + 1
+        spans.append((at, np.where(width > k, bounds[field + 1] - at, 0)))
+    return spans
 
 
 def _csv_parts(fh, path, col, d, index, dropout_code):
@@ -275,6 +344,8 @@ def _parts(fh, path, index, dropout_code):
     with array operations. From the first chunk holding either byte on,
     csv.reader, the one exact tokenizer of quoted input, reads the rest:
     before any quote, every "\n" ends a record, so that chunk starts one.
+    Text is UTF-8 whatever the locale; a byte-order mark at byte 0 is
+    skipped, by either tokenizer.
     """
     col = d = None
     done, pending = 0, b""  # bytes tokenized so far; a line begun but not ended
@@ -283,7 +354,8 @@ def _parts(fh, path, index, dropout_code):
         end, data = not data, pending + data
         if b'"' in data or b"\r" in data:
             fh.seek(done)
-            yield from _csv_parts(io.TextIOWrapper(fh, newline=""), path, col, d, index, dropout_code)
+            text = io.TextIOWrapper(fh, "utf-8-sig" if done == 0 else "utf-8", newline="")
+            yield from _csv_parts(text, path, col, d, index, dropout_code)
             return
         if end and data and not data.endswith(b"\n"):
             data += b"\n"  # the last line needs no line end
@@ -292,7 +364,7 @@ def _parts(fh, path, index, dropout_code):
         done += cut
         if col is None and cut:
             header = data[: data.index(b"\n")]
-            col, d = _columns(path, str(header, "utf-8").split(","))
+            col, d = _columns(path, str(header, "utf-8-sig").split(","))  # less a leading byte-order mark
             chunk = chunk[len(header) + 1 :]
         if chunk:
             yield _part(_plain_fields(chunk, col, d), index, dropout_code)
@@ -455,7 +527,7 @@ def read_curves_csv(path) -> list[tuple[str, list[tuple[float, float]]]]:
     the plotted step starts at full survival.
     """
     groups: dict[str, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

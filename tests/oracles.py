@@ -444,7 +444,7 @@ def read_trajectories_rowwise(path) -> Trial:
     """
     required = ("subject", "month", "state", "arm")
     by_subject: dict[str, dict] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # UTF-8, less a leading byte-order mark
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty trajectory file")

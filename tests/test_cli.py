@@ -535,6 +535,29 @@ def test_import_loads_no_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
+def test_text_is_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale, analyze reads a UTF-8 trial holding a quoted field,
+    and plot reads a UTF-8 curve label and writes a non-ASCII title as UTF-8."""
+    trial = tmp_path / "trial.csv"
+    rows = '"é1",0,2,control\né1,1,2,control\nb,0,2,experimental\nb,1,3,experimental\n'
+    trial.write_text("subject,month,state,arm\n" + rows, encoding="utf-8")
+    curve = tmp_path / "curve.csv"
+    curve.write_text("arm,time,survival\nbras é,1,0.5\nbras é,2,0.25\n", encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "cwtasim.cli", *argv], env=env, capture_output=True, text=True)
+
+    done = cli("analyze", "--trial", str(trial), "--out-dir", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    svg = tmp_path / "plot.svg"
+    done = cli("plot", str(curve), "--title", "Überleben β", "--out", str(svg))
+    assert done.returncode == 0, done.stderr
+    text = svg.read_text(encoding="utf-8")
+    assert "Überleben β" in text and "bras é" in text
+
+
 def test_public_names_resolve():
     assert len(cwtasim.__all__) == len(set(cwtasim.__all__))
     assert [name for name in cwtasim.__all__ if not hasattr(cwtasim, name)] == []

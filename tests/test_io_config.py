@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import sys
@@ -130,6 +131,15 @@ def test_parse_config_rejects_bad_values():
         for command in ("power", "tte"):
             with pytest.raises(ConfigError):
                 parse_config(doc, command)
+
+
+def test_parse_config_rejects_two_keys_naming_one_hazard_ratio():
+    message = r"replicates: keys '0\.5' and '0\.50' name one hazard ratio, 0\.5$"
+    for command in ("power", "tte"):
+        with pytest.raises(ConfigError, match=message):
+            parse_config('{"hazard_ratios": [0.5], "replicates": {"0.5": 100, "0.50": 7}}', command)
+    grid, _ = parse_config('{"hazard_ratios": [0.5, 0.7], "replicates": {"0.5": 100, "0.70": 7}}', "power")
+    assert grid.replicates == {0.5: 100, 0.7: 7}
 
 
 def test_default_tte_replicates_rule():
@@ -269,8 +279,8 @@ HEADER = ["subject", "month", "state", "arm", "dropout_month"]
 # values a mutation writes into one field: valid, out of range and not integers
 FIELD_VALUES = {
     "subject": ["0", "1", "9", " 0", ""],
-    "month": ["0", "1", "2", "3", "6", "9", "-1", " 2", "x", "1.5", ""],
-    "state": ["0", "1", "2", "3", "4", "5", "-1", "300", "+2", "x", ""],
+    "month": ["0", "1", "2", "3", "6", "9", "-1", " 2", "x", "1.5", "", "١", "007", "0_1"],
+    "state": ["0", "1", "2", "3", "4", "5", "-1", "300", "+2", "x", "", "١", "007", "0_1"],
     "arm": ["control", "experimental", " Experimental ", "CONTROL", "placebo", ""],
     "dropout_month": ["", " ", "1", "2", "3", "5", "9", "-1", "z"],
 }
@@ -405,6 +415,74 @@ def test_integer_past_the_digit_limit(tmp_path, field):
     assert_same_outcome(path, [str(i) for i in range(6)])
     name = HEADER[field]
     with pytest.raises(ValueError, match=f"subject 5 has a {name} of more than {sys.get_int_max_str_digits()} digits$"):
+        read_trajectories_csv(path)
+
+
+@pytest.mark.parametrize(
+    "month", ["007", "0000001", "00000001", "9999999", "١", "２", "0_1", "\t1", "\xa01", "+1", "", "1?"]
+)
+def test_month_spellings_read_as_the_reference_reads_them(tmp_path, month):
+    """A month of 1 to 7 ASCII digits is folded from its word; every other
+    spelling, which int() may still accept, reads as the reference reads it.
+    A spelling of 1 gives the file's Trial back."""
+    trial = simulate_trial(READER_MODEL, 0.7, 6, 3)
+    path = tmp_path / "trial.csv"
+    write_trajectories_csv(trial, path)
+    header, *rows = path.read_text().splitlines()
+    k = next(i for i, row in enumerate(rows) if row.split(",")[1] == "1")
+    fields = rows[k].split(",")
+    rows[k] = ",".join([fields[0], month, *fields[2:]])
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert_same_outcome(path, [str(i) for i in range(6)])
+    if month in ("0000001", "00000001", "١", "0_1", "\t1", "\xa01", "+1"):
+        got = read_trajectories_csv(path)
+        for name in ("states", "censor", "arms", "dropped"):
+            assert np.array_equal(getattr(got, name), getattr(trial, name)), name
+
+
+def test_uniform_pieces_reshape_and_ragged_ones_take_the_general_route(tmp_path, monkeypatch):
+    """A piece whose lines all hold the same number of fields, as simulate writes
+    them, is read without the per-line pass; one with a short row or a blank
+    line takes it. Both give the same columns for the same rows."""
+    calls = []
+    general = serialize._ragged_spans
+    monkeypatch.setattr(serialize, "_ragged_spans", lambda *args: calls.append(1) or general(*args))
+    path = tmp_path / "trial.csv"
+    write_trajectories_csv(simulate_trial(READER_MODEL, 0.7, 6, 3), path)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    lines = body.splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.endswith(b",\n"))  # a blank dropout
+    col = {name: i for i, name in enumerate(HEADER)}
+    want = serialize._plain_fields(memoryview(body), col, 4)
+    assert calls == []
+    short = b"".join(lines[:k] + [lines[k][:-2] + b"\n"] + lines[k + 1 :])  # the row without its dropout
+    blank = b"".join(lines[:k] + [b"\n"] + lines[k:])
+    for piece in (short, blank):
+        got = serialize._plain_fields(memoryview(piece), col, 4)
+        assert len(calls) == 1
+        calls.clear()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 40, serialize.CHUNK_BYTES])
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, monkeypatch, chunk_bytes, quoted):
+    """A file starting with a UTF-8 byte-order mark reads to the Trial of the
+    file without it, plain or quoted, and a fault in it is still placed by row."""
+    monkeypatch.setattr(serialize, "CHUNK_BYTES", chunk_bytes)
+    trial = simulate_trial(READER_MODEL, 0.7, 6, 3)
+    path = tmp_path / "trial.csv"
+    write_trajectories_csv(trial, path)
+    text = path.read_bytes().replace(b",control,", b',"control",' if quoted else b",control,")
+    path.write_bytes(codecs.BOM_UTF8 + text)
+    assert_same_outcome(path, [str(i) for i in range(6)])
+    got = read_trajectories_csv(path)
+    for name in ("states", "censor", "arms", "dropped"):
+        assert np.array_equal(getattr(got, name), getattr(trial, name)), name
+    path.write_bytes(codecs.BOM_UTF8 + text.replace(b"\n5,1,", b"\n5,x,", 1))
+    assert_same_outcome(path, [str(i) for i in range(6)])
+    with pytest.raises(ValueError, match="subject 5 has a non-integer month 'x'"):
         read_trajectories_csv(path)
 
 
