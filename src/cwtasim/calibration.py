@@ -76,7 +76,7 @@ class CalibrationTarget:
 
 
 class CalibrationError(RuntimeError):
-    """Raised when the eval budget runs out or a target is unreachable."""
+    """Raised when a target is unreachable or the search does not converge."""
 
     def __init__(
         self,
@@ -248,40 +248,27 @@ def _bisect_rate(
 def calibrate_transition_model(
     target: CalibrationTarget,
     template: TransitionModel = DEFAULT_TEMPLATE,
-    budget: int = 200,
     n_subjects: int = 100_000,
     seed: int = CALIBRATION_SEED,
 ) -> TransitionModel:
     """Fit improve_prob[SD] and improve_prob[PR] to the response targets.
 
-    budget caps the number of Monte Carlo evaluations; n_subjects sets the
-    per-evaluation sample (>= 10_000 recommended so Monte Carlo noise stays
-    well under the tolerance). Raises CalibrationError, carrying the best
-    model found, if the budget is exhausted or a target is unreachable.
+    n_subjects sets the simulated cohort (>= 10_000 recommended so Monte
+    Carlo noise stays well under the tolerance). Bisections stop at a 1e-12
+    bracket, so a search makes at most 85 rate evaluations. Raises
+    CalibrationError if a target is unreachable or a bracket collapses, or,
+    carrying the best model found, if the joint check fails.
     """
     if n_subjects < 1:
         raise ValueError("n_subjects must be positive")
-    if budget < 1:
-        raise ValueError("budget must be positive")
     cohort = _Cohort(template, n_subjects, seed)
     cohort.tabulate_responders()
 
-    evals = 0
     best: tuple[float, TransitionModel | None, float, float] = (np.inf, None, np.nan, np.nan)
 
     def measure(a1: float, a2: float) -> tuple[TransitionModel, float, float]:
-        nonlocal evals, best
-        model = replace(
-            template, improve_prob=(0.0, a1, a2, 0.0, 0.0)
-        )
-        if evals >= budget:
-            raise CalibrationError(
-                f"calibration budget of {budget} evaluations exhausted",
-                model=best[1],
-                achieved_cr=best[2],
-                achieved_pr=best[3],
-            )
-        evals += 1
+        nonlocal best
+        model = replace(template, improve_prob=(0.0, a1, a2, 0.0, 0.0))
         cr, pr = _response_rates(model, cohort)
         miss = max(abs(cr - target.cr_rate), abs(pr - target.pr_rate))
         if miss < best[0]:

@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.005)
     p.add_argument("--template", default=None, help="profile name/path supplying worsening probabilities")
     p.add_argument("--subjects", type=int, default=100_000)
-    p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=CALIBRATION_SEED)
     p.add_argument("--out", required=True, help="output profile JSON path")
 
@@ -104,14 +103,11 @@ def _usable_cpus() -> int | None:
 
 
 def _cmd_calibrate(args) -> int:
-    for flag, value in (("--budget", args.budget), ("--subjects", args.subjects)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+    if args.subjects < 1:
+        raise ValueError(f"--subjects must be at least 1, got {args.subjects}")
     template = DEFAULT_TEMPLATE if args.template is None else serialize.load_profile(args.template)
     target = CalibrationTarget(cr_rate=args.cr, pr_rate=args.pr, tolerance=args.tolerance)
-    model = calibrate_transition_model(
-        target, template=template, budget=args.budget, n_subjects=args.subjects, seed=args.seed
-    )
+    model = calibrate_transition_model(target, template=template, n_subjects=args.subjects, seed=args.seed)
     serialize.save_profile(model, args.out)
     cr, pr = control_response_rates(model, n_subjects=args.subjects, seed=args.seed + 1)
     print(f"wrote {args.out}")

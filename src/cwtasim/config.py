@@ -2,9 +2,10 @@
 
 ExperimentGrid is the one description of a power/TTE experiment, and its
 constructor is the one place each grid rule is checked. parse_config reads
-the JSON document into a grid plus an output directory. Unknown fields are
-rejected so typos fail loudly instead of silently running a default. The
-schema (all fields optional):
+the JSON document into a grid plus an output directory. Unknown fields, and
+fields named twice in one object, are rejected so typos fail loudly instead
+of silently running a default or the last value. The schema (all fields
+optional):
 
     {
       "profile": "moderate" | "high" | "path/to/profile.json",
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 from typing import Mapping
 
-from .trajectories import _check_sample_size
+from .trajectories import _check_sample_size, json_object
 
 DEFAULT_HAZARD_RATIOS = (0.5, 0.6, 0.7, 0.8)
 DEFAULT_POWER_SIZES = (20, 40, 60, 80, 100, 140, 180, 240, 320, 400, 500)
@@ -132,7 +133,7 @@ def parse_config(text: str, command: str) -> tuple[ExperimentGrid, str]:
     """The grid and output directory of an experiment config JSON document,
     with the defaults of a grid command (power, samplesize or tte)."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=json_object)
     except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -206,50 +206,35 @@ def _run_block(setup: tuple, runs: tuple) -> tuple[np.ndarray, np.ndarray]:
     return scan_trial(simulate_trials(model, designs), alpha)
 
 
-def _grid_blocks(grid: ExperimentGrid, workers: int) -> Iterator[tuple[tuple, tuple]]:
-    """(runs, buffers) for every block of the grid, in grid order.
+def _in_flight(pool: ProcessPoolExecutor, setup: tuple, blocks: Iterator[tuple], workers: int) -> Iterator[tuple]:
+    """(runs, block result) in block order, with at most 2 * workers + 1 blocks submitted and unread."""
+    pending: deque = deque()
+    for runs in blocks:
+        pending.append((runs, pool.submit(_run_block, setup, runs)))
+        if len(pending) > 2 * workers:
+            runs, future = pending.popleft()
+            yield runs, future.result()
+    for runs, future in pending:
+        yield runs, future.result()
 
-    runs are the block's (hr, ss, start, stop) runs; buffers holds each
-    run's point result buffer, allocated when the point's first run is
-    planned, so only points whose blocks have been planned and not all
-    gathered hold one.
-    """
-    points = [(hr, ss) for hr in grid.hazard_ratios for ss in grid.sample_sizes]
-    scans = None
-    for block in plan_grid_blocks([(grid.replicates_for(hr), ss) for hr, ss in points], workers):
-        buffers = []
-        for point, start, _ in block:
+
+def _gather(grid: ExperimentGrid, done: Iterator[tuple]) -> Iterator[tuple[float, int, ReplicateScans]]:
+    """(hr, ss, scans) of each point, once the result of its last replicate is stored.
+    Blocks arrive in order, so a point's buffer, allocated when its first run
+    arrives, is the only one being filled."""
+    for runs, (final_p, first_month) in done:
+        row = 0
+        for hr, ss, start, stop in runs:
             if start == 0:  # else the run continues the point of the run before it
-                replicates = grid.replicates_for(points[point][0])
+                replicates = grid.replicates_for(hr)
                 scans = ReplicateScans(
                     final_p=np.empty((replicates, len(METHODS))),
                     first_month=np.empty((replicates, len(METHODS)), dtype=np.int64),
                 )
-            buffers.append(scans)
-        yield tuple((*points[point], start, stop) for point, start, stop in block), tuple(buffers)
-
-
-def _in_flight(pool: ProcessPoolExecutor, setup: tuple, tasks: Iterator[tuple], workers: int) -> Iterator[tuple]:
-    """(task, block result) in task order, with at most 2 * workers + 1 blocks submitted and unread."""
-    pending: deque = deque()
-    for task in tasks:
-        pending.append((task, pool.submit(_run_block, setup, task[0])))
-        if len(pending) > 2 * workers:
-            task, future = pending.popleft()
-            yield task, future.result()
-    for task, future in pending:
-        yield task, future.result()
-
-
-def _gather(done: Iterator[tuple]) -> Iterator[tuple[float, int, ReplicateScans]]:
-    """(hr, ss, scans) of each point, once the result of its last replicate is stored."""
-    for (runs, buffers), (final_p, first_month) in done:
-        row = 0
-        for (hr, ss, start, stop), scans in zip(runs, buffers):
             rows = slice(row, row + stop - start)
             scans.final_p[start:stop], scans.first_month[start:stop] = final_p[rows], first_month[rows]
             row = rows.stop
-            if stop == len(scans.final_p):  # blocks arrive in order, so this was the point's last run
+            if stop == replicates:
                 yield hr, ss, scans
 
 
@@ -270,13 +255,17 @@ def run_grid(
     running are waited for.
     """
     setup = (grid.master_seed, grid.alpha, model)
-    tasks = _grid_blocks(grid, workers)
+    points = [(hr, ss) for hr in grid.hazard_ratios for ss in grid.sample_sizes]
+    blocks = (
+        tuple((*points[point], start, stop) for point, start, stop in block)
+        for block in plan_grid_blocks([(grid.replicates_for(hr), ss) for hr, ss in points], workers)
+    )
     if workers <= 1:
-        yield from _gather((task, _run_block(setup, task[0])) for task in tasks)
+        yield from _gather(grid, ((runs, _run_block(setup, runs)) for runs in blocks))
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            yield from _gather(_in_flight(pool, setup, tasks, workers))
+            yield from _gather(grid, _in_flight(pool, setup, blocks, workers))
         except BaseException:  # an interrupt or a close too: drop the queued blocks rather than wait for them
             pool.shutdown(cancel_futures=True)
             raise

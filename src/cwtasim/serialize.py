@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trajectories import DEATH, MAX_HORIZON, N_STATES, PD, SD, Arm, TransitionModel, Trial
+from .trajectories import DEATH, MAX_HORIZON, N_STATES, PD, SD, Arm, TransitionModel, Trial, json_object
 from .weighted import METHODS
 
 BUILTIN_PROFILES = ("moderate", "high")
@@ -69,7 +69,7 @@ def load_profile(name_or_path: str) -> TransitionModel:
         with open(name_or_path, "rb") as fh:
             raw = fh.read()
     try:
-        return TransitionModel.from_json_dict(json.loads(raw.decode()))
+        return TransitionModel.from_json_dict(json.loads(raw.decode(), object_pairs_hook=json_object))
     except (ValueError, RecursionError) as exc:  # a decode, JSON or schema error
         raise ValueError(f"{name_or_path}: {exc}") from None
 

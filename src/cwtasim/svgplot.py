@@ -8,8 +8,8 @@ spec always yields byte-identical SVG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import floor, isfinite, log10
+from dataclasses import dataclass, field
+from math import floor, inf, log10
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#17becf")
 
@@ -21,7 +21,6 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 48, 56
 class CurveSpec:
     label: str
     points: tuple[tuple[float, float], ...]
-    color: str | None = None
     dash: str | None = None
 
     def __post_init__(self) -> None:
@@ -38,27 +37,22 @@ class PlotSpec:
     title: str = ""
     x_label: str = "months"
     y_label: str = "value"
-    x_range: tuple[float, float] | None = None
-    y_range: tuple[float, float] | None = None
+    x_range: tuple[float, float] = field(init=False)
+    y_range: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.curves:
             raise ValueError("plot needs at least one curve")
         xs = [x for c in self.curves for x, _ in c.points]
         ys = [y for c in self.curves for _, y in c.points]
-        if self.x_range is None:
-            object.__setattr__(self, "x_range", (min(xs), max(xs) if max(xs) > min(xs) else min(xs) + 1.0))
-        if self.y_range is None:
-            lo, hi = min(0.0, min(ys)), max(1.0, max(ys))
-            pad = 0.02 * (hi - lo)
-            object.__setattr__(self, "y_range", (lo, hi + pad))
-        (x0, x1), (y0, y1) = self.x_range, self.y_range
-        if not (x0 < x1 and y0 < y1):
-            raise ValueError("axis ranges must be non-degenerate")
-        if not (isfinite(x1 - x0) and isfinite(y1 - y0)):
-            raise ValueError("axis ranges must span a finite width")
-        if min(xs) < x0 or max(xs) > x1 or min(ys) < y0 or max(ys) > y1:
-            raise ValueError("axis ranges must cover every curve point")
+        x0, x1 = min(xs), max(xs) if max(xs) > min(xs) else min(xs) + 1.0
+        lo, hi = min(0.0, min(ys)), max(1.0, max(ys))
+        y0, y1 = lo, hi + 0.02 * (hi - lo)
+        # x0 + 1.0 rounds to x0 at large |x0|, and a NaN point can make a range NaN
+        if not (0.0 < x1 - x0 < inf and y1 - y0 < inf):
+            raise ValueError("axis ranges must span a finite width above zero")
+        object.__setattr__(self, "x_range", (x0, x1))
+        object.__setattr__(self, "y_range", (y0, y1))
 
 
 def _num(v: float) -> str:
@@ -138,7 +132,7 @@ def emit_svg_stepplot(spec: PlotSpec) -> str:
 
     # step paths
     for i, curve in enumerate(spec.curves):
-        color = curve.color or _PALETTE[i % len(_PALETTE)]
+        color = _PALETTE[i % len(_PALETTE)]
         d = [f"M {_num(px(curve.points[0][0]))} {_num(py(curve.points[0][1]))}"]
         for (x, y) in curve.points[1:]:
             d.append(f"H {_num(px(x))}")
@@ -153,7 +147,7 @@ def emit_svg_stepplot(spec: PlotSpec) -> str:
     legend_x = _MARGIN_L + plot_w - 170
     legend_y = _MARGIN_T + 10
     for i, curve in enumerate(spec.curves):
-        color = curve.color or _PALETTE[i % len(_PALETTE)]
+        color = _PALETTE[i % len(_PALETTE)]
         y = legend_y + 18 * i
         parts.append(
             f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 26}" y2="{y}" '

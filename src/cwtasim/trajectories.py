@@ -102,6 +102,17 @@ def json_number(value, field: str) -> float:
         raise ValueError(f"{field} = {value} is out of range") from None
 
 
+def json_object(pairs: list[tuple[str, object]]) -> dict:
+    """The object_pairs_hook of every JSON document read: a field named twice,
+    which json.loads would silently resolve to its last value, is a ValueError."""
+    data: dict = {}
+    for name, value in pairs:
+        if name in data:
+            raise ValueError(f"field {name!r} is named twice in one object")
+        data[name] = value
+    return data
+
+
 @dataclass(frozen=True)
 class TransitionModel:
     """Per-state monthly transition probabilities for the control arm.

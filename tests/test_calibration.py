@@ -96,18 +96,6 @@ def test_unreachable_target_raises():
         )
 
 
-def test_budget_exhaustion_reports_best_model():
-    with pytest.raises(CalibrationError, match="budget") as err:
-        calibrate_transition_model(
-            CalibrationTarget(cr_rate=0.05, pr_rate=0.30, tolerance=0.0001),
-            template=TEMPLATE,
-            n_subjects=2_000,
-            budget=5,
-        )
-    assert err.value.model is not None
-    assert err.value.achieved_cr is not None
-
-
 def test_bad_subject_count():
     with pytest.raises(ValueError, match="n_subjects"):
         calibrate_transition_model(
@@ -165,17 +153,20 @@ ORACLE_TEMPLATES = [
     replace(TEMPLATE, dropout_rate=0.0),
     replace(TEMPLATE, dropout_rate=1.0),
 ]
-ORACLE_TARGETS = [  # (cr, pr, tolerance), budget
-    ((0.05, 0.30, 0.005), 200),
-    ((0.9, 0.05, 0.005), 200),
-    ((0.0, 0.0, 0.005), 200),
-    ((0.05, 0.30, 1e-4), 7),
+ORACLE_TARGETS = [  # (cr, pr, tolerance)
+    (0.05, 0.30, 0.005),
+    (0.9, 0.05, 0.005),
+    (0.0, 0.0, 0.005),
+    (0.05, 0.30, 1e-4),
 ]
 
 
-def _search(monkeypatch, template, target, budget, n):
+def _search(monkeypatch, template, target, n):
     """Every evaluation of one search as (model, rates, read from the tables),
-    and its outcome: the fitted model, or the error's text, model and rates."""
+    and its outcome: the fitted model, or the error's text, model and rates.
+    A search makes at most 85 evaluations: two bisections of at most 42
+    (both ends, then halvings of a bracket of at most 1 down to 1e-12) and
+    the joint check."""
     evaluate, evaluations = calibration._response_rates, []
 
     def spy(model, cohort):
@@ -185,9 +176,10 @@ def _search(monkeypatch, template, target, budget, n):
     with monkeypatch.context() as patch:
         patch.setattr(calibration, "_response_rates", spy)
         try:
-            outcome = calibrate_transition_model(CalibrationTarget(*target), template, budget, n)
+            outcome = calibrate_transition_model(CalibrationTarget(*target), template, n_subjects=n)
         except CalibrationError as err:
             outcome = (str(err), err.model, err.achieved_cr, err.achieved_pr)
+    assert len(evaluations) <= 85
     return evaluations, outcome
 
 
@@ -198,11 +190,11 @@ def test_critical_tables_answer_every_search_as_the_kernel_does(monkeypatch, n):
     which every evaluation runs the kernel."""
     from_tables = 0
     for template in ORACLE_TEMPLATES:
-        for target, budget in ORACLE_TARGETS:
-            evaluations, outcome = _search(monkeypatch, template, target, budget, n)
+        for target in ORACLE_TARGETS:
+            evaluations, outcome = _search(monkeypatch, template, target, n)
             with monkeypatch.context() as kernel_only:
                 kernel_only.setattr(calibration._Cohort, "counts", lambda self, model: None)
-                expected, expected_outcome = _search(monkeypatch, template, target, budget, n)
+                expected, expected_outcome = _search(monkeypatch, template, target, n)
             assert [e[:2] for e in evaluations] == [e[:2] for e in expected]
             assert outcome == expected_outcome
             from_tables += sum(e[2] for e in evaluations)

@@ -269,11 +269,7 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
         (["samplesize", "--config", str(cfgs[3]), "--target", "nan"], "error: target power must lie in (0, 1), got nan"),
         (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
           "--subjects", "2000000000000", "--out", str(tmp_path / "never.json")], f"error: {huge}"),
-        # a budget or cohort below one is refused before any evaluation, naming its flag
-        (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
-          "--budget", "0", "--out", str(tmp_path / "never.json")], "error: --budget must be at least 1, got 0"),
-        (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
-          "--budget", "-3", "--out", str(tmp_path / "never.json")], "error: --budget must be at least 1, got -3"),
+        # a cohort below one is refused before any evaluation, naming its flag
         (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
           "--subjects", "0", "--out", str(tmp_path / "never.json")], "error: --subjects must be at least 1, got 0"),
     ):
@@ -403,6 +399,7 @@ def test_usage_errors_return_argparse_code():
     assert run_cli([]) == 2
     assert run_cli(["simulate", "--sample-size", "nope"]) == 2
     assert run_cli(["unknown-command"]) == 2
+    assert run_cli(["calibrate", "--cr", "0.05", "--pr", "0.30", "--budget", "5", "--out", "never.json"]) == 2
 
 
 HEADERS = [

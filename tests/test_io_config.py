@@ -5,6 +5,7 @@ from __future__ import annotations
 import codecs
 import csv
 import json
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -142,6 +143,27 @@ def test_parse_config_rejects_two_keys_naming_one_hazard_ratio():
     assert grid.replicates == {0.5: 100, 0.7: 7}
 
 
+@pytest.mark.parametrize(
+    "doc, name",
+    [
+        ('{"alpha": 0.01, "hazard_ratios": [0.5], "alpha": 0.05}', "alpha"),
+        ('{"hazard_ratios": [0.5], "replicates": {"0.5": 100, "0.5": 7}}', "0.5"),
+    ],
+)
+def test_a_config_field_named_twice_is_refused(tmp_path, capsys, doc, name):
+    """json.loads would keep the last of two same-named fields; a config
+    refuses them, at the top level and in replicates, and the CLI says so in
+    one line that starts with the file."""
+    message = f"field '{name}' is named twice in one object"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc, "power")
+    config = tmp_path / "config.json"
+    config.write_text(doc)
+    assert run_cli(["power", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {config}: ") and message in err, err
+
+
 def test_default_tte_replicates_rule():
     grid, _ = parse_config('{"hazard_ratios": [0.5, 0.7, 0.8]}', "tte")
     assert grid.replicates == {0.5: 100, 0.7: 100, 0.8: 1000}
@@ -158,6 +180,25 @@ def test_profile_round_trip(tmp_path):
     save_profile(MODEL, path)
     again = load_profile(str(path))
     assert again == MODEL
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda text: text[:-1] + ', "dropout_rate": 0.5}', "dropout_rate"),
+        (lambda text: text.replace('"improve_prob": {', '"improve_prob": {"2": 0.5, '), "2"),
+    ],
+)
+def test_a_profile_field_named_twice_is_refused(tmp_path, edit, name):
+    """A profile naming a field twice, at the top level or in improve_prob,
+    raises ValueError starting with its path; without the repeat it loads."""
+    text = json.dumps(MODEL.to_json_dict())
+    path = tmp_path / "profile.json"
+    path.write_text(edit(text))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: field '{name}' is named twice in one object$"):
+        load_profile(str(path))
+    path.write_text(text)
+    assert load_profile(str(path)) == MODEL
 
 
 def test_builtin_profiles_load_and_differ():
