@@ -11,12 +11,14 @@ curves as CSV and renders them to one SVG.
 
 import os
 
+import numpy as np
+
 # the simulator: ordinal states CR=0, PR=1, SD=2, PD=3, death=4
 from cwtasim import load_profile, simulate_trial
 
 # the three analyses
 from cwtasim import METHODS, Endpoint, arm_counts, count_tests, monthly_counts
-from cwtasim.kaplan_meier import km_curve, product_limit
+from cwtasim.kaplan_meier import product_limit
 
 # CSV + SVG output helpers
 from cwtasim.serialize import write_km_curves_by_arm_csv, write_trajectory_curves_by_arm_csv
@@ -43,21 +45,18 @@ for method in METHODS:
 # each arm's curve is the product limit of that arm's monthly events and risk set
 arms = {method: arm_counts(counts[method]) for method in METHODS}
 for kind in Endpoint:
-    curves = {arm: km_curve(*c) for arm, c in arms[kind.name].items()}
-    write_km_curves_by_arm_csv(curves, os.path.join(out_dir, f"curve_{kind.name.lower()}.csv"))
-cwta_curves = {arm: product_limit(*c) for arm, c in arms["CWTA"].items()}
-write_trajectory_curves_by_arm_csv(
-    cwta_curves, os.path.join(out_dir, "curve_cwta.csv"), [n for _, n in arms["CWTA"].values()]
-)
+    write_km_curves_by_arm_csv(arms[kind.name], os.path.join(out_dir, f"curve_{kind.name.lower()}.csv"))
+write_trajectory_curves_by_arm_csv(arms["CWTA"], os.path.join(out_dir, "curve_cwta.csv"))
 
-# plot the two weighted trajectory curves next to the OS KM curves
+# plot the two weighted trajectory curves next to the OS KM curves, whose
+# steps fall at the months with deaths
 specs = []
-for arm, c in arms["OS"].items():
-    km = km_curve(*c)
-    points = [(0.0, 1.0)] + [(float(s.time), s.survival) for s in km.steps]
+for arm, (events, at_risk) in arms["OS"].items():
+    survival = product_limit(events, at_risk)
+    points = [(0.0, 1.0)] + [(float(t), float(survival[t])) for t in np.flatnonzero(events)]
     specs.append(CurveSpec(label=f"OS {arm.label}", points=tuple(points), dash="5 3"))
-for arm, values in cwta_curves.items():
-    specs.append(CurveSpec(label=f"CWTA {arm.label}", points=tuple(enumerate(values.tolist()))))
+for arm, c in arms["CWTA"].items():
+    specs.append(CurveSpec(label=f"CWTA {arm.label}", points=tuple(enumerate(product_limit(*c).tolist()))))
 svg = emit_svg_stepplot(
     PlotSpec(curves=tuple(specs), title="One trial, two views", y_label="survival / trajectory value")
 )

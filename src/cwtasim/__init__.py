@@ -41,12 +41,8 @@ from .harness import (
 from .kaplan_meier import (
     DegenerateTestError,
     Endpoint,
-    KMCurve,
-    KMStep,
     TestResult,
     endpoint_arrays,
-    km_estimate,
-    logrank_test,
 )
 from .seeds import mix64, mix64_array
 from .serialize import (
@@ -90,8 +86,6 @@ __all__ = [
     "DegenerateTestError",
     "Endpoint",
     "ExperimentGrid",
-    "KMCurve",
-    "KMStep",
     "MAX_STATE",
     "METHODS",
     "PD",
@@ -115,9 +109,7 @@ __all__ = [
     "estimate_power",
     "first_months",
     "interpolate_sample_size",
-    "km_estimate",
     "load_profile",
-    "logrank_test",
     "mix64",
     "mix64_array",
     "monthly_counts",

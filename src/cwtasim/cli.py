@@ -22,7 +22,7 @@ from .calibration import (
     control_response_rates,
 )
 from .config import ConfigError, ExperimentGrid, parse_config
-from .kaplan_meier import DegenerateTestError, km_curve, product_limit
+from .kaplan_meier import DegenerateTestError
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
 from .trajectories import Arm, apply_hazard_ratio, check_draws, simulate_trial
 from .weighted import METHODS, arm_counts, count_tests, monthly_counts
@@ -134,10 +134,9 @@ def _cmd_analyze(args) -> int:
         arms = arm_counts(counts[method])
         path = os.path.join(args.out_dir, f"curve_{method.lower()}.csv")
         if method == "CWTA":
-            curves = {arm: product_limit(*arms[arm]) for arm in arms}
-            serialize.write_trajectory_curves_by_arm_csv(curves, path, [n for _, n in arms.values()])
+            serialize.write_trajectory_curves_by_arm_csv(arms, path)
         else:
-            serialize.write_km_curves_by_arm_csv({arm: km_curve(*arms[arm]) for arm in arms}, path)
+            serialize.write_km_curves_by_arm_csv(arms, path)
     results = count_tests(counts)
     serialize.write_tests_csv(results, os.path.join(args.out_dir, "tests.csv"))
     for method in METHODS:

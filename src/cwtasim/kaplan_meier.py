@@ -3,10 +3,10 @@ and the statistics kernel that the weighted test shares.
 
 Endpoints are derived from a trial's padded state matrix: PFS is the first
 month at PD or worse, OS the first month at death; otherwise the subject
-is censored at its last observed month. Every routine takes these
-columns (times, events, arms) as arrays; the counting routines also take
-a block of trials' rows, keyed by each row's trial index, and then count
-every trial in the same bincount.
+is censored at its last observed month. endpoint_arrays gives these
+columns (times, events); endpoint_counts counts them by month and arm,
+for one trial or for a block of trials' rows, keyed by each row's trial
+index, every trial in the same bincount.
 Ties follow the standard convention that a subject censored at t is
 still at risk for events at t.
 
@@ -15,7 +15,7 @@ arguments of monthly_terms, the one kernel that gives every month's
 (O - E, V) for all three methods, and result_from_terms turns those terms
 into a TestResult. weighted.monthly_counts builds the counts of all three
 methods from one trial. product_limit, prod (1 - d_j / n_j), is both the
-survival curve (km_curve) and the CWTA trajectory curve, over one arm's
+Kaplan-Meier survival curve and the CWTA trajectory curve, over one arm's
 unit or weighted events.
 """
 
@@ -36,19 +36,6 @@ class Endpoint(IntEnum):
 
     PFS = PD
     OS = DEATH
-
-
-@dataclass(frozen=True)
-class KMStep:
-    time: int
-    survival: float
-    at_risk: int
-    events: int
-
-
-@dataclass(frozen=True)
-class KMCurve:
-    steps: tuple[KMStep, ...]
 
 
 @dataclass(frozen=True)
@@ -116,41 +103,6 @@ def product_limit(w_sum: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.cumprod(factors)
 
 
-def _time_to_event(times, events, caller: str) -> tuple[np.ndarray, np.ndarray]:
-    times = np.asarray(times, dtype=np.int64)
-    events = np.asarray(events, dtype=bool)
-    if times.size == 0:
-        raise ValueError(f"{caller} requires at least one record")
-    if times.min() < 1:
-        raise ValueError(f"event/censor time must be >= 1, got {times.min()}")
-    return times, events
-
-
-def km_curve(events: np.ndarray, at_risk: np.ndarray) -> KMCurve:
-    """The product-limit curve of one group's monthly event and risk counts,
-    with a step at each month that has events."""
-    survival = product_limit(events, at_risk)
-    return KMCurve(
-        steps=tuple(
-            KMStep(time=int(t), survival=float(survival[t]), at_risk=int(at_risk[t]), events=int(events[t]))
-            for t in np.flatnonzero(events)
-        )
-    )
-
-
-def km_estimate(times, events) -> KMCurve:
-    """Product-limit survival estimate.
-
-    S(t) = prod_{t_j <= t} (1 - d_j / n_j) over distinct event times t_j,
-    with n_j counting every subject whose time is >= t_j (so subjects
-    censored exactly at t_j remain at risk there). The records are counted
-    as one arm by endpoint_counts.
-    """
-    times, events = _time_to_event(times, events, "km_estimate")
-    d, _, _, _, n, _ = endpoint_counts(times, events, np.full(times.shape, int(Arm.CONTROL)), int(times.max()))
-    return km_curve(d, n)
-
-
 def monthly_terms(observed, w, a, b, n1, n) -> tuple[np.ndarray, np.ndarray]:
     """(observed - w * p, a * p * (1 - p) * b / max(n - 1, 1)) for months 1..horizon.
 
@@ -210,19 +162,3 @@ def result_from_terms(ome: np.ndarray, v: np.ndarray) -> TestResult:
         observed_minus_expected=observed_minus_expected,
         variance=variance,
     )
-
-
-def logrank_test(times, events, arms) -> TestResult:
-    """Two-sample logrank test; z = (O1 - E1) / sqrt(V) with arm 1 = control.
-
-    z > 0 means the control arm accumulated more events than expected
-    under the null. The statistic is z**2 with a two-sided normal p-value.
-    Raises DegenerateTestError when there are no events or V = 0.
-    """
-    times, events = _time_to_event(times, events, "logrank_test")
-    arms = np.asarray(arms, dtype=np.int8)
-    if np.unique(arms).size < 2:
-        raise ValueError("logrank_test requires records from both arms")
-    if not events.any():
-        raise DegenerateTestError("no events in either arm")
-    return result_from_terms(*monthly_terms(*endpoint_counts(times, events, arms, int(times.max()))))

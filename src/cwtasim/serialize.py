@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .kaplan_meier import product_limit
 from .trajectories import DEATH, MAX_HORIZON, N_STATES, PD, SD, Arm, TransitionModel, Trial, json_object
 from .weighted import METHODS
 
@@ -441,25 +442,32 @@ def read_trajectories_csv(path) -> Trial:
     return Trial(states=states, censor=count - 1, arms=arms, dropped=dropouts >= 0)
 
 
-def write_km_curves_by_arm_csv(curves: dict, path) -> None:
-    """Both arms' KM curves in one file, an arm column ahead of the schema."""
-    rows = []
-    for arm in (Arm.CONTROL, Arm.EXPERIMENTAL):
-        for s in curves[arm].steps:
-            rows.append((arm.label, s.time, s.survival, s.at_risk, s.events))
-    _write_rows(path, ("arm", "time", "survival", "at_risk", "events"), rows)
+def write_km_curves_by_arm_csv(arms: dict, path) -> None:
+    """Both arms' KM curves in one file, an arm column ahead of the schema.
 
-
-def write_trajectory_curves_by_arm_csv(curves: dict, path, at_risk) -> None:
-    """Both arms' trajectory curves in one file, a row per arm and month.
-
-    curves[arm][m] is the arm's value in month m; at_risk[a][m] counts the
-    subjects of arm a at risk then.
+    arms[arm] is the arm's monthly (events, at risk), as weighted.arm_counts
+    gives them; a row is written at each month with events.
     """
     rows = []
     for arm in (Arm.CONTROL, Arm.EXPERIMENTAL):
-        for m, value in enumerate(curves[arm].tolist()):
-            rows.append((arm.label, m, value, at_risk[0][m], at_risk[1][m]))
+        events, at_risk = arms[arm]
+        survival = product_limit(events, at_risk)
+        for t in np.flatnonzero(events).tolist():
+            rows.append((arm.label, t, float(survival[t]), int(at_risk[t]), int(events[t])))
+    _write_rows(path, ("arm", "time", "survival", "at_risk", "events"), rows)
+
+
+def write_trajectory_curves_by_arm_csv(arms: dict, path) -> None:
+    """Both arms' trajectory curves in one file, a row per arm and month.
+
+    arms[arm] is the arm's monthly (weighted events, at risk), as
+    weighted.arm_counts gives them; the value is their product limit.
+    """
+    n1, n2 = (arms[arm][1] for arm in (Arm.CONTROL, Arm.EXPERIMENTAL))
+    rows = []
+    for arm in (Arm.CONTROL, Arm.EXPERIMENTAL):
+        for m, value in enumerate(product_limit(*arms[arm]).tolist()):
+            rows.append((arm.label, m, value, n1[m], n2[m]))
     _write_rows(path, ("arm", "month", "value", "at_risk_arm1", "at_risk_arm2"), rows)
 
 

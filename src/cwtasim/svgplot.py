@@ -9,7 +9,7 @@ spec always yields byte-identical SVG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor, inf, log10
+from math import floor, inf, isfinite, log10
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#17becf")
 
@@ -26,6 +26,8 @@ class CurveSpec:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError(f"curve '{self.label}' has no points")
+        if not all(isfinite(x) and isfinite(y) for x, y in self.points):
+            raise ValueError(f"curve '{self.label}' has a non-finite coordinate")
         xs = [p[0] for p in self.points]
         if any(b < a for a, b in zip(xs, xs[1:])):
             raise ValueError(f"curve '{self.label}' points must be sorted by x")
@@ -48,7 +50,7 @@ class PlotSpec:
         x0, x1 = min(xs), max(xs) if max(xs) > min(xs) else min(xs) + 1.0
         lo, hi = min(0.0, min(ys)), max(1.0, max(ys))
         y0, y1 = lo, hi + 0.02 * (hi - lo)
-        # x0 + 1.0 rounds to x0 at large |x0|, and a NaN point can make a range NaN
+        # x0 + 1.0 rounds to x0 at large |x0|, and the span of two finite values can overflow to inf
         if not (0.0 < x1 - x0 < inf and y1 - y0 < inf):
             raise ValueError("axis ranges must span a finite width above zero")
         object.__setattr__(self, "x_range", (x0, x1))

@@ -116,8 +116,9 @@ def count_tests(counts: dict[str, tuple]) -> dict[str, TestResult | None]:
     z > 0 means the control arm accumulated more events, or more net
     worsening, than expected under exchangeable arm labels. CWTA sums
     months 1..horizon; PFS and OS sum months 1..their last event or censor
-    time, as logrank_test does. The months between add zero terms, but
-    numpy's pairwise sum rounds differently with more terms.
+    time. The months between add zero terms, but numpy's pairwise sum
+    rounds differently with more terms, and tests.csv and the golden
+    digests hold the sums over the shorter span.
     """
     results: dict[str, TestResult | None] = {}
     for method in METHODS:

@@ -26,9 +26,7 @@ from cwtasim import (
     estimate_power,
     first_months,
     interpolate_sample_size,
-    km_estimate,
     load_profile,
-    logrank_test,
     run_replicates,
     simulate_trial,
     summarize_tte,
@@ -36,7 +34,7 @@ from cwtasim import (
 )
 from cwtasim.calibration import DEFAULT_TEMPLATE, CalibrationTarget
 from cwtasim.harness import ExperimentGrid, power_rows, tte_rows
-from cwtasim.kaplan_meier import endpoint_arrays, monthly_terms, result_from_terms
+from cwtasim.kaplan_meier import endpoint_arrays, endpoint_counts, monthly_terms, product_limit, result_from_terms
 from cwtasim.trajectories import (
     CR,
     DEATH,
@@ -65,12 +63,18 @@ def rec(items):
 
 
 def km(records):
-    times, events, _ = columns(records)
-    return km_estimate(times, events)
+    """(time, survival) at each event month, all records as one group, by the
+    route of count_tests: endpoint_counts, then product_limit."""
+    times, events, arms = columns(records)
+    _, d, _, _, _, n = endpoint_counts(times, events, arms, int(times.max()))
+    survival = product_limit(d, n)
+    return [(int(t), float(survival[t])) for t in np.flatnonzero(d)]
 
 
 def logrank(records):
-    return logrank_test(*columns(records))
+    """The logrank test by the route of count_tests: endpoint_counts, monthly_terms, result_from_terms."""
+    times, events, arms = columns(records)
+    return result_from_terms(*monthly_terms(*endpoint_counts(times, events, arms, int(times.max()))))
 
 
 # --------------------------------------------------------------- criterion 1
@@ -91,8 +95,7 @@ def test_criterion_1_estimator_oracles():
          [(1, 7 / 8), (2, 7 / 12), (4, 7 / 36)]),
     ]
     for records, expected in km_fixtures:
-        curve = km(records)
-        got = [(s.time, s.survival) for s in curve.steps]
+        got = km(records)
         assert len(got) == len(expected)
         for (t_got, s_got), (t_exp, s_exp) in zip(got, expected):
             assert t_got == t_exp

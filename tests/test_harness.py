@@ -14,6 +14,7 @@ from scipy import stats
 
 from cwtasim import (
     METHODS,
+    Arm,
     ExperimentGrid,
     ReplicateScans,
     Trial,
@@ -29,11 +30,19 @@ from cwtasim import (
 )
 from cwtasim import harness, trajectories
 from cwtasim.harness import plan_blocks, plan_grid_blocks, replicate_seed
-from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, endpoint_counts, logrank_test, monthly_terms
+from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, endpoint_counts, monthly_terms
 from cwtasim.trajectories import simulate_trials
 from cwtasim.weighted import count_tests, monthly_counts
 
-from oracles import run_replicates_one_by_one, scan_one_trial, welch_t_df
+from oracles import (
+    Record,
+    naive_endpoint,
+    naive_logrank_sums,
+    norm_two_sided_p,
+    run_replicates_one_by_one,
+    scan_one_trial,
+    welch_t_df,
+)
 
 TOL = 1e-12
 
@@ -98,9 +107,18 @@ def test_scan_trial_final_p_matches_direct_tests():
     direct = count_tests(monthly_counts(trial))
     for method in METHODS:
         assert final_p[METHODS.index(method)] == pytest.approx(direct[method].p_value, abs=TOL)
-    for kind in Endpoint:  # analyze's KM tests are the column entry point's, bit for bit
-        times, events = endpoint_arrays(trial.states, trial.censor, kind)
-        assert direct[kind.name] == logrank_test(times, events, trial.arms)
+    for kind in Endpoint:  # analyze's KM tests against per-event-time logrank sums
+        records = []
+        for states, last, arm in zip(trial.states, trial.censor, trial.arms):
+            time, event = naive_endpoint(states[: last + 1].tolist(), kind)
+            records.append(Record(time=time, event=event, arm=Arm(arm)))
+        o_minus_e, variance = naive_logrank_sums(records)
+        z = o_minus_e / np.sqrt(variance)
+        result = direct[kind.name]
+        assert result.observed_minus_expected == pytest.approx(o_minus_e, abs=TOL)
+        assert result.variance == pytest.approx(variance, abs=TOL)
+        assert result.z == pytest.approx(z, abs=TOL)
+        assert result.p_value == pytest.approx(norm_two_sided_p(z), abs=TOL)
     # first significant month: 0 (never) or a month of the horizon
     for first in first_month:
         assert first == 0 or 1 <= first <= MODEL.horizon_months

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cwtasim import (
-    Arm,
     ConfigError,
     TransitionModel,
     Trial,
@@ -30,7 +29,7 @@ from cwtasim import (
 from cwtasim import serialize
 from cwtasim.cli import run_cli
 from cwtasim.config import DEFAULT_HAZARD_RATIOS, DEFAULT_POWER_SIZES, DEFAULT_TTE_SIZES
-from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, km_estimate, logrank_test, product_limit
+from cwtasim.kaplan_meier import product_limit
 from cwtasim.serialize import (
     read_curves_csv,
     write_km_curves_by_arm_csv,
@@ -648,35 +647,24 @@ def test_word_gather_reads_each_field_to_the_buffer_end(lines):
 # -------------------------------------------------------------- curve CSVs
 
 
-def endpoints(trial, kind):
-    return endpoint_arrays(trial.states, trial.censor, kind)
-
-
 def test_km_curve_csv_and_read_back(tmp_path):
     trial = simulate_trial(MODEL, 0.5, 40, 4)
-    times, events = endpoints(trial, Endpoint.PFS)
-    curves = {
-        arm: km_estimate(times[trial.arms == arm], events[trial.arms == arm])
-        for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)
-    }
+    arms = arm_counts(monthly_counts(trial)["PFS"])
     path = tmp_path / "curve.csv"
-    write_km_curves_by_arm_csv(curves, path)
+    write_km_curves_by_arm_csv(arms, path)
     read = read_curves_csv(path)
     assert [label for label, _ in read] == ["control", "experimental"]
-    for (_, points), curve in zip(read, curves.values()):
+    for (_, points), (events, at_risk) in zip(read, arms.values()):
         assert points[0] == (0.0, 1.0)  # anchor
-        assert len(points) == len(curve.steps) + 1
+        assert [t for t, _ in points[1:]] == np.flatnonzero(events).tolist()  # a step at each event month
+        survival = product_limit(events, at_risk)
+        assert [s for _, s in points[1:]] == survival[events > 0].tolist()
 
 
 def test_km_curves_by_arm_csv(tmp_path):
     trial = simulate_trial(MODEL, 0.5, 40, 4)
-    times, events = endpoints(trial, Endpoint.OS)
-    curves = {
-        arm: km_estimate(times[trial.arms == arm], events[trial.arms == arm])
-        for arm in (Arm.CONTROL, Arm.EXPERIMENTAL)
-    }
     path = tmp_path / "by_arm.csv"
-    write_km_curves_by_arm_csv(curves, path)
+    write_km_curves_by_arm_csv(arm_counts(monthly_counts(trial)["OS"]), path)
     out = dict(read_curves_csv(path))
     assert set(out) == {"control", "experimental"}
 
@@ -684,12 +672,12 @@ def test_km_curves_by_arm_csv(tmp_path):
 def test_trajectory_curve_csv(tmp_path):
     trial = simulate_trial(MODEL, 0.5, 40, 4)
     arms = arm_counts(monthly_counts(trial)["CWTA"])
-    curves = {arm: product_limit(*arms[arm]) for arm in arms}
     path = tmp_path / "cwta.csv"
-    write_trajectory_curves_by_arm_csv(curves, path, [n for _, n in arms.values()])
+    write_trajectory_curves_by_arm_csv(arms, path)
     read = read_curves_csv(path)
     assert [label for label, _ in read] == ["control", "experimental"]
-    for (_, points), curve in zip(read, curves.values()):
+    for (_, points), counts in zip(read, arms.values()):
+        curve = product_limit(*counts)
         assert len(points) == len(curve) == trial.horizon + 1
         assert points[0] == (0.0, 1.0)  # month-0 value is 1, no synthetic anchor
         values = [v for _, v in points]
@@ -725,11 +713,7 @@ def test_read_curves_csv_errors(tmp_path):
 
 def test_tests_csv_blank_for_degenerate(tmp_path):
     trial = simulate_trial(MODEL, 0.5, 60, 4)
-    results = {
-        "CWTA": count_tests(monthly_counts(trial))["CWTA"],
-        "PFS": logrank_test(*endpoints(trial, Endpoint.PFS), trial.arms),
-        "OS": None,  # degenerate -> blank numeric fields
-    }
+    results = {**count_tests(monthly_counts(trial)), "OS": None}  # degenerate -> blank numeric fields
     path = tmp_path / "tests.csv"
     write_tests_csv(results, path)
     lines = path.read_text().splitlines()

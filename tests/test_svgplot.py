@@ -92,8 +92,10 @@ def test_validation_errors():
         PlotSpec(curves=())
     with pytest.raises(ValueError, match="finite width"):
         PlotSpec(curves=(CurveSpec(label="c", points=((-1e308, 0.5), (1e308, 0.4))),))
-    with pytest.raises(ValueError, match="finite width"):  # a NaN x makes the x-range NaN
-        PlotSpec(curves=(CurveSpec(label="c", points=((nan, 0.5), (1.0, 0.4))),))
+    # min and max skip a NaN that is not first, so the curve itself must refuse one
+    for points in (((nan, 0.5), (1.0, 0.4)), ((0.0, 0.5), (1.0, nan)), ((0.0, 0.5), (nan, 0.2)), ((0.0, inf),)):
+        with pytest.raises(ValueError, match="curve 'c' has a non-finite coordinate"):
+            CurveSpec(label="c", points=points)
     with pytest.raises(ValueError, match="finite width above zero"):  # 1e16 + 1.0 rounds to 1e16
         PlotSpec(curves=(CurveSpec(label="c", points=((1e16, 0.5),)),))
 
