@@ -26,7 +26,6 @@ from enum import IntEnum
 from math import sqrt
 
 import numpy as np
-from scipy.special import ndtr
 
 from .trajectories import DEATH, PD, Arm
 
@@ -139,10 +138,22 @@ def endpoint_counts(
     return d1, d, d, n - d, n1, n
 
 
+def scipy_special():
+    """scipy.special, imported on first use: the one import of scipy in the package.
+
+    Importing it loads about 300 modules, so calibrate, simulate and plot,
+    which compute no p-value, never import it. A grid calls this before its
+    first block, so a pool's forked workers inherit the module.
+    """
+    import scipy.special
+
+    return scipy.special
+
+
 def two_sided_p(z):
     """Two-sided normal p-value 2 * Phi(-|z|); scipy's norm.sf(x) is ndtr(-x), so
     this equals 2 * norm.sf(|z|) bit for bit without its per-call overhead."""
-    return 2.0 * ndtr(-np.abs(z))
+    return 2.0 * scipy_special().ndtr(-np.abs(z))
 
 
 def result_from_terms(ome: np.ndarray, v: np.ndarray) -> TestResult:

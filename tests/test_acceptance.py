@@ -53,6 +53,7 @@ from oracles import (
     exact_logrank_permutation_p,
     naive_km,
     naive_logrank_sums,
+    norm_two_sided_p,
 )
 
 MASTER_SEED = 0  # package default; all Monte Carlo criteria run on it
@@ -170,7 +171,11 @@ def records_as_unit_weight_sums(records):
 
 
 def test_criterion_2_unit_weight_reduction():
-    """100 random datasets: weighted test with unit weights == logrank to 1e-12."""
+    """100 random datasets: weighted test with unit weights == logrank to 1e-12.
+
+    The logrank side is the per-event-time oracle, not the package's own
+    logrank route, which runs through the same monthly_terms kernel.
+    """
     rng = np.random.default_rng(2024)
     done = 0
     while done < 100:
@@ -185,14 +190,14 @@ def test_criterion_2_unit_weight_reduction():
         ]
         if sum(r.event for r in records) == 0:
             continue
-        try:
-            km_result = logrank(records)
-        except Exception:
+        observed_minus_expected, variance = naive_logrank_sums(records)
+        if variance <= 0.0:
             continue
+        z = observed_minus_expected / np.sqrt(variance)
         w_result = result_from_terms(*monthly_terms(*records_as_unit_weight_sums(records).counts()))
-        assert abs(w_result.statistic - km_result.statistic) <= 1e-12
-        assert abs(w_result.z - km_result.z) <= 1e-12
-        assert abs(w_result.p_value - km_result.p_value) <= 1e-12
+        assert abs(w_result.statistic - z * z) <= 1e-12
+        assert abs(w_result.z - z) <= 1e-12
+        assert abs(w_result.p_value - norm_two_sided_p(z)) <= 1e-12
         done += 1
     print("\ncriterion 2: 100/100 unit-weight datasets reduce exactly to logrank (1e-12)")
 

@@ -520,16 +520,38 @@ def test_malformed_profile_exits_2_naming_the_file(tmp_path, capsys, content):
     assert not out.exists()
 
 
-def test_import_loads_no_scipy_stats():
-    """The package needs only scipy.special; scipy.stats would add about 430 modules to every start."""
+def test_import_loads_no_scipy_stats(tmp_path):
+    """Only a p-value needs scipy (scipy.special, about 300 modules): the
+    import and the commands that compute none load no scipy module at all,
+    and a pooled grid loads scipy.special before its pool forks, so its
+    workers inherit it rather than each importing it again."""
+    (tmp_path / "curve.csv").write_text("arm,time,survival\ncontrol,1,0.5\ncontrol,2,0.25\n")
     code = (
-        "import sys, cwtasim, cwtasim.cli; "
-        "print(sorted(k for k in sys.modules if k == 'scipy.stats' or k.startswith('scipy.stats.')))"
+        "import sys, cwtasim, cwtasim.cli\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from cwtasim import ExperimentGrid, harness, load_profile\n"
+        "def scipy_modules(): return sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.'))\n"
+        "print('import', scipy_modules())\n"
+        "for argv in (\n"
+        "    ['calibrate', '--cr', '0.05', '--pr', '0.30', '--subjects', '2000', '--out', 'profile.json'],\n"
+        "    ['simulate', '--sample-size', '20', '--hr', '0.7', '--out', 'trial.csv'],\n"
+        "    ['plot', 'curve.csv', '--out', 'plot.svg'],\n"
+        "):\n"
+        "    assert cwtasim.cli.run_cli(argv) == 0, argv\n"
+        "    print(argv[0], scipy_modules())\n"
+        "class SpyPool(ThreadPoolExecutor):\n"
+        "    def __init__(self, max_workers):\n"
+        "        print('pool', 'scipy.special' in sys.modules)\n"
+        "        super().__init__(max_workers=max_workers)\n"
+        "harness.ProcessPoolExecutor = SpyPool\n"
+        "grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=(20,), replicates=4)\n"
+        "print('points', len(list(harness.run_grid(grid, load_profile('moderate'), workers=2))))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    lines = [line for line in out.stdout.splitlines() if not line.startswith(("wrote ", "fresh-seed check: "))]
+    assert lines == ["import []", "calibrate []", "simulate []", "plot []", "pool True", "points 1"]
 
 
 def test_text_is_utf8_whatever_the_locale(tmp_path):

@@ -3,9 +3,11 @@
 The SHA-256 digests below are those of files written by the package before
 the statistics kernel and the CWTA event path were unified; the digests of
 the trial whose endpoints end before the horizon were recorded before the
-three methods shared one monthly-counts pass. A refactor that
-changes any byte of a simulated trial, of analyze's tests and curves, or of
-a grid's power and time-to-signal tables fails here. When an output changes
+three methods shared one monthly-counts pass; the calibration digests were
+recorded before scipy.special became an on-first-use import. A refactor
+that changes any byte of a simulated trial, of analyze's tests and curves,
+of a grid's power and time-to-signal tables, or of a calibrated profile and
+its fresh-seed check fails here. When an output changes
 on purpose, the digests are re-recorded in the same change and the reason
 is given in CHANGES.md.
 """
@@ -68,6 +70,11 @@ GRID_DIGESTS = {
     "tte.csv": "535cf000ba1b374f49f8341ff48af6305f7397d03c0b7b7b438cfb4ec401a6a5",
 }
 
+CALIBRATE_DIGESTS = {
+    "profile.json": "4c8993894b7e5706d1c72983531ec320214b74e32ed174fd8f75afee9aeef5f2",
+    "fresh-seed line": "fb4c0c030c7c565f3f6680d0493fdb495a5923446684a0bf6d88481ff2fffad3",
+}
+
 
 def _digests(directory, names) -> dict[str, str]:
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
@@ -109,3 +116,16 @@ def test_grid_outputs_are_byte_identical(tmp_path):
     assert run_cli(["power", "--config", str(config)]) == 0
     assert run_cli(["tte", "--config", str(config)]) == 0
     assert _digests(tmp_path, GRID_DIGESTS) == GRID_DIGESTS
+
+
+def test_calibrate_profile_and_fresh_seed_line_are_byte_identical(tmp_path, capsys):
+    profile = tmp_path / "profile.json"
+    assert run_cli([
+        "calibrate", "--cr", "0.05", "--pr", "0.30", "--subjects", "20000", "--out", str(profile),
+    ]) == 0
+    wrote, line = capsys.readouterr().out.splitlines()
+    assert wrote == f"wrote {profile}"
+    assert {
+        "profile.json": hashlib.sha256(profile.read_bytes()).hexdigest(),
+        "fresh-seed line": hashlib.sha256(line.encode()).hexdigest(),
+    } == CALIBRATE_DIGESTS
