@@ -132,10 +132,10 @@ def _scan(ome: np.ndarray, v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.
 
 
 def scan_trial(trial: Trial, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Monthly significance scans of a trial, or a block of trials, for all three methods.
+    """Monthly significance scans of a block of trials for all three methods.
 
-    Returns (final_p, first_month) with a last axis in METHODS order:
-    (3,) arrays for one trial, (trials, 3) for a block. Every method sums
+    Returns (final_p, first_month), each (trials, 3) with its last axis in
+    METHODS order; a single trial is a block of one. Every method sums
     months 1..horizon of the one monthly_counts pass.
     """
     counts = monthly_counts(trial)

@@ -4,9 +4,9 @@ and the statistics kernel that the weighted test shares.
 Endpoints are derived from a trial's padded state matrix: PFS is the first
 month at PD or worse, OS the first month at death; otherwise the subject
 is censored at its last observed month. endpoint_arrays gives these
-columns (times, events); endpoint_counts counts them by month and arm,
-for one trial or for a block of trials' rows, keyed by each row's trial
-index, every trial in the same bincount.
+columns (times, events); endpoint_counts counts them by month and arm
+over a block of trials' rows, keyed by each row's trial index, every
+trial in the same bincount. A single trial is a block of one.
 Ties follow the standard convention that a subject censored at t is
 still at risk for events at t.
 
@@ -14,9 +14,9 @@ endpoint_counts turns an endpoint's columns into monthly counts: the
 arguments of monthly_terms, the one kernel that gives every month's
 (O - E, V) for all three methods, and result_from_terms turns those terms
 into a TestResult. weighted.monthly_counts builds the counts of all three
-methods from one trial. product_limit, prod (1 - d_j / n_j), is both the
-Kaplan-Meier survival curve and the CWTA trajectory curve, over one arm's
-unit or weighted events.
+methods from a block of trials. product_limit, prod (1 - d_j / n_j), is
+both the Kaplan-Meier survival curve and the CWTA trajectory curve, over
+one arm's unit or weighted events.
 """
 
 from __future__ import annotations
@@ -64,32 +64,22 @@ def endpoint_arrays(states: np.ndarray, censor: np.ndarray, threshold: int):
     return times.astype(np.int64), has_event
 
 
-def month_counts(
-    months: np.ndarray, horizon: int, where: np.ndarray | None = None, trial: np.ndarray | None = None
-) -> np.ndarray:
-    """counts[m] = number of entries equal to m (and where true), for m = 0..horizon.
+def month_counts(months: np.ndarray, horizon: int, where: np.ndarray, trial: np.ndarray) -> np.ndarray:
+    """counts[k, m] = number of entries of trial k equal to m where true, for m = 0..horizon.
 
-    trial, when given, is each entry's trial index in a block of trials, in
-    nondecreasing order from 0; counts is then (trials, horizon + 1), all
-    trials counted with one bincount, trial k offset by k * (horizon + 1)
-    slots.
+    trial is each entry's trial index in a block of trials, in nondecreasing
+    order from 0. All trials are counted with one bincount, trial k offset
+    by k * (horizon + 1) slots; counts is (trials, horizon + 1).
     """
     width = horizon + 1
-    if trial is None:
-        slots, trials = months, 1
-    else:
-        slots, trials = months + width * trial, int(trial[-1]) + 1
-    if where is not None:
-        slots = slots[where]
-    counts = np.bincount(slots, minlength=trials * width)
-    return counts if trial is None else counts.reshape(trials, width)
+    trials = int(trial[-1]) + 1
+    counts = np.bincount((months + width * trial)[where], minlength=trials * width)
+    return counts.reshape(trials, width)
 
 
-def at_risk_counts(
-    last_month: np.ndarray, horizon: int, where: np.ndarray | None = None, trial: np.ndarray | None = None
-) -> np.ndarray:
-    """counts[m] = number of entries with last_month >= m, for m = 0..horizon (per trial, as month_counts)."""
-    return np.cumsum(month_counts(last_month, horizon, where, trial)[..., ::-1], axis=-1)[..., ::-1]
+def at_risk_counts(last_month: np.ndarray, horizon: int, where: np.ndarray, trial: np.ndarray) -> np.ndarray:
+    """counts[k, m] = number of entries of trial k with last_month >= m where true, for m = 0..horizon."""
+    return np.cumsum(month_counts(last_month, horizon, where, trial)[:, ::-1], axis=-1)[:, ::-1]
 
 
 def product_limit(w_sum: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -117,7 +107,7 @@ def monthly_terms(observed, w, a, b, n1, n) -> tuple[np.ndarray, np.ndarray]:
 
 
 def endpoint_counts(
-    times: np.ndarray, events: np.ndarray, arms: np.ndarray, horizon: int, trial: np.ndarray | None = None
+    times: np.ndarray, events: np.ndarray, arms: np.ndarray, horizon: int, trial: np.ndarray
 ) -> tuple:
     """monthly_terms' arguments (d1, d, d, n - d, n1, n) of one endpoint, months 0..horizon.
 
@@ -127,8 +117,8 @@ def endpoint_counts(
 
         V_m = d_m * p_m * (1 - p_m) * (n_m - d_m) / (n_m - 1),
 
-    p_m = n1_m / n_m. With trial, each row's trial index in a block (see
-    month_counts), the counts are (trials, horizon + 1).
+    p_m = n1_m / n_m. trial is each row's trial index in a block (see
+    month_counts); the counts are (trials, horizon + 1).
     """
     control = arms == int(Arm.CONTROL)
     n1 = at_risk_counts(times, horizon, control, trial)

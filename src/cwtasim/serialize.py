@@ -33,8 +33,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))

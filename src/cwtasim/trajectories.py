@@ -36,12 +36,12 @@ instead of exhausting memory.
 A trial has one form from simulation to every statistic: Trial, the
 padded (n, horizon + 1) state matrix with each subject's censor month,
 arm and dropout flag. There are no per-subject objects; the CSV reader
-scatters its rows straight into the same form. A block of trials has the
-same flat form, its trials' subject rows one after another, and starts
-holds each trial's first row: the trial boundaries that the monthly
-counts are keyed by. simulate_trials, the one simulator, simulates a
-block whose trials may differ in hazard ratio and sample size;
-simulate_trial is its call for one trial.
+scatters its rows straight into the same form. Every Trial is a block of
+trials, its trials' subject rows one after another, and starts holds
+each trial's first row: the trial boundaries that the monthly counts are
+keyed by. A single trial is a block of one, starts [0]. simulate_trials,
+the one simulator, simulates a block whose trials may differ in hazard
+ratio and sample size; simulate_trial is its call for one trial.
 
 _simulate_state_matrix is the one month-step kernel, for trials and for
 calibration alike. It evolves every row of a block in one pass, each row
@@ -54,7 +54,7 @@ the gather's mode="clip" never clips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from math import expm1, log1p
 from typing import Sequence
@@ -239,15 +239,16 @@ class Trial:
     at the horizon month apart from one observed to the end.
 
     A block of trials has the same form over all of its trials' rows,
-    which follow each other trial by trial; starts then holds each trial's
-    first row, in increasing order. starts is None for a single trial.
+    which follow each other trial by trial; starts holds each trial's
+    first row, in increasing order. A single trial is a block of one:
+    starts defaults to [0].
     """
 
     states: np.ndarray
     censor: np.ndarray
     arms: np.ndarray
     dropped: np.ndarray
-    starts: np.ndarray | None = None
+    starts: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
 
     @property
     def horizon(self) -> int:
@@ -400,10 +401,9 @@ def simulate_trial(
     improvement_hr: float | None = None,
 ) -> Trial:
     """Simulate one 1:1 two-arm trial, subjects 0..n/2-1 in control:
-    simulate_trials for one seed, with starts None.
+    simulate_trials' block of one seed.
 
     Bit-reproducible: subject i draws from the stream mix64(seed, i), so the
     same arguments always yield the same trajectories.
     """
-    trial = simulate_trials(control_model, ((hazard_ratio, sample_size, seed),), improvement_hr)
-    return replace(trial, starts=None)
+    return simulate_trials(control_model, ((hazard_ratio, sample_size, seed),), improvement_hr)

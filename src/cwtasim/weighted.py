@@ -24,12 +24,12 @@ with one degree of freedom (equivalently, two-sided normal on z).
 
 One route leads from a Trial to the statistics of all three methods:
 monthly_counts reads the state matrix once into each method's monthly
-counts, the arguments of monthly_terms, for one trial or for every trial
-of a block, whose rows it sums between the trial boundaries (Trial.starts)
-into one row of counts per trial. KM-PFS and KM-OS are unit-weight
-counts of one endpoint (kaplan_meier.endpoint_counts); CWTA's risk set
-is OS's, as a subject leaves both at death or censoring. The grid scans,
-count_tests and every per-arm curve (arm_counts and
+counts, the arguments of monthly_terms, for every trial of a block (a
+single trial is a block of one), whose rows it sums between the trial
+boundaries (Trial.starts) into one row of counts per trial. KM-PFS and
+KM-OS are unit-weight counts of one endpoint (kaplan_meier.endpoint_counts);
+CWTA's risk set is OS's, as a subject leaves both at death or censoring.
+The grid scans, count_tests and every per-arm curve (arm_counts and
 kaplan_meier.product_limit) read those counts; the trajectory curve
 prod (1 - W_j / n_j) is the Kaplan-Meier product limit with weighted
 events in place of unit ones.
@@ -63,11 +63,6 @@ def weighted_counts(o1, w_sum, q_sum, n1, n) -> tuple:
     return o1, w_sum, 1.0, n * q_sum - w_sum**2, n1, n
 
 
-def _per_trial(rows: np.ndarray, starts: np.ndarray | None) -> np.ndarray:
-    """Integer column sums of each trial's rows; of all rows when starts is None."""
-    return rows.sum(axis=0) if starts is None else np.add.reduceat(rows, starts, axis=0, dtype=np.int64)
-
-
 def monthly_counts(trial: Trial) -> dict[str, tuple]:
     """Each method's monthly_terms arguments over months 0..horizon, keyed by METHODS.
 
@@ -77,20 +72,19 @@ def monthly_counts(trial: Trial) -> dict[str, tuple]:
     moves per month and dividing by 4 (and their squares by 16) is exact,
     whatever the order of the events. A subject stays at risk for
     OS and CWTA through its death or censor month, the OS time, and for
-    PFS through its PFS time. A block of trials (trial.starts set) gives
-    counts of shape (trials, horizon + 1), all trials in one pass: moves
-    are summed between the trial boundaries and the endpoint counts are
-    keyed by each row's trial index.
+    PFS through its PFS time. Counts have shape (trials, horizon + 1), all
+    trials of the block in one pass: moves are summed between the trial
+    boundaries and the endpoint counts are keyed by each row's trial index.
     """
     states, horizon, starts = trial.states, trial.horizon, trial.starts
     moves = np.zeros(states.shape[::-1], dtype=np.int8).T  # moves[:, m]: the level change into month m, month-major
     np.subtract(states[:, 1:], states[:, :-1], out=moves[:, 1:])
     moves[:, 1:] *= states[:, 1:] >= 0
     control = (trial.arms == int(Arm.CONTROL)).astype(np.int8)
-    w_sum = _per_trial(moves, starts) / MAX_STATE
-    q_sum = _per_trial(moves * moves, starts) / MAX_STATE**2
-    o1 = _per_trial(moves * control[:, None], starts) / MAX_STATE
-    row_trial = None if starts is None else np.repeat(np.arange(len(starts)), np.diff(starts, append=len(states)))
+    w_sum = np.add.reduceat(moves, starts, dtype=np.int64) / MAX_STATE  # integer sums of each trial's rows
+    q_sum = np.add.reduceat(moves * moves, starts, dtype=np.int64) / MAX_STATE**2
+    o1 = np.add.reduceat(moves * control[:, None], starts, dtype=np.int64) / MAX_STATE
+    row_trial = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(states)))
     pfs, os_ = (
         endpoint_counts(*endpoint_arrays(states, trial.censor, kind), trial.arms, horizon, row_trial)
         for kind in Endpoint
@@ -100,18 +94,20 @@ def monthly_counts(trial: Trial) -> dict[str, tuple]:
 
 
 def arm_counts(counts: tuple) -> dict[Arm, tuple[np.ndarray, np.ndarray]]:
-    """(events, at risk) by month of each arm, from one method's counts.
+    """(events, at risk) by month of each arm, from one method's counts of one trial.
 
     The experimental arm's events are all events less the control arm's:
-    exact, as every weight is a multiple of 1/4.
+    exact, as every weight is a multiple of 1/4. The counts of a block of
+    several trials do not unpack: ValueError.
     """
-    observed, w, _, _, n1, n = counts
+    (observed,), (w,), _, _, (n1,), (n,) = counts
     return {Arm.CONTROL: (observed, n1), Arm.EXPERIMENTAL: (w - observed, n - n1)}
 
 
 def count_tests(counts: dict[str, tuple]) -> dict[str, TestResult | None]:
     """Each method's test over one trial's monthly_counts; None where it is
-    degenerate (zero variance: no events, or only one-sided risk sets).
+    degenerate (zero variance: no events, or only one-sided risk sets). The
+    counts of a block of several trials do not unpack: ValueError.
 
     z > 0 means the control arm accumulated more events, or more net
     worsening, than expected under exchangeable arm labels. CWTA sums
@@ -122,7 +118,7 @@ def count_tests(counts: dict[str, tuple]) -> dict[str, TestResult | None]:
     """
     results: dict[str, TestResult | None] = {}
     for method in METHODS:
-        ome, v = monthly_terms(*counts[method])
+        (ome,), (v,) = monthly_terms(*counts[method])
         if method != "CWTA":
             last = int(np.flatnonzero(counts[method][-1])[-1])
             ome, v = ome[:last], v[:last]

@@ -9,10 +9,12 @@ replicate oracle is the exception to "no shared code": it is the package's
 former one-replicate-at-a-time path -- simulate_trial, then a per-trial
 scan through the per-event extraction and per-endpoint logrank terms with
 scipy's norm.sf -- kept as the reference that the replicate-batched engine
-must reproduce bit for bit. extract_weighted_events is that former
-extraction: one WeightedEvent per observed move, which event_sums_from
-validates and sums into EventSums, whose counts() are the CWTA counts that
-the package's monthly_counts computes from the state matrix directly.
+must reproduce bit for bit; it shares the kernel monthly_terms, but counts
+its own risk sets and events month by month. extract_weighted_events is
+that former extraction: one WeightedEvent per observed move, which
+event_sums_from validates and sums into EventSums, whose counts() are the
+CWTA counts that the package's monthly_counts computes from the state
+matrix directly, for one trial without the leading trial axis.
 read_trajectories_rowwise is the former row-by-row CSV reader (one dict
 per row, per-subject checks in a loop), the reference for the columnar
 read_trajectories_csv; trial_state_matrix packs per-subject rows the way
@@ -46,7 +48,7 @@ from cwtasim import (
     endpoint_arrays,
     simulate_trial,
 )
-from cwtasim.kaplan_meier import at_risk_counts, month_counts, monthly_terms
+from cwtasim.kaplan_meier import monthly_terms
 from cwtasim.seeds import float_bits, mix64
 from cwtasim.weighted import weighted_counts
 
@@ -356,12 +358,14 @@ def scan_from_terms(ome: np.ndarray, v: np.ndarray, alpha: float) -> MethodScan:
 
 def logrank_terms(times, events, arms, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """The former per-endpoint logrank terms of months 1..horizon: monthly_terms
-    of (d1, d, d, n - d, n1, n), each risk set counted on its own."""
+    of (d1, d, d, n - d, n1, n), each risk set and event count taken month by
+    month with plain comparisons."""
     is_control = arms == int(Arm.CONTROL)
-    n = at_risk_counts(times, horizon)
-    n1 = at_risk_counts(times[is_control], horizon)
-    d = month_counts(times, horizon, events)
-    d1 = month_counts(times, horizon, events & is_control)
+    months = range(horizon + 1)
+    n = np.array([np.count_nonzero(times >= m) for m in months])
+    n1 = np.array([np.count_nonzero(is_control & (times >= m)) for m in months])
+    d = np.array([np.count_nonzero(events & (times == m)) for m in months])
+    d1 = np.array([np.count_nonzero(events & is_control & (times == m)) for m in months])
     return monthly_terms(d1, d, d, n - d, n1, n)
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -55,7 +56,7 @@ def test_simulate_then_analyze_round_trip(tmp_path, fast_profile, capsys):
         "--hr", "0.5", "--seed", "3", "--out", trial_csv,
     ]) == 0
     trial = read_trajectories_csv(trial_csv)
-    assert len(trial.arms) == 40
+    assert len(trial.arms) == 40 and trial.starts.tolist() == [0]
 
     out_dir = tmp_path / "analysis"
     assert run_cli(["analyze", "--trial", trial_csv, "--out-dir", str(out_dir)]) == 0
@@ -71,6 +72,24 @@ def test_simulate_then_analyze_round_trip(tmp_path, fast_profile, capsys):
         "--out", str(svg_path), "--title", "demo",
     ]) == 0
     assert svg_path.read_text().startswith("<svg ")
+
+
+def test_analyze_reports_a_degenerate_method(tmp_path, capsys):
+    """No subject dies when PD never worsens: OS has no events, so analyze
+    prints it as degenerate, leaves its tests.csv fields blank and exits 0."""
+    profile = tmp_path / "no_death.json"
+    save_profile(replace(FAST, worsen_prob=(0.03, 0.1, 0.06, 0.0, 0.0)), profile)
+    trial_csv = str(tmp_path / "trial.csv")
+    assert run_cli([
+        "simulate", "--profile", str(profile), "--sample-size", "40",
+        "--hr", "0.5", "--seed", "3", "--out", trial_csv,
+    ]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "analysis"
+    assert run_cli(["analyze", "--trial", trial_csv, "--out-dir", str(out_dir)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if "degenerate" in line] == ["OS: degenerate (no usable events)"]
+    assert "OS,,,,," in (out_dir / "tests.csv").read_text().splitlines()
 
 
 def test_simulate_is_deterministic(tmp_path, fast_profile):
@@ -321,6 +340,14 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
     assert run_cli(["plot", str(curve), "--out", str(tmp_path / "never.svg")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {curve}: line 2: "), err
+
+    # a curve file that is not UTF-8: plot names the file and a line, and the decode error
+    latin = tmp_path / "latin1_curve.csv"
+    latin.write_bytes("arm,time,survival,at_risk,events\ncontrôl,1,1.0,4,0\n".encode("latin-1"))
+    assert run_cli(["plot", str(latin), "--out", str(tmp_path / "never.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert re.match(rf"error: {re.escape(str(latin))}: line \d+: 'utf-8' codec can't decode byte 0xf4", err), err
 
     # a subject with more rows than months 0..1200: named before the state matrix is allocated
     many = tmp_path / "many_rows.csv"

@@ -80,9 +80,9 @@ def test_scan_prefix_sums_equal_truncated_recomputation():
     """
     trial = small_trial()
     horizon = MODEL.horizon_months
-    ome, v = monthly_terms(*monthly_counts(trial)["CWTA"])
+    (ome,), (v,) = monthly_terms(*monthly_counts(trial)["CWTA"])
     for month in (1, 3, 7, 12, 24):
-        t_ome, t_v = monthly_terms(*monthly_counts(truncate(trial, month))["CWTA"])
+        (t_ome,), (t_v,) = monthly_terms(*monthly_counts(truncate(trial, month))["CWTA"])
         assert float(t_ome.sum()) == pytest.approx(float(ome[:month].sum()), abs=TOL)
         assert float(t_v.sum()) == pytest.approx(float(v[:month].sum()), abs=TOL)
 
@@ -91,18 +91,20 @@ def test_scan_logrank_prefix_sums_equal_truncated_recomputation():
     trial = small_trial(seed=5)
     horizon = MODEL.horizon_months
     times, events = endpoint_arrays(trial.states, trial.censor, 3)
-    ome, v = monthly_terms(*endpoint_counts(times, events, trial.arms, horizon))
+    (ome,), (v,) = monthly_terms(*endpoint_counts(times, events, trial.arms, horizon, np.zeros_like(times)))
     for month in (2, 5, 9, 16, 24):
         truncated = truncate(trial, month)
         t_times, t_events = endpoint_arrays(truncated.states, truncated.censor, 3)
-        t_ome, t_v = monthly_terms(*endpoint_counts(t_times, t_events, truncated.arms, month))
+        (t_ome,), (t_v,) = monthly_terms(
+            *endpoint_counts(t_times, t_events, truncated.arms, month, np.zeros_like(t_times))
+        )
         assert float(t_ome.sum()) == pytest.approx(float(ome[:month].sum()), abs=TOL)
         assert float(t_v.sum()) == pytest.approx(float(v[:month].sum()), abs=TOL)
 
 
 def test_scan_trial_final_p_matches_direct_tests():
     trial = small_trial(seed=21)
-    final_p, first_month = scan_trial(trial, alpha=0.05)
+    (final_p,), (first_month,) = scan_trial(trial, alpha=0.05)
     assert final_p.shape == first_month.shape == (len(METHODS),)
     direct = count_tests(monthly_counts(trial))
     for method in METHODS:
@@ -127,8 +129,8 @@ def test_scan_trial_final_p_matches_direct_tests():
 def test_scan_first_month_is_earliest_significant():
     trial = small_trial(seed=33, ss=120, hr=0.4)
     alpha = 0.05
-    _, first_month = scan_trial(trial, alpha)
-    ome, v = monthly_terms(*monthly_counts(trial)["CWTA"])
+    _, (first_month,) = scan_trial(trial, alpha)
+    (ome,), (v,) = monthly_terms(*monthly_counts(trial)["CWTA"])
     cum_o, cum_v = np.cumsum(ome), np.cumsum(v)
     sig_months = [
         m + 1
@@ -147,7 +149,7 @@ def test_scan_of_a_block_is_the_scan_of_each_trial():
     assert final_p.shape == first_month.shape == (3, len(METHODS))
     for r, seed in enumerate(seeds):
         one = small_trial(seed=int(seed), ss=30)
-        p_one, first_one = scan_trial(one, 0.05)
+        (p_one,), (first_one,) = scan_trial(one, 0.05)
         assert np.array_equal(final_p[r], p_one, equal_nan=True)
         assert np.array_equal(first_month[r], first_one)
         oracle = scan_one_trial(one, 0.05)

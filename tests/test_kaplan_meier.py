@@ -44,7 +44,7 @@ def km(records):
     """(time, survival, at_risk, events) at each event month, all records as one group,
     by the route of count_tests: endpoint_counts, then product_limit."""
     times, events, arms = columns(records)
-    _, d, _, _, _, n = endpoint_counts(times, events, arms, int(times.max()))
+    _, (d,), _, _, _, (n,) = endpoint_counts(times, events, arms, int(times.max()), np.zeros_like(times))
     survival = product_limit(d, n)
     return [(int(t), float(survival[t]), int(n[t]), int(d[t])) for t in np.flatnonzero(d)]
 
@@ -52,7 +52,8 @@ def km(records):
 def logrank(records):
     """The logrank test by the route of count_tests: endpoint_counts, monthly_terms, result_from_terms."""
     times, events, arms = columns(records)
-    return result_from_terms(*monthly_terms(*endpoint_counts(times, events, arms, int(times.max()))))
+    (ome,), (v,) = monthly_terms(*endpoint_counts(times, events, arms, int(times.max()), np.zeros_like(times)))
+    return result_from_terms(ome, v)
 
 
 # ---------------------------------------------------------------- KM fixtures

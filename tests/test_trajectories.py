@@ -69,6 +69,8 @@ def test_probability_bounds_checked():
         model(horizon_months=0)
     with pytest.raises(ValueError, match="horizon_months must lie in 1..1200"):
         model(horizon_months=1201)
+    with pytest.raises(ValueError, match=r"^improve_prob must list one probability per state \(got 4\)$"):
+        model(improve=(0.0, 0.05, 0.03, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -404,7 +406,7 @@ def test_dropout_month_uses_second_draw():
 def test_arm_split_is_first_half_control():
     trial = simulate_trial(model(), 0.5, 8, 3)
     assert trial.arms.tolist() == [Arm.CONTROL] * 4 + [Arm.EXPERIMENTAL] * 4
-    assert trial.starts is None  # a single trial, not a one-trial block
+    assert trial.starts.tolist() == [0]  # a single trial is a one-trial block
 
 
 def test_block_rows_equal_single_trials():

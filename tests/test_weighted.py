@@ -244,19 +244,24 @@ def test_extract_events_censoring_truncates_observation():
 def test_monthly_counts_equal_event_table_sums(profile):
     """monthly_counts' CWTA counts equal those of the per-event extraction's
     bincounts bit for bit, for one trial and for every row of a block."""
+    def row(counts, r):
+        return [x if np.isscalar(x) else x[r] for x in counts]
+
     model = load_profile(profile)
     seeds = np.array([0, 9, 2**64 - 1], dtype=np.uint64)
     block = monthly_counts(simulate_trials(model, ((0.6, 40, seeds),)))["CWTA"]
     for r, seed in enumerate(seeds):
         one = simulate_trial(model, 0.6, 40, int(seed))
         expected = event_sums_from(*extract_weighted_events(one), one.horizon).counts()
-        for got in (monthly_counts(one)["CWTA"], [x if np.isscalar(x) else x[r] for x in block]):
+        for got in (row(monthly_counts(one)["CWTA"], 0), row(block, r)):
             for a, b in zip(got, expected):
                 assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
+    with pytest.raises(ValueError):  # the counts of a block of several trials are not one trial's
+        arm_counts(block)
     # a dropout, an improvement and a relapse before censoring
     handmade = trial(([2, 1, 2, 3], Arm.CONTROL), ([2, 3, 4], Arm.EXPERIMENTAL), ([2, 2], Arm.CONTROL))
     expected = event_sums_from(*extract_weighted_events(handmade), handmade.horizon).counts()
-    for a, b in zip(monthly_counts(handmade)["CWTA"], expected):
+    for a, b in zip(row(monthly_counts(handmade)["CWTA"], 0), expected):
         assert np.array_equal(a, b)
 
 
@@ -271,7 +276,8 @@ def test_cwta_curve_hand_values():
     """
     events = [ev(1, 0, Arm.CONTROL, 0.25), ev(2, 4, Arm.EXPERIMENTAL, -0.25)]
     at_risk = [[4, 4, 4], [4, 4, 4]]
-    arms = arm_counts(event_sums_from(events, at_risk, horizon=2).counts())
+    counts = event_sums_from(events, at_risk, horizon=2).counts()
+    arms = arm_counts([np.expand_dims(x, 0) for x in counts])  # as a one-trial block
     assert product_limit(*arms[Arm.CONTROL]).tolist() == pytest.approx([1.0, 0.9375, 0.9375], abs=TOL)
     assert product_limit(*arms[Arm.EXPERIMENTAL]).tolist() == pytest.approx([1.0, 1.0, 1.0625], abs=TOL)
     assert arms[Arm.CONTROL][1][1] == arms[Arm.EXPERIMENTAL][1][1] == 4
