@@ -18,7 +18,7 @@ from cwtasim import load_profile, simulate_trial
 
 # the three analyses
 from cwtasim import METHODS, Endpoint, arm_counts, count_tests, monthly_counts
-from cwtasim.kaplan_meier import product_limit
+from cwtasim.statistics import product_limit
 
 # CSV + SVG output helpers
 from cwtasim.serialize import write_km_curves_by_arm_csv, write_trajectory_curves_by_arm_csv

@@ -34,15 +34,8 @@ from .harness import (
     power_rows,
     run_replicates,
     sample_size_rows,
-    scan_trial,
     summarize_tte,
     tte_rows,
-)
-from .kaplan_meier import (
-    DegenerateTestError,
-    Endpoint,
-    TestResult,
-    endpoint_arrays,
 )
 from .seeds import mix64, mix64_array
 from .serialize import (
@@ -54,6 +47,16 @@ from .serialize import (
     write_tests_csv,
     write_trajectories_csv,
     write_tte_csv,
+)
+from .statistics import (
+    METHODS,
+    Endpoint,
+    TestResult,
+    arm_counts,
+    count_tests,
+    endpoint_arrays,
+    monthly_counts,
+    scan_trial,
 )
 from .trajectories import (
     CR,
@@ -68,7 +71,6 @@ from .trajectories import (
     apply_hazard_ratio,
     simulate_trial,
 )
-from .weighted import METHODS, arm_counts, count_tests, monthly_counts
 
 __version__ = "0.1.0"
 
@@ -83,7 +85,6 @@ __all__ = [
     "DEFAULT_POWER_SIZES",
     "DEFAULT_TEMPLATE",
     "DEFAULT_TTE_SIZES",
-    "DegenerateTestError",
     "Endpoint",
     "ExperimentGrid",
     "MAX_STATE",

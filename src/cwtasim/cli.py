@@ -22,10 +22,9 @@ from .calibration import (
     control_response_rates,
 )
 from .config import ConfigError, ExperimentGrid, parse_config
-from .kaplan_meier import DegenerateTestError
+from .statistics import METHODS, arm_counts, count_tests, monthly_counts
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
 from .trajectories import Arm, apply_hazard_ratio, check_draws, simulate_trial
-from .weighted import METHODS, arm_counts, count_tests, monthly_counts
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves", nargs="+", help="curve CSV files (KM or trajectory layout)")
     p.add_argument("--out", required=True)
     p.add_argument("--title", default="")
-    p.add_argument("--x-label", default="months")
     p.add_argument("--y-label", default="value")
 
     return parser
@@ -213,10 +211,7 @@ def _cmd_plot(args) -> int:
         for label, points in serialize.read_curves_csv(path):
             name = f"{stem} {label}".strip()
             curves.append(CurveSpec(label=name, points=tuple(points)))
-    spec = PlotSpec(
-        curves=tuple(curves), title=args.title, x_label=args.x_label, y_label=args.y_label
-    )
-    svg = emit_svg_stepplot(spec)
+    svg = emit_svg_stepplot(PlotSpec(curves=tuple(curves), title=args.title, y_label=args.y_label))
     # UTF-8 whatever the locale; argv bytes the locale could not decode go back out unchanged
     with open(args.out, "w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write(svg)
@@ -246,7 +241,7 @@ def run_cli(argv: list[str]) -> int:
         if hasattr(args, "workers"):
             args.workers = resolve_workers(args.workers, _usable_cpus())
         return _COMMANDS[args.command](args)
-    except (ConfigError, CalibrationError, DegenerateTestError, ValueError, OSError) as exc:
+    except (ConfigError, CalibrationError, ValueError, OSError) as exc:
         print(f"error: {exc}".replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)  # one line
         return 2
 

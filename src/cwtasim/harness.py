@@ -2,15 +2,9 @@
 time-to-first-efficacy-signal scans.
 
 Each replicate simulates one trial and evaluates KM-PFS, KM-OS and the
-weighted trajectory test on the data truncated at every month 1..horizon,
-all three from one pass over the trial (weighted.monthly_counts) and one
-kernel (kaplan_meier.monthly_terms).
-Truncating at month m administratively censors everyone still under
-observation at m; because subjects censored at m remain at risk through
-m, the risk sets at months <= m are identical to the full data's, so the
-monthly statistics are exact prefix sums of per-month terms computed
-once. A test with zero cumulative variance at month m is treated as not
-significant there.
+weighted trajectory test on the data truncated at every month 1..horizon:
+statistics.scan_trial, whose monthly statistics are exact prefix sums of
+per-month terms computed once (see statistics._scan).
 
 A grid's replicates form one sequence: its points in grid order and,
 within a point, replicates in index order. The sequence runs in blocks of
@@ -41,11 +35,10 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .config import ExperimentGrid
-from .kaplan_meier import monthly_terms, scipy_special, two_sided_p
 from .seeds import float_bits, mix64_array
 from .serialize import load_profile
-from .trajectories import TransitionModel, Trial, simulate_trials
-from .weighted import METHODS, monthly_counts
+from .statistics import METHODS, scan_trial, scipy_special
+from .trajectories import TransitionModel, simulate_trials
 
 
 class ReplicateScans(NamedTuple):
@@ -116,31 +109,6 @@ class TTEComparison:
     df: float | None
     p_value: float | None
     zero_variance: bool
-
-
-def _scan(ome: np.ndarray, v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(final p, first significant month or 0) from per-month terms on the last axis."""
-    cum_o = np.cumsum(ome, axis=-1)
-    cum_v = np.cumsum(v, axis=-1)
-    defined = cum_v > 0.0
-    z = np.zeros_like(cum_o)
-    np.divide(cum_o, np.sqrt(cum_v, where=defined, out=np.ones_like(cum_v)), where=defined, out=z)
-    p = np.where(defined, two_sided_p(z), np.nan)
-    significant = defined & (p < alpha)
-    first = np.where(significant.any(axis=-1), significant.argmax(axis=-1) + 1, 0)
-    return p[..., -1], first
-
-
-def scan_trial(trial: Trial, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Monthly significance scans of a block of trials for all three methods.
-
-    Returns (final_p, first_month), each (trials, 3) with its last axis in
-    METHODS order; a single trial is a block of one. Every method sums
-    months 1..horizon of the one monthly_counts pass.
-    """
-    counts = monthly_counts(trial)
-    scans = [_scan(*monthly_terms(*counts[method]), alpha) for method in METHODS]
-    return np.stack([p for p, _ in scans], axis=-1), np.stack([f for _, f in scans], axis=-1)
 
 
 def replicate_seed(master_seed: int, hr: float, ss: int, replicate):

@@ -19,9 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kaplan_meier import product_limit
+from .statistics import METHODS, product_limit
 from .trajectories import DEATH, MAX_HORIZON, N_STATES, PD, SD, Arm, TransitionModel, Trial, json_object
-from .weighted import METHODS
 
 BUILTIN_PROFILES = ("moderate", "high")
 
@@ -443,7 +442,7 @@ def read_trajectories_csv(path) -> Trial:
 def write_km_curves_by_arm_csv(arms: dict, path) -> None:
     """Both arms' KM curves in one file, an arm column ahead of the schema.
 
-    arms[arm] is the arm's monthly (events, at risk), as weighted.arm_counts
+    arms[arm] is the arm's monthly (events, at risk), as statistics.arm_counts
     gives them; a row is written at each month with events.
     """
     rows = []
@@ -459,7 +458,7 @@ def write_trajectory_curves_by_arm_csv(arms: dict, path) -> None:
     """Both arms' trajectory curves in one file, a row per arm and month.
 
     arms[arm] is the arm's monthly (weighted events, at risk), as
-    weighted.arm_counts gives them; the value is their product limit.
+    statistics.arm_counts gives them; the value is their product limit.
     """
     n1, n2 = (arms[arm][1] for arm in (Arm.CONTROL, Arm.EXPERIMENTAL))
     rows = []
@@ -533,34 +532,40 @@ def read_curves_csv(path) -> list[tuple[str, list[tuple[float, float]]]]:
     the plotted step starts at full survival.
     """
     groups: dict[str, list[tuple[float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty curve file")
-            header = [h.strip() for h in header]
-            has_arm = header[:1] == ["arm"]
-            cols = header[1:] if has_arm else header
-            if cols[:2] == ["time", "survival"]:
-                anchor = (0.0, 1.0)
-            elif cols[:2] == ["month", "value"]:
-                anchor = None
-            else:
-                raise ValueError(f"{path}: unrecognized curve columns {header}")
-            for row in filter(None, reader):  # csv.reader yields [] for a blank line
-                label, payload = (row[0], row[1:]) if has_arm else ("", row)
-                try:
-                    point = (float(payload[0]), float(payload[1]))
-                    if not all(map(isfinite, point)):
-                        raise ValueError
-                except (IndexError, ValueError):
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: needs numeric {cols[0]} and {cols[1]}, got {row}"
-                    ) from None
-                groups.setdefault(label, []).append(point)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1  # the line that holds the undecodable byte
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty curve file")
+        header = [h.strip() for h in header]
+        has_arm = header[:1] == ["arm"]
+        cols = header[1:] if has_arm else header
+        if cols[:2] == ["time", "survival"]:
+            anchor = (0.0, 1.0)
+        elif cols[:2] == ["month", "value"]:
+            anchor = None
+        else:
+            raise ValueError(f"{path}: unrecognized curve columns {header}")
+        for row in filter(None, reader):  # csv.reader yields [] for a blank line
+            label, payload = (row[0], row[1:]) if has_arm else ("", row)
+            try:
+                point = (float(payload[0]), float(payload[1]))
+                if not all(map(isfinite, point)):
+                    raise ValueError
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: needs numeric {cols[0]} and {cols[1]}, got {row}"
+                ) from None
+            groups.setdefault(label, []).append(point)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not groups:
         raise ValueError(f"{path}: curve file has a header but no data rows")
     out = []

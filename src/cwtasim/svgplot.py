@@ -37,7 +37,6 @@ class CurveSpec:
 class PlotSpec:
     curves: tuple[CurveSpec, ...]
     title: str = ""
-    x_label: str = "months"
     y_label: str = "value"
     x_range: tuple[float, float] = field(init=False)
     y_range: tuple[float, float] = field(init=False)
@@ -122,9 +121,9 @@ def emit_svg_stepplot(spec: PlotSpec) -> str:
             f'<text x="{_num(px(x_lo) - 9)}" y="{_num(y + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_label_num(t)}</text>'
         )
-    parts.append(
+    parts.append(  # every curve layout has months on its x axis
         f'<text x="{_num(_MARGIN_L + plot_w / 2)}" y="{_HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_escape(spec.x_label)}</text>'
+        f'font-family="sans-serif" font-size="13">months</text>'
     )
     parts.append(
         f'<text x="18" y="{_num(_MARGIN_T + plot_h / 2)}" text-anchor="middle" '

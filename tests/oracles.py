@@ -48,9 +48,8 @@ from cwtasim import (
     endpoint_arrays,
     simulate_trial,
 )
-from cwtasim.kaplan_meier import monthly_terms
 from cwtasim.seeds import float_bits, mix64
-from cwtasim.weighted import weighted_counts
+from cwtasim.statistics import monthly_terms, weighted_counts
 
 
 class Record(NamedTuple):

@@ -34,7 +34,7 @@ from cwtasim import (
 )
 from cwtasim.calibration import DEFAULT_TEMPLATE, CalibrationTarget
 from cwtasim.harness import ExperimentGrid, power_rows, tte_rows
-from cwtasim.kaplan_meier import endpoint_arrays, endpoint_counts, monthly_terms, product_limit, result_from_terms
+from cwtasim.statistics import endpoint_arrays, endpoint_counts, monthly_terms, product_limit, result_from_terms
 from cwtasim.trajectories import (
     CR,
     DEATH,

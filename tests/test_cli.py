@@ -347,7 +347,7 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
     assert run_cli(["plot", str(latin), "--out", str(tmp_path / "never.svg")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1, err
-    assert re.match(rf"error: {re.escape(str(latin))}: line \d+: 'utf-8' codec can't decode byte 0xf4", err), err
+    assert re.match(rf"error: {re.escape(str(latin))}: line 2: 'utf-8' codec can't decode byte 0xf4", err), err
 
     # a subject with more rows than months 0..1200: named before the state matrix is allocated
     many = tmp_path / "many_rows.csv"

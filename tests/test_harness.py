@@ -30,9 +30,8 @@ from cwtasim import (
 )
 from cwtasim import harness, trajectories
 from cwtasim.harness import plan_blocks, plan_grid_blocks, replicate_seed
-from cwtasim.kaplan_meier import Endpoint, endpoint_arrays, endpoint_counts, monthly_terms
+from cwtasim.statistics import Endpoint, count_tests, endpoint_arrays, endpoint_counts, monthly_counts, monthly_terms
 from cwtasim.trajectories import simulate_trials
-from cwtasim.weighted import count_tests, monthly_counts
 
 from oracles import (
     Record,

@@ -29,7 +29,6 @@ from cwtasim import (
 from cwtasim import serialize
 from cwtasim.cli import run_cli
 from cwtasim.config import DEFAULT_HAZARD_RATIOS, DEFAULT_POWER_SIZES, DEFAULT_TTE_SIZES
-from cwtasim.kaplan_meier import product_limit
 from cwtasim.serialize import (
     read_curves_csv,
     write_km_curves_by_arm_csv,
@@ -39,8 +38,8 @@ from cwtasim.serialize import (
     write_trajectory_curves_by_arm_csv,
     write_tte_csv,
 )
+from cwtasim.statistics import arm_counts, count_tests, monthly_counts, product_limit
 from cwtasim.trajectories import MAX_DRAWS
-from cwtasim.weighted import arm_counts, count_tests, monthly_counts
 
 from oracles import read_trajectories_rowwise, write_trajectories_rowwise
 

@@ -10,12 +10,10 @@ from scipy import stats
 
 from cwtasim import (
     Arm,
-    DegenerateTestError,
     Endpoint,
     endpoint_arrays,
 )
-from cwtasim import kaplan_meier
-from cwtasim.kaplan_meier import endpoint_counts, monthly_terms, product_limit, result_from_terms, two_sided_p
+from cwtasim.statistics import endpoint_counts, monthly_terms, product_limit, result_from_terms, two_sided_p
 
 from oracles import (
     Record,
@@ -152,7 +150,7 @@ def test_p_value_equals_norm_sf_bit_for_bit(z):
     it must equal 2 * norm.sf(|z|) exactly, into the subnormal tail and at +-inf."""
     expected = 2.0 * float(stats.norm.sf(abs(z)))
     assert float(two_sided_p(z)).hex() == expected.hex()
-    result = kaplan_meier.result_from_terms(np.array([z]), np.array([1.0]))
+    result = result_from_terms(np.array([z]), np.array([1.0]))
     assert result.p_value.hex() == expected.hex()
     scan_p = two_sided_p(np.array([z, -z]))
     assert [float(p).hex() for p in scan_p] == [expected.hex()] * 2
@@ -169,14 +167,12 @@ def test_logrank_single_event_fixture():
 
 def test_logrank_degenerate_no_events():
     records = [rec(2, False, Arm.CONTROL), rec(3, False, Arm.EXPERIMENTAL)]
-    with pytest.raises(DegenerateTestError):
-        logrank(records)
+    assert logrank(records) is None
 
 
 def test_logrank_degenerate_one_sided_risk_sets():
     records = [rec(1, False, Arm.CONTROL), rec(2, True, Arm.EXPERIMENTAL)]
-    with pytest.raises(DegenerateTestError):
-        logrank(records)
+    assert logrank(records) is None
 
 
 def random_two_arm_records(rng, n):

@@ -17,7 +17,6 @@ def spec_one():
             CurveSpec(label="experimental", points=((0.0, 1.0), (5.0, 0.75))),
         ),
         title="A <demo> & more",
-        x_label="months",
         y_label="survival",
     )
 
