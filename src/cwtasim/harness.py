@@ -16,7 +16,9 @@ streams are drawn in one pass and its trials simulated in one kernel pass
 one monthly_counts pass keyed by the trial boundaries, every per-month
 array carrying a leading trial axis. Results are columns, one row per
 replicate and one column per method. Every grid command runs through
-run_grid, which streams all blocks through one pool.
+run_grid. At workers > 1 it shares the blocks out in a fixed rotation
+between the calling process and workers - 1 worker processes, each of
+which sends its results back in order through its own pipe.
 
 Replicate seeds are mixed from (master_seed, hazard-ratio bits, sample
 size, replicate index), and every step treats trials independently, so
@@ -26,9 +28,9 @@ for any block split, worker count and execution order.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+import signal
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import sqrt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -126,8 +128,8 @@ def plan_blocks(replicates: int, ss: int, workers: int = 1) -> Iterator[tuple[in
     Blocks are as few as the row budget allows -- at most BLOCK_ROWS subject
     rows each, or one replicate when a single trial is larger -- and their
     sizes differ by at most one. A pooled run rounds the count up to a
-    multiple of workers (at most one block per replicate), so every worker
-    gets an equal share.
+    multiple of workers (at most one block per replicate), the calling
+    process counting as one of them, so every process gets an equal share.
     """
     count = -(-replicates // max(1, BLOCK_ROWS // ss))
     if workers > 1:
@@ -163,6 +165,15 @@ def plan_grid_blocks(
         yield tuple(block)
 
 
+def _grid_blocks(grid: ExperimentGrid, workers: int) -> Iterator[tuple]:
+    """The runs (hr, ss, start, stop) of each block of the grid, in order."""
+    points = [(hr, ss) for hr in grid.hazard_ratios for ss in grid.sample_sizes]
+    return (
+        tuple((*points[point], start, stop) for point, start, stop in block)
+        for block in plan_grid_blocks([(grid.replicates_for(hr), ss) for hr, ss in points], workers)
+    )
+
+
 def _run_block(setup: tuple, runs: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Scans of one block: its runs (hr, ss, start, stop) simulated as one block of trials."""
     master_seed, alpha, model = setup
@@ -173,16 +184,41 @@ def _run_block(setup: tuple, runs: tuple) -> tuple[np.ndarray, np.ndarray]:
     return scan_trial(simulate_trials(model, designs), alpha)
 
 
-def _in_flight(pool: ProcessPoolExecutor, setup: tuple, blocks: Iterator[tuple], workers: int) -> Iterator[tuple]:
-    """(runs, block result) in block order, with at most 2 * workers + 1 blocks submitted and unread."""
-    pending: deque = deque()
-    for runs in blocks:
-        pending.append((runs, pool.submit(_run_block, setup, runs)))
-        if len(pending) > 2 * workers:
-            runs, future = pending.popleft()
-            yield runs, future.result()
-    for runs, future in pending:
-        yield runs, future.result()
+def _work(grid: ExperimentGrid, setup: tuple, workers: int, k: int, conn) -> None:
+    """Worker process k of a pooled run_grid: runs blocks k, k + workers, ...
+    in order and sends each result, or a failed block's exception and stops.
+    A full pipe blocks the send, so results wait for the caller one pipe
+    buffer at most. An interrupt is the caller's to handle."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with conn:
+        for runs in islice(_grid_blocks(grid, workers), k, None, workers):
+            try:
+                result = _run_block(setup, runs)
+            except BaseException as exc:
+                conn.send(exc)
+                return
+            conn.send(result)
+
+
+def _pooled(setup: tuple, blocks: Iterator[tuple], workers: int, procs: list, conns: list) -> Iterator[tuple]:
+    """(runs, block result) in block order: block i runs in this process when
+    i % workers is 0, else it is read from worker i % workers."""
+    for i, runs in enumerate(blocks):
+        k = i % workers
+        if k == 0:
+            yield runs, _run_block(setup, runs)
+            continue
+        try:
+            result = conns[k - 1].recv()
+        except EOFError:
+            procs[k - 1].join()
+            owed = ", ".join(f"HR {hr} n {ss} replicates {start}..{stop - 1}" for hr, ss, start, stop in runs)
+            raise ChildProcessError(
+                f"worker process {k} exited with code {procs[k - 1].exitcode} before returning block {i} ({owed})"
+            ) from None
+        if isinstance(result, BaseException):
+            raise result
+        yield runs, result
 
 
 def _gather(grid: ExperimentGrid, done: Iterator[tuple]) -> Iterator[tuple[float, int, ReplicateScans]]:
@@ -212,33 +248,46 @@ def run_grid(
 
     The points run under `model` (grid.profile is not read). The grid's
     replicates run in blocks that may span points (plan_grid_blocks), a
-    block at a time in this process, or at workers > 1 through one pool of
-    `workers` processes for the whole grid, with at most 2 * workers + 1
-    blocks in flight. Row r of a point's scans is replicate r, and it is
-    the same for any block split, worker count and grid, because each
-    replicate's seed depends only on (master_seed, hr, ss, replicate
-    index). If a block fails, the run is interrupted or the generator is
-    closed, the pool's queued blocks are cancelled; only blocks already
-    running are waited for.
+    block at a time in this process. At workers > 1, block i runs in
+    process i % workers: this process is process 0, and one worker process
+    is started for each of the others that has a block, so at most
+    min(workers, blocks) - 1. Each worker sends its results in order
+    through its own pipe, and this process runs its own blocks between
+    reads. Row r of a point's scans is replicate r, and it is the same for
+    any block split, worker count and grid, because each replicate's seed
+    depends only on (master_seed, hr, ss, replicate index). A worker's
+    failed block is raised here; a worker that dies without sending its
+    block raises ChildProcessError. Whenever the generator ends -- done,
+    failed, interrupted or closed -- the workers still running are killed,
+    so the blocks they owe never run, and every worker is joined.
     """
     setup = (grid.master_seed, grid.alpha, model)
-    points = [(hr, ss) for hr in grid.hazard_ratios for ss in grid.sample_sizes]
-    blocks = (
-        tuple((*points[point], start, stop) for point, start, stop in block)
-        for block in plan_grid_blocks([(grid.replicates_for(hr), ss) for hr, ss in points], workers)
-    )
-    # before the first block: a pool's forked workers inherit the module, and
+    blocks = _grid_blocks(grid, workers)
+    # before the first block: forked workers inherit the module, and
     # imported among a block's live arrays it raises peak RSS by about 0.5 MB
     scipy_special()
     if workers <= 1:
         yield from _gather(grid, ((runs, _run_block(setup, runs)) for runs in blocks))
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            yield from _gather(grid, _in_flight(pool, setup, blocks, workers))
-        except BaseException:  # an interrupt or a close too: drop the queued blocks rather than wait for them
-            pool.shutdown(cancel_futures=True)
-            raise
+    import multiprocessing
+
+    first = list(islice(blocks, workers))
+    procs, conns = [], []
+    try:
+        for k in range(1, len(first)):
+            conn, send = multiprocessing.Pipe(duplex=False)
+            conns.append(conn)
+            with send:  # closed before the next fork: the worker's copy is the only send end, so its exit is EOF here
+                proc = multiprocessing.Process(target=_work, args=(grid, setup, workers, k, send), daemon=True)
+                proc.start()
+            procs.append(proc)
+        yield from _gather(grid, _pooled(setup, chain(first, blocks), workers, procs, conns))
+    finally:
+        for proc in procs:  # killed before the pipes close, so no worker's send meets a closed pipe
+            proc.kill()  # a no-op once the worker has exited
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def run_replicates(

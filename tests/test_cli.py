@@ -187,6 +187,25 @@ def test_workers_capped_at_the_affinity_set(tmp_path, fast_profile, monkeypatch,
     assert (tmp_path / "out" / "power.csv").read_bytes() == single
 
 
+def test_dead_worker_exits_2_with_one_line(tmp_path, fast_profile, monkeypatch, capsys):
+    """A worker process that dies mid-grid ends a pooled command with exit 2
+    and one error line naming its exit code, not a traceback."""
+    cfg = small_config(tmp_path, profile=fast_profile)
+    caller, run_block = os.getpid(), harness._run_block
+
+    def dying(setup, runs):
+        if os.getpid() != caller:
+            os._exit(9)
+        return run_block(setup, runs)
+
+    monkeypatch.setattr(harness, "_run_block", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run_cli(["power", "--config", cfg, "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: worker process 1 exited with code 9 before returning block 1 ("), err
+    assert not (tmp_path / "out" / "power.csv").exists()
+
+
 def test_resolve_workers_bounds(capsys):
     assert resolve_workers(1, 4) == 1
     assert resolve_workers(4, 4) == 4
@@ -550,27 +569,29 @@ def test_malformed_profile_exits_2_naming_the_file(tmp_path, capsys, content):
 def test_import_loads_no_scipy_stats(tmp_path):
     """Only a p-value needs scipy (scipy.special, about 300 modules): the
     import and the commands that compute none load no scipy module at all,
-    and a pooled grid loads scipy.special before its pool forks, so its
-    workers inherit it rather than each importing it again."""
+    and a pooled grid loads scipy.special before its first worker starts,
+    so its workers inherit it rather than each importing it again. Nor do
+    they load concurrent.futures or multiprocessing, which only a pooled
+    grid imports, where it starts its workers."""
     (tmp_path / "curve.csv").write_text("arm,time,survival\ncontrol,1,0.5\ncontrol,2,0.25\n")
     code = (
         "import sys, cwtasim, cwtasim.cli\n"
-        "from concurrent.futures import ThreadPoolExecutor\n"
         "from cwtasim import ExperimentGrid, harness, load_profile\n"
-        "def scipy_modules(): return sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.'))\n"
-        "print('import', scipy_modules())\n"
+        "def loaded(): return sorted(k for k in sys.modules if k.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing'))\n"
+        "print('import', loaded())\n"
         "for argv in (\n"
         "    ['calibrate', '--cr', '0.05', '--pr', '0.30', '--subjects', '2000', '--out', 'profile.json'],\n"
         "    ['simulate', '--sample-size', '20', '--hr', '0.7', '--out', 'trial.csv'],\n"
         "    ['plot', 'curve.csv', '--out', 'plot.svg'],\n"
         "):\n"
         "    assert cwtasim.cli.run_cli(argv) == 0, argv\n"
-        "    print(argv[0], scipy_modules())\n"
-        "class SpyPool(ThreadPoolExecutor):\n"
-        "    def __init__(self, max_workers):\n"
-        "        print('pool', 'scipy.special' in sys.modules)\n"
-        "        super().__init__(max_workers=max_workers)\n"
-        "harness.ProcessPoolExecutor = SpyPool\n"
+        "    print(argv[0], loaded())\n"
+        "import multiprocessing\n"
+        "class SpyProcess(multiprocessing.Process):\n"
+        "    def start(self):\n"
+        "        print('worker', 'scipy.special' in sys.modules)\n"
+        "        super().start()\n"
+        "multiprocessing.Process = SpyProcess\n"
         "grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=(20,), replicates=4)\n"
         "print('points', len(list(harness.run_grid(grid, load_profile('moderate'), workers=2))))\n"
     )
@@ -578,7 +599,7 @@ def test_import_loads_no_scipy_stats(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
     lines = [line for line in out.stdout.splitlines() if not line.startswith(("wrote ", "fresh-seed check: "))]
-    assert lines == ["import []", "calibrate []", "simulate []", "plot []", "pool True", "points 1"]
+    assert lines == ["import []", "calibrate []", "simulate []", "plot []", "worker True", "points 1"]
 
 
 def test_text_is_utf8_whatever_the_locale(tmp_path):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -338,70 +340,106 @@ def test_grid_small_n_shape_runs_as_two_blocks():
     [((2,), 12), ((2, 4, 6), 2)],  # one point of 12 blocks; three points of 2 blocks each
     ids=["one_point", "three_points"],
 )
-def test_interrupt_cancels_queued_blocks(monkeypatch, sizes, replicates):
-    """A KeyboardInterrupt from a block propagates through run_grid, and the
-    blocks still queued in the pool never run, whichever grid point they
-    belong to. The pool is one thread of this process, and a block after
-    the first waits until the pool is shut down, so the queue is still full
-    when the interrupt arrives; no signal is sent."""
-    ran, submitted, release = [], [], threading.Event()
+def test_interrupt_cancels_queued_blocks(tmp_path, monkeypatch, sizes, replicates):
+    """A KeyboardInterrupt from the caller's block propagates through
+    run_grid at once, the worker stuck in its first block is killed, and
+    the blocks still owed by either process never run, whichever grid point
+    they belong to. No process is left behind. Each block marks its start
+    with a file, which a forked worker can write too; no signal is sent."""
+    caller = os.getpid()
 
     def run_block(setup, runs):
         [(_, ss, start, stop)] = runs  # one replicate per block
-        ran.append((ss, (start, stop)))
-        if ss == sizes[0] and start == 0:
+        (tmp_path / f"{ss}-{start}").touch()
+        if os.getpid() == caller:
             raise KeyboardInterrupt
-        release.wait(timeout=30)
+        time.sleep(60)  # outlasts the test unless the worker is killed
         return np.zeros((stop - start, 3)), np.zeros((stop - start, 3), dtype=np.int64)
 
-    class OneThreadPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=1)
-
-        def submit(self, fn, setup, runs):
-            submitted.extend((ss, (start, stop)) for _, ss, start, stop in runs)
-            return super().submit(fn, setup, runs)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            super().shutdown(wait=False, cancel_futures=cancel_futures)
-            release.set()  # lets the running block finish, and any block left in the queue run
-            super().shutdown(wait=wait)
-
     monkeypatch.setattr(harness, "_run_block", run_block)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", OneThreadPool)
     monkeypatch.setattr(harness, "BLOCK_ROWS", 2)  # one replicate per block
     grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=sizes, replicates=replicates)
+    began = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         list(harness.run_grid(grid, MODEL, workers=2))
-    # 2 * workers + 1 blocks were in flight, spanning every point of the three-point grid
-    assert len(submitted) == 5 and {ss for ss, _ in submitted} == set(sizes), submitted
-    # block 0, and block 1 if the thread took it up before the queue was cancelled;
-    # blocks 2..4 were queued and must never run
-    assert ran in (submitted[:1], submitted[:2]), ran
+    assert time.perf_counter() - began < 30
+    assert multiprocessing.active_children() == []
+    # block 0 in the caller, and block 1 if the worker took it up before it was killed;
+    # the other blocks, of every point of the three-point grid, must never run
+    order = [f"{ss}-{start}" for ss in sizes for start in range(replicates)]
+    ran = sorted(path.name for path in tmp_path.iterdir())
+    assert ran in ([order[0]], sorted(order[:2])), ran
+
+
+def test_worker_failure_is_raised_by_the_caller(monkeypatch):
+    """An exception raised in a worker's block reaches the caller as itself,
+    and no process is left behind."""
+    caller, run_block = os.getpid(), harness._run_block
+
+    def failing(setup, runs):
+        if os.getpid() != caller:
+            raise ArithmeticError(f"block {runs} failed")
+        return run_block(setup, runs)
+
+    monkeypatch.setattr(harness, "_run_block", failing)
+    grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=(20, 40), replicates=3)
+    # three blocks: the worker owes block 1, replicates 1..2 of n 20 and 0 of n 40
+    with pytest.raises(ArithmeticError, match=re.escape("block ((0.7, 20, 1, 3), (0.7, 40, 0, 1)) failed")):
+        list(harness.run_grid(grid, MODEL, workers=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_raises_child_process_error(monkeypatch):
+    """A worker that dies without sending its block ends the run with one
+    ChildProcessError naming its exit code and the block it owed: no hang,
+    no process left behind."""
+    caller, run_block = os.getpid(), harness._run_block
+
+    def dying(setup, runs):
+        if os.getpid() != caller:
+            os._exit(7)
+        return run_block(setup, runs)
+
+    monkeypatch.setattr(harness, "_run_block", dying)
+    grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=(20, 40), replicates=3)
+    began = time.perf_counter()
+    owed = "block 1 (HR 0.7 n 20 replicates 1..2, HR 0.7 n 40 replicates 0..0)"
+    with pytest.raises(ChildProcessError, match=re.escape(f"worker process 1 exited with code 7 before returning {owed}")):
+        list(harness.run_grid(grid, MODEL, workers=2))
+    assert time.perf_counter() - began < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_run_grid_runs_one_pool_in_grid_order(monkeypatch):
-    """A multi-point grid at workers 2 builds exactly one pool, yields its
-    points in grid order, and gives each point the rows of run_replicates
-    at workers 1; at workers 1 no pool is built."""
-    pools = []
+    """A multi-point grid at workers 2 starts exactly one worker process,
+    yields its points in grid order, and gives each point the rows of
+    run_replicates at workers 1; at workers 1 no process is started, and
+    none is started beyond the block count."""
+    starts = []
 
-    class SpyPool(harness.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    class SpyProcess(multiprocessing.Process):
+        def start(self):
+            starts.append(self.name)
+            super().start()
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(multiprocessing, "Process", SpyProcess)
     monkeypatch.setattr(harness, "BLOCK_ROWS", 60)  # several blocks per point
     grid = ExperimentGrid(
         hazard_ratios=(0.5, 0.7), sample_sizes=(20, 40, 62), replicates={0.5: 9, 0.7: 5}, master_seed=11
     )
     points = list(harness.run_grid(grid, MODEL, workers=2))
-    assert pools == [2]
+    assert len(starts) == 1
     assert [(hr, ss) for hr, ss, _ in points] == [(hr, ss) for hr in (0.5, 0.7) for ss in (20, 40, 62)]
     for hr, ss, scans in points:
         assert_same_scans(scans, run_replicates(hr, ss, grid.replicates_for(hr), MODEL, 11, workers=1))
-    assert pools == [2]
+    assert len(starts) == 1
+    # at workers 3: two blocks start one worker, one block none
+    for replicates, started in ((2, 1), (1, 0)):
+        starts.clear()
+        [(_, _, scans)] = harness.run_grid(ExperimentGrid((0.7,), (62,), replicates, master_seed=11), MODEL, workers=3)
+        assert len(starts) == started
+        assert_same_scans(scans, run_replicates(0.7, 62, replicates, MODEL, 11))
+    assert multiprocessing.active_children() == []
 
 
 def test_plan_blocks_is_lazy():
