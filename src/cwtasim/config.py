@@ -11,7 +11,7 @@ optional):
       "profile": "moderate" | "high" | "path/to/profile.json",
       "hazard_ratios": [0.5, 0.6, 0.7, 0.8],    # distinct, > 0
       "sample_sizes": [20, 60, ...],            # distinct, even (1:1 allocation)
-      "replicates": 1000 | {"0.5": 100, ...},   # per-HR mapping allowed; <= 10**7
+      "replicates": 1000 | {"0.5": 100, ...},   # or one count per listed HR; <= 10**7
       "alpha": 0.05,
       "master_seed": 0,
       "output_dir": "results"
@@ -77,7 +77,7 @@ class ExperimentGrid:
     """A power/TTE experiment: HR x sample-size grid plus run parameters.
 
     replicates is either one count for every grid point or a mapping from
-    hazard ratio to count (every listed HR must then be present). Grid
+    hazard ratio to count, whose keys must be the grid's hazard ratios. Grid
     points run hazard ratio by hazard ratio, each over every sample size.
     """
 
@@ -108,6 +108,9 @@ class ExperimentGrid:
             missing = [hr for hr in self.hazard_ratios if hr not in self.replicates]
             if missing:
                 raise ValueError(f"replicates mapping lacks hazard ratio(s): {missing}")
+            extra = [hr for hr in self.replicates if hr not in self.hazard_ratios]
+            if extra:
+                raise ValueError(f"replicates mapping names hazard ratio(s) not on the grid: {extra}")
         else:
             _check_replicate_count(self.replicates)
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):

@@ -16,9 +16,10 @@ streams are drawn in one pass and its trials simulated in one kernel pass
 one monthly_counts pass keyed by the trial boundaries, every per-month
 array carrying a leading trial axis. Results are columns, one row per
 replicate and one column per method. Every grid command runs through
-run_grid. At workers > 1 it shares the blocks out in a fixed rotation
-between the calling process and workers - 1 worker processes, each of
-which sends its results back in order through its own pipe.
+run_grid. It shares the blocks out in a fixed rotation between the
+calling process and workers - 1 worker processes, each of which sends its
+results back in order through its own pipe; at workers 1 the calling
+process runs every block and multiprocessing is never imported.
 
 Replicate seeds are mixed from (master_seed, hazard-ratio bits, sample
 size, replicate index), and every step treats trials independently, so
@@ -247,34 +248,33 @@ def run_grid(
     """Simulate and scan every grid point; yields (hr, ss, scans) in grid order.
 
     The points run under `model` (grid.profile is not read). The grid's
-    replicates run in blocks that may span points (plan_grid_blocks), a
-    block at a time in this process. At workers > 1, block i runs in
-    process i % workers: this process is process 0, and one worker process
-    is started for each of the others that has a block, so at most
-    min(workers, blocks) - 1. Each worker sends its results in order
-    through its own pipe, and this process runs its own blocks between
-    reads. Row r of a point's scans is replicate r, and it is the same for
-    any block split, worker count and grid, because each replicate's seed
+    replicates run in blocks that may span points (plan_grid_blocks), and
+    block i runs in process i % workers (a count below 1 raises ValueError):
+    this process is process 0, and one worker process is started for each
+    of the others that has a block, so at most min(workers, blocks) - 1,
+    and none at workers 1. Each worker sends its results in order through
+    its own pipe, and this process runs its own blocks between reads. Row r
+    of a point's scans is replicate r, and it is the same for any block
+    split, worker count and grid, because each replicate's seed
     depends only on (master_seed, hr, ss, replicate index). A worker's
     failed block is raised here; a worker that dies without sending its
     block raises ChildProcessError. Whenever the generator ends -- done,
     failed, interrupted or closed -- the workers still running are killed,
     so the blocks they owe never run, and every worker is joined.
     """
+    if workers < 1:  # block i runs in process i % workers
+        raise ValueError(f"workers must be at least 1, got {workers}")
     setup = (grid.master_seed, grid.alpha, model)
     blocks = _grid_blocks(grid, workers)
     # before the first block: forked workers inherit the module, and
     # imported among a block's live arrays it raises peak RSS by about 0.5 MB
     scipy_special()
-    if workers <= 1:
-        yield from _gather(grid, ((runs, _run_block(setup, runs)) for runs in blocks))
-        return
-    import multiprocessing
-
     first = list(islice(blocks, workers))
     procs, conns = [], []
     try:
         for k in range(1, len(first)):
+            import multiprocessing  # loaded by a pooled run only, as its first worker starts
+
             conn, send = multiprocessing.Pipe(duplex=False)
             conns.append(conn)
             with send:  # closed before the next fork: the worker's copy is the only send end, so its exit is EOF here

@@ -247,55 +247,46 @@ def _digit_words(words) -> np.ndarray | None:
     return (v * np.uint64(10_000 << 32 | 1) >> np.uint64(32)).astype(np.int32)
 
 
-def _plain_fields(chunk, col: dict[str, int], d: int) -> list:
-    """The subject, month, state, arm and dropout texts of chunk's non-blank lines.
+def _plain_fields(chunk, col: dict[str, int], d: int) -> list | None:
+    """The subject, month, state, arm and dropout texts of a chunk as simulate
+    writes it; None for any other chunk, which csv.reader reads instead.
 
     chunk is whole lines, each ending in "\n", with no '"' and no "\r": every
-    "," and "\n" ends a field, and a dropout past a short line's end reads
-    as blank. A chunk whose lines all hold the same number of fields, c > 1,
-    as every file simulate writes, has its field bounds reshaped to
-    (lines, c); any other chunk (a short or long line, a blank line) finds
-    each line's fields from its last. A column becomes an array of 8-byte
-    words or fixed-width bytes, or a list of str where padding its few long
-    fields would outgrow the chunk. Every column reads one ","-padded copy
-    of the chunk through an unaligned 8-byte word view of it: a field of up
-    to 7 bytes is one word, masked past the field's end, and a longer one
-    the consecutive words that cover it.
+    "," and "\n" ends a field. It is read here when every line holds the same
+    number of fields c, more than the last required column's index (so no
+    line is blank); every column read, padded, takes at most twice the
+    chunk's bytes; and no field's bytes exceed csv.field_size_limit(). Its
+    field bounds are then reshaped to (lines, c), and a dropout column at or
+    past c reads as blank. A column becomes an array of 8-byte words or
+    fixed-width bytes, read from one ","-padded copy of the chunk through an
+    unaligned 8-byte word view of it: a field of up to 7 bytes is one word,
+    masked past the field's end, and a longer one the consecutive words that
+    cover it.
     """
-    str(chunk, "utf-8")  # UTF-8, as csv.reader's text stream must be
     buf = np.frombuffer(chunk, np.uint8)
     # field i spans bounds[i] + 1 .. bounds[i + 1], which is a "," or "\n"
     bounds = np.concatenate(([-1], np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))))
-    longest = int(np.diff(bounds).max())  # a field and its end
-    if longest - 1 > (limit := csv.field_size_limit()):  # bytes; the limit counts characters
-        chars = np.concatenate(([0], np.cumsum((buf & 0xC0) != 0x80)))
-        if (chars[bounds[1:]] - chars[bounds[:-1] + 1] > limit).any():
-            raise csv.Error(f"field larger than field limit ({limit})")
-    ks = [col[name] for name in _REQUIRED] + [d]
-    need = max(ks[:-1])  # the last required field's index
     lines = int(np.count_nonzero(buf == ord("\n")))
     c, ragged = divmod(len(bounds) - 1, lines)
-    # as many field ends as lines x c, and every c-th a line end: every line has
-    # c fields, and with c > 1 none is blank (a blank line is one empty field)
-    if not ragged and c > 1 and (buf[bounds[c::c]] == ord("\n")).all():
-        if c <= need:
-            raise IndexError("truncated row")
-        # field k of line i spans bounds[i * c + k] + 1 .. bounds[i * c + k + 1]
-        starts, ends = bounds[:-1].reshape(lines, c) + 1, bounds[1:].reshape(lines, c)
-        spans = [
-            (starts[:, k], ends[:, k] - starts[:, k]) if k < c else (starts[:, 0], np.zeros(lines, np.intp))
-            for k in ks
-        ]
-    else:
-        spans = _ragged_spans(buf, bounds, ks, need)
+    ks = [col[name] for name in _REQUIRED] + [d]
+    # as many field ends as lines x c, and every c-th a line end: every line has c fields
+    if ragged or c <= max(ks[:-1]) or (buf[bounds[c::c]] != ord("\n")).any():
+        return None
+    longest = int(np.diff(bounds).max())  # a field and its end
+    # field k of line i spans bounds[i * c + k] + 1 .. bounds[i * c + k + 1]
+    starts, ends = bounds[:-1].reshape(lines, c) + 1, bounds[1:].reshape(lines, c)
+    spans = [
+        (starts[:, k], ends[:, k] - starts[:, k]) if k < c else (starts[:, 0], np.zeros(lines, np.intp)) for k in ks
+    ]
+    widths = [max(int(size.max()) + 1, 8) for _, size in spans]
+    if longest - 1 > csv.field_size_limit() or lines * max(widths) > 2 * len(buf):
+        return None
+    str(chunk, "utf-8")  # UTF-8, as csv.reader's text stream must be
     padded = np.concatenate((buf, np.full(longest + 8, ord(","), np.uint8)))  # the words of any field start
     words = np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
     columns = []
-    for at, size in spans:
-        w = max(int(size.max(initial=0)) + 1, 8)
-        if len(size) * w > 2 * len(buf):  # a few long fields: a str each, not a padded row each
-            columns.append([str(chunk[s : s + n], "utf-8") for s, n in zip(at.tolist(), size.tolist())])
-        elif w == 8:  # a field of up to 7 bytes and its padding as one word, which sorts fast
+    for (at, size), w in zip(spans, widths):
+        if w == 8:  # a field of up to 7 bytes and its padding as one word, which sorts fast
             columns.append(words[at] & _WORD_KEEP[size] | _WORD_PAD[size])
         else:  # a field's words, each masked by the bytes of the field it holds, cut to w bytes
             j = np.arange(0, w, 8)
@@ -303,24 +294,6 @@ def _plain_fields(chunk, col: dict[str, int], d: int) -> list:
             cells = words[(at[:, None] + j).ravel()] & _WORD_KEEP[rest] | _WORD_PAD[rest]
             columns.append(cells.view(f"S{8 * len(j)}").astype(f"S{w}"))
     return columns
-
-
-def _ragged_spans(buf, bounds, ks: list[int], need: int) -> list:
-    """Each column k's (field starts, field sizes) over the non-blank lines of a
-    chunk whose lines may hold different numbers of fields, found from each
-    line's last field; a line of `need` fields or fewer is a truncated row."""
-    last = np.flatnonzero(buf[bounds[1:]] == ord("\n"))  # each line's last field
-    first = np.concatenate(([0], last[:-1] + 1))
-    filled = (last > first) | (bounds[first + 1] > bounds[first] + 1)  # csv.reader skips a blank line
-    first, width = first[filled], (last - first + 1)[filled]
-    if (width <= need).any():
-        raise IndexError("truncated row")
-    spans = []
-    for k in ks:
-        field = first + np.minimum(k, width - 1)
-        at = bounds[field] + 1
-        spans.append((at, np.where(width > k, bounds[field + 1] - at, 0)))
-    return spans
 
 
 def _csv_parts(fh, path, col, d, index, dropout_code):
@@ -339,11 +312,12 @@ def _parts(fh, path, index, dropout_code):
     """Each chunk's parts tuple, read from fh (a binary stream).
 
     Plain bytes, with no '"' and no "\r", are tokenized CHUNK_BYTES at a time
-    with array operations. From the first chunk holding either byte on,
-    csv.reader, the one exact tokenizer of quoted input, reads the rest:
-    before any quote, every "\n" ends a record, so that chunk starts one.
-    Text is UTF-8 whatever the locale; a byte-order mark at byte 0 is
-    skipped, by either tokenizer.
+    with array operations; a chunk unlike those simulate writes (a short,
+    long or blank line, or a long field) is read alone by csv.reader. From
+    the first chunk holding '"' or "\r" on, csv.reader, the one exact
+    tokenizer of quoted input, reads the rest: before any quote, every "\n"
+    ends a record, so that chunk starts one. Text is UTF-8 whatever the
+    locale; a byte-order mark at byte 0 is skipped, by either tokenizer.
     """
     col = d = None
     done, pending = 0, b""  # bytes tokenized so far; a line begun but not ended
@@ -364,8 +338,11 @@ def _parts(fh, path, index, dropout_code):
             header = data[: data.index(b"\n")]
             col, d = _columns(path, str(header, "utf-8-sig").split(","))  # less a leading byte-order mark
             chunk = chunk[len(header) + 1 :]
-        if chunk:
-            yield _part(_plain_fields(chunk, col, d), index, dropout_code)
+        if chunk and (fields := _plain_fields(chunk, col, d)) is None:
+            yield from _csv_parts(io.StringIO(str(chunk, "utf-8"), newline=""), path, col, d, index, dropout_code)
+        elif chunk:
+            part, fields = _part(fields, index, dropout_code), None  # the texts are freed before the yield
+            yield part
         if end:
             if col is None:
                 _columns(path, None)  # an empty file: raises
@@ -378,8 +355,8 @@ def read_trajectories_csv(path) -> Trial:
     Subjects keep the order in which they first appear; rows may come in
     any order. The file is read CHUNK_BYTES at a time, and each chunk's
     fields become narrow integer columns, converting each distinct text
-    once; a file holding '"' or "\r" is tokenized by csv.reader from the
-    first chunk holding one. The columns are scattered into the padded
+    once; csv.reader tokenizes a chunk unlike those simulate writes, and
+    a file holding '"' or "\r" from the first chunk holding one. The columns are scattered into the padded
     state matrix and checked with whole-array operations. A row fault
     names the earliest offending row, a structural fault the first
     offending subject (rules in the README).

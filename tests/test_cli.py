@@ -261,6 +261,8 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
         ("deep_cfg.json", "[" * 100_000, "recursion"),
         ("binary_cfg.json", "\udcff", "'utf-8' codec can't decode"),
         ("unmapped_hr.json", '{"hazard_ratios": [0.5], "replicates": {"0.6": 3}}', "lacks hazard ratio"),
+        ("off_grid_hr.json", '{"hazard_ratios": [0.5], "replicates": {"0.5": 2, "0.7": 1}}',
+         "replicates mapping names hazard ratio(s) not on the grid: [0.7]"),
         ("bad_profile_cfg.json", json.dumps({"profile": str(tmp_path / "null_prob.json")}), "null_prob.json: "),
         ("no_profile_cfg.json", '{"profile": "no-such-profile"}', "neither a built-in name"),
         ("many_reps_cfg.json", '{"replicates": 1000000000000000}', "replicates must lie in 1..10000000"),
@@ -572,8 +574,10 @@ def test_import_loads_no_scipy_stats(tmp_path):
     and a pooled grid loads scipy.special before its first worker starts,
     so its workers inherit it rather than each importing it again. Nor do
     they load concurrent.futures or multiprocessing, which only a pooled
-    grid imports, where it starts its workers."""
+    grid imports, where it starts its workers: a grid at --workers 1 loads
+    no multiprocessing."""
     (tmp_path / "curve.csv").write_text("arm,time,survival\ncontrol,1,0.5\ncontrol,2,0.25\n")
+    (tmp_path / "grid.json").write_text('{"hazard_ratios": [0.7], "sample_sizes": [20], "replicates": 4}')
     code = (
         "import sys, cwtasim, cwtasim.cli\n"
         "from cwtasim import ExperimentGrid, harness, load_profile\n"
@@ -586,6 +590,8 @@ def test_import_loads_no_scipy_stats(tmp_path):
         "):\n"
         "    assert cwtasim.cli.run_cli(argv) == 0, argv\n"
         "    print(argv[0], loaded())\n"
+        "assert cwtasim.cli.run_cli(['power', '--config', 'grid.json', '--workers', '1']) == 0\n"
+        "print('power', 'multiprocessing' in sys.modules)\n"
         "import multiprocessing\n"
         "class SpyProcess(multiprocessing.Process):\n"
         "    def start(self):\n"
@@ -599,7 +605,9 @@ def test_import_loads_no_scipy_stats(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
     lines = [line for line in out.stdout.splitlines() if not line.startswith(("wrote ", "fresh-seed check: "))]
-    assert lines == ["import []", "calibrate []", "simulate []", "plot []", "worker True", "points 1"]
+    assert lines == [
+        "import []", "calibrate []", "simulate []", "plot []", "power False", "worker True", "points 1"
+    ]
 
 
 def test_text_is_utf8_whatever_the_locale(tmp_path):

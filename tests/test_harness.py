@@ -440,6 +440,8 @@ def test_run_grid_runs_one_pool_in_grid_order(monkeypatch):
         assert len(starts) == started
         assert_same_scans(scans, run_replicates(0.7, 62, replicates, MODEL, 11))
     assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="^workers must be at least 1, got 0$"):
+        next(harness.run_grid(grid, MODEL, workers=0))
 
 
 def test_plan_blocks_is_lazy():

@@ -141,6 +141,17 @@ def test_parse_config_rejects_two_keys_naming_one_hazard_ratio():
     assert grid.replicates == {0.5: 100, 0.7: 7}
 
 
+def test_parse_config_rejects_replicates_for_a_hazard_ratio_off_the_grid():
+    """A replicates key naming a hazard ratio not on the grid is refused with
+    one message naming every such key, never ignored."""
+    message = r"^replicates mapping names hazard ratio\(s\) not on the grid: \[0\.7, 0\.9\]$"
+    for command in ("power", "tte"):
+        with pytest.raises(ConfigError, match=message):
+            parse_config('{"hazard_ratios": [0.5], "replicates": {"0.5": 2, "0.7": 1, "0.9": 3}}', command)
+    grid, _ = parse_config('{"hazard_ratios": [0.5], "replicates": {"0.5": 2}}', "power")
+    assert grid.replicates == {0.5: 2}
+
+
 @pytest.mark.parametrize(
     "doc, name",
     [
@@ -359,6 +370,9 @@ def mutated_trajectory_file(draw, path) -> list[str]:
     seed = draw(st.integers(0, 2**32))
     write_trajectories_csv(simulate_trial(READER_MODEL, 0.7, n, seed), path)
     header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    if long_key := draw(st.sampled_from(["", "", "", "k" * 300, "é" * 300])):  # its padded column may outgrow the chunk
+        key = draw(st.sampled_from(sorted({r[0] for r in rows})))
+        rows = [[long_key if r[0] == key else r[0], *r[1:]] for r in rows]
     if draw(st.booleans()):  # subjects' rows shuffled and interleaved
         rows = draw(st.permutations(rows))
     fault = draw(st.sampled_from(["none", "field", "delete", "duplicate", "truncate", "baseline-only"]))
@@ -382,7 +396,7 @@ def mutated_trajectory_file(draw, path) -> list[str]:
         header, rows = header + ["note"], [r + [draw(st.sampled_from(["", "a,b", 'say "hi"']))] for r in rows]
     for _ in range(draw(st.integers(0, 2))):
         rows.insert(draw(st.integers(0, len(rows))), [])  # blank lines
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
         terminator = draw(st.sampled_from(["\n", "\r\n"]))
         csv.writer(fh, quoting=quoting, lineterminator=terminator).writerows([header, *rows])
@@ -440,6 +454,23 @@ def test_one_long_field_among_short_ones(tmp_path):
     assert isinstance(read_trajectories_csv(path), Trial)
 
 
+def test_the_field_size_limit_counts_characters(tmp_path, capsys):
+    """csv.field_size_limit() counts characters, not bytes: a subject key of
+    70 000 two-byte characters reads, and one of 131 073 characters exits 2
+    with one line naming its line."""
+    key = "é" * 70_000
+    assert len(key) <= csv.field_size_limit() < len(key.encode())
+    rows = "".join(f"{s},{m},2,{arm},\n" for s, arm in ((key, "control"), ("1", "experimental")) for m in range(2))
+    path = tmp_path / "trial.csv"
+    path.write_text(",".join(HEADER) + "\n" + rows, encoding="utf-8")
+    assert_same_outcome(path, [key, "1"])
+    assert read_trajectories_csv(path).states.tolist() == [[2, 2], [2, 2]]
+    path.write_text(",".join(HEADER) + "\n" + rows.replace(key, "k" * (csv.field_size_limit() + 1)))
+    assert run_cli(["analyze", "--trial", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line 2: field larger than field limit ({csv.field_size_limit()})\n", err
+
+
 @pytest.mark.parametrize("field", [1, 2, 4])
 def test_integer_past_the_digit_limit(tmp_path, field):
     """A zero-padded month, state or dropout_month past int()'s digit limit is named as such."""
@@ -480,28 +511,38 @@ def test_month_spellings_read_as_the_reference_reads_them(tmp_path, month):
 
 
 def test_uniform_pieces_reshape_and_ragged_ones_take_the_general_route(tmp_path, monkeypatch):
-    """A piece whose lines all hold the same number of fields, as simulate writes
-    them, is read without the per-line pass; one with a short row or a blank
-    line takes it. Both give the same columns for the same rows."""
-    calls = []
-    general = serialize._ragged_spans
-    monkeypatch.setattr(serialize, "_ragged_spans", lambda *args: calls.append(1) or general(*args))
+    """A chunk whose lines all hold the same number of fields, as simulate
+    writes them, is read with array operations. A short row, a blank line,
+    an extra field or a long field sends its own chunk, and only that one,
+    through csv.reader; each edit reads to the file's Trial."""
+    monkeypatch.setattr(serialize, "CHUNK_BYTES", 64)
+    texts = []
+    general = serialize._csv_parts
+    monkeypatch.setattr(serialize, "_csv_parts", lambda fh, *args: texts.append(fh.getvalue()) or general(fh, *args))
+    trial = simulate_trial(READER_MODEL, 0.7, 6, 3)
     path = tmp_path / "trial.csv"
-    write_trajectories_csv(simulate_trial(READER_MODEL, 0.7, 6, 3), path)
-    body = path.read_bytes().split(b"\n", 1)[1]
-    lines = body.splitlines(keepends=True)
-    k = next(i for i, line in enumerate(lines) if line.endswith(b",\n"))  # a blank dropout
-    col = {name: i for i, name in enumerate(HEADER)}
-    want = serialize._plain_fields(memoryview(body), col, 4)
-    assert calls == []
-    short = b"".join(lines[:k] + [lines[k][:-2] + b"\n"] + lines[k + 1 :])  # the row without its dropout
-    blank = b"".join(lines[:k] + [b"\n"] + lines[k:])
-    for piece in (short, blank):
-        got = serialize._plain_fields(memoryview(piece), col, 4)
-        assert len(calls) == 1
-        calls.clear()
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    write_trajectories_csv(trial, path)
+    header, *lines = path.read_text().splitlines(keepends=True)
+    k = next(i for i in range(len(lines) // 2, len(lines)) if lines[i].endswith(",\n"))  # a blank dropout
+    fields = lines[k].split(",")
+    for new in (
+        [lines[k][:-2] + "\n"],  # a short row: the row without its dropout
+        ["\n", lines[k]],  # a blank line
+        [lines[k][:-1] + ",extra\n"],  # an extra field
+        [",".join([fields[0], fields[1].rjust(5_000), *fields[2:]])],  # a long field
+    ):
+        path.write_text(header + "".join(lines[:k] + new + lines[k + 1 :]))
+        texts.clear()
+        got = read_trajectories_csv(path)
+        [text] = texts
+        assert set(new) - set(lines) <= set(text.splitlines(keepends=True))
+        assert len(text) <= max(map(len, new)) + 2 * serialize.CHUNK_BYTES < len(path.read_text())
+        for name in ("states", "censor", "arms", "dropped"):
+            assert np.array_equal(getattr(got, name), getattr(trial, name)), name
+    path.write_text(header + "".join(lines))
+    texts.clear()
+    read_trajectories_csv(path)
+    assert texts == []
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 40, serialize.CHUNK_BYTES])
@@ -612,23 +653,25 @@ def test_narrow_runs_match_one_unique_over_the_column(texts):
 
 
 def test_a_chunk_of_blank_lines_narrows_to_empty_columns(tmp_path, monkeypatch):
-    columns = serialize._plain_fields(memoryview(b"\n\n\n"), {name: i for i, name in enumerate(HEADER)}, 4)
-    assert [len(c) for c in columns] == [0] * 5
-    assert [len(c) for c in serialize._part(columns, {}, {})] == [0] * 5
-    # through the reader: a run of blank lines one chunk long, between two subjects
+    """A run of blank lines a chunk long, between two subjects, gives chunks of empty columns."""
+    parts = []
+    part = serialize._part
+    monkeypatch.setattr(serialize, "_part", lambda *args: parts.append(part(*args)) or parts[-1])
     monkeypatch.setattr(serialize, "CHUNK_BYTES", 8)
     path = bad_csv(tmp_path, "0,0,2,control,\n0,1,2,control,\n" + "\n" * 40 + "1,0,2,control,\n1,1,3,control,\n")
     assert_same_outcome(path, ["0", "1"])
+    parts.clear()
     assert read_trajectories_csv(path).states.tolist() == [[2, 2], [2, 3]]
+    assert [0] * 5 in [[len(c) for c in columns] for columns in parts]
 
 
 @pytest.mark.parametrize(
     "lines",
     [
         ["12,3,2,control,1234567"],  # a 7-byte last field, ending at the buffer's end
-        ["0,0,2,control,", "", "0,1,2,experimental,"],  # a blank last field; a wide arm
-        ["3,0,2,control,", "3,1,2,control"],  # the last line too short to hold a dropout
-        ["4,0,2,control,", "4,1,2,control,1,extra"],  # an extra last field
+        ["0,0,2,control,", "0,1,2,experimental,"],  # a blank last field; a wide arm
+        ["3,0,2,control", "3,1,2,control"],  # lines too short to hold a dropout
+        ["4,0,2,control,,extra", "4,1,2,control,1,extra"],  # an extra last field
     ],
 )
 def test_word_gather_reads_each_field_to_the_buffer_end(lines):
@@ -636,7 +679,7 @@ def test_word_gather_reads_each_field_to_the_buffer_end(lines):
     chunk's last field, and read nothing past the chunk it is given."""
     text = "\n".join(lines).encode() + b"\n"
     chunk = memoryview(text + b"99999999")[: len(text)]  # bytes past the chunk that are not ","
-    rows = [line.split(",") for line in lines if line]
+    rows = [line.split(",") for line in lines]
     columns = serialize._plain_fields(chunk, {name: i for i, name in enumerate(HEADER)}, 4)
     for k, column in enumerate(columns):
         want = padded_words([row[k] if k < len(row) else "" for row in rows])
