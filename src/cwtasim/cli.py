@@ -24,7 +24,7 @@ from .calibration import (
 from .config import ConfigError, ExperimentGrid, parse_config
 from .statistics import METHODS, arm_counts, count_tests, monthly_counts
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
-from .trajectories import Arm, apply_hazard_ratio, check_draws, simulate_trial
+from .trajectories import Arm, simulate_trial
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,25 +147,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _grid_from_config(path: str, command: str) -> tuple[ExperimentGrid, str]:
-    """The grid and output directory of a config file; a fault of the config
-    or of the profile it names, a sample size too large to draw or a hazard
-    ratio the profile cannot take is a ConfigError that starts with the
-    path, raised before anything runs."""
+    """The grid and output directory of a config file; any fault of the config
+    or of its profile is a ConfigError that starts with the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        grid, output_dir = parse_config(raw.decode(), command)
-        model = serialize.load_profile(grid.profile)
-        for ss in grid.sample_sizes:  # a block is at most BLOCK_ROWS rows or one trial, so this covers every block
-            check_draws(ss, model.horizon_months)
-        for hr in grid.hazard_ratios:
-            try:
-                apply_hazard_ratio(model, hr)
-            except ValueError as exc:
-                raise ValueError(f"hazard ratio {hr} does not fit profile {grid.profile}: {exc}") from None
+        return parse_config(raw.decode(), command)
     except (ValueError, OSError) as exc:  # ValueError covers ConfigError and a decode error
         raise ConfigError(f"{path}: {exc}") from None
-    return grid, output_dir
 
 
 def _cmd_power(args) -> int:

@@ -1,16 +1,16 @@
 """Experiment configuration: the grid type and its strict JSON document.
 
-ExperimentGrid is the one description of a power/TTE experiment, and its
-constructor is the one place each grid rule is checked. parse_config reads
-the JSON document into a grid plus an output directory. Unknown fields, and
-fields named twice in one object, are rejected so typos fail loudly instead
-of silently running a default or the last value. The schema (all fields
-optional):
+ExperimentGrid is the one description of a power/TTE experiment, profile
+model included, and its constructor is the one place each grid rule is
+checked. parse_config reads the JSON document, profile loaded, into a grid
+plus an output directory. Unknown fields, and fields named twice in one
+object, are rejected so typos fail loudly instead of silently running a
+default or the last value. The schema (all fields optional):
 
     {
       "profile": "moderate" | "high" | "path/to/profile.json",
-      "hazard_ratios": [0.5, 0.6, 0.7, 0.8],    # distinct, > 0
-      "sample_sizes": [20, 60, ...],            # distinct, even (1:1 allocation)
+      "hazard_ratios": [0.5, 0.6, 0.7, 0.8],    # distinct, > 0, each one the profile can take
+      "sample_sizes": [20, 60, ...],            # distinct, even (1:1 allocation), within the draw cap
       "replicates": 1000 | {"0.5": 100, ...},   # or one count per listed HR; <= 10**7
       "alpha": 0.05,
       "master_seed": 0,
@@ -25,12 +25,14 @@ replicates below HR 0.8 and 1000 at or above it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import Mapping
 
-from .trajectories import _check_sample_size, json_object
+from .serialize import load_profile
+from .trajectories import TransitionModel, _check_sample_size, apply_hazard_ratio, check_draws, json_object
 
+DEFAULT_PROFILE = "moderate"
 DEFAULT_HAZARD_RATIOS = (0.5, 0.6, 0.7, 0.8)
 DEFAULT_POWER_SIZES = (20, 40, 60, 80, 100, 140, 180, 240, 320, 400, 500)
 DEFAULT_TTE_SIZES = (30, 60, 90, 120, 150, 180, 210, 240, 270, 300, 350, 400, 450, 500)
@@ -76,30 +78,32 @@ def _check_distinct(name: str, values) -> None:
 class ExperimentGrid:
     """A power/TTE experiment: HR x sample-size grid plus run parameters.
 
-    replicates is either one count for every grid point or a mapping from
-    hazard ratio to count, whose keys must be the grid's hazard ratios. Grid
-    points run hazard ratio by hazard ratio, each over every sample size.
+    profile is the control arm's TransitionModel. replicates is one count for
+    every grid point or a mapping from hazard ratio to count, keyed by exactly
+    the grid's hazard ratios. Points run HR by HR, each over every sample size.
     """
 
     hazard_ratios: tuple[float, ...]
     sample_sizes: tuple[int, ...]
     replicates: int | Mapping[float, int]
     alpha: float = 0.05
-    profile: str = "moderate"
+    profile: TransitionModel = field(default_factory=lambda: load_profile(DEFAULT_PROFILE))
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.profile, str) or not self.profile:
-            raise ValueError(f"profile: must be a non-empty string, got {self.profile!r}")
+        if not isinstance(self.profile, TransitionModel):
+            raise ValueError(f"profile: must be a TransitionModel, got {self.profile!r}")
         _check_list("hazard_ratios", self.hazard_ratios)
         for hr in self.hazard_ratios:
             _check_hr(hr, "hazard_ratios")
+            apply_hazard_ratio(self.profile, float(hr))  # raises if the rescaled model is invalid
         _check_distinct("hazard_ratios", self.hazard_ratios)
         _check_list("sample_sizes", self.sample_sizes)
         for ss in self.sample_sizes:
             if not _is_int(ss):
                 raise ValueError(f"sample_sizes: sizes must be integers, got {ss!r}")
             _check_sample_size(ss)
+            check_draws(ss, self.profile.horizon_months)  # a block is at most BLOCK_ROWS rows or one trial
         _check_distinct("sample_sizes", self.sample_sizes)
         if isinstance(self.replicates, Mapping):
             for hr, count in self.replicates.items():
@@ -129,7 +133,7 @@ class ExperimentGrid:
         return int(self.replicates)
 
 
-_KNOWN_FIELDS = {field.name for field in fields(ExperimentGrid)} | {"output_dir"}
+_KNOWN_FIELDS = {f.name for f in fields(ExperimentGrid)} | {"output_dir"}
 
 
 def parse_config(text: str, command: str) -> tuple[ExperimentGrid, str]:
@@ -165,7 +169,11 @@ def parse_config(text: str, command: str) -> tuple[ExperimentGrid, str]:
     values.setdefault("sample_sizes", DEFAULT_TTE_SIZES if command == "tte" else DEFAULT_POWER_SIZES)
     tte_default = command == "tte" and "replicates" not in values
     values.setdefault("replicates", 1000)
-    try:
+    try:  # an OSError of the profile file passes as itself
+        profile = values.get("profile", DEFAULT_PROFILE)
+        if not isinstance(profile, str) or not profile:
+            raise ValueError(f"profile: must be a non-empty string, got {profile!r}")
+        values["profile"] = load_profile(profile)  # before the grid, whose every rule may need the model
         grid = ExperimentGrid(**values)
         if tte_default:  # weak effects need more replicates for stable survival-time spreads
             grid = replace(grid, replicates={hr: 1000 if hr >= 0.8 else 100 for hr in grid.hazard_ratios})

@@ -16,10 +16,11 @@ streams are drawn in one pass and its trials simulated in one kernel pass
 one monthly_counts pass keyed by the trial boundaries, every per-month
 array carrying a leading trial axis. Results are columns, one row per
 replicate and one column per method. Every grid command runs through
-run_grid. It shares the blocks out in a fixed rotation between the
-calling process and workers - 1 worker processes, each of which sends its
-results back in order through its own pipe; at workers 1 the calling
-process runs every block and multiprocessing is never imported.
+run_grid, which takes the grid alone: profile, alpha and seed included.
+It shares the blocks out in a fixed rotation between the calling process
+and workers - 1 worker processes, each of which sends its results back in
+order through its own pipe; at workers 1 the calling process runs every
+block and multiprocessing is never imported.
 
 Replicate seeds are mixed from (master_seed, hazard-ratio bits, sample
 size, replicate index), and every step treats trials independently, so
@@ -39,7 +40,6 @@ import numpy as np
 
 from .config import ExperimentGrid
 from .seeds import float_bits, mix64_array
-from .serialize import load_profile
 from .statistics import METHODS, scan_trial, scipy_special
 from .trajectories import TransitionModel, simulate_trials
 
@@ -175,17 +175,16 @@ def _grid_blocks(grid: ExperimentGrid, workers: int) -> Iterator[tuple]:
     )
 
 
-def _run_block(setup: tuple, runs: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _run_block(grid: ExperimentGrid, runs: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Scans of one block: its runs (hr, ss, start, stop) simulated as one block of trials."""
-    master_seed, alpha, model = setup
     designs = [
-        (hr, ss, replicate_seed(master_seed, hr, ss, np.arange(start, stop, dtype=np.uint64)))
+        (hr, ss, replicate_seed(grid.master_seed, hr, ss, np.arange(start, stop, dtype=np.uint64)))
         for hr, ss, start, stop in runs
     ]
-    return scan_trial(simulate_trials(model, designs), alpha)
+    return scan_trial(simulate_trials(grid.profile, designs), grid.alpha)
 
 
-def _work(grid: ExperimentGrid, setup: tuple, workers: int, k: int, conn) -> None:
+def _work(grid: ExperimentGrid, workers: int, k: int, conn) -> None:
     """Worker process k of a pooled run_grid: runs blocks k, k + workers, ...
     in order and sends each result, or a failed block's exception and stops.
     A full pipe blocks the send, so results wait for the caller one pipe
@@ -194,20 +193,20 @@ def _work(grid: ExperimentGrid, setup: tuple, workers: int, k: int, conn) -> Non
     with conn:
         for runs in islice(_grid_blocks(grid, workers), k, None, workers):
             try:
-                result = _run_block(setup, runs)
+                result = _run_block(grid, runs)
             except BaseException as exc:
                 conn.send(exc)
                 return
             conn.send(result)
 
 
-def _pooled(setup: tuple, blocks: Iterator[tuple], workers: int, procs: list, conns: list) -> Iterator[tuple]:
+def _pooled(grid: ExperimentGrid, blocks: Iterator[tuple], workers: int, procs: list, conns: list) -> Iterator[tuple]:
     """(runs, block result) in block order: block i runs in this process when
     i % workers is 0, else it is read from worker i % workers."""
     for i, runs in enumerate(blocks):
         k = i % workers
         if k == 0:
-            yield runs, _run_block(setup, runs)
+            yield runs, _run_block(grid, runs)
             continue
         try:
             result = conns[k - 1].recv()
@@ -242,17 +241,15 @@ def _gather(grid: ExperimentGrid, done: Iterator[tuple]) -> Iterator[tuple[float
                 yield hr, ss, scans
 
 
-def run_grid(
-    grid: ExperimentGrid, model: TransitionModel, workers: int = 1
-) -> Iterator[tuple[float, int, ReplicateScans]]:
+def run_grid(grid: ExperimentGrid, workers: int = 1) -> Iterator[tuple[float, int, ReplicateScans]]:
     """Simulate and scan every grid point; yields (hr, ss, scans) in grid order.
 
-    The points run under `model` (grid.profile is not read). The grid's
-    replicates run in blocks that may span points (plan_grid_blocks), and
-    block i runs in process i % workers (a count below 1 raises ValueError):
-    this process is process 0, and one worker process is started for each
-    of the others that has a block, so at most min(workers, blocks) - 1,
-    and none at workers 1. Each worker sends its results in order through
+    The points run under grid.profile at grid.alpha. The grid's replicates
+    run in blocks that may span points (plan_grid_blocks), and block i runs
+    in process i % workers (a count below 1 raises ValueError): this
+    process is process 0, and one worker process is started for each of
+    the others that has a block, so at most min(workers, blocks) - 1, and
+    none at workers 1. Each worker sends its results in order through
     its own pipe, and this process runs its own blocks between reads. Row r
     of a point's scans is replicate r, and it is the same for any block
     split, worker count and grid, because each replicate's seed
@@ -264,7 +261,6 @@ def run_grid(
     """
     if workers < 1:  # block i runs in process i % workers
         raise ValueError(f"workers must be at least 1, got {workers}")
-    setup = (grid.master_seed, grid.alpha, model)
     blocks = _grid_blocks(grid, workers)
     # before the first block: forked workers inherit the module, and
     # imported among a block's live arrays it raises peak RSS by about 0.5 MB
@@ -278,10 +274,10 @@ def run_grid(
             conn, send = multiprocessing.Pipe(duplex=False)
             conns.append(conn)
             with send:  # closed before the next fork: the worker's copy is the only send end, so its exit is EOF here
-                proc = multiprocessing.Process(target=_work, args=(grid, setup, workers, k, send), daemon=True)
+                proc = multiprocessing.Process(target=_work, args=(grid, workers, k, send), daemon=True)
                 proc.start()
             procs.append(proc)
-        yield from _gather(grid, _pooled(setup, chain(first, blocks), workers, procs, conns))
+        yield from _gather(grid, _pooled(grid, chain(first, blocks), workers, procs, conns))
     finally:
         for proc in procs:  # killed before the pipes close, so no worker's send meets a closed pipe
             proc.kill()  # a no-op once the worker has exited
@@ -301,8 +297,8 @@ def run_replicates(
 ) -> ReplicateScans:
     """Simulate and scan `replicates` independent trials at one grid point:
     run_grid on the one-point grid (hr, ss)."""
-    grid = ExperimentGrid((hr,), (ss,), replicates, alpha, master_seed=master_seed)
-    [(_, _, scans)] = run_grid(grid, profile, workers)
+    grid = ExperimentGrid((hr,), (ss,), replicates, alpha, profile, master_seed)
+    [(_, _, scans)] = run_grid(grid, workers)
     return scans
 
 
@@ -436,7 +432,7 @@ def power_rows(grid: ExperimentGrid, workers: int = 1) -> list[PowerEstimate]:
     """Power of every method at every (hr, ss) grid point."""
     return [
         estimate_power(results, method, grid.alpha, hr=hr, ss=ss)
-        for hr, ss, results in run_grid(grid, load_profile(grid.profile), workers)
+        for hr, ss, results in run_grid(grid, workers)
         for method in METHODS
     ]
 
@@ -467,7 +463,7 @@ def tte_rows(
 ) -> list[tuple[TTESummary, TTEComparison | None]]:
     """TTE summaries per grid point, each KM method compared against CWTA."""
     rows: list[tuple[TTESummary, TTEComparison | None]] = []
-    for hr, ss, results in run_grid(grid, load_profile(grid.profile), workers):
+    for hr, ss, results in run_grid(grid, workers):
         firsts = {m: first_months(results, m) for m in METHODS}
         for method in METHODS:
             summary = summarize_tte(results, method, hr=hr, ss=ss)

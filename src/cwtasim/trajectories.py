@@ -209,7 +209,7 @@ def apply_hazard_ratio(
     (treatment effects act on worsening only) unless improvement_hr is
     given, in which case the same transform is applied to them. The
     improvement decay is never changed, so both arms share the control
-    model's.
+    model's. A ratio that makes the model invalid raises ValueError naming it.
     """
     if not hr > 0.0:
         raise ValueError(f"hazard ratio must be positive, got {hr}")
@@ -219,7 +219,12 @@ def apply_hazard_ratio(
         if not improvement_hr > 0.0:
             raise ValueError(f"improvement hazard ratio must be positive, got {improvement_hr}")
         improve = tuple(_scale_probability(a, improvement_hr) for a in model.improve_prob)
-    return replace(model, worsen_prob=worsen, improve_prob=improve)
+    try:
+        return replace(model, worsen_prob=worsen, improve_prob=improve)
+    except ValueError as exc:  # the one rule rescaling can break: improve + worsen exceeds 1
+        hr_fits = all(a + b <= 1.0 for a, b in zip(model.improve_prob, worsen))
+        ratio = f"improvement hazard ratio {improvement_hr}" if improvement_hr and hr_fits else f"hazard ratio {hr}"
+        raise ValueError(f"{ratio} does not fit the profile: {exc}") from None
 
 
 def _check_sample_size(sample_size: int) -> None:

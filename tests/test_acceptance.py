@@ -362,7 +362,7 @@ def test_criterion_8_worker_determinism(tmp_path):
         sample_sizes=(20, 40),
         replicates=40,
         alpha=0.05,
-        profile="moderate",
+        profile=load_profile("moderate"),
         master_seed=MASTER_SEED,
     )
     outputs = {}

@@ -164,7 +164,7 @@ def test_samplesize_exits_2_with_one_line_when_no_pair_is_reached(tmp_path, fast
 
 
 def test_worker_count_does_not_change_output(tmp_path, fast_profile):
-    cfg1 = small_config(tmp_path / "one" if False else tmp_path, profile=fast_profile)
+    cfg1 = small_config(tmp_path, profile=fast_profile)
     assert run_cli(["power", "--config", cfg1, "--workers", "1"]) == 0
     single = (tmp_path / "out" / "power.csv").read_bytes()
     assert run_cli(["power", "--config", cfg1, "--workers", "3"]) == 0
@@ -187,16 +187,34 @@ def test_workers_capped_at_the_affinity_set(tmp_path, fast_profile, monkeypatch,
     assert (tmp_path / "out" / "power.csv").read_bytes() == single
 
 
+def test_grid_command_loads_its_profile_once(tmp_path, fast_profile, monkeypatch):
+    """power resolves the config's profile to a model once, while the config
+    is parsed; every block then reads the model from the grid."""
+    loads, load = [], serialize.load_profile
+
+    def counted(name):
+        loads.append(name)
+        return load(name)
+
+    for module in (serialize, cwtasim.config, cwtasim.cli, harness):  # every module that holds the function
+        if getattr(module, "load_profile", None) is load:
+            monkeypatch.setattr(module, "load_profile", counted)
+    cfg = small_config(tmp_path, profile=fast_profile)
+    assert run_cli(["power", "--config", cfg]) == 0
+    assert loads == [fast_profile]
+    assert (tmp_path / "out" / "power.csv").exists()
+
+
 def test_dead_worker_exits_2_with_one_line(tmp_path, fast_profile, monkeypatch, capsys):
     """A worker process that dies mid-grid ends a pooled command with exit 2
     and one error line naming its exit code, not a traceback."""
     cfg = small_config(tmp_path, profile=fast_profile)
     caller, run_block = os.getpid(), harness._run_block
 
-    def dying(setup, runs):
+    def dying(grid, runs):
         if os.getpid() != caller:
             os._exit(9)
-        return run_block(setup, runs)
+        return run_block(grid, runs)
 
     monkeypatch.setattr(harness, "_run_block", dying)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -304,7 +322,11 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
         (["power", "--config", str(cfgs[1])], f"error: {cfgs[1]}: {huge}"),
         (["tte", "--config", str(cfgs[1])], f"error: {cfgs[1]}: {huge}"),
         (["power", "--config", str(cfgs[2])],
-         f"error: {cfgs[2]}: hazard ratio 100.0 does not fit profile moderate: improve_prob[1] + worsen_prob[1] exceeds 1"),
+         f"error: {cfgs[2]}: hazard ratio 100.0 does not fit the profile: improve_prob[1] + worsen_prob[1] exceeds 1"),
+        (["simulate", "--sample-size", "4", "--hr", "100", "--out", str(tmp_path / "never.csv")],
+         "error: hazard ratio 100.0 does not fit the profile: improve_prob[1] + worsen_prob[1] exceeds 1"),
+        (["simulate", "--sample-size", "4", "--hr", "0.7", "--improvement-hr", "100", "--out", str(tmp_path / "never.csv")],
+         "error: improvement hazard ratio 100.0 does not fit the profile: improve_prob[1] + worsen_prob[1] exceeds 1"),
         (["samplesize", "--config", str(cfgs[3]), "--target", "1.5"], "error: target power must lie in (0, 1), got 1.5"),
         (["samplesize", "--config", str(cfgs[3]), "--target", "nan"], "error: target power must lie in (0, 1), got nan"),
         (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
@@ -317,6 +339,7 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(start), err
     assert blocks_run == [] and evaluations == [] and not (tmp_path / "huge_out").exists()
+    assert not (tmp_path / "never.csv").exists()
 
     assert run_cli(["analyze", "--trial", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -580,7 +603,7 @@ def test_import_loads_no_scipy_stats(tmp_path):
     (tmp_path / "grid.json").write_text('{"hazard_ratios": [0.7], "sample_sizes": [20], "replicates": 4}')
     code = (
         "import sys, cwtasim, cwtasim.cli\n"
-        "from cwtasim import ExperimentGrid, harness, load_profile\n"
+        "from cwtasim import ExperimentGrid, harness\n"
         "def loaded(): return sorted(k for k in sys.modules if k.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing'))\n"
         "print('import', loaded())\n"
         "for argv in (\n"
@@ -599,7 +622,7 @@ def test_import_loads_no_scipy_stats(tmp_path):
         "        super().start()\n"
         "multiprocessing.Process = SpyProcess\n"
         "grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=(20,), replicates=4)\n"
-        "print('points', len(list(harness.run_grid(grid, load_profile('moderate'), workers=2))))\n"
+        "print('points', len(list(harness.run_grid(grid, workers=2))))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

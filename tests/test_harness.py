@@ -238,8 +238,8 @@ def test_grid_blocks_spanning_points_match_one_by_one_oracle(
     bit, in grid order, on one process and on two."""
     sizes = tuple(dict.fromkeys([2, block_rows + 2, *more_sizes]))  # 2, and one trial above the budget
     replicates = dict(zip(hrs, counts))
-    grid = ExperimentGrid(tuple(hrs), sizes, replicates, alpha, profile, master_seed)
     model = load_profile(profile)
+    grid = ExperimentGrid(tuple(hrs), sizes, replicates, alpha, model, master_seed)
     expected = {
         (hr, ss): ReplicateScans(*run_replicates_one_by_one(hr, ss, replicates[hr], model, master_seed, alpha))
         for hr in hrs
@@ -247,7 +247,7 @@ def test_grid_blocks_spanning_points_match_one_by_one_oracle(
     }
     with mock.patch.object(harness, "BLOCK_ROWS", block_rows):
         for workers in (1, 2):
-            points = list(harness.run_grid(grid, model, workers))
+            points = list(harness.run_grid(grid, workers))
             assert [(hr, ss) for hr, ss, _ in points] == list(expected)
             for hr, ss, scans in points:
                 assert_same_scans(scans, expected[hr, ss])
@@ -326,10 +326,10 @@ def test_grid_small_n_shape_runs_as_two_blocks():
         calls.append(args[1].shape[0])
         return kernel(*args, **kwargs)
 
-    grid = ExperimentGrid(hazard_ratios=(0.5, 0.7), sample_sizes=(20, 40, 60), replicates=30, master_seed=3)
     model = load_profile("moderate")
+    grid = ExperimentGrid(hazard_ratios=(0.5, 0.7), sample_sizes=(20, 40, 60), replicates=30, profile=model, master_seed=3)
     with mock.patch.object(trajectories, "_simulate_state_matrix", counted):
-        points = list(harness.run_grid(grid, model, workers=1))
+        points = list(harness.run_grid(grid, workers=1))
     assert len(calls) == 2 and sum(calls) == 7200, calls
     for hr, ss, scans in points:
         assert_same_scans(scans, run_replicates(hr, ss, 30, model, 3))
@@ -348,7 +348,7 @@ def test_interrupt_cancels_queued_blocks(tmp_path, monkeypatch, sizes, replicate
     with a file, which a forked worker can write too; no signal is sent."""
     caller = os.getpid()
 
-    def run_block(setup, runs):
+    def run_block(grid, runs):
         [(_, ss, start, stop)] = runs  # one replicate per block
         (tmp_path / f"{ss}-{start}").touch()
         if os.getpid() == caller:
@@ -358,10 +358,10 @@ def test_interrupt_cancels_queued_blocks(tmp_path, monkeypatch, sizes, replicate
 
     monkeypatch.setattr(harness, "_run_block", run_block)
     monkeypatch.setattr(harness, "BLOCK_ROWS", 2)  # one replicate per block
-    grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=sizes, replicates=replicates)
+    grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=sizes, replicates=replicates, profile=MODEL)
     began = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        list(harness.run_grid(grid, MODEL, workers=2))
+        list(harness.run_grid(grid, workers=2))
     assert time.perf_counter() - began < 30
     assert multiprocessing.active_children() == []
     # block 0 in the caller, and block 1 if the worker took it up before it was killed;
@@ -376,16 +376,16 @@ def test_worker_failure_is_raised_by_the_caller(monkeypatch):
     and no process is left behind."""
     caller, run_block = os.getpid(), harness._run_block
 
-    def failing(setup, runs):
+    def failing(grid, runs):
         if os.getpid() != caller:
             raise ArithmeticError(f"block {runs} failed")
-        return run_block(setup, runs)
+        return run_block(grid, runs)
 
     monkeypatch.setattr(harness, "_run_block", failing)
-    grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=(20, 40), replicates=3)
+    grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=(20, 40), replicates=3, profile=MODEL)
     # three blocks: the worker owes block 1, replicates 1..2 of n 20 and 0 of n 40
     with pytest.raises(ArithmeticError, match=re.escape("block ((0.7, 20, 1, 3), (0.7, 40, 0, 1)) failed")):
-        list(harness.run_grid(grid, MODEL, workers=2))
+        list(harness.run_grid(grid, workers=2))
     assert multiprocessing.active_children() == []
 
 
@@ -395,17 +395,17 @@ def test_dead_worker_raises_child_process_error(monkeypatch):
     no process left behind."""
     caller, run_block = os.getpid(), harness._run_block
 
-    def dying(setup, runs):
+    def dying(grid, runs):
         if os.getpid() != caller:
             os._exit(7)
-        return run_block(setup, runs)
+        return run_block(grid, runs)
 
     monkeypatch.setattr(harness, "_run_block", dying)
-    grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=(20, 40), replicates=3)
+    grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=(20, 40), replicates=3, profile=MODEL)
     began = time.perf_counter()
     owed = "block 1 (HR 0.7 n 20 replicates 1..2, HR 0.7 n 40 replicates 0..0)"
     with pytest.raises(ChildProcessError, match=re.escape(f"worker process 1 exited with code 7 before returning {owed}")):
-        list(harness.run_grid(grid, MODEL, workers=2))
+        list(harness.run_grid(grid, workers=2))
     assert time.perf_counter() - began < 30
     assert multiprocessing.active_children() == []
 
@@ -425,9 +425,9 @@ def test_run_grid_runs_one_pool_in_grid_order(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Process", SpyProcess)
     monkeypatch.setattr(harness, "BLOCK_ROWS", 60)  # several blocks per point
     grid = ExperimentGrid(
-        hazard_ratios=(0.5, 0.7), sample_sizes=(20, 40, 62), replicates={0.5: 9, 0.7: 5}, master_seed=11
+        hazard_ratios=(0.5, 0.7), sample_sizes=(20, 40, 62), replicates={0.5: 9, 0.7: 5}, profile=MODEL, master_seed=11
     )
-    points = list(harness.run_grid(grid, MODEL, workers=2))
+    points = list(harness.run_grid(grid, workers=2))
     assert len(starts) == 1
     assert [(hr, ss) for hr, ss, _ in points] == [(hr, ss) for hr in (0.5, 0.7) for ss in (20, 40, 62)]
     for hr, ss, scans in points:
@@ -436,12 +436,12 @@ def test_run_grid_runs_one_pool_in_grid_order(monkeypatch):
     # at workers 3: two blocks start one worker, one block none
     for replicates, started in ((2, 1), (1, 0)):
         starts.clear()
-        [(_, _, scans)] = harness.run_grid(ExperimentGrid((0.7,), (62,), replicates, master_seed=11), MODEL, workers=3)
+        [(_, _, scans)] = harness.run_grid(ExperimentGrid((0.7,), (62,), replicates, profile=MODEL, master_seed=11), workers=3)
         assert len(starts) == started
         assert_same_scans(scans, run_replicates(0.7, 62, replicates, MODEL, 11))
     assert multiprocessing.active_children() == []
     with pytest.raises(ValueError, match="^workers must be at least 1, got 0$"):
-        next(harness.run_grid(grid, MODEL, workers=0))
+        next(harness.run_grid(grid, workers=0))
 
 
 def test_plan_blocks_is_lazy():
@@ -601,6 +601,15 @@ def test_experiment_grid_validation():
     for replicates in (10**7 + 1, {0.5: 10**15}):
         with pytest.raises(ValueError, match="replicates must lie in 1..10000000"):
             ExperimentGrid(hazard_ratios=(0.5,), sample_sizes=(100,), replicates=replicates)
+    # the profile's own rules: a model, a hazard ratio it can take, and trials small enough to draw
+    with pytest.raises(ValueError, match="^profile: must be a TransitionModel, got 'moderate'$"):
+        ExperimentGrid(hazard_ratios=(0.5,), sample_sizes=(100,), replicates=10, profile="moderate")
+    message = "hazard ratio 100.0 does not fit the profile: improve_prob[1] + worsen_prob[1] exceeds 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentGrid(hazard_ratios=(0.5, 100), sample_sizes=(100,), replicates=10)
+    with pytest.raises(ValueError, match="^sample size 2000000000 at a 60-month horizon needs 124000000000 uniforms"):
+        ExperimentGrid(hazard_ratios=(0.5,), sample_sizes=(20, 2_000_000_000), replicates=10)
+    assert ExperimentGrid(hazard_ratios=(0.5,), sample_sizes=(100,), replicates=10).profile == load_profile("moderate")
     grid = ExperimentGrid(hazard_ratios=(0.5, 0.7), sample_sizes=(100,), replicates={0.5: 100, 0.7: 200})
     assert grid.replicates_for(0.5) == 100
     assert grid.replicates_for(0.7) == 200

@@ -56,7 +56,7 @@ MODEL = TransitionModel(
 
 def test_parse_config_defaults():
     grid, output_dir = parse_config("{}", "power")
-    assert grid.profile == "moderate"
+    assert grid.profile == load_profile("moderate")
     assert grid.hazard_ratios == DEFAULT_HAZARD_RATIOS
     assert grid.sample_sizes == DEFAULT_POWER_SIZES
     assert grid.replicates == 1000
@@ -81,7 +81,7 @@ def test_parse_config_full_document():
         ),
         "tte",
     )
-    assert grid.profile == "high"
+    assert grid.profile == load_profile("high")
     assert grid.hazard_ratios == (0.5, 0.7)
     assert grid.sample_sizes == (40, 80)
     assert grid.replicates == {0.5: 200, 0.7: 100}
