@@ -18,6 +18,17 @@ functions: responders of a2, complete responders of a1 at a fixed a2. A
 subject's step is its critical probability, the least value at which the
 kernel's own comparison moves it out of SD (or PR) in an observed month
 (see _Cohort), so one kernel run tabulates the steps of a whole bisection.
+
+A table build reads only the cells that can move it. Each month it
+computes an exact critical probability only where the subject is observed
+in the state and the rounded quotient u / d of its draw and the month's
+decay factor lies below its least value so far; no other cell can lower
+that value (see _critical_values). The CR table runs the kernel on the
+responders at the fitted a2 alone, since no other subject is ever in PR in
+an observed month, in pieces of at most PIECE_ROWS subjects whose draws
+are gathered from the month-major buffer. A search therefore runs the
+kernel once for the responder table and once per piece for the CR table:
+twice in all up to PIECE_ROWS responders.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from .trajectories import (
 )
 
 CALIBRATION_SEED = 201805
+PIECE_ROWS = 8_192  # subjects whose draws one kernel run of a responders-only table gathers
 
 # Template disease dynamics shared by the shipped profiles: monthly chances
 # of CR->PR, PR->SD, SD->PD, PD->death relapse/progression steps, and the
@@ -124,6 +136,35 @@ def _critical_probabilities(u: np.ndarray, d: float) -> np.ndarray:
     return out
 
 
+def _critical_values(model: TransitionModel, s: int, draws: np.ndarray, censor: np.ndarray) -> np.ndarray:
+    """Each subject's critical improve_prob[s] under model, whose
+    improve_prob[s] must be 0, from one kernel run on its month-major
+    (horizon, subjects) draws; inf for a subject never in s in an observed
+    month (at most censor).
+
+    Each month is one full-width pass over the month's contiguous row of
+    draws and states. An exact critical probability is computed only where
+    the subject is observed in s and the rounded quotient u / d lies below
+    its least value so far: _critical_probabilities starts its search at
+    that quotient and never returns less, so no other cell can lower a
+    minimum.
+    """
+    states = _simulate_state_matrix((model,), draws.T).T
+    critical = np.full(len(censor), np.inf)
+    for m in range(1, model.horizon_months + 1):
+        d = model.improve_decay ** (m - 1)
+        u = draws[m - 1]
+        # A draw u >= d never improves: its quotient may overflow to inf, or be
+        # inf or nan where d underflows to 0, and then lowers nothing.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lower = u / d < critical
+        lower &= (states[m - 1] == s) & (censor >= m)
+        rows = np.flatnonzero(lower)
+        if rows.size:
+            critical[rows] = np.minimum(critical[rows], _critical_probabilities(u[rows], d))
+    return critical
+
+
 class _Cohort:
     """A calibration sample: each subject's monthly uniforms and last observed
     month, drawn once, and the critical-probability tables built from them.
@@ -137,42 +178,47 @@ class _Cohort:
     where p is at most 1 - worsen_prob[s], so that an improving draw never
     also worsens the subject, which would keep it in s.
 
-    responders sorts the critical improve_prob[SD] values at zero
-    improvement: a subject is a responder, for any improve_prob[PR], iff
-    improve_prob[SD] reaches its value. complete, once tabulate_complete
-    has run, holds one improve_prob[SD] and the sorted critical
-    improve_prob[PR] values there: reaching CR.
+    first_improvement holds each subject's critical improve_prob[SD] value
+    at zero improvement, and responders sorts them: a subject is a
+    responder, for any improve_prob[PR], iff improve_prob[SD] reaches its
+    value. complete, once tabulate_complete has run, holds one
+    improve_prob[SD] and the sorted critical improve_prob[PR] values of
+    that improve_prob[SD]'s responders: reaching CR.
     """
 
     def __init__(self, template: TransitionModel, n_subjects: int, seed: int) -> None:
+        if n_subjects < 1:
+            raise ValueError("n_subjects must be positive")
         blocks = subject_uniforms(seed, n_subjects, template.horizon_months)
         self.base = replace(template, improve_prob=(0.0,) * N_STATES)
         self.monthly_u = blocks[:, 2:]
         _, self.censor = _dropout_from_uniforms(template, blocks[:, 0], blocks[:, 1])
         self.early = np.flatnonzero(self.censor < template.horizon_months)
+        self.first_improvement: np.ndarray | None = None
         self.responders: np.ndarray | None = None
         self.complete: tuple[float, np.ndarray] | None = None
 
-    def _critical_values(self, model: TransitionModel, s: int) -> np.ndarray:
-        """Sorted critical improve_prob[s] of every subject, from one kernel run
-        of model, whose improve_prob[s] must be 0; inf for a subject never in s."""
-        states = _simulate_state_matrix((model,), self.monthly_u).T
-        critical = np.full(len(self.censor), np.inf)
-        for m in range(1, model.horizon_months + 1):
-            rows = np.flatnonzero(states[m - 1] == s)
-            rows = rows[self.censor[rows] >= m]
-            if rows.size:
-                month = _critical_probabilities(self.monthly_u[rows, m - 1], model.improve_decay ** (m - 1))
-                critical[rows] = np.minimum(critical[rows], month)
-        critical.sort()
-        return critical
-
     def tabulate_responders(self) -> None:
-        self.responders = self._critical_values(self.base, SD)
+        self.first_improvement = _critical_values(self.base, SD, self.monthly_u.T, self.censor)
+        self.responders = np.sort(self.first_improvement)
 
     def tabulate_complete(self, a2: float) -> None:
+        """Tabulate the critical improve_prob[PR] values at improve_prob[SD] = a2,
+        at most 1 - worsen_prob[SD]. Only a responder at a2 is ever in PR in
+        an observed month, so the kernel runs on the responders alone, one
+        piece of at most PIECE_ROWS of them at a time, each piece's draws
+        gathered from the month-major buffer. The others' values would be
+        inf, which no count reaches."""
         model = replace(self.base, improve_prob=(0.0, 0.0, a2, 0.0, 0.0))
-        self.complete = (a2, self._critical_values(model, PR))
+        responders = np.flatnonzero(self.first_improvement <= a2)
+        critical = np.empty(len(responders))
+        for start in range(0, len(responders), PIECE_ROWS):
+            piece = responders[start : start + PIECE_ROWS]
+            critical[start : start + len(piece)] = _critical_values(
+                model, PR, self.monthly_u.T[:, piece], self.censor[piece]
+            )
+        critical.sort()
+        self.complete = (a2, critical)
 
     def counts(self, model: TransitionModel) -> tuple[int, int] | None:
         """(complete responders, responders) of model from the tables, or None
@@ -259,8 +305,6 @@ def calibrate_transition_model(
     CalibrationError if a target is unreachable or a bracket collapses, or,
     carrying the best model found, if the joint check fails.
     """
-    if n_subjects < 1:
-        raise ValueError("n_subjects must be positive")
     cohort = _Cohort(template, n_subjects, seed)
     cohort.tabulate_responders()
 

@@ -51,12 +51,15 @@ def save_profile(model: TransitionModel, path) -> None:
         fh.write("\n")
 
 
-def load_profile(name_or_path: str) -> TransitionModel:
+def load_profile(name_or_path: str | os.PathLike) -> TransitionModel:
     """Load a transition model: a built-in profile name or a JSON path.
 
     A profile that cannot be decoded, parsed or validated raises ValueError
-    with a message that starts with its name or path.
+    with a message that starts with its name or path. Any other value, such
+    as an int that open() would take as a file descriptor, raises TypeError.
     """
+    if not isinstance(name_or_path, (str, os.PathLike)):
+        raise TypeError(f"profile must be a name or a path, not {name_or_path!r}")
     if name_or_path in BUILTIN_PROFILES:
         raw = resources.files("cwtasim").joinpath("profiles", f"{name_or_path}.json").read_bytes()
     elif not os.path.exists(name_or_path):

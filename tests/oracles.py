@@ -20,12 +20,16 @@ per row, per-subject checks in a loop), the reference for the columnar
 read_trajectories_csv; trial_state_matrix packs per-subject rows the way
 it did. write_trajectories_rowwise is the former writer (one tuple per
 row, each value formatted on its own through the csv module), the
-reference for the chunked write_trajectories_csv.
+reference for the chunked write_trajectories_csv. critical_improvement
+is a calibration table's entry for one subject, cell by cell: every
+observed month's least improving probability, found by bisection over the
+bit patterns of [0, 1], then the least of them.
 """
 
 from __future__ import annotations
 
 import csv
+import struct
 import sys
 from itertools import combinations
 from math import erf, sqrt
@@ -107,6 +111,45 @@ def simulate_subject(
         model = apply_hazard_ratio(control_model, hr, improvement_hr)
     block = rng.random(control_model.horizon_months + 2)
     return _trajectory_from_block(model, block)
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def least_improving_probability(u: float, d: float) -> float:
+    """The least double p in [0, 1] with d * p > u, or inf where p = 1 fails.
+
+    d * p never decreases as p grows, so the doubles that improve form a
+    tail of [0, 1]; bisecting over their bit patterns finds its first.
+    p = 0 never improves: d * 0 = 0 is not above a draw u >= 0.
+    """
+    if not d * 1.0 > u:
+        return float("inf")
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if d * _bits_float(mid) > u:
+            hi = mid
+        else:
+            lo = mid
+    return _bits_float(hi)
+
+
+def critical_improvement(model: TransitionModel, s: int, block) -> float:
+    """One subject's critical improve_prob[s] under model, whose improve_prob[s]
+    is 0, from its horizon + 2 uniforms: the least improving probability of
+    every observed month m that starts in s, at decay**(m - 1), then the
+    least of them; inf where there is none."""
+    states, _ = _trajectory_from_block(model, block)
+    return min(
+        (
+            least_improving_probability(float(block[m + 1]), model.improve_decay ** (m - 1))
+            for m in range(1, len(states))
+            if states[m - 1] == s
+        ),
+        default=float("inf"),
+    )
 
 
 def naive_endpoint(states, threshold: int) -> tuple[int, bool]:

@@ -18,7 +18,7 @@ from cwtasim.calibration import (
     control_response_rates,
 )
 from cwtasim.trajectories import CR, PR, SD, Arm, TransitionModel
-from oracles import simulate_subject, subject_rng
+from oracles import critical_improvement, simulate_subject, subject_rng
 
 TEMPLATE = TransitionModel(
     improve_prob=(0.0, 0.0, 0.0, 0.0, 0.0),
@@ -101,6 +101,8 @@ def test_bad_subject_count():
         calibrate_transition_model(
             CalibrationTarget(cr_rate=0.05, pr_rate=0.30), template=TEMPLATE, n_subjects=0
         )
+    with pytest.raises(ValueError, match="n_subjects"):
+        control_response_rates(TEMPLATE, n_subjects=0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -121,6 +123,25 @@ def test_critical_probabilities_are_the_least_improving_doubles():
             assert np.all((0.0 < p) & (p <= 1.0))
             assert np.all(d * p > draws)
             assert not np.any(d * np.nextafter(p, 0.0) > draws)
+
+
+def test_quotient_filter_keeps_a_cell_one_double_below_the_least_value():
+    """A month whose rounded quotient u / d is one double below the subject's
+    least value so far, and is its critical probability, lowers the
+    minimum: month 1 (d = 1) gives the double above a, month 2 gives a."""
+    d = TEMPLATE.improve_decay
+    for k in np.random.default_rng(4).integers(2**51, 2**52, 1000):
+        a = k * 2.0**-53
+        b = np.floor(d * a * 2.0**53) * 2.0**-53  # a draw: a multiple of 2**-53
+        if d * a > b and b / d == a:
+            break
+    cohort = calibration._Cohort(replace(TEMPLATE, dropout_rate=0.0), 1, 0)
+    cohort.monthly_u[0] = 0.5
+    cohort.monthly_u[0, :2] = (a, b)
+    assert _critical_probabilities(cohort.monthly_u[0, :2], 1.0)[0] == np.nextafter(a, 1.0)
+    assert _critical_probabilities(cohort.monthly_u[0, 1:2], d)[0] == a
+    cohort.tabulate_responders()
+    assert cohort.first_improvement.tolist() == [a]
 
 
 def test_table_rates_match_the_kernel_where_counts_step():
@@ -161,6 +182,41 @@ ORACLE_TARGETS = [  # (cr, pr, tolerance)
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("template", ORACLE_TEMPLATES)
+def test_critical_tables_match_per_cell_oracle(monkeypatch, template):
+    """Both tables, the whole-cohort one and the responders-only one in pieces
+    of a few rows, hold each subject's least critical probability over every
+    observed cell. Every tenth subject stays in SD with zero draws scattered
+    over the horizon, up to months whose decay factor is subnormal or 0
+    (horizon 200 at decay 1e-3); every tenth from the fifth draws 0 in its
+    first three months."""
+    n, seed, horizon = 300, 11, template.horizon_months
+    cohort = calibration._Cohort(template, n, seed)
+    blocks = np.array([subject_rng(seed, i).random(horizon + 2) for i in range(n)])
+    assert np.array_equal(cohort.monthly_u, blocks[:, 2:])
+    zeros = [m - 1 for m in (1, 2, 50, 104, 106, 108, 109, 150) if m <= horizon]
+    cohort.monthly_u[::10] = 0.5
+    cohort.monthly_u[np.ix_(range(0, n, 10), zeros)] = 0.0
+    cohort.monthly_u[5::10, :3] = 0.0
+    blocks[:, 2:] = cohort.monthly_u
+
+    first = [critical_improvement(cohort.base, SD, block) for block in blocks]
+    cohort.tabulate_responders()
+    assert cohort.first_improvement.tolist() == first
+    assert np.array_equal(cohort.responders, np.sort(first))
+    monkeypatch.setattr(calibration, "PIECE_ROWS", 7)
+    a2_max = 1.0 - template.worsen_prob[SD]
+    for a2 in (a2_max, np.median([v for v in first if v <= a2_max])):
+        model = replace(cohort.base, improve_prob=(0.0, 0.0, a2, 0.0, 0.0))
+        complete = [critical_improvement(model, PR, block) for block in blocks]
+        assert calibration._critical_values(model, PR, cohort.monthly_u.T, cohort.censor).tolist() == complete
+        cohort.tabulate_complete(a2)
+        responders = [v <= a2 for v in first]
+        assert all(np.isinf(v) for v, r in zip(complete, responders) if not r)
+        assert cohort.complete[1].tolist() == sorted(v for v, r in zip(complete, responders) if r)
+
+
 def _search(monkeypatch, template, target, n):
     """Every evaluation of one search as (model, rates, read from the tables),
     and its outcome: the fitted model, or the error's text, model and rates.
@@ -199,6 +255,13 @@ def test_critical_tables_answer_every_search_as_the_kernel_does(monkeypatch, n):
             assert outcome == expected_outcome
             from_tables += sum(e[2] for e in evaluations)
     assert from_tables > 100
+
+
+def test_critical_tables_answer_every_search_in_pieces(monkeypatch):
+    """The whole-search check again, with every responders-only table built
+    from pieces of a few rows."""
+    monkeypatch.setattr(calibration, "PIECE_ROWS", 64)
+    test_critical_tables_answer_every_search_as_the_kernel_does(monkeypatch, 3_000)
 
 
 def test_moderate_search_runs_the_kernel_twice(monkeypatch):

@@ -4,7 +4,9 @@ The SHA-256 digests below are those of files written by the package before
 the statistics kernel and the CWTA event path were unified; the digests of
 the trial whose endpoints end before the horizon were recorded before the
 three methods shared one monthly-counts pass; the calibration digests were
-recorded before scipy.special became an on-first-use import. A refactor
+recorded before scipy.special became an on-first-use import, and the
+high-activity ones before the critical-value tables skipped the cells that
+cannot lower a subject's value. A refactor
 that changes any byte of a simulated trial, of analyze's tests and curves,
 of a grid's power and time-to-signal tables, or of a calibrated profile and
 its fresh-seed check fails here. When an output changes
@@ -70,9 +72,15 @@ GRID_DIGESTS = {
     "tte.csv": "535cf000ba1b374f49f8341ff48af6305f7397d03c0b7b7b438cfb4ec401a6a5",
 }
 
-CALIBRATE_DIGESTS = {
-    "profile.json": "4c8993894b7e5706d1c72983531ec320214b74e32ed174fd8f75afee9aeef5f2",
-    "fresh-seed line": "fb4c0c030c7c565f3f6680d0493fdb495a5923446684a0bf6d88481ff2fffad3",
+CALIBRATE_DIGESTS = {  # keyed by (--cr, --pr); the second pair is the README's high-activity example
+    ("0.05", "0.30"): {
+        "profile.json": "4c8993894b7e5706d1c72983531ec320214b74e32ed174fd8f75afee9aeef5f2",
+        "fresh-seed line": "fb4c0c030c7c565f3f6680d0493fdb495a5923446684a0bf6d88481ff2fffad3",
+    },
+    ("0.10", "0.50"): {
+        "profile.json": "356c08a69306d765ae5210b5a017375b6ce5ecd2e2bc53cc7af426c25041fd6a",
+        "fresh-seed line": "8509cc9858ad53c886e4253e5811d291c09e835462bbbb0a8853867b547c3e64",
+    },
 }
 
 
@@ -120,12 +128,13 @@ def test_grid_outputs_are_byte_identical(tmp_path):
 
 def test_calibrate_profile_and_fresh_seed_line_are_byte_identical(tmp_path, capsys):
     profile = tmp_path / "profile.json"
-    assert run_cli([
-        "calibrate", "--cr", "0.05", "--pr", "0.30", "--subjects", "20000", "--out", str(profile),
-    ]) == 0
-    wrote, line = capsys.readouterr().out.splitlines()
-    assert wrote == f"wrote {profile}"
-    assert {
-        "profile.json": hashlib.sha256(profile.read_bytes()).hexdigest(),
-        "fresh-seed line": hashlib.sha256(line.encode()).hexdigest(),
-    } == CALIBRATE_DIGESTS
+    for (cr, pr), digests in CALIBRATE_DIGESTS.items():
+        assert run_cli([
+            "calibrate", "--cr", cr, "--pr", pr, "--subjects", "20000", "--out", str(profile),
+        ]) == 0
+        wrote, line = capsys.readouterr().out.splitlines()
+        assert wrote == f"wrote {profile}"
+        assert {
+            "profile.json": hashlib.sha256(profile.read_bytes()).hexdigest(),
+            "fresh-seed line": hashlib.sha256(line.encode()).hexdigest(),
+        } == digests

@@ -5,6 +5,7 @@ from __future__ import annotations
 import codecs
 import csv
 import json
+import os
 import re
 import sys
 import tracemalloc
@@ -220,6 +221,22 @@ def test_builtin_profiles_load_and_differ():
 def test_load_profile_unknown_name():
     with pytest.raises(FileNotFoundError, match="moderate"):
         load_profile("nonexistent-profile")
+
+
+def test_load_profile_refuses_a_file_descriptor(tmp_path):
+    """An int is not a profile: load_profile names it and neither reads nor
+    closes the descriptor it would be to open()."""
+    path = tmp_path / "profile.json"
+    save_profile(MODEL, path)
+    assert load_profile(path) == MODEL
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with pytest.raises(TypeError, match=f"not {fd}$"):
+            load_profile(fd)
+        assert os.fstat(fd).st_size == path.stat().st_size
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 0
+    finally:
+        os.close(fd)
 
 
 # ------------------------------------------------------- trajectories CSV
