@@ -12,15 +12,26 @@ bit, without building one generator per seed: it is a numpy version of
 NumPy's SeedSequence hashing (on uint32 words) and of the PCG64 XSL-RR
 128/64 generator (O'Neill 2014), with 128-bit integers held as uint64
 halves. Its constants are NumPy's and equally frozen. Streams are stepped
-CHUNK seeds at a time: LANES consecutive draws of every stream are held
-as lanes, and each round advances all lanes by LANES draws with one
-128-bit multiply by a constant and one add, in place. LANES and CHUNK
-change only the speed, never a drawn value.
+CHUNK (8 192) seeds at a time: LANES consecutive draws of every stream are
+held as lanes, and each round advances all lanes by LANES draws with one
+128-bit multiply by a constant and one add, in place. A pass of two or
+more chunks shares them out among min(usable_cpus(), chunks) threads,
+the calling thread among them; numpy releases the GIL inside each ufunc,
+and at CHUNK seeds a lane operation spans 64 K elements, long enough to
+outweigh the hand-off. A pass of one chunk runs on the calling thread
+alone. Every grid block is one chunk (harness.BLOCK_ROWS <= CHUNK), so a
+grid's passes start no thread and a pooled grid forks with only the main
+thread alive; the only pooled run that threads is a grid with one trial
+of more than CHUNK subjects, which then runs up to workers x usable-CPU
+threads. LANES, CHUNK and the thread count change only the speed, never
+a drawn value: no output depends on the CPU count.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 
 import numpy as np
 
@@ -95,7 +106,7 @@ _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 LANES = 8  # draws per round of the draw kernel
-CHUNK = 4096  # seeds per pass: a grid block (harness.BLOCK_ROWS rows) in one pass, lane arrays in cache
+CHUNK = 8192  # seeds per chunk: a grid block (harness.BLOCK_ROWS rows) is one chunk; 64 K-element lane ops
 
 _U32_16 = np.uint32(16)
 _U64_MASK32 = np.uint64(_MASK32)
@@ -201,61 +212,111 @@ def _add128(hi: np.ndarray, lo: np.ndarray, add_hi: np.ndarray, add_lo: np.ndarr
     hi += carry
 
 
+def usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity set where the OS has one.
+
+    The set reflects taskset and cpusets, which os.cpu_count() ignores; the
+    fallback is os.cpu_count(), None when unknown.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def pcg64_uniforms(seeds: np.ndarray, width: int) -> np.ndarray:
     """(width, n) doubles; column j is default_rng(int(seeds[j])).random(width).
 
-    Seeds are hashed in one pass, then streamed CHUNK seeds at a time.
-    PCG64 seeding sets state = init + inc and steps once; each draw steps
-    once more and outputs the new state. A chunk is stepped one draw at a
-    time up to draw LANES, which gives a (LANES, chunk) array whose lane k
-    holds the state of draw k + 1. Each round then writes the outputs of
-    all lanes to LANES rows of out, and the next round first advances every
-    lane by LANES draws: one multiply by M**LANES and one add of
-    C_LANES * inc, a term computed once per seed. The last round writes
-    only the rows that are left.
+    Seeds are hashed in one pass, then streamed CHUNK seeds at a time on
+    T = min(usable_cpus(), chunks) threads, the calling thread and T - 1
+    started ones: thread t steps chunks t, t + T, t + 2T, ... into their
+    own columns of out. The caller allocates every thread's buffers, and
+    joins every thread before it returns or raises the first exception a
+    thread met. A pass of one chunk starts no thread.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(seeds)
     inc_hi = (seq_hi << _U64_1) | (seq_lo >> _U64_63)
     inc_lo = (seq_lo << _U64_1) | _U64_1
+    del seq_hi, seq_lo  # freed before the thread buffers are allocated
     out = np.empty((width, len(seeds)))
-    if not width:
+    starts = range(0, len(seeds), CHUNK)
+    if not width or not starts:
         return out
+    threads = min(usable_cpus() or 1, len(starts))
     lanes, size = min(LANES, width), min(CHUNK, len(seeds))
-    lane_buf = np.empty((2, lanes, size), dtype=np.uint64)
-    scratch_buf = np.empty((3, lanes, size), dtype=np.uint64)
-    carry_buf = np.empty((lanes, size), dtype=bool)
-    for start in range(0, len(seeds), CHUNK):
-        part = slice(start, start + CHUNK)
-        c_hi, c_lo = inc_hi[part], inc_lo[part]
-        m = len(c_lo)
-        hi, lo = lane_buf[:, :, :m]
-        scratch, carry = scratch_buf[:, :, :m], carry_buf[:, :m]
+    lane_buf = np.empty((threads, 2, lanes, size), dtype=np.uint64)
+    scratch_buf = np.empty((threads, 3, lanes, size), dtype=np.uint64)
+    carry_buf = np.empty((threads, lanes, size), dtype=bool)
+    state_buf = np.empty((threads, 4, size), dtype=np.uint64)
+    errors: list[BaseException] = []
 
-        s_hi, s_lo = init_hi[part].copy(), init_lo[part].copy()
-        _add128(s_hi, s_lo, c_hi, c_lo, carry[0])
-        for k in range(-1, lanes):  # the seeding step, then draws 1..lanes
-            _mul128(s_hi, s_lo, _M, scratch[:, 0])
-            _add128(s_hi, s_lo, c_hi, c_lo, carry[0])
-            if k >= 0:
-                hi[k], lo[k] = s_hi, s_lo
-        d_hi, d_lo = c_hi.copy(), c_lo.copy()
-        _mul128(d_hi, d_lo, _C_LANES, scratch[:, 0])
+    def share(t: int) -> None:
+        try:
+            buffers = lane_buf[t], scratch_buf[t], carry_buf[t], state_buf[t]
+            for start in starts[t::threads]:
+                if errors:  # another share failed: stop at a chunk boundary
+                    return
+                part = slice(start, start + CHUNK)
+                _stream_chunk(out[:, part], init_hi[part], init_lo[part], inc_hi[part], inc_lo[part], *buffers)
+        except BaseException as exc:  # raised by the caller once every thread has stopped
+            errors.append(exc)
 
-        for first in range(0, width, LANES):
-            if first:
-                _mul128(hi, lo, _M_LANES, scratch)
-                _add128(hi, lo, d_hi, d_lo, carry)
-            rows = min(LANES, width - first)
-            x, rot, w = scratch[:, :rows]
-            # XSL-RR output: rotate hi ^ lo right by the top six bits of the state
-            np.bitwise_xor(hi[:rows], lo[:rows], out=x)
-            np.right_shift(hi[:rows], _U64_58, out=rot)
-            np.right_shift(x, rot, out=w)
-            np.subtract(_U64_64, rot, out=rot)
-            rot &= _U64_63
-            x <<= rot
-            x |= w
-            x >>= _U64_11
-            np.multiply(x, 1.0 / 9007199254740992.0, out=out[first : first + rows, part])
+    started = [threading.Thread(target=share, args=(t,)) for t in range(1, threads)]
+    for thread in started:
+        thread.start()
+    try:
+        share(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
+
+
+def _stream_chunk(out, init_hi, init_lo, c_hi, c_lo, lane_buf, scratch_buf, carry_buf, state_buf) -> None:
+    """Write the (width, m) doubles of one chunk of m seeds to out.
+
+    PCG64 seeding sets state = init + inc and steps once; each draw steps
+    once more and outputs the new state. The chunk is stepped one draw at a
+    time up to draw LANES, which gives a (LANES, m) array whose lane k
+    holds the state of draw k + 1. Each round then writes the outputs of
+    all lanes to LANES rows of out, and the next round first advances every
+    lane by LANES draws: one multiply by M**LANES and one add of
+    C_LANES * inc, a term computed once per seed. The last round writes
+    only the rows that are left. Every buffer is at least m wide.
+    """
+    width, m = out.shape
+    lanes = lane_buf.shape[1]
+    hi, lo = lane_buf[:, :, :m]
+    scratch, carry = scratch_buf[:, :, :m], carry_buf[:, :m]
+    s_hi, s_lo, d_hi, d_lo = state_buf[:, :m]
+
+    np.copyto(s_hi, init_hi)
+    np.copyto(s_lo, init_lo)
+    _add128(s_hi, s_lo, c_hi, c_lo, carry[0])
+    for k in range(-1, lanes):  # the seeding step, then draws 1..lanes
+        _mul128(s_hi, s_lo, _M, scratch[:, 0])
+        _add128(s_hi, s_lo, c_hi, c_lo, carry[0])
+        if k >= 0:
+            hi[k], lo[k] = s_hi, s_lo
+    np.copyto(d_hi, c_hi)
+    np.copyto(d_lo, c_lo)
+    _mul128(d_hi, d_lo, _C_LANES, scratch[:, 0])
+
+    for first in range(0, width, LANES):
+        if first:
+            _mul128(hi, lo, _M_LANES, scratch)
+            _add128(hi, lo, d_hi, d_lo, carry)
+        rows = min(LANES, width - first)
+        x, rot, w = scratch[:, :rows]
+        # XSL-RR output: rotate hi ^ lo right by the top six bits of the state
+        np.bitwise_xor(hi[:rows], lo[:rows], out=x)
+        np.right_shift(hi[:rows], _U64_58, out=rot)
+        np.right_shift(x, rot, out=w)
+        np.subtract(_U64_64, rot, out=rot)
+        rot &= _U64_63
+        x <<= rot
+        x |= w
+        x >>= _U64_11
+        np.multiply(x, 1.0 / 9007199254740992.0, out=out[first : first + rows])

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import cwtasim
 from cwtasim import calibration, harness, load_profile, read_trajectories_csv, save_profile, serialize
 from cwtasim.cli import resolve_workers, run_cli
+from cwtasim.seeds import CHUNK
 from cwtasim.trajectories import TransitionModel
 
 FAST = TransitionModel(
@@ -185,6 +187,21 @@ def test_workers_capped_at_the_affinity_set(tmp_path, fast_profile, monkeypatch,
     assert pools == [1]
     assert "warning: --workers 2 exceeds the 1 available CPUs; using 1" in capsys.readouterr().err
     assert (tmp_path / "out" / "power.csv").read_bytes() == single
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_grid_starts_no_thread_in_the_calling_process(tmp_path, fast_profile, monkeypatch, workers):
+    """Every grid block is at most harness.BLOCK_ROWS <= seeds.CHUNK rows, one
+    chunk of streams, so a grid's stream passes start no thread even with two
+    usable CPUs, and a pooled grid forks with only the main thread alive."""
+    assert harness.BLOCK_ROWS <= CHUNK
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread) or start(thread))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = small_config(tmp_path, profile=fast_profile, sample_sizes=[20, harness.BLOCK_ROWS], replicates=3)
+    assert run_cli(["power", "--config", cfg, "--workers", workers]) == 0
+    assert (tmp_path / "out" / "power.csv").exists()
+    assert starts == []
 
 
 def test_grid_command_loads_its_profile_once(tmp_path, fast_profile, monkeypatch):
