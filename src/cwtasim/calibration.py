@@ -12,23 +12,29 @@ improvement probabilities against those targets:
     responders, so it is bisected against the CR rate.
 
 Rates are measured by Monte Carlo on a fixed calibration seed with the
-same uniforms reused across evaluations (common random numbers). The
+same uniforms read by every evaluation (common random numbers). The
 counts behind the bisected rates are then exact, non-decreasing step
 functions: responders of a2, complete responders of a1 at a fixed a2. A
 subject's step is its critical probability, the least value at which the
 kernel's own comparison moves it out of SD (or PR) in an observed month
-(see _Cohort), so one kernel run tabulates the steps of a whole bisection.
+(see _Cohort), so one pass tabulates the steps of a whole bisection.
 
-A table build reads only the cells that can move it. Each month it
-computes an exact critical probability only where the subject is observed
-in the state and the rounded quotient u / d of its draw and the month's
-decay factor lies below its least value so far; no other cell can lower
-that value (see _critical_values). The CR table runs the kernel on the
-responders at the fitted a2 alone, since no other subject is ever in PR in
-an observed month, in pieces of at most PIECE_ROWS subjects whose draws
-are gathered from the month-major buffer. A search therefore runs the
-kernel once for the responder table and once per piece for the CR table:
-twice in all up to PIECE_ROWS responders.
+No draw matrix is kept. Every read of the cohort is one settled pass
+(_settled_pass): subject i's stream mix64(seed, i) is drawn a round of
+seeds.LANES draws at a time, the kernel evolves the round's months from
+the last round's states, and a visitor reads them. A subject is dropped
+once it reaches PD or passes its censor month, since no later draw can
+move what any visitor reads, so about half of a cohort's draws are never
+made. Three visitors use the pass: the responder table (critical
+improve_prob[SD] on the p = 0 path), the CR table (critical
+improve_prob[PR] at the fitted a2, over the responders' streams alone,
+since no other subject is ever in PR in an observed month; a re-drawn
+stream gives the same draws) and the best response, for an evaluation no
+table answers, such as control_response_rates. A search runs two passes,
+one per table. A table visitor computes an exact critical probability
+only where the subject is observed in the state and the rounded quotient
+u / d of its draw and the month's decay factor lies below its least
+value so far; no other cell can lower that value (see _critical_visitor).
 """
 
 from __future__ import annotations
@@ -38,19 +44,21 @@ from typing import Callable
 
 import numpy as np
 
+from .seeds import mix64_array, pcg64_rounds
 from .trajectories import (
     CR,
+    DEATH,
     N_STATES,
+    PD,
     PR,
     SD,
     TransitionModel,
     _dropout_from_uniforms,
     _simulate_state_matrix,
-    subject_uniforms,
+    check_draws,
 )
 
 CALIBRATION_SEED = 201805
-PIECE_ROWS = 8_192  # subjects whose draws one kernel run of a responders-only table gathers
 
 # Template disease dynamics shared by the shipped profiles: monthly chances
 # of CR->PR, PR->SD, SD->PD, PD->death relapse/progression steps, and the
@@ -71,7 +79,8 @@ class CalibrationTarget:
 
     cr_rate / pr_rate are the target fractions of control subjects whose
     best observed state is CR / exactly PR; tolerance is the acceptable
-    absolute gap on each rate.
+    absolute gap on each rate, positive and finite (an infinite one would
+    accept any rate, so a search would stop at its first evaluation).
     """
 
     cr_rate: float
@@ -83,8 +92,8 @@ class CalibrationTarget:
             raise ValueError("target rates must lie in [0, 1]")
         if self.cr_rate + self.pr_rate > 1.0:
             raise ValueError("cr_rate + pr_rate cannot exceed 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 class CalibrationError(RuntimeError):
@@ -103,10 +112,11 @@ class CalibrationError(RuntimeError):
         self.achieved_pr = achieved_pr
 
 
-def _critical_probabilities(u: np.ndarray, d: float) -> np.ndarray:
+def _critical_probabilities(u: np.ndarray, d: float | np.ndarray) -> np.ndarray:
     """The least double p with d * p > u for each draw u, or inf where no
     p <= 1 has it (u >= d). Draws are multiples of 2**-53, as every stream
-    draw is, so each is 0 or a normal double.
+    draw is, so each is 0 or a normal double. d is one decay factor, or one
+    per draw.
 
     The kernel improves a subject who draws u in a month whose decay factor
     is d iff u < d * p, and the rounded product d * p never decreases as p
@@ -120,12 +130,14 @@ def _critical_probabilities(u: np.ndarray, d: float) -> np.ndarray:
     order non-negative doubles as their values.
     """
     out = np.full(u.shape, np.inf)
+    d = np.broadcast_to(d, u.shape)
     live = np.flatnonzero(u < d)  # d * 1.0 = d, so every other draw never improves
     if not live.size:
         return out
-    u = u[live]
+    u, d = u[live], d[live]
     p = u / d
-    p[u == 0.0] = 0.5 * (5e-324 / d)
+    zero = u == 0.0
+    p[zero] = 0.5 * (5e-324 / d[zero])
     bits = p.view(np.int64)
     while True:
         short = ~(d * p > u)
@@ -136,38 +148,84 @@ def _critical_probabilities(u: np.ndarray, d: float) -> np.ndarray:
     return out
 
 
-def _critical_values(model: TransitionModel, s: int, draws: np.ndarray, censor: np.ndarray) -> np.ndarray:
-    """Each subject's critical improve_prob[s] under model, whose
-    improve_prob[s] must be 0, from one kernel run on its month-major
-    (horizon, subjects) draws; inf for a subject never in s in an observed
-    month (at most censor).
+def _settled_pass(model: TransitionModel, base: TransitionModel, seeds: np.ndarray, visit: Callable) -> None:
+    """Evolve one subject per stream of seeds under model until its best
+    response is settled, reading no draw after that.
 
-    Each month is one full-width pass over the month's contiguous row of
-    draws and states. An exact critical probability is computed only where
-    the subject is observed in s and the rounded quotient u / d lies below
-    its least value so far: _critical_probabilities starts its search at
-    that quotient and never returns less, so no other cell can lower a
-    minimum.
+    The streams are drawn one round (LANES draws) at a time (pcg64_rounds).
+    Round 0 gives each subject's dropout draws, read under base, and its
+    first months; every round, the kernel evolves the live subjects through
+    the round's months from their last states. visit(live, month, u, states,
+    censor) then reads them: live holds the positions in seeds of the live
+    subjects, u their (k, live) draws of months month .. month + k - 1,
+    states their (k + 1, live) states at months month - 1 .. month + k - 1
+    and censor their last observed months. A subject is dropped at the end
+    of the round in which it reaches PD, which it never leaves, or passes
+    its censor month; no later draw can move a best response, nor a
+    critical value, which only months spent in SD or PR make. The chunks
+    of seeds may be visited on different threads, so a visit writes only
+    to its live subjects' entries.
     """
-    states = _simulate_state_matrix((model,), draws.T).T
-    critical = np.full(len(censor), np.inf)
-    for m in range(1, model.horizon_months + 1):
-        d = model.improve_decay ** (m - 1)
-        u = draws[m - 1]
+
+    def begin(part: slice) -> Callable:
+        live = np.arange(len(seeds))[part]
+        state = np.full(len(live), SD, dtype=np.int8)
+        censor = np.empty(0, dtype=np.int64)
+
+        def round_(first: int, u: np.ndarray) -> np.ndarray:
+            nonlocal live, state, censor
+            if not first:
+                censor = _dropout_from_uniforms(base, u[0], u[1])[1]
+                u = u[2:]
+            month = max(first - 1, 1)  # draw j is month j - 1's
+            states = _simulate_state_matrix((model,), u.T, first_month=month, start=state).T
+            visit(live, month, u, states, censor)
+            keep = np.flatnonzero((states[-1] < PD) & (censor >= month + len(u)))
+            live, state, censor = live[keep], states[-1, keep], censor[keep]
+            return keep
+
+        return round_
+
+    pcg64_rounds(seeds, model.horizon_months + 2, begin)
+
+
+def _critical_visitor(model: TransitionModel, s: int, critical: np.ndarray) -> Callable:
+    """A _settled_pass visit that lowers each subject's critical[subject] to
+    its least critical improve_prob[s] over the round's observed months
+    spent in s, under model, whose improve_prob[s] must be 0.
+
+    The round's months are read at once, as (k, live) arrays. An exact
+    critical probability is computed only where the subject is observed in
+    s and the rounded quotient u / d of the draw and the month's decay
+    factor lies below the subject's least value before the round:
+    _critical_probabilities starts its search at that quotient and never
+    returns less, so no other cell can lower a minimum.
+    """
+
+    def visit(live, month, u, states, censor) -> None:
+        months = np.arange(month, month + len(u))
+        d = np.array([model.improve_decay ** (m - 1) for m in months.tolist()])  # the kernel's powers
+        least = critical[live]
         # A draw u >= d never improves: its quotient may overflow to inf, or be
         # inf or nan where d underflows to 0, and then lowers nothing.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lower = u / d < critical
-        lower &= (states[m - 1] == s) & (censor >= m)
-        rows = np.flatnonzero(lower)
-        if rows.size:
-            critical[rows] = np.minimum(critical[rows], _critical_probabilities(u[rows], d))
-    return critical
+            cells = u / d[:, None] < least
+        cells &= states[:-1] == s
+        cells &= months[:, None] <= censor
+        flat = np.flatnonzero(cells)  # month by month, as cells is C-ordered
+        if flat.size:
+            per_month = np.diff(np.searchsorted(flat, np.arange(len(u) + 1) * len(live)))
+            subject = flat - np.repeat(np.arange(len(u)) * len(live), per_month)
+            np.minimum.at(least, subject, _critical_probabilities(u.ravel()[flat], np.repeat(d, per_month)))
+            critical[live] = least
+
+    return visit
 
 
 class _Cohort:
-    """A calibration sample: each subject's monthly uniforms and last observed
-    month, drawn once, and the critical-probability tables built from them.
+    """A calibration sample: subject i draws from the stream mix64(seed, i),
+    re-drawn by a settled pass whenever the cohort is read, and the
+    critical-probability tables built from it.
 
     Hold every improvement probability but improve_prob[s] = p. A subject
     follows its p = 0 path until its first improvement out of s, which
@@ -189,36 +247,48 @@ class _Cohort:
     def __init__(self, template: TransitionModel, n_subjects: int, seed: int) -> None:
         if n_subjects < 1:
             raise ValueError("n_subjects must be positive")
-        blocks = subject_uniforms(seed, n_subjects, template.horizon_months)
+        check_draws(n_subjects, template.horizon_months, name="n_subjects")
         self.base = replace(template, improve_prob=(0.0,) * N_STATES)
-        self.monthly_u = blocks[:, 2:]
-        _, self.censor = _dropout_from_uniforms(template, blocks[:, 0], blocks[:, 1])
-        self.early = np.flatnonzero(self.censor < template.horizon_months)
+        self.seeds = mix64_array((seed,), np.arange(n_subjects, dtype=np.uint64))
         self.first_improvement: np.ndarray | None = None
         self.responders: np.ndarray | None = None
         self.complete: tuple[float, np.ndarray] | None = None
 
+    def critical_values(self, model: TransitionModel, s: int, subjects: np.ndarray | None = None) -> np.ndarray:
+        """The critical improve_prob[s] values under model, whose improve_prob[s]
+        must be 0, of the given subjects (default all), from one settled pass
+        over their streams; inf for a subject never in s in an observed month."""
+        seeds = self.seeds if subjects is None else self.seeds[subjects]
+        critical = np.full(len(seeds), np.inf)
+        _settled_pass(model, self.base, seeds, _critical_visitor(model, s, critical))
+        return critical
+
     def tabulate_responders(self) -> None:
-        self.first_improvement = _critical_values(self.base, SD, self.monthly_u.T, self.censor)
+        self.first_improvement = self.critical_values(self.base, SD)
         self.responders = np.sort(self.first_improvement)
 
     def tabulate_complete(self, a2: float) -> None:
         """Tabulate the critical improve_prob[PR] values at improve_prob[SD] = a2,
         at most 1 - worsen_prob[SD]. Only a responder at a2 is ever in PR in
-        an observed month, so the kernel runs on the responders alone, one
-        piece of at most PIECE_ROWS of them at a time, each piece's draws
-        gathered from the month-major buffer. The others' values would be
-        inf, which no count reaches."""
+        an observed month, so the pass re-draws the responders' streams
+        alone. The others' values would be inf, which no count reaches."""
         model = replace(self.base, improve_prob=(0.0, 0.0, a2, 0.0, 0.0))
-        responders = np.flatnonzero(self.first_improvement <= a2)
-        critical = np.empty(len(responders))
-        for start in range(0, len(responders), PIECE_ROWS):
-            piece = responders[start : start + PIECE_ROWS]
-            critical[start : start + len(piece)] = _critical_values(
-                model, PR, self.monthly_u.T[:, piece], self.censor[piece]
-            )
+        critical = self.critical_values(model, PR, np.flatnonzero(self.first_improvement <= a2))
         critical.sort()
         self.complete = (a2, critical)
+
+    def best_response(self, model: TransitionModel) -> np.ndarray:
+        """Each subject's best state over its observed months under model,
+        from one settled pass."""
+        best = np.full(len(self.seeds), SD, dtype=np.int8)
+
+        def visit(live, month, u, states, censor) -> None:
+            # a month past the censor month reads as DEATH, which no best state exceeds
+            unobserved = np.arange(month, month + len(u))[:, None] > censor
+            best[live] = np.minimum(best[live], np.maximum(states[1:], unobserved * np.int8(DEATH)).min(axis=0))
+
+        _settled_pass(model, self.base, self.seeds, visit)
+        return best
 
     def counts(self, model: TransitionModel) -> tuple[int, int] | None:
         """(complete responders, responders) of model from the tables, or None
@@ -239,23 +309,15 @@ class _Cohort:
 
 
 def _response_rates(model: TransitionModel, cohort: _Cohort) -> tuple[float, float]:
-    """(CR rate, PR rate) of best overall response over the observed months.
-
-    Counted from the cohort's tables where they answer model. Otherwise the
-    kernel runs: its state buffer is month-major, so the best state is a
-    minimum over contiguous month rows; the subjects who dropped out early
-    take a running minimum over their own columns instead, read at their
-    last observed month. Both give the same doubles.
-    """
-    n = len(cohort.censor)
+    """(CR rate, PR rate) of best overall response over the observed months:
+    counted from the cohort's tables where they answer model, else from a
+    settled pass under model. Both give the same doubles."""
     counts = cohort.counts(model)
+    n = len(cohort.seeds)
     if counts is not None:
         complete, responders = counts
         return complete / n, (responders - complete) / n
-    early = cohort.early
-    states = _simulate_state_matrix((model,), cohort.monthly_u).T
-    best = states.min(axis=0)
-    best[early] = np.minimum.accumulate(states[:, early], axis=0)[cohort.censor[early], np.arange(len(early))]
+    best = cohort.best_response(model)
     return float(np.mean(best == CR)), float(np.mean(best == PR))
 
 

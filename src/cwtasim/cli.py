@@ -25,7 +25,7 @@ from .config import ConfigError, ExperimentGrid, parse_config
 from .seeds import usable_cpus
 from .statistics import METHODS, arm_counts, count_tests, monthly_counts
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
-from .trajectories import Arm, simulate_trial
+from .trajectories import Arm, check_draws, simulate_trial
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,6 +94,7 @@ def _cmd_calibrate(args) -> int:
     if args.subjects < 1:
         raise ValueError(f"--subjects must be at least 1, got {args.subjects}")
     template = DEFAULT_TEMPLATE if args.template is None else serialize.load_profile(args.template)
+    check_draws(args.subjects, template.horizon_months, name="--subjects")
     target = CalibrationTarget(cr_rate=args.cr, pr_rate=args.pr, tolerance=args.tolerance)
     model = calibrate_transition_model(target, template=template, n_subjects=args.subjects, seed=args.seed)
     serialize.save_profile(model, args.out)

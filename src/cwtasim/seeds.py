@@ -14,7 +14,13 @@ NumPy's SeedSequence hashing (on uint32 words) and of the PCG64 XSL-RR
 halves. Its constants are NumPy's and equally frozen. Streams are stepped
 CHUNK (8 192) seeds at a time: LANES consecutive draws of every stream are
 held as lanes, and each round advances all lanes by LANES draws with one
-128-bit multiply by a constant and one add, in place. A pass of two or
+128-bit multiply by a constant and one add, in place (_Streams). The
+lanes of a round are exactly the streams' states there, so a pass may
+drop streams between rounds and the kept ones continue bit for bit:
+pcg64_rounds hands each round's draws to a visitor that names the
+streams to keep, and pcg64_uniforms is the pass that keeps them all and
+writes every round into one output array. Both share one stream core and
+one thread rule. A pass of two or
 more chunks shares them out among min(usable_cpus(), chunks) threads,
 the calling thread among them; numpy releases the GIL inside each ufunc,
 and at CHUNK seeds a lane operation spans 64 K elements, long enough to
@@ -32,6 +38,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from typing import Callable
 
 import numpy as np
 
@@ -226,38 +233,78 @@ def usable_cpus() -> int | None:
 def pcg64_uniforms(seeds: np.ndarray, width: int) -> np.ndarray:
     """(width, n) doubles; column j is default_rng(int(seeds[j])).random(width).
 
-    Seeds are hashed in one pass, then streamed CHUNK seeds at a time on
-    T = min(usable_cpus(), chunks) threads, the calling thread and T - 1
-    started ones: thread t steps chunks t, t + T, t + 2T, ... into their
-    own columns of out. The caller allocates every thread's buffers, and
-    joins every thread before it returns or raises the first exception a
-    thread met. A pass of one chunk starts no thread.
+    The stream pass that keeps every stream: each chunk's rounds are
+    written straight into their own columns of out.
+    """
+    out = np.empty((width, len(seeds)))
+
+    def chunk(part: slice, streams: _Streams) -> None:
+        for first in range(0, width, LANES):
+            streams.draw(out[first : first + LANES, part])
+
+    _stream_pass(seeds, width, chunk)
+    return out
+
+
+def pcg64_rounds(seeds: np.ndarray, width: int, begin: Callable[[slice], Callable]) -> None:
+    """Draw the first width doubles of each stream of seeds, one round of
+    LANES draws at a time, and drop streams between rounds.
+
+    begin(part) is called once per chunk, part being its slice of seeds,
+    and returns visit. visit(first, draws) gets draws first, first + 1, ...
+    of the chunk's live streams as a C-contiguous (rows, live) array, in
+    the order of part, and returns the increasing indices, into those live
+    columns, of the streams to keep drawing. The kept streams continue bit
+    for bit, so a stream's draws are default_rng(seed).random(width)'s for
+    as long as it is kept. A chunk ends when none is live or width draws
+    are done.
+    """
+
+    def chunk(part: slice, streams: _Streams) -> None:
+        visit = begin(part)
+        for first in range(0, width, LANES):
+            rows = min(LANES, width - first)
+            draws = streams.round[: rows * streams.live].reshape(rows, streams.live)
+            streams.keep(visit(first, streams.draw(draws)))
+            if not streams.live:
+                return
+
+    _stream_pass(seeds, width, chunk)
+
+
+def _stream_pass(seeds: np.ndarray, width: int, chunk: Callable[[slice, _Streams], None]) -> None:
+    """Hash seeds in one pass, then run chunk(part, streams) for each part of
+    CHUNK seeds on T = min(usable_cpus(), chunks) threads, the calling
+    thread and T - 1 started ones: thread t runs parts t, t + T, t + 2T, ...
+    in buffers the caller allocated. Every thread is joined before the
+    first exception a thread met is raised. A pass of one chunk starts no
+    thread.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(seeds)
     inc_hi = (seq_hi << _U64_1) | (seq_lo >> _U64_63)
     inc_lo = (seq_lo << _U64_1) | _U64_1
     del seq_hi, seq_lo  # freed before the thread buffers are allocated
-    out = np.empty((width, len(seeds)))
     starts = range(0, len(seeds), CHUNK)
     if not width or not starts:
-        return out
+        return
     threads = min(usable_cpus() or 1, len(starts))
     lanes, size = min(LANES, width), min(CHUNK, len(seeds))
     lane_buf = np.empty((threads, 2, lanes, size), dtype=np.uint64)
     scratch_buf = np.empty((threads, 3, lanes, size), dtype=np.uint64)
     carry_buf = np.empty((threads, lanes, size), dtype=bool)
     state_buf = np.empty((threads, 4, size), dtype=np.uint64)
+    round_buf = np.empty((threads, lanes * size))
     errors: list[BaseException] = []
 
     def share(t: int) -> None:
         try:
-            buffers = lane_buf[t], scratch_buf[t], carry_buf[t], state_buf[t]
+            buffers = lane_buf[t], scratch_buf[t], carry_buf[t], state_buf[t], round_buf[t]
             for start in starts[t::threads]:
                 if errors:  # another share failed: stop at a chunk boundary
                     return
                 part = slice(start, start + CHUNK)
-                _stream_chunk(out[:, part], init_hi[part], init_lo[part], inc_hi[part], inc_lo[part], *buffers)
+                chunk(part, _Streams(init_hi[part], init_lo[part], inc_hi[part], inc_lo[part], *buffers))
         except BaseException as exc:  # raised by the caller once every thread has stopped
             errors.append(exc)
 
@@ -271,44 +318,56 @@ def pcg64_uniforms(seeds: np.ndarray, width: int) -> np.ndarray:
             thread.join()
     if errors:
         raise errors[0]
-    return out
 
 
-def _stream_chunk(out, init_hi, init_lo, c_hi, c_lo, lane_buf, scratch_buf, carry_buf, state_buf) -> None:
-    """Write the (width, m) doubles of one chunk of m seeds to out.
+class _Streams:
+    """The PCG64 streams of one chunk of m seeds, a round of LANES draws at a time.
 
     PCG64 seeding sets state = init + inc and steps once; each draw steps
-    once more and outputs the new state. The chunk is stepped one draw at a
-    time up to draw LANES, which gives a (LANES, m) array whose lane k
-    holds the state of draw k + 1. Each round then writes the outputs of
-    all lanes to LANES rows of out, and the next round first advances every
-    lane by LANES draws: one multiply by M**LANES and one add of
-    C_LANES * inc, a term computed once per seed. The last round writes
-    only the rows that are left. Every buffer is at least m wide.
+    once more and outputs the new state. The streams are stepped one draw
+    at a time up to draw LANES, which gives (LANES, m) lanes whose lane k
+    holds the state of draw k + 1. Each round outputs the draws of the
+    lanes, and the round after first advances every lane by LANES draws:
+    one multiply by M**LANES and one add of C_LANES * inc, a term computed
+    once per seed. keep drops streams between rounds by taking the kept
+    columns of the lanes and of that term into new C-ordered arrays (a
+    column selection by indexing would give F order, slower in place).
+    The caller's buffers are at least m wide: the lane state until the
+    first keep, the scratch of each draw, and round, which pcg64_rounds
+    draws each round into.
     """
-    width, m = out.shape
-    lanes = lane_buf.shape[1]
-    hi, lo = lane_buf[:, :, :m]
-    scratch, carry = scratch_buf[:, :, :m], carry_buf[:, :m]
-    s_hi, s_lo, d_hi, d_lo = state_buf[:, :m]
 
-    np.copyto(s_hi, init_hi)
-    np.copyto(s_lo, init_lo)
-    _add128(s_hi, s_lo, c_hi, c_lo, carry[0])
-    for k in range(-1, lanes):  # the seeding step, then draws 1..lanes
-        _mul128(s_hi, s_lo, _M, scratch[:, 0])
+    def __init__(self, init_hi, init_lo, c_hi, c_lo, lane_buf, scratch_buf, carry_buf, state_buf, round_buf) -> None:
+        m = len(init_hi)
+        self.lanes, self.scratch, self.carry, self.round = lane_buf, scratch_buf, carry_buf, round_buf
+        self.live, self.drawn = m, False
+        scratch, carry = scratch_buf[:, :, :m], carry_buf[:, :m]
+        hi, lo = lane_buf[:, :, :m]
+        s_hi, s_lo, d_hi, d_lo = state_buf[:, :m]
+        self.step = state_buf[2:]  # C_LANES * inc of each live stream, as hi and lo rows
+
+        np.copyto(s_hi, init_hi)
+        np.copyto(s_lo, init_lo)
         _add128(s_hi, s_lo, c_hi, c_lo, carry[0])
-        if k >= 0:
-            hi[k], lo[k] = s_hi, s_lo
-    np.copyto(d_hi, c_hi)
-    np.copyto(d_lo, c_lo)
-    _mul128(d_hi, d_lo, _C_LANES, scratch[:, 0])
+        for k in range(-1, len(hi)):  # the seeding step, then draws 1..lanes
+            _mul128(s_hi, s_lo, _M, scratch[:, 0])
+            _add128(s_hi, s_lo, c_hi, c_lo, carry[0])
+            if k >= 0:
+                hi[k], lo[k] = s_hi, s_lo
+        np.copyto(d_hi, c_hi)
+        np.copyto(d_lo, c_lo)
+        _mul128(d_hi, d_lo, _C_LANES, scratch[:, 0])
 
-    for first in range(0, width, LANES):
-        if first:
+    def draw(self, out: np.ndarray) -> np.ndarray:
+        """Write the next round's first len(out) draws of the live streams to
+        out, a (rows, live) array, and return it."""
+        live, rows = self.live, len(out)
+        hi, lo = self.lanes[:, :, :live]
+        scratch = self.scratch[:, :, :live]
+        if self.drawn:
             _mul128(hi, lo, _M_LANES, scratch)
-            _add128(hi, lo, d_hi, d_lo, carry)
-        rows = min(LANES, width - first)
+            _add128(hi, lo, self.step[0, :live], self.step[1, :live], self.carry[:, :live])
+        self.drawn = True
         x, rot, w = scratch[:, :rows]
         # XSL-RR output: rotate hi ^ lo right by the top six bits of the state
         np.bitwise_xor(hi[:rows], lo[:rows], out=x)
@@ -319,4 +378,12 @@ def _stream_chunk(out, init_hi, init_lo, c_hi, c_lo, lane_buf, scratch_buf, carr
         x <<= rot
         x |= w
         x >>= _U64_11
-        np.multiply(x, 1.0 / 9007199254740992.0, out=out[first : first + rows])
+        np.multiply(x, 1.0 / 9007199254740992.0, out=out)
+        return out
+
+    def keep(self, columns: np.ndarray) -> None:
+        """Keep drawing the live streams at columns (increasing) alone."""
+        if len(columns) < self.live:
+            self.lanes = self.lanes[:, :, : self.live].take(columns, axis=2)
+            self.step = self.step[:, : self.live].take(columns, axis=1)
+            self.live = len(columns)

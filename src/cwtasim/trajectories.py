@@ -44,10 +44,11 @@ the one simulator, simulates a block whose trials may differ in hazard
 ratio and sample size; simulate_trial is its call for one trial.
 
 _simulate_state_matrix is the one month-step kernel, for trials and for
-calibration alike. It evolves every row of a block in one pass, each row
-gathering its thresholds from stacked per-state tables -- the control
-arm's, then one experimental arm's per hazard ratio -- at its state plus
-N_STATES times its table. The structural zeros (CR never improves, death
+calibration alike; calibration runs it a round of months at a time, from
+each round's starting month and states. It evolves every row of a block
+in one pass, each row gathering its thresholds from stacked per-state
+tables -- the control arm's, then one experimental arm's per hazard
+ratio -- at its state plus N_STATES times its table. The structural zeros (CR never improves, death
 never worsens) keep that index inside its table's entries, which is why
 the gather's mode="clip" never clips.
 """
@@ -260,13 +261,14 @@ class Trial:
         return self.states.shape[-1] - 1
 
 
-def check_draws(n: int, horizon: int, rows: int | None = None) -> None:
+def check_draws(n: int, horizon: int, rows: int | None = None, name: str = "sample size") -> None:
     """Raise ValueError if one pass over `rows` subject rows (default n), of
-    trials of sample size at most n, would draw more than MAX_DRAWS uniforms."""
+    trials of sample size at most n, would draw more than MAX_DRAWS uniforms.
+    The message names n as name."""
     need = (n if rows is None else rows) * (horizon + 2)
     if need > MAX_DRAWS:
         raise ValueError(
-            f"sample size {n} at a {horizon}-month horizon needs {need} uniforms, "
+            f"{name} {n} at a {horizon}-month horizon needs {need} uniforms, "
             f"more than the {MAX_DRAWS} one pass may draw"
         )
 
@@ -302,14 +304,21 @@ def subject_uniforms(base_seed, n: int, horizon: int) -> np.ndarray:
 
 
 def _simulate_state_matrix(
-    models: Sequence[TransitionModel], monthly_u: np.ndarray, table: np.ndarray | None = None
+    models: Sequence[TransitionModel],
+    monthly_u: np.ndarray,
+    table: np.ndarray | None = None,
+    first_month: int = 1,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evolve the state ladder for a batch of subjects: the one month-step kernel.
 
-    monthly_u is (rows, horizon), one uniform per subject per month. Row i
-    evolves under models[table[i]], or under models[0] when table is None.
-    The improvement decay is models[0]'s for every row; apply_hazard_ratio
-    never changes it.
+    monthly_u is (rows, months), one uniform per subject for each month
+    first_month, first_month + 1, ...; start holds each row's state at
+    month first_month - 1, the SD baseline when None. Row i evolves under
+    models[table[i]], or under models[0] when table is None. The
+    improvement decay is models[0]'s for every row; apply_hazard_ratio
+    never changes it. A path evolved in pieces, each from the last piece's
+    final states, is the path evolved at once.
 
     The draw decides [improve | stay | worsen] in that order: improve iff
     u < p_improve, worsen iff u >= 1 - p_worsen. Model validation
@@ -323,17 +332,18 @@ def _simulate_state_matrix(
     mode="clip" never clips. States are updated in place, one month-major
     row a month, offset by N_STATES * table (int8, or int16 when the
     offsets need it); the offset is removed once at the end, and the
-    (rows, horizon + 1) int8 result is a month-major view.
+    (rows, months + 1) int8 result, start first, is a month-major view.
     """
     rows, horizon = monthly_u.shape
     decay = models[0].improve_decay
     improve = np.array([model.improve_prob for model in models]).ravel()
-    improve_by_month = np.array([decay ** (m - 1) for m in range(1, horizon + 1)])[:, None] * improve
+    months = range(first_month, first_month + horizon)
+    improve_by_month = np.array([decay ** (m - 1) for m in months])[:, None] * improve
     worsen_from = 1.0 - np.array([model.worsen_prob for model in models]).ravel()
     dtype = np.int8 if improve.size <= 128 else np.int16
     offset = 0 if table is None else (N_STATES * table).astype(dtype)
     states = np.empty((horizon + 1, rows), dtype=dtype)
-    states[0] = SD + offset
+    states[0] = (SD if start is None else start) + offset
     index = states[0].astype(np.intp)
     p_improve, p_worsen_from, moved = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
     for m in range(1, horizon + 1):

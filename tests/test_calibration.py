@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cwtasim import calibration
+from cwtasim import calibration, mix64, seeds
 from cwtasim.calibration import (
     CALIBRATION_SEED,
     DEFAULT_TEMPLATE,
@@ -28,6 +28,36 @@ TEMPLATE = TransitionModel(
 )
 
 
+def inject_draws(monkeypatch, seed, blocks):
+    """Serve the settled passes' draws from blocks: subject i of a cohort at
+    seed draws blocks[i] (its horizon + 2 uniforms) instead of its stream.
+    The round source is wrapped: every round's draws are first checked
+    against blocks, which must hold the subjects' real draws when this is
+    called. Returns blocks' month draws, a view to edit in place."""
+    rounds, real = calibration.pcg64_rounds, blocks.copy()
+    subject = {mix64(seed, i): i for i in range(len(blocks))}
+
+    def wrapped(stream_seeds, width, begin):
+        def served(part):
+            visit, live = begin(part), np.array([subject[int(s)] for s in stream_seeds[part]])
+
+            def serve(first, draws):
+                nonlocal live
+                months = slice(first, first + len(draws))
+                assert np.array_equal(draws, real[live, months].T)
+                draws[...] = blocks[live, months].T
+                keep = visit(first, draws)
+                live = live[keep]
+                return keep
+
+            return serve
+
+        rounds(stream_seeds, width, served)
+
+    monkeypatch.setattr(calibration, "pcg64_rounds", wrapped)
+    return blocks[:, 2:]
+
+
 def test_target_validation():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         CalibrationTarget(cr_rate=-0.1, pr_rate=0.3)
@@ -35,11 +65,23 @@ def test_target_validation():
         CalibrationTarget(cr_rate=0.6, pr_rate=0.5)
     with pytest.raises(ValueError, match="tolerance"):
         CalibrationTarget(cr_rate=0.05, pr_rate=0.3, tolerance=0.0)
+    for tolerance in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            CalibrationTarget(cr_rate=0.05, pr_rate=0.3, tolerance=tolerance)
 
 
+ORACLE_TEMPLATES = [
+    replace(TEMPLATE, improve_decay=1.0),
+    replace(TEMPLATE, improve_decay=1e-3, horizon_months=200),  # decay powers underflow to 0
+    replace(TEMPLATE, horizon_months=1),
+    replace(TEMPLATE, dropout_rate=0.0),
+    replace(TEMPLATE, dropout_rate=1.0),
+]
 def test_response_rates_match_per_subject_oracle():
     """Best overall response over each subject's observed months, one subject
-    at a time; half the subjects drop out, so the observed mask matters."""
+    at a time; half the subjects drop out, so the observed mask matters.
+    Then the same improvement probabilities on every ORACLE_TEMPLATES entry:
+    horizons of 1 and 200 months, decays of 1 and 1e-3, dropout 0 and 1."""
     model = TransitionModel(
         improve_prob=(0.0, 0.12, 0.1, 0.0, 0.0),
         worsen_prob=TEMPLATE.worsen_prob,
@@ -48,13 +90,15 @@ def test_response_rates_match_per_subject_oracle():
         dropout_rate=0.5,
     )
     n = 300
-    best = [
-        int(simulate_subject(model, Arm.CONTROL, 1.0, subject_rng(CALIBRATION_SEED, i))[0].min())
-        for i in range(n)
-    ]
-    expected = (best.count(CR) / n, best.count(PR) / n)
-    assert 0.0 < expected[0] and 0.0 < expected[1]
-    assert control_response_rates(model, n_subjects=n) == expected
+    for template in [model] + ORACLE_TEMPLATES:
+        template = replace(template, improve_prob=model.improve_prob)
+        best = [
+            int(simulate_subject(template, Arm.CONTROL, 1.0, subject_rng(CALIBRATION_SEED, i))[0].min())
+            for i in range(n)
+        ]
+        expected = (best.count(CR) / n, best.count(PR) / n)
+        assert 0.0 < expected[1] and (0.0 < expected[0] or template != model)
+        assert control_response_rates(template, n_subjects=n) == expected, template
 
 
 def test_zero_targets_leave_improvement_at_zero():
@@ -125,23 +169,28 @@ def test_critical_probabilities_are_the_least_improving_doubles():
             assert not np.any(d * np.nextafter(p, 0.0) > draws)
 
 
-def test_quotient_filter_keeps_a_cell_one_double_below_the_least_value():
+def test_quotient_filter_keeps_a_cell_one_double_below_the_least_value(monkeypatch):
     """A month whose rounded quotient u / d is one double below the subject's
     least value so far, and is its critical probability, lowers the
-    minimum: month 1 (d = 1) gives the double above a, month 2 gives a."""
-    d = TEMPLATE.improve_decay
-    for k in np.random.default_rng(4).integers(2**51, 2**52, 1000):
-        a = k * 2.0**-53
-        b = np.floor(d * a * 2.0**53) * 2.0**-53  # a draw: a multiple of 2**-53
-        if d * a > b and b / d == a:
-            break
-    cohort = calibration._Cohort(replace(TEMPLATE, dropout_rate=0.0), 1, 0)
-    cohort.monthly_u[0] = 0.5
-    cohort.monthly_u[0, :2] = (a, b)
-    assert _critical_probabilities(cohort.monthly_u[0, :2], 1.0)[0] == np.nextafter(a, 1.0)
-    assert _critical_probabilities(cohort.monthly_u[0, 1:2], d)[0] == a
-    cohort.tabulate_responders()
-    assert cohort.first_improvement.tolist() == [a]
+    minimum: month 1 (d = 1) gives the double above a, a later month gives
+    a. The later month is 2, in month 1's round, and 7, the first month of
+    the next round, whose cells are filtered by the least value so far."""
+    for later in (2, 7):
+        d = TEMPLATE.improve_decay ** (later - 1)
+        for k in np.random.default_rng(4).integers(2**51, 2**52, 1000):
+            a = k * 2.0**-53
+            b = np.floor(d * a * 2.0**53) * 2.0**-53  # a draw: a multiple of 2**-53
+            if d * a > b and b / d == a:
+                break
+        cohort = calibration._Cohort(replace(TEMPLATE, dropout_rate=0.0), 1, 0)
+        with monkeypatch.context() as patch:
+            monthly_u = inject_draws(patch, 0, subject_rng(0, 0).random(TEMPLATE.horizon_months + 2)[None])
+            monthly_u[0] = 0.5
+            monthly_u[0, [0, later - 1]] = (a, b)
+            assert _critical_probabilities(monthly_u[0, :1], 1.0)[0] == np.nextafter(a, 1.0)
+            assert _critical_probabilities(monthly_u[0, later - 1 : later], d)[0] == a
+            cohort.tabulate_responders()
+        assert cohort.first_improvement.tolist() == [a], later
 
 
 def test_table_rates_match_the_kernel_where_counts_step():
@@ -167,13 +216,6 @@ def test_table_rates_match_the_kernel_where_counts_step():
         assert calibration._response_rates(model, cohort) == calibration._response_rates(model, kernel_only)
 
 
-ORACLE_TEMPLATES = [
-    replace(TEMPLATE, improve_decay=1.0),
-    replace(TEMPLATE, improve_decay=1e-3, horizon_months=200),  # decay powers underflow to 0
-    replace(TEMPLATE, horizon_months=1),
-    replace(TEMPLATE, dropout_rate=0.0),
-    replace(TEMPLATE, dropout_rate=1.0),
-]
 ORACLE_TARGETS = [  # (cr, pr, tolerance)
     (0.05, 0.30, 0.005),
     (0.9, 0.05, 0.005),
@@ -184,33 +226,33 @@ ORACLE_TARGETS = [  # (cr, pr, tolerance)
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("template", ORACLE_TEMPLATES)
-def test_critical_tables_match_per_cell_oracle(monkeypatch, template):
-    """Both tables, the whole-cohort one and the responders-only one in pieces
-    of a few rows, hold each subject's least critical probability over every
-    observed cell. Every tenth subject stays in SD with zero draws scattered
+def test_critical_tables_match_per_cell_oracle(monkeypatch, short_switch_interval, template):
+    """Both tables, the whole-cohort one and the responders-only one in chunks
+    of a few streams on three threads, hold each subject's least critical
+    probability over every observed cell. Every tenth subject stays in SD with zero draws scattered
     over the horizon, up to months whose decay factor is subnormal or 0
     (horizon 200 at decay 1e-3); every tenth from the fifth draws 0 in its
     first three months."""
     n, seed, horizon = 300, 11, template.horizon_months
     cohort = calibration._Cohort(template, n, seed)
     blocks = np.array([subject_rng(seed, i).random(horizon + 2) for i in range(n)])
-    assert np.array_equal(cohort.monthly_u, blocks[:, 2:])
+    monthly_u = inject_draws(monkeypatch, seed, blocks)
     zeros = [m - 1 for m in (1, 2, 50, 104, 106, 108, 109, 150) if m <= horizon]
-    cohort.monthly_u[::10] = 0.5
-    cohort.monthly_u[np.ix_(range(0, n, 10), zeros)] = 0.0
-    cohort.monthly_u[5::10, :3] = 0.0
-    blocks[:, 2:] = cohort.monthly_u
+    monthly_u[::10] = 0.5
+    monthly_u[np.ix_(range(0, n, 10), zeros)] = 0.0
+    monthly_u[5::10, :3] = 0.0
 
     first = [critical_improvement(cohort.base, SD, block) for block in blocks]
     cohort.tabulate_responders()
     assert cohort.first_improvement.tolist() == first
     assert np.array_equal(cohort.responders, np.sort(first))
-    monkeypatch.setattr(calibration, "PIECE_ROWS", 7)
+    monkeypatch.setattr(seeds, "CHUNK", 7)
+    monkeypatch.setattr(seeds, "usable_cpus", lambda: 3)  # chunks visited on three threads
     a2_max = 1.0 - template.worsen_prob[SD]
     for a2 in (a2_max, np.median([v for v in first if v <= a2_max])):
         model = replace(cohort.base, improve_prob=(0.0, 0.0, a2, 0.0, 0.0))
         complete = [critical_improvement(model, PR, block) for block in blocks]
-        assert calibration._critical_values(model, PR, cohort.monthly_u.T, cohort.censor).tolist() == complete
+        assert cohort.critical_values(model, PR).tolist() == complete
         cohort.tabulate_complete(a2)
         responders = [v <= a2 for v in first]
         assert all(np.isinf(v) for v, r in zip(complete, responders) if not r)
@@ -239,15 +281,17 @@ def _search(monkeypatch, template, target, n):
     return evaluations, outcome
 
 
-@pytest.mark.parametrize("n", [1, 3_000])
-def test_critical_tables_answer_every_search_as_the_kernel_does(monkeypatch, n):
-    """Whole searches read from the critical-probability tables make the same
-    evaluations, with the same rates, and end the same way as searches in
-    which every evaluation runs the kernel."""
+def _searches_agree(monkeypatch, n, chunk=None):
+    """Whole searches read from the critical-probability tables, their
+    settled passes run in chunks of chunk streams (default seeds.CHUNK),
+    make the same evaluations, with the same rates, and end the same way as
+    searches in which every evaluation runs a settled pass of its own."""
     from_tables = 0
     for template in ORACLE_TEMPLATES:
         for target in ORACLE_TARGETS:
-            evaluations, outcome = _search(monkeypatch, template, target, n)
+            with monkeypatch.context() as chunked:
+                chunked.setattr(seeds, "CHUNK", chunk or seeds.CHUNK)
+                evaluations, outcome = _search(monkeypatch, template, target, n)
             with monkeypatch.context() as kernel_only:
                 kernel_only.setattr(calibration._Cohort, "counts", lambda self, model: None)
                 expected, expected_outcome = _search(monkeypatch, template, target, n)
@@ -257,15 +301,23 @@ def test_critical_tables_answer_every_search_as_the_kernel_does(monkeypatch, n):
     assert from_tables > 100
 
 
+@pytest.mark.parametrize("n", [1, 3_000])
+def test_critical_tables_answer_every_search_as_the_kernel_does(monkeypatch, n):
+    """Whole searches read from the critical-probability tables make the same
+    evaluations, with the same rates, and end the same way as searches in
+    which every evaluation runs the kernel."""
+    _searches_agree(monkeypatch, n)
+
+
 def test_critical_tables_answer_every_search_in_pieces(monkeypatch):
-    """The whole-search check again, with every responders-only table built
-    from pieces of a few rows."""
-    monkeypatch.setattr(calibration, "PIECE_ROWS", 64)
-    test_critical_tables_answer_every_search_as_the_kernel_does(monkeypatch, 3_000)
+    """The whole-search check again, with the tables' settled passes run in
+    chunks of 256 streams (12 for a responder table, about 4 for a CR table)
+    and every kernel-only evaluation in one."""
+    _searches_agree(monkeypatch, 3_000, chunk=256)
 
 
 def test_moderate_search_runs_the_kernel_twice(monkeypatch):
-    calls = {"_simulate_state_matrix": 0, "_response_rates": 0}
+    calls = {"_settled_pass": 0, "_response_rates": 0}
     for name in calls:
         original = getattr(calibration, name)
 
@@ -275,4 +327,4 @@ def test_moderate_search_runs_the_kernel_twice(monkeypatch):
 
         monkeypatch.setattr(calibration, name, counted)
     calibrate_transition_model(CalibrationTarget(0.05, 0.30, 0.005), DEFAULT_TEMPLATE, n_subjects=10_000)
-    assert calls == {"_simulate_state_matrix": 2, "_response_rates": 20}
+    assert calls == {"_settled_pass": 2, "_response_rates": 20}

@@ -346,17 +346,22 @@ def test_error_paths_exit_2(tmp_path, fast_profile, capsys, monkeypatch):
          "error: improvement hazard ratio 100.0 does not fit the profile: improve_prob[1] + worsen_prob[1] exceeds 1"),
         (["samplesize", "--config", str(cfgs[3]), "--target", "1.5"], "error: target power must lie in (0, 1), got 1.5"),
         (["samplesize", "--config", str(cfgs[3]), "--target", "nan"], "error: target power must lie in (0, 1), got nan"),
+        # a cohort above the draw bound or below one is refused before any evaluation, naming its flag
         (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
-          "--subjects", "2000000000000", "--out", str(tmp_path / "never.json")], f"error: {huge}"),
-        # a cohort below one is refused before any evaluation, naming its flag
+          "--subjects", "2000000000000", "--out", str(tmp_path / "never.json")],
+         "error: --subjects 2000000000000 at a 18-month horizon needs 40000000000000 uniforms"),
         (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
           "--subjects", "0", "--out", str(tmp_path / "never.json")], "error: --subjects must be at least 1, got 0"),
+        # an infinite tolerance would accept the first evaluation's rates
+        (["calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
+          "--tolerance", "inf", "--out", str(tmp_path / "never.json")],
+         "error: tolerance must be positive and finite, got inf"),
     ):
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(start), err
     assert blocks_run == [] and evaluations == [] and not (tmp_path / "huge_out").exists()
-    assert not (tmp_path / "never.csv").exists()
+    assert not (tmp_path / "never.csv").exists() and not (tmp_path / "never.json").exists()
 
     assert run_cli(["analyze", "--trial", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
