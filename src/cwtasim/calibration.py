@@ -162,9 +162,7 @@ def _settled_pass(model: TransitionModel, base: TransitionModel, seeds: np.ndarr
     and censor their last observed months. A subject is dropped at the end
     of the round in which it reaches PD, which it never leaves, or passes
     its censor month; no later draw can move a best response, nor a
-    critical value, which only months spent in SD or PR make. The chunks
-    of seeds may be visited on different threads, so a visit writes only
-    to its live subjects' entries.
+    critical value, which only months spent in SD or PR make.
     """
 
     def begin(part: slice) -> Callable:

@@ -22,7 +22,6 @@ from .calibration import (
     control_response_rates,
 )
 from .config import ConfigError, ExperimentGrid, parse_config
-from .seeds import usable_cpus
 from .statistics import METHODS, arm_counts, count_tests, monthly_counts
 from .svgplot import CurveSpec, PlotSpec, emit_svg_stepplot
 from .trajectories import Arm, check_draws, simulate_trial
@@ -88,6 +87,17 @@ def resolve_workers(requested: int, cpus: int | None) -> int:
         print(f"warning: --workers {requested} exceeds the {cpus} available CPUs; using {cpus}", file=sys.stderr)
         return cpus
     return requested
+
+
+def _usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity set where the OS has one.
+
+    The set reflects taskset and cpusets, which os.cpu_count() ignores; the
+    fallback is os.cpu_count(), None when unknown.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def _cmd_calibrate(args) -> int:
@@ -219,7 +229,7 @@ def run_cli(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         if hasattr(args, "workers"):
-            args.workers = resolve_workers(args.workers, usable_cpus())
+            args.workers = resolve_workers(args.workers, _usable_cpus())
         return _COMMANDS[args.command](args)
     except (ConfigError, CalibrationError, ValueError, OSError) as exc:
         print(f"error: {exc}".replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)  # one line

@@ -19,25 +19,18 @@ lanes of a round are exactly the streams' states there, so a pass may
 drop streams between rounds and the kept ones continue bit for bit:
 pcg64_rounds hands each round's draws to a visitor that names the
 streams to keep, and pcg64_uniforms is the pass that keeps them all and
-writes every round into one output array. Both share one stream core and
-one thread rule. A pass of two or
-more chunks shares them out among min(usable_cpus(), chunks) threads,
-the calling thread among them; numpy releases the GIL inside each ufunc,
-and at CHUNK seeds a lane operation spans 64 K elements, long enough to
-outweigh the hand-off. A pass of one chunk runs on the calling thread
-alone. Every grid block is one chunk (harness.BLOCK_ROWS <= CHUNK), so a
-grid's passes start no thread and a pooled grid forks with only the main
-thread alive; the only pooled run that threads is a grid with one trial
-of more than CHUNK subjects, which then runs up to workers x usable-CPU
-threads. LANES, CHUNK and the thread count change only the speed, never
-a drawn value: no output depends on the CPU count.
+writes every round into one output array. Both share one stream core,
+which steps the chunks in order on the calling thread in one set of
+buffers: a chunk's lane, scratch and round buffers take about 3.3 MB,
+and every grid block is one chunk (harness.BLOCK_ROWS <= CHUNK), so a
+block's pass is one chunk of lane operations. No pass starts a thread, so
+a pooled grid forks with only the main thread alive. LANES and CHUNK
+change only the speed, never a drawn value.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import threading
 from typing import Callable
 
 import numpy as np
@@ -113,7 +106,7 @@ _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 LANES = 8  # draws per round of the draw kernel
-CHUNK = 8192  # seeds per chunk: a grid block (harness.BLOCK_ROWS rows) is one chunk; 64 K-element lane ops
+CHUNK = 8192  # seeds per chunk: a grid block (harness.BLOCK_ROWS rows) is one chunk; 3.3 MB of buffers
 
 _U32_16 = np.uint32(16)
 _U64_MASK32 = np.uint64(_MASK32)
@@ -219,17 +212,6 @@ def _add128(hi: np.ndarray, lo: np.ndarray, add_hi: np.ndarray, add_lo: np.ndarr
     hi += carry
 
 
-def usable_cpus() -> int | None:
-    """CPUs this process may run on: its affinity set where the OS has one.
-
-    The set reflects taskset and cpusets, which os.cpu_count() ignores; the
-    fallback is os.cpu_count(), None when unknown.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
-
-
 def pcg64_uniforms(seeds: np.ndarray, width: int) -> np.ndarray:
     """(width, n) doubles; column j is default_rng(int(seeds[j])).random(width).
 
@@ -274,50 +256,25 @@ def pcg64_rounds(seeds: np.ndarray, width: int, begin: Callable[[slice], Callabl
 
 def _stream_pass(seeds: np.ndarray, width: int, chunk: Callable[[slice, _Streams], None]) -> None:
     """Hash seeds in one pass, then run chunk(part, streams) for each part of
-    CHUNK seeds on T = min(usable_cpus(), chunks) threads, the calling
-    thread and T - 1 started ones: thread t runs parts t, t + T, t + 2T, ...
-    in buffers the caller allocated. Every thread is joined before the
-    first exception a thread met is raised. A pass of one chunk starts no
-    thread.
-    """
+    CHUNK seeds in order, every part in the same buffers."""
     seeds = np.asarray(seeds, dtype=np.uint64)
+    if not width or not len(seeds):
+        return
     init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(seeds)
     inc_hi = (seq_hi << _U64_1) | (seq_lo >> _U64_63)
     inc_lo = (seq_lo << _U64_1) | _U64_1
-    del seq_hi, seq_lo  # freed before the thread buffers are allocated
-    starts = range(0, len(seeds), CHUNK)
-    if not width or not starts:
-        return
-    threads = min(usable_cpus() or 1, len(starts))
+    del seq_hi, seq_lo  # freed before the chunk buffers are allocated
     lanes, size = min(LANES, width), min(CHUNK, len(seeds))
-    lane_buf = np.empty((threads, 2, lanes, size), dtype=np.uint64)
-    scratch_buf = np.empty((threads, 3, lanes, size), dtype=np.uint64)
-    carry_buf = np.empty((threads, lanes, size), dtype=bool)
-    state_buf = np.empty((threads, 4, size), dtype=np.uint64)
-    round_buf = np.empty((threads, lanes * size))
-    errors: list[BaseException] = []
-
-    def share(t: int) -> None:
-        try:
-            buffers = lane_buf[t], scratch_buf[t], carry_buf[t], state_buf[t], round_buf[t]
-            for start in starts[t::threads]:
-                if errors:  # another share failed: stop at a chunk boundary
-                    return
-                part = slice(start, start + CHUNK)
-                chunk(part, _Streams(init_hi[part], init_lo[part], inc_hi[part], inc_lo[part], *buffers))
-        except BaseException as exc:  # raised by the caller once every thread has stopped
-            errors.append(exc)
-
-    started = [threading.Thread(target=share, args=(t,)) for t in range(1, threads)]
-    for thread in started:
-        thread.start()
-    try:
-        share(0)
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+    buffers = (
+        np.empty((2, lanes, size), dtype=np.uint64),
+        np.empty((3, lanes, size), dtype=np.uint64),
+        np.empty((lanes, size), dtype=bool),
+        np.empty((4, size), dtype=np.uint64),
+        np.empty(lanes * size),
+    )
+    for start in range(0, len(seeds), CHUNK):
+        part = slice(start, start + CHUNK)
+        chunk(part, _Streams(init_hi[part], init_lo[part], inc_hi[part], inc_lo[part], *buffers))
 
 
 class _Streams:

@@ -26,12 +26,11 @@ simulated one at a time or as a vectorized batch. No generator is built
 per subject: trial_uniforms draws the streams of every subject of a block
 of trials at once with seeds.pcg64_uniforms, a vectorized SeedSequence +
 PCG64 that steps every stream in lanes of consecutive draws and that the
-oracle test checks bit for bit against default_rng; subject_uniforms is
-its one-trial call. It returns a month-major (F-contiguous) view, so
-reading one month for every subject is a contiguous read. One call draws
-at most MAX_DRAWS uniforms, and a model's horizon is at most MAX_HORIZON
-months, so an oversized sample or horizon is refused with a ValueError
-instead of exhausting memory.
+oracle test checks bit for bit against default_rng. It returns a
+month-major (F-contiguous) view, so reading one month for every subject
+is a contiguous read. One pass draws at most MAX_DRAWS uniforms, and a
+model's horizon is at most MAX_HORIZON months, so an oversized sample or
+horizon is refused with a ValueError instead of exhausting memory.
 
 A trial has one form from simulation to every statistic: Trial, the
 padded (n, horizon + 1) state matrix with each subject's censor month,
@@ -68,7 +67,7 @@ CR, PR, SD, PD, DEATH = 0, 1, 2, 3, 4
 N_STATES = 5
 MAX_STATE = 4  # ordinal span; one level change = weight 1/MAX_STATE
 MAX_HORIZON = 1200  # months of follow-up a model may ask for (100 years)
-MAX_DRAWS = 2**27  # uniforms one subject_uniforms call may draw (1 GiB of doubles)
+MAX_DRAWS = 2**27  # uniforms one pass may draw (1 GiB of doubles)
 
 _STATE_KEYS = tuple(str(s) for s in range(N_STATES))
 
@@ -295,12 +294,6 @@ def _subject_seeds(seeds, sizes: np.ndarray) -> np.ndarray:
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)
     subjects = (np.arange(len(first)) - first).astype(np.uint64)
     return mix64_array((np.repeat(as_uint64(seeds), sizes),), subjects)
-
-
-def subject_uniforms(base_seed, n: int, horizon: int) -> np.ndarray:
-    """(n, horizon + 2) uniform draws of one trial, row i from the stream
-    mix64(base_seed, i): trial_uniforms for a single trial."""
-    return trial_uniforms(base_seed, (n,), horizon)
 
 
 def _simulate_state_matrix(

@@ -42,7 +42,7 @@ from cwtasim.trajectories import (
     PR,
     SD,
     _dropout_from_uniforms,
-    subject_uniforms,
+    trial_uniforms,
 )
 
 from oracles import (
@@ -416,7 +416,7 @@ def test_criterion_9_simulator_invariants():
     assert abs(rate - model.dropout_rate) <= 0.004, f"dropout rate {rate:.4f} not ~0.10"
 
     # dropout-month uniformity over 1..horizon from the generator draws
-    blocks = subject_uniforms(MASTER_SEED, n, model.horizon_months)
+    blocks = trial_uniforms(MASTER_SEED, (n,), model.horizon_months)
     is_drop, month = _dropout_from_uniforms(model, blocks[:, 0], blocks[:, 1])
     months = month[is_drop]
     counts = np.bincount(months, minlength=model.horizon_months + 1)[1:]

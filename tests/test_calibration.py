@@ -226,9 +226,9 @@ ORACLE_TARGETS = [  # (cr, pr, tolerance)
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("template", ORACLE_TEMPLATES)
-def test_critical_tables_match_per_cell_oracle(monkeypatch, short_switch_interval, template):
+def test_critical_tables_match_per_cell_oracle(monkeypatch, template):
     """Both tables, the whole-cohort one and the responders-only one in chunks
-    of a few streams on three threads, hold each subject's least critical
+    of a few streams, hold each subject's least critical
     probability over every observed cell. Every tenth subject stays in SD with zero draws scattered
     over the horizon, up to months whose decay factor is subnormal or 0
     (horizon 200 at decay 1e-3); every tenth from the fifth draws 0 in its
@@ -247,7 +247,6 @@ def test_critical_tables_match_per_cell_oracle(monkeypatch, short_switch_interva
     assert cohort.first_improvement.tolist() == first
     assert np.array_equal(cohort.responders, np.sort(first))
     monkeypatch.setattr(seeds, "CHUNK", 7)
-    monkeypatch.setattr(seeds, "usable_cpus", lambda: 3)  # chunks visited on three threads
     a2_max = 1.0 - template.worsen_prob[SD]
     for a2 in (a2_max, np.median([v for v in first if v <= a2_max])):
         model = replace(cohort.base, improve_prob=(0.0, 0.0, a2, 0.0, 0.0))

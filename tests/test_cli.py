@@ -189,19 +189,42 @@ def test_workers_capped_at_the_affinity_set(tmp_path, fast_profile, monkeypatch,
     assert (tmp_path / "out" / "power.csv").read_bytes() == single
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_grid_starts_no_thread_in_the_calling_process(tmp_path, fast_profile, monkeypatch, workers):
-    """Every grid block is at most harness.BLOCK_ROWS <= seeds.CHUNK rows, one
-    chunk of streams, so a grid's stream passes start no thread even with two
-    usable CPUs, and a pooled grid forks with only the main thread alive."""
-    assert harness.BLOCK_ROWS <= CHUNK
+@pytest.fixture()
+def thread_starts(monkeypatch):
+    """The threads started while the test runs, with two usable CPUs."""
     starts, start = [], threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread) or start(thread))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return starts
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_grid_starts_no_thread_in_the_calling_process(tmp_path, fast_profile, thread_starts, workers):
+    """Every grid block is at most harness.BLOCK_ROWS <= seeds.CHUNK rows, one
+    chunk of streams; no stream pass starts a thread, so a pooled grid forks
+    with only the main thread alive."""
+    assert harness.BLOCK_ROWS <= CHUNK
     cfg = small_config(tmp_path, profile=fast_profile, sample_sizes=[20, harness.BLOCK_ROWS], replicates=3)
     assert run_cli(["power", "--config", cfg, "--workers", workers]) == 0
     assert (tmp_path / "out" / "power.csv").exists()
-    assert starts == []
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("calibrate", ["--cr", "0.05", "--pr", "0.30", "--subjects", str(2 * CHUNK + 37), "--template"]),
+        ("simulate", ["--sample-size", str(CHUNK + 2), "--hr", "0.7", "--profile"]),
+    ],
+    ids=["calibrate", "simulate"],
+)
+def test_passes_of_several_chunks_start_no_thread(tmp_path, fast_profile, thread_starts, command, options):
+    """A calibration cohort or a trial of more than CHUNK subjects steps its
+    chunks of streams on the calling thread alone, even with two usable CPUs."""
+    out = tmp_path / "out"
+    assert run_cli([command, *options, fast_profile, "--out", str(out)]) == 0
+    assert out.exists()
+    assert thread_starts == []
 
 
 def test_grid_command_loads_its_profile_once(tmp_path, fast_profile, monkeypatch):

@@ -28,7 +28,6 @@ from cwtasim.trajectories import (
     MAX_DRAWS,
     _simulate_state_matrix,
     simulate_trials,
-    subject_uniforms,
     trial_uniforms,
 )
 from oracles import simulate_subject, subject_rng, trial_state_matrix
@@ -251,7 +250,7 @@ def test_scalar_and_vectorized_paths_agree():
 
 def test_subject_uniform_layout_is_fixed():
     """Every subject consumes horizon + 2 draws regardless of outcome."""
-    blocks = subject_uniforms(7, 5, horizon=12)
+    blocks = trial_uniforms(7, (5,), 12)
     assert blocks.shape == (5, 14)
     for i in range(5):
         expected = subject_rng(7, i).random(14)
@@ -294,8 +293,8 @@ def test_pcg64_uniforms_match_default_rng(seeds, width):
 
 @settings(max_examples=40, deadline=None)
 @given(base_seed=SEEDS, n=st.sampled_from(SUBJECT_COUNTS), horizon=st.integers(0, 68))
-def test_subject_uniforms_match_per_subject_generators(base_seed, n, horizon):
-    blocks = subject_uniforms(base_seed, n, horizon)
+def test_trial_uniforms_match_per_subject_generators(base_seed, n, horizon):
+    blocks = trial_uniforms(base_seed, (n,), horizon)
     assert blocks.shape == (n, horizon + 2) and blocks.flags.f_contiguous
     for i in range(n):
         assert np.array_equal(blocks[i], subject_rng(base_seed, i).random(horizon + 2))
@@ -311,7 +310,7 @@ def test_subject_uniforms_match_per_subject_generators(base_seed, n, horizon):
 )
 def test_state_evolution_is_layout_independent(seed, n, sd_improve, pr_improve, decay):
     m = model(improve=(0.0, pr_improve, sd_improve, 0.0, 0.0), improve_decay=decay, horizon_months=24)
-    monthly = subject_uniforms(seed, n, 24)[:, 2:]
+    monthly = trial_uniforms(seed, (n,), 24)[:, 2:]
     from_f = _simulate_state_matrix((m,), np.asfortranarray(monthly))
     from_c = _simulate_state_matrix((m,), np.ascontiguousarray(monthly))
     assert from_f.shape == (n, 25)
@@ -395,7 +394,7 @@ def test_many_hazard_ratios_in_one_block_match_single_trials():
 def test_dropout_month_uses_second_draw():
     m = model(dropout_rate=1.0, horizon_months=10)
     trial = simulate_trial(m, 1.0, 4, 13)
-    blocks = subject_uniforms(13, 4, horizon=10)
+    blocks = trial_uniforms(13, (4,), 10)
     assert trial.dropped.all()
     for i in range(4):
         assert trial.censor[i] == 1 + int(blocks[i, 1] * 10)
@@ -424,7 +423,7 @@ def test_block_rows_equal_single_trials():
         assert np.array_equal(block.states[rows], one.states)
         assert np.array_equal(block.censor[rows], one.censor) and np.array_equal(block.dropped[rows], one.dropped)
         assert np.array_equal(block.arms[rows], one.arms)
-        assert np.array_equal(draws[rows], subject_uniforms(int(seed), 10, 18))
+        assert np.array_equal(draws[rows], trial_uniforms(int(seed), (10,), 18))
     with pytest.raises(ValueError, match="even"):
         simulate_trials(m, ((0.6, 9, seeds),))
 
