@@ -19,32 +19,33 @@ subject's step is its critical probability, the least value at which the
 kernel's own comparison moves it out of SD (or PR) in an observed month
 (see _Cohort), so one pass tabulates the steps of a whole bisection.
 
-No draw matrix is kept. Every read of the cohort is one settled pass
-(_settled_pass): subject i's stream mix64(seed, i) is drawn a round of
-seeds.LANES draws at a time, the kernel evolves the round's months from
-the last round's states, and a visitor reads them. A subject is dropped
-once it reaches PD or passes its censor month, since no later draw can
-move what any visitor reads, so about half of a cohort's draws are never
-made. Three visitors use the pass: the responder table (critical
-improve_prob[SD] on the p = 0 path), the CR table (critical
-improve_prob[PR] at the fitted a2, over the responders' streams alone,
-since no other subject is ever in PR in an observed month; a re-drawn
-stream gives the same draws) and the best response, for an evaluation no
-table answers, such as control_response_rates. A search runs two passes,
-one per table. A table visitor computes an exact critical probability
-only where the subject is observed in the state and the rounded quotient
-u / d of its draw and the month's decay factor lies below its least
-value so far; no other cell can lower that value (see _critical_visitor).
+No draw matrix is kept. Every read of the cohort is one loop over a
+settled pass (_settled_pass): subject i's stream mix64(seed, i) is drawn
+a round of seeds.LANES draws at a time, the kernel evolves the round's
+months from the last round's states, and the pass yields them to the
+loop body. A subject is dropped once it reaches PD or passes its censor
+month, since no later draw can move what any reader reads, so about half
+of a cohort's draws are never made. Three loops read the pass: the
+responder table (critical improve_prob[SD] on the p = 0 path), the CR
+table (critical improve_prob[PR] at the fitted a2, over the responders'
+streams alone, since no other subject is ever in PR in an observed month;
+a re-drawn stream gives the same draws) and the best response, for an
+evaluation no table answers, such as control_response_rates. A search
+runs two passes, one per table. A table's loop computes an exact
+critical probability only where the subject is observed in the state and
+the rounded quotient u / d of its draw and the month's decay factor lies
+below its least value so far; no other cell can lower that value (see
+_Cohort.critical_values).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .seeds import mix64_array, pcg64_rounds
+from .seeds import mix64_array, pcg64_chunks
 from .trajectories import (
     CR,
     DEATH,
@@ -148,76 +149,37 @@ def _critical_probabilities(u: np.ndarray, d: float | np.ndarray) -> np.ndarray:
     return out
 
 
-def _settled_pass(model: TransitionModel, base: TransitionModel, seeds: np.ndarray, visit: Callable) -> None:
+def _settled_pass(model: TransitionModel, base: TransitionModel, seeds: np.ndarray) -> Iterator[tuple]:
     """Evolve one subject per stream of seeds under model until its best
     response is settled, reading no draw after that.
 
-    The streams are drawn one round (LANES draws) at a time (pcg64_rounds).
-    Round 0 gives each subject's dropout draws, read under base, and its
-    first months; every round, the kernel evolves the live subjects through
-    the round's months from their last states. visit(live, month, u, states,
-    censor) then reads them: live holds the positions in seeds of the live
-    subjects, u their (k, live) draws of months month .. month + k - 1,
-    states their (k + 1, live) states at months month - 1 .. month + k - 1
-    and censor their last observed months. A subject is dropped at the end
-    of the round in which it reaches PD, which it never leaves, or passes
-    its censor month; no later draw can move a best response, nor a
-    critical value, which only months spent in SD or PR make.
+    The streams are drawn one round (LANES draws) at a time, chunk by chunk
+    (pcg64_chunks). Round 0 gives each subject's dropout draws, read under
+    base, and its first months; every round, the kernel evolves the live
+    subjects through the round's months from their last states, and the
+    pass yields (live, month, u, states, censor): live holds the positions
+    in seeds of the live subjects, u their (k, live) draws of months
+    month .. month + k - 1, states their (k + 1, live) states at months
+    month - 1 .. month + k - 1 and censor their last observed months; u is
+    valid until the next round. A subject is dropped at the end of the
+    round in which it reaches PD, which it never leaves, or passes its
+    censor month; no later draw can move a best response, nor a critical
+    value, which only months spent in SD or PR make.
     """
-
-    def begin(part: slice) -> Callable:
+    width = model.horizon_months + 2
+    for part, streams in pcg64_chunks(seeds, width):
         live = np.arange(len(seeds))[part]
         state = np.full(len(live), SD, dtype=np.int8)
-        censor = np.empty(0, dtype=np.int64)
-
-        def round_(first: int, u: np.ndarray) -> np.ndarray:
-            nonlocal live, state, censor
+        for first, u in streams.rounds(width):
             if not first:
                 censor = _dropout_from_uniforms(base, u[0], u[1])[1]
                 u = u[2:]
             month = max(first - 1, 1)  # draw j is month j - 1's
             states = _simulate_state_matrix((model,), u.T, first_month=month, start=state).T
-            visit(live, month, u, states, censor)
+            yield live, month, u, states, censor
             keep = np.flatnonzero((states[-1] < PD) & (censor >= month + len(u)))
+            streams.keep(keep)
             live, state, censor = live[keep], states[-1, keep], censor[keep]
-            return keep
-
-        return round_
-
-    pcg64_rounds(seeds, model.horizon_months + 2, begin)
-
-
-def _critical_visitor(model: TransitionModel, s: int, critical: np.ndarray) -> Callable:
-    """A _settled_pass visit that lowers each subject's critical[subject] to
-    its least critical improve_prob[s] over the round's observed months
-    spent in s, under model, whose improve_prob[s] must be 0.
-
-    The round's months are read at once, as (k, live) arrays. An exact
-    critical probability is computed only where the subject is observed in
-    s and the rounded quotient u / d of the draw and the month's decay
-    factor lies below the subject's least value before the round:
-    _critical_probabilities starts its search at that quotient and never
-    returns less, so no other cell can lower a minimum.
-    """
-
-    def visit(live, month, u, states, censor) -> None:
-        months = np.arange(month, month + len(u))
-        d = np.array([model.improve_decay ** (m - 1) for m in months.tolist()])  # the kernel's powers
-        least = critical[live]
-        # A draw u >= d never improves: its quotient may overflow to inf, or be
-        # inf or nan where d underflows to 0, and then lowers nothing.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cells = u / d[:, None] < least
-        cells &= states[:-1] == s
-        cells &= months[:, None] <= censor
-        flat = np.flatnonzero(cells)  # month by month, as cells is C-ordered
-        if flat.size:
-            per_month = np.diff(np.searchsorted(flat, np.arange(len(u) + 1) * len(live)))
-            subject = flat - np.repeat(np.arange(len(u)) * len(live), per_month)
-            np.minimum.at(least, subject, _critical_probabilities(u.ravel()[flat], np.repeat(d, per_month)))
-            critical[live] = least
-
-    return visit
 
 
 class _Cohort:
@@ -255,10 +217,30 @@ class _Cohort:
     def critical_values(self, model: TransitionModel, s: int, subjects: np.ndarray | None = None) -> np.ndarray:
         """The critical improve_prob[s] values under model, whose improve_prob[s]
         must be 0, of the given subjects (default all), from one settled pass
-        over their streams; inf for a subject never in s in an observed month."""
+        over their streams; inf for a subject never in s in an observed month.
+
+        Each round's months are read at once, as (k, live) arrays. An exact
+        critical probability is computed only where the subject is observed
+        in s and the rounded quotient u / d of the draw and the month's decay
+        factor lies below the subject's least value before the round:
+        _critical_probabilities starts its search at that quotient and never
+        returns less, so no other cell can lower a minimum."""
         seeds = self.seeds if subjects is None else self.seeds[subjects]
         critical = np.full(len(seeds), np.inf)
-        _settled_pass(model, self.base, seeds, _critical_visitor(model, s, critical))
+        for live, month, u, states, censor in _settled_pass(model, self.base, seeds):
+            months = np.arange(month, month + len(u))
+            d = np.array([model.improve_decay ** (m - 1) for m in months.tolist()])  # the kernel's powers
+            least = critical[live]
+            # A draw u >= d never improves: its quotient may overflow to inf, or be
+            # inf or nan where d underflows to 0, and then lowers nothing.
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                cells = u / d[:, None] < least
+            cells &= states[:-1] == s
+            cells &= months[:, None] <= censor
+            row, subject = np.divmod(np.flatnonzero(cells), len(live))
+            if row.size:
+                np.minimum.at(least, subject, _critical_probabilities(u[row, subject], d[row]))
+                critical[live] = least
         return critical
 
     def tabulate_responders(self) -> None:
@@ -279,13 +261,10 @@ class _Cohort:
         """Each subject's best state over its observed months under model,
         from one settled pass."""
         best = np.full(len(self.seeds), SD, dtype=np.int8)
-
-        def visit(live, month, u, states, censor) -> None:
+        for live, month, u, states, censor in _settled_pass(model, self.base, self.seeds):
             # a month past the censor month reads as DEATH, which no best state exceeds
             unobserved = np.arange(month, month + len(u))[:, None] > censor
             best[live] = np.minimum(best[live], np.maximum(states[1:], unobserved * np.int8(DEATH)).min(axis=0))
-
-        _settled_pass(model, self.base, self.seeds, visit)
         return best
 
     def counts(self, model: TransitionModel) -> tuple[int, int] | None:
@@ -368,15 +347,12 @@ def calibrate_transition_model(
     cohort = _Cohort(template, n_subjects, seed)
     cohort.tabulate_responders()
 
-    best: tuple[float, TransitionModel | None, float, float] = (np.inf, None, np.nan, np.nan)
+    tried: list[tuple[float, TransitionModel, float, float]] = []  # (miss, model, cr, pr)
 
     def measure(a1: float, a2: float) -> tuple[TransitionModel, float, float]:
-        nonlocal best
         model = replace(template, improve_prob=(0.0, a1, a2, 0.0, 0.0))
         cr, pr = _response_rates(model, cohort)
-        miss = max(abs(cr - target.cr_rate), abs(pr - target.pr_rate))
-        if miss < best[0]:
-            best = (miss, model, cr, pr)
+        tried.append((max(abs(cr - target.cr_rate), abs(pr - target.pr_rate)), model, cr, pr))
         return model, cr, pr
 
     inner_tol = target.tolerance / 2.0
@@ -395,9 +371,5 @@ def calibrate_transition_model(
     model, cr, pr = measure(a1, a2)
     if abs(cr - target.cr_rate) <= target.tolerance and abs(pr - target.pr_rate) <= target.tolerance:
         return model
-    raise CalibrationError(
-        "coordinate bisection did not converge jointly",
-        model=best[1],
-        achieved_cr=best[2],
-        achieved_pr=best[3],
-    )
+    _, model, cr, pr = min(tried, key=lambda t: t[0])  # the first of the least misses
+    raise CalibrationError("coordinate bisection did not converge jointly", model=model, achieved_cr=cr, achieved_pr=pr)

@@ -16,22 +16,23 @@ CHUNK (8 192) seeds at a time: LANES consecutive draws of every stream are
 held as lanes, and each round advances all lanes by LANES draws with one
 128-bit multiply by a constant and one add, in place (_Streams). The
 lanes of a round are exactly the streams' states there, so a pass may
-drop streams between rounds and the kept ones continue bit for bit:
-pcg64_rounds hands each round's draws to a visitor that names the
-streams to keep, and pcg64_uniforms is the pass that keeps them all and
-writes every round into one output array. Both share one stream core,
-which steps the chunks in order on the calling thread in one set of
-buffers: a chunk's lane, scratch and round buffers take about 3.3 MB,
-and every grid block is one chunk (harness.BLOCK_ROWS <= CHUNK), so a
-block's pass is one chunk of lane operations. No pass starts a thread, so
-a pooled grid forks with only the main thread alive. LANES and CHUNK
-change only the speed, never a drawn value.
+drop streams between rounds and the kept ones continue bit for bit.
+A pass is a loop: pcg64_chunks hashes the seeds and yields each chunk's
+streams in turn, and a caller either draws every round straight into its
+output (pcg64_uniforms) or loops over streams.rounds(width), calling
+streams.keep between rounds to name the streams it still reads. Every
+chunk is stepped on the calling thread in one set of buffers: a chunk's
+lane, scratch and round buffers take about 3.3 MB, and every grid block
+is one chunk (harness.BLOCK_ROWS <= CHUNK), so a block's pass is one
+chunk of lane operations. No pass starts a thread, so a pooled grid
+forks with only the main thread alive. LANES and CHUNK change only the
+speed, never a drawn value.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
@@ -216,47 +217,21 @@ def pcg64_uniforms(seeds: np.ndarray, width: int) -> np.ndarray:
     """(width, n) doubles; column j is default_rng(int(seeds[j])).random(width).
 
     The stream pass that keeps every stream: each chunk's rounds are
-    written straight into their own columns of out.
+    drawn straight into their own columns of out.
     """
     out = np.empty((width, len(seeds)))
-
-    def chunk(part: slice, streams: _Streams) -> None:
+    for part, streams in pcg64_chunks(seeds, width):
         for first in range(0, width, LANES):
             streams.draw(out[first : first + LANES, part])
-
-    _stream_pass(seeds, width, chunk)
     return out
 
 
-def pcg64_rounds(seeds: np.ndarray, width: int, begin: Callable[[slice], Callable]) -> None:
-    """Draw the first width doubles of each stream of seeds, one round of
-    LANES draws at a time, and drop streams between rounds.
-
-    begin(part) is called once per chunk, part being its slice of seeds,
-    and returns visit. visit(first, draws) gets draws first, first + 1, ...
-    of the chunk's live streams as a C-contiguous (rows, live) array, in
-    the order of part, and returns the increasing indices, into those live
-    columns, of the streams to keep drawing. The kept streams continue bit
-    for bit, so a stream's draws are default_rng(seed).random(width)'s for
-    as long as it is kept. A chunk ends when none is live or width draws
-    are done.
-    """
-
-    def chunk(part: slice, streams: _Streams) -> None:
-        visit = begin(part)
-        for first in range(0, width, LANES):
-            rows = min(LANES, width - first)
-            draws = streams.round[: rows * streams.live].reshape(rows, streams.live)
-            streams.keep(visit(first, streams.draw(draws)))
-            if not streams.live:
-                return
-
-    _stream_pass(seeds, width, chunk)
-
-
-def _stream_pass(seeds: np.ndarray, width: int, chunk: Callable[[slice, _Streams], None]) -> None:
-    """Hash seeds in one pass, then run chunk(part, streams) for each part of
-    CHUNK seeds in order, every part in the same buffers."""
+def pcg64_chunks(seeds: np.ndarray, width: int) -> Iterator[tuple[slice, _Streams]]:
+    """Hash seeds in one pass, then yield (part, streams) for each part of
+    CHUNK seeds in order: part is its slice of seeds and streams the
+    _Streams of its seeds, ready to draw up to width doubles each. Every
+    chunk is stepped in the same buffers, so a chunk's streams are spent
+    once the next chunk is yielded."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     if not width or not len(seeds):
         return
@@ -274,7 +249,7 @@ def _stream_pass(seeds: np.ndarray, width: int, chunk: Callable[[slice, _Streams
     )
     for start in range(0, len(seeds), CHUNK):
         part = slice(start, start + CHUNK)
-        chunk(part, _Streams(init_hi[part], init_lo[part], inc_hi[part], inc_lo[part], *buffers))
+        yield part, _Streams(init_hi[part], init_lo[part], inc_hi[part], inc_lo[part], *buffers)
 
 
 class _Streams:
@@ -290,8 +265,8 @@ class _Streams:
     columns of the lanes and of that term into new C-ordered arrays (a
     column selection by indexing would give F order, slower in place).
     The caller's buffers are at least m wide: the lane state until the
-    first keep, the scratch of each draw, and round, which pcg64_rounds
-    draws each round into.
+    first keep, the scratch of each draw, and round, which rounds draws
+    each round into.
     """
 
     def __init__(self, init_hi, init_lo, c_hi, c_lo, lane_buf, scratch_buf, carry_buf, state_buf, round_buf) -> None:
@@ -337,6 +312,19 @@ class _Streams:
         x >>= _U64_11
         np.multiply(x, 1.0 / 9007199254740992.0, out=out)
         return out
+
+    def rounds(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (first, draws) for each round of the first width draws while
+        any stream is live: draws first, first + 1, ... of the live streams
+        as a C-contiguous (rows, live) array, in the order of the chunk, valid
+        until the next round. keep between rounds drops streams; the kept
+        ones continue bit for bit, so a stream's draws are
+        default_rng(seed).random(width)'s for as long as it is kept."""
+        for first in range(0, width, LANES):
+            if not self.live:
+                return
+            rows = min(LANES, width - first)
+            yield first, self.draw(self.round[: rows * self.live].reshape(rows, self.live))
 
     def keep(self, columns: np.ndarray) -> None:
         """Keep drawing the live streams at columns (increasing) alone."""

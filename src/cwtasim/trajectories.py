@@ -43,11 +43,12 @@ the one simulator, simulates a block whose trials may differ in hazard
 ratio and sample size; simulate_trial is its call for one trial.
 
 _simulate_state_matrix is the one month-step kernel, for trials and for
-calibration alike; calibration runs it a round of months at a time, from
-each round's starting month and states. It evolves every row of a block
-in one pass, each row gathering its thresholds from stacked per-state
-tables -- the control arm's, then one experimental arm's per hazard
-ratio -- at its state plus N_STATES times its table. The structural zeros (CR never improves, death
+calibration alike; calibration's settled pass, a loop over each chunk's
+rounds of draws, runs it once per round from the round's starting month
+and states. It evolves every row of a block in one pass, each row
+gathering its thresholds from stacked per-state tables -- the control
+arm's, then one experimental arm's per hazard ratio -- at its state plus
+N_STATES times its table. The structural zeros (CR never improves, death
 never worsens) keep that index inside its table's entries, which is why
 the gather's mode="clip" never clips.
 """

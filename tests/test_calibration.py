@@ -31,30 +31,32 @@ TEMPLATE = TransitionModel(
 def inject_draws(monkeypatch, seed, blocks):
     """Serve the settled passes' draws from blocks: subject i of a cohort at
     seed draws blocks[i] (its horizon + 2 uniforms) instead of its stream.
-    The round source is wrapped: every round's draws are first checked
+    The chunk source is wrapped: every round's draws are first checked
     against blocks, which must hold the subjects' real draws when this is
     called. Returns blocks' month draws, a view to edit in place."""
-    rounds, real = calibration.pcg64_rounds, blocks.copy()
+    chunks, real = calibration.pcg64_chunks, blocks.copy()
     subject = {mix64(seed, i): i for i in range(len(blocks))}
 
-    def wrapped(stream_seeds, width, begin):
-        def served(part):
-            visit, live = begin(part), np.array([subject[int(s)] for s in stream_seeds[part]])
+    class Served:
+        def __init__(self, streams, live):
+            self.streams, self.live = streams, live
 
-            def serve(first, draws):
-                nonlocal live
+        def rounds(self, width):
+            for first, draws in self.streams.rounds(width):
                 months = slice(first, first + len(draws))
-                assert np.array_equal(draws, real[live, months].T)
-                draws[...] = blocks[live, months].T
-                keep = visit(first, draws)
-                live = live[keep]
-                return keep
+                assert np.array_equal(draws, real[self.live, months].T)
+                draws[...] = blocks[self.live, months].T
+                yield first, draws
 
-            return serve
+        def keep(self, columns):
+            self.streams.keep(columns)
+            self.live = self.live[columns]
 
-        rounds(stream_seeds, width, served)
+    def wrapped(stream_seeds, width):
+        for part, streams in chunks(stream_seeds, width):
+            yield part, Served(streams, np.array([subject[int(s)] for s in stream_seeds[part]]))
 
-    monkeypatch.setattr(calibration, "pcg64_rounds", wrapped)
+    monkeypatch.setattr(calibration, "pcg64_chunks", wrapped)
     return blocks[:, 2:]
 
 

@@ -104,7 +104,21 @@ def test_simulate_is_deterministic(tmp_path, fast_profile):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_calibrate_writes_profile(tmp_path, fast_profile, capsys):
+def test_calibrate_writes_profile(tmp_path, fast_profile, capsys, monkeypatch):
+    """One calibrate run makes three settled passes (the two tables of the
+    search and the fresh-seed check's best response) and one rate evaluation
+    per search step (16 here) plus one for the fresh-seed check. The
+    benchmark finds calibration._response_rates by name and divides its
+    calibrate rate by this count."""
+    calls = {"_settled_pass": 0, "_response_rates": 0}
+    for name in calls:
+        original = getattr(calibration, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(calibration, name, counted)
     out = str(tmp_path / "calibrated.json")
     code = run_cli([
         "calibrate", "--cr", "0.05", "--pr", "0.30", "--template", fast_profile,
@@ -114,6 +128,7 @@ def test_calibrate_writes_profile(tmp_path, fast_profile, capsys):
     model = load_profile(out)
     assert model.improve_prob[2] > 0.0
     assert "fresh-seed check" in capsys.readouterr().out
+    assert calls == {"_settled_pass": 3, "_response_rates": 16 + 1}
 
 
 def test_power_and_samplesize_and_tte_commands(tmp_path, fast_profile):

@@ -6,9 +6,10 @@ unchanged."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from cwtasim import mix64, mix64_array
-from cwtasim.seeds import CHUNK, LANES, float_bits, pcg64_rounds, pcg64_uniforms, splitmix64
+from cwtasim.seeds import CHUNK, LANES, float_bits, pcg64_chunks, pcg64_uniforms, splitmix64
 
 
 def test_splitmix64_is_deterministic_and_64_bit():
@@ -73,47 +74,52 @@ def test_pcg64_uniforms_match_default_rng_across_chunks():
 
 
 def settled_draws(subject_seeds, width, keep_rate):
-    """pcg64_rounds over subject_seeds, each round keeping every live stream
-    with chance keep_rate, decided by a generator seeded by the chunk's
-    first seed index and the width: the (width, n) draws each stream gave,
-    NaN where it was no longer drawn."""
-    got = np.full((width, len(subject_seeds)), np.nan)
-
-    def begin(part):
+    """A pass over subject_seeds' chunks that, each round, keeps every live
+    stream with chance keep_rate, decided by a generator seeded by the
+    chunk's first seed index and the width: the (width, n) draws each
+    stream gave, NaN where it was no longer drawn, and the number of rounds
+    each chunk gave."""
+    got, chunk_rounds = np.full((width, len(subject_seeds)), np.nan), []
+    for part, streams in pcg64_chunks(subject_seeds, width):
+        chunk_rounds.append(0)
         live, drops = np.arange(len(subject_seeds))[part], np.random.default_rng([part.start, width])
-
-        def visit(first, draws):
-            nonlocal live
+        for first, draws in streams.rounds(width):
             assert draws.shape == (min(LANES, width - first), len(live)) and draws.flags.c_contiguous
+            chunk_rounds[-1] += 1
             got[first : first + len(draws), live] = draws
             keep = np.flatnonzero(drops.random(len(live)) < keep_rate)
+            streams.keep(keep)
             live = live[keep]
-            return keep
-
-        return visit
-
-    pcg64_rounds(subject_seeds, width, begin)
-    return got
+    return got, chunk_rounds
 
 
-def test_pcg64_rounds_continue_the_kept_streams():
+@pytest.mark.parametrize("keep_rate", [0.0, 0.8, 1.0])
+def test_kept_streams_continue_between_rounds(keep_rate):
     """The settled pass: streams dropped in arbitrary sets between rounds
     leave the kept streams' later draws bit for bit those of
     default_rng(seed).random(width), and a dropped stream is never drawn
-    again."""
+    again. Keeping none, each chunk stops after round 0; keeping every
+    stream, the pass draws what pcg64_uniforms draws."""
     rng = np.random.default_rng(30)
     for n in (1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 37):
         subject_seeds = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
         sampled = sorted({0, n // 2, CHUNK, 2 * CHUNK + 1, n - 1} & set(range(n)))
         for width in (1, 7, 8, 9, 62, 202):
-            got = settled_draws(subject_seeds, width, 0.8)
+            got, chunk_rounds = settled_draws(subject_seeds, width, keep_rate)
+            assert len(chunk_rounds) == -(-n // CHUNK), (n, width)
             drawn = ~np.isnan(got)
             # each stream is drawn for a prefix of whole rounds, then never again
             rounds = drawn[::LANES]
             assert np.array_equal(drawn, np.repeat(rounds, LANES, axis=0)[:width]), (n, width)
             assert np.all(rounds[:-1] >= rounds[1:]) and rounds[0].all(), (n, width)
-            assert np.array_equal(got[drawn], pcg64_uniforms(subject_seeds, width)[drawn]), (n, width)
-            assert n == 1 or width <= LANES or not drawn[-1].all()  # some stream was dropped
+            uniforms = pcg64_uniforms(subject_seeds, width)
+            assert np.array_equal(got[drawn], uniforms[drawn]), (n, width)
+            if keep_rate == 0.0:
+                assert chunk_rounds == [1] * len(chunk_rounds), (n, width)
+            elif keep_rate == 1.0:
+                assert np.array_equal(got, uniforms), (n, width)
+            else:
+                assert n == 1 or width <= LANES or not drawn[-1].all()  # some stream was dropped
             for j in sampled:
                 depth = int(drawn[:, j].sum())
                 assert np.array_equal(got[:depth, j], np.random.default_rng(int(subject_seeds[j])).random(depth))
