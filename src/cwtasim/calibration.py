@@ -35,17 +35,28 @@ runs two passes, one per table. A table's loop computes an exact
 critical probability only where the subject is observed in the state and
 the rounded quotient u / d of its draw and the month's decay factor lies
 below its least value so far; no other cell can lower that value (see
-_Cohort.critical_values).
+_critical_share).
+
+Each of the three passes runs on per-process shares (_shared_pass): its
+seeds are split into contiguous runs of whole chunks, one per usable CPU
+up to the pass's chunk count; this process loops over share 0 while one
+forked worker per other share loops over its own (pool.worker_processes)
+and sends back its subjects' critical values or best states, joined in
+share order. A subject's values depend on its own stream alone, so every
+result is the same at any CPU count. A pass of one chunk, as on a cohort
+of at most seeds.CHUNK subjects, or in a process with one usable CPU or
+that is itself daemonic, starts no process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .seeds import mix64_array, pcg64_chunks
+from .pool import process_limit, worker_processes
+from .seeds import chunk_shares, mix64_array, pcg64_chunks
 from .trajectories import (
     CR,
     DEATH,
@@ -182,6 +193,71 @@ def _settled_pass(model: TransitionModel, base: TransitionModel, seeds: np.ndarr
             live, state, censor = live[keep], states[-1, keep], censor[keep]
 
 
+def _critical_share(model: TransitionModel, base: TransitionModel, s: int, seeds: np.ndarray) -> np.ndarray:
+    """The critical improve_prob[s] values under model of one subject per
+    stream of seeds, from one settled pass (see _Cohort.critical_values).
+
+    Each round's months are read at once, as (k, live) arrays. An exact
+    critical probability is computed only where the subject is observed
+    in s and the rounded quotient u / d of the draw and the month's decay
+    factor lies below the subject's least value before the round:
+    _critical_probabilities starts its search at that quotient and never
+    returns less, so no other cell can lower a minimum."""
+    critical = np.full(len(seeds), np.inf)
+    for live, month, u, states, censor in _settled_pass(model, base, seeds):
+        months = np.arange(month, month + len(u))
+        d = np.array([model.improve_decay ** (m - 1) for m in months.tolist()])  # the kernel's powers
+        least = critical[live]
+        # A draw u >= d never improves: its quotient may overflow to inf, or be
+        # inf or nan where d underflows to 0, and then lowers nothing.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cells = u / d[:, None] < least
+        cells &= states[:-1] == s
+        cells &= months[:, None] <= censor
+        row, subject = np.divmod(np.flatnonzero(cells), len(live))
+        if row.size:
+            np.minimum.at(least, subject, _critical_probabilities(u[row, subject], d[row]))
+            critical[live] = least
+    return critical
+
+
+def _best_share(model: TransitionModel, base: TransitionModel, seeds: np.ndarray) -> np.ndarray:
+    """The best state over its observed months under model of one subject
+    per stream of seeds, from one settled pass."""
+    best = np.full(len(seeds), SD, dtype=np.int8)
+    for live, month, u, states, censor in _settled_pass(model, base, seeds):
+        # a month past the censor month reads as DEATH, which no best state exceeds
+        unobserved = np.arange(month, month + len(u))[:, None] > censor
+        best[live] = np.minimum(best[live], np.maximum(states[1:], unobserved * np.int8(DEATH)).min(axis=0))
+    return best
+
+
+def _share(read: Callable, args: tuple, seeds: np.ndarray, bounds: list[int], k: int) -> Iterator[np.ndarray]:
+    """The one result of worker process k of a shared pass: read over share k."""
+    yield read(*args, seeds[bounds[k] : bounds[k + 1]])
+
+
+def _shared_pass(read: Callable, args: tuple, seeds: np.ndarray, ids: Sequence[int], what: str) -> np.ndarray:
+    """read(*args, seeds), a settled pass's per-subject array, computed in
+    per-process shares and joined in share order.
+
+    The seeds are split into one contiguous share of whole chunks per
+    process (seeds.chunk_shares), as many as the usable CPUs and the
+    pass's chunks allow (pool.process_limit): this process reads share 0,
+    and one forked worker reads each other share and sends back its array
+    (pool.worker_processes). Each subject's values depend on its own stream
+    alone, so the result is the same at any share count. A pass of one
+    chunk, or in a process that may use one CPU or start no process, is
+    one share read here. ids holds each seed's subject, which an error
+    names with what: the result a dead worker owed."""
+    bounds = chunk_shares(len(seeds), process_limit())
+    with worker_processes(len(bounds) - 1, _share, read, args, seeds, bounds) as receive:
+        parts = [read(*args, seeds[: bounds[1]])]
+        for k in range(1, len(bounds) - 1):
+            parts.append(receive(k, f"{what} of subjects {ids[bounds[k]]}..{ids[bounds[k + 1] - 1]}"))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class _Cohort:
     """A calibration sample: subject i draws from the stream mix64(seed, i),
     re-drawn by a settled pass whenever the cohort is read, and the
@@ -217,31 +293,11 @@ class _Cohort:
     def critical_values(self, model: TransitionModel, s: int, subjects: np.ndarray | None = None) -> np.ndarray:
         """The critical improve_prob[s] values under model, whose improve_prob[s]
         must be 0, of the given subjects (default all), from one settled pass
-        over their streams; inf for a subject never in s in an observed month.
-
-        Each round's months are read at once, as (k, live) arrays. An exact
-        critical probability is computed only where the subject is observed
-        in s and the rounded quotient u / d of the draw and the month's decay
-        factor lies below the subject's least value before the round:
-        _critical_probabilities starts its search at that quotient and never
-        returns less, so no other cell can lower a minimum."""
+        over their streams in per-process shares (_shared_pass); inf for a
+        subject never in s in an observed month."""
         seeds = self.seeds if subjects is None else self.seeds[subjects]
-        critical = np.full(len(seeds), np.inf)
-        for live, month, u, states, censor in _settled_pass(model, self.base, seeds):
-            months = np.arange(month, month + len(u))
-            d = np.array([model.improve_decay ** (m - 1) for m in months.tolist()])  # the kernel's powers
-            least = critical[live]
-            # A draw u >= d never improves: its quotient may overflow to inf, or be
-            # inf or nan where d underflows to 0, and then lowers nothing.
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                cells = u / d[:, None] < least
-            cells &= states[:-1] == s
-            cells &= months[:, None] <= censor
-            row, subject = np.divmod(np.flatnonzero(cells), len(live))
-            if row.size:
-                np.minimum.at(least, subject, _critical_probabilities(u[row, subject], d[row]))
-                critical[live] = least
-        return critical
+        ids = range(len(seeds)) if subjects is None else subjects
+        return _shared_pass(_critical_share, (model, self.base, s), seeds, ids, "the critical values")
 
     def tabulate_responders(self) -> None:
         self.first_improvement = self.critical_values(self.base, SD)
@@ -259,13 +315,8 @@ class _Cohort:
 
     def best_response(self, model: TransitionModel) -> np.ndarray:
         """Each subject's best state over its observed months under model,
-        from one settled pass."""
-        best = np.full(len(self.seeds), SD, dtype=np.int8)
-        for live, month, u, states, censor in _settled_pass(model, self.base, self.seeds):
-            # a month past the censor month reads as DEATH, which no best state exceeds
-            unobserved = np.arange(month, month + len(u))[:, None] > censor
-            best[live] = np.minimum(best[live], np.maximum(states[1:], unobserved * np.int8(DEATH)).min(axis=0))
-        return best
+        from one settled pass in per-process shares (_shared_pass)."""
+        return _shared_pass(_best_share, (model, self.base), self.seeds, range(len(self.seeds)), "the best responses")
 
     def counts(self, model: TransitionModel) -> tuple[int, int] | None:
         """(complete responders, responders) of model from the tables, or None

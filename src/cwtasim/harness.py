@@ -20,7 +20,9 @@ run_grid, which takes the grid alone: profile, alpha and seed included.
 It shares the blocks out in a fixed rotation between the calling process
 and workers - 1 worker processes, each of which sends its results back in
 order through its own pipe; at workers 1 the calling process runs every
-block and multiprocessing is never imported.
+block and multiprocessing is never imported. The workers' lifecycle
+(start, pipes, failures, kill and join) is pool.worker_processes, which
+calibration's per-process passes share.
 
 Replicate seeds are mixed from (master_seed, hazard-ratio bits, sample
 size, replicate index), and every step treats trials independently, so
@@ -30,7 +32,6 @@ for any block split, worker count and execution order.
 
 from __future__ import annotations
 
-import signal
 from dataclasses import dataclass
 from itertools import chain, islice
 from math import sqrt
@@ -39,6 +40,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .config import ExperimentGrid
+from .pool import worker_processes
 from .seeds import float_bits, mix64_array
 from .statistics import METHODS, scan_trial, scipy_special
 from .trajectories import TransitionModel, simulate_trials
@@ -184,41 +186,23 @@ def _run_block(grid: ExperimentGrid, runs: tuple) -> tuple[np.ndarray, np.ndarra
     return scan_trial(simulate_trials(grid.profile, designs), grid.alpha)
 
 
-def _work(grid: ExperimentGrid, workers: int, k: int, conn) -> None:
-    """Worker process k of a pooled run_grid: runs blocks k, k + workers, ...
-    in order and sends each result, or a failed block's exception and stops.
-    A full pipe blocks the send, so results wait for the caller one pipe
-    buffer at most. An interrupt is the caller's to handle."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    with conn:
-        for runs in islice(_grid_blocks(grid, workers), k, None, workers):
-            try:
-                result = _run_block(grid, runs)
-            except BaseException as exc:
-                conn.send(exc)
-                return
-            conn.send(result)
+def _work(grid: ExperimentGrid, workers: int, k: int) -> Iterator[tuple]:
+    """The results of worker process k of a pooled run_grid: blocks k,
+    k + workers, ... in order."""
+    for runs in islice(_grid_blocks(grid, workers), k, None, workers):
+        yield _run_block(grid, runs)
 
 
-def _pooled(grid: ExperimentGrid, blocks: Iterator[tuple], workers: int, procs: list, conns: list) -> Iterator[tuple]:
+def _pooled(grid: ExperimentGrid, blocks: Iterator[tuple], workers: int, receive) -> Iterator[tuple]:
     """(runs, block result) in block order: block i runs in this process when
-    i % workers is 0, else it is read from worker i % workers."""
+    i % workers is 0, else it is received from worker i % workers."""
     for i, runs in enumerate(blocks):
         k = i % workers
         if k == 0:
             yield runs, _run_block(grid, runs)
             continue
-        try:
-            result = conns[k - 1].recv()
-        except EOFError:
-            procs[k - 1].join()
-            owed = ", ".join(f"HR {hr} n {ss} replicates {start}..{stop - 1}" for hr, ss, start, stop in runs)
-            raise ChildProcessError(
-                f"worker process {k} exited with code {procs[k - 1].exitcode} before returning block {i} ({owed})"
-            ) from None
-        if isinstance(result, BaseException):
-            raise result
-        yield runs, result
+        owed = ", ".join(f"HR {hr} n {ss} replicates {start}..{stop - 1}" for hr, ss, start, stop in runs)
+        yield runs, receive(k, f"block {i} ({owed})")
 
 
 def _gather(grid: ExperimentGrid, done: Iterator[tuple]) -> Iterator[tuple[float, int, ReplicateScans]]:
@@ -253,11 +237,12 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> Iterator[tuple[float, in
     its own pipe, and this process runs its own blocks between reads. Row r
     of a point's scans is replicate r, and it is the same for any block
     split, worker count and grid, because each replicate's seed
-    depends only on (master_seed, hr, ss, replicate index). A worker's
-    failed block is raised here; a worker that dies without sending its
-    block raises ChildProcessError. Whenever the generator ends -- done,
-    failed, interrupted or closed -- the workers still running are killed,
-    so the blocks they owe never run, and every worker is joined.
+    depends only on (master_seed, hr, ss, replicate index). The workers
+    run under pool.worker_processes: a worker's failed block is raised
+    here; a worker that dies without sending its block raises
+    ChildProcessError. Whenever the generator ends -- done, failed,
+    interrupted or closed -- the workers still running are killed, so the
+    blocks they owe never run, and every worker is joined.
     """
     if workers < 1:  # block i runs in process i % workers
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -266,24 +251,8 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> Iterator[tuple[float, in
     # imported among a block's live arrays it raises peak RSS by about 0.5 MB
     scipy_special()
     first = list(islice(blocks, workers))
-    procs, conns = [], []
-    try:
-        for k in range(1, len(first)):
-            import multiprocessing  # loaded by a pooled run only, as its first worker starts
-
-            conn, send = multiprocessing.Pipe(duplex=False)
-            conns.append(conn)
-            with send:  # closed before the next fork: the worker's copy is the only send end, so its exit is EOF here
-                proc = multiprocessing.Process(target=_work, args=(grid, workers, k, send), daemon=True)
-                proc.start()
-            procs.append(proc)
-        yield from _gather(grid, _pooled(grid, chain(first, blocks), workers, procs, conns))
-    finally:
-        for proc in procs:  # killed before the pipes close, so no worker's send meets a closed pipe
-            proc.kill()  # a no-op once the worker has exited
-            proc.join()
-        for conn in conns:
-            conn.close()
+    with worker_processes(len(first), _work, grid, workers) as receive:
+        yield from _gather(grid, _pooled(grid, chain(first, blocks), workers, receive))
 
 
 def run_replicates(

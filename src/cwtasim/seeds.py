@@ -25,8 +25,10 @@ chunk is stepped on the calling thread in one set of buffers: a chunk's
 lane, scratch and round buffers take about 3.3 MB, and every grid block
 is one chunk (harness.BLOCK_ROWS <= CHUNK), so a block's pass is one
 chunk of lane operations. No pass starts a thread, so a pooled grid
-forks with only the main thread alive. LANES and CHUNK change only the
-speed, never a drawn value.
+forks with only the main thread alive. A pass split between processes,
+as calibration's are, is split into contiguous shares of whole chunks
+(chunk_shares), each a pass of its own with one set of buffers. LANES
+and CHUNK change only the speed, never a drawn value.
 """
 
 from __future__ import annotations
@@ -250,6 +252,16 @@ def pcg64_chunks(seeds: np.ndarray, width: int) -> Iterator[tuple[slice, _Stream
     for start in range(0, len(seeds), CHUNK):
         part = slice(start, start + CHUNK)
         yield part, _Streams(init_hi[part], init_lo[part], inc_hi[part], inc_lo[part], *buffers)
+
+
+def chunk_shares(n: int, most: int) -> list[int]:
+    """Bounds of min(most, chunks) contiguous shares of a pass over n seeds:
+    share k is seeds bounds[k]:bounds[k + 1], every share whole chunks of
+    CHUNK seeds but the last, their chunk counts differing by at most one.
+    A pass over no seed is one empty share."""
+    chunks = -(-n // CHUNK)
+    count = max(1, min(most, chunks))
+    return [k * chunks // count * CHUNK for k in range(count)] + [n]
 
 
 class _Streams:

@@ -392,18 +392,19 @@ def read_trajectories_csv(path) -> Trial:
             f"{path}: {n} subjects, the longest (subject {key}) of {rows} rows, "
             f"need {n * rows} state cells, more than the {MAX_CELLS} a trial may hold"
         )
-    states = np.full((n, rows), -1, dtype=np.int8)
-    seen = np.zeros(states.shape, dtype=bool)
+    cells = np.zeros((n, rows), dtype=np.int8)  # state + 2 where a row sets the cell, 0 where none does
     for codes, months, values, *_ in parts:
         inside = (months >= 0) & (months < count[codes])
-        states[codes[inside], months[inside]] = values[inside]
-        seen[codes[inside], months[inside]] = True
+        cells.ravel()[codes[inside] * rows + months[inside]] = values[inside] + 2  # < MAX_CELLS: no int32 overflow
+    set_cells = np.count_nonzero(cells, axis=1)
+    cells -= 2
+    states = np.maximum(cells, -1, out=cells)  # an unset cell reads -1, as padding does
     observed = np.arange(states.shape[1]) < count[:, None]
     moves, before, step = np.diff(states, axis=1), states[:, :-1], observed[:, 1:]
     reverses = ((before == PD) & (moves < 0)) | ((before == DEATH) & (moves != 0))  # PD, death are final
     ends = np.array([m if 0 <= m < states.shape[1] else -1 for m in dropout_code] + [-1])  # by code; -1 unset
     checks = [
-        (seen.sum(axis=1) != count, "months must run 0..k without gaps"),
+        (set_cells != count, "months must run 0..k without gaps"),
         (states[:, 0] != SD, f"must start at state {SD} (stable disease)"),
         ((observed & ((states < 0) | (states > 4))).any(axis=1), "has states outside 0..4"),
         ((step & (np.abs(moves) > 1)).any(axis=1), "moves more than one level in a month"),

@@ -69,6 +69,22 @@ class TestResult:
     variance: float
 
 
+def first_true(reached: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index of the first True along the last axis, whether any is True) of
+    a boolean array whose last axis is not empty; the index is the axis
+    length where none is.
+
+    With j the first True, reached * (width, width - 1, ..., 1) peaks at
+    width - j, and is 0 where no entry is True: one product and one max in
+    the narrowest integer type that holds width. That is several times
+    faster than argmax and any, above all along a strided axis (a state
+    matrix is month-major).
+    """
+    width = reached.shape[-1]
+    peak = (reached * np.arange(width, 0, -1, dtype=np.min_scalar_type(width))).max(axis=-1)
+    return np.subtract(width, peak, dtype=np.int64), peak > 0
+
+
 def endpoint_arrays(states: np.ndarray, censor: np.ndarray, threshold: int):
     """(times, events) of every subject row from a padded state matrix.
 
@@ -76,9 +92,7 @@ def endpoint_arrays(states: np.ndarray, censor: np.ndarray, threshold: int):
     month. Padding of -1 never crosses a threshold, so unobserved months
     cannot fire events.
     """
-    reached = states >= int(threshold)  # an IntEnum operand takes numpy's slow generic path
-    has_event = reached.any(axis=-1)
-    first = reached.argmax(axis=-1)
+    first, has_event = first_true(states >= int(threshold))  # an IntEnum operand takes numpy's slow generic path
     times = np.where(has_event, first, censor)
     return times.astype(np.int64), has_event
 
@@ -277,7 +291,8 @@ def _scan(ome: np.ndarray, v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.
     np.divide(cum_o, np.sqrt(cum_v, where=defined, out=np.ones_like(cum_v)), where=defined, out=z)
     p = np.where(defined, two_sided_p(z), np.nan)
     significant = defined & (p < alpha)
-    first = np.where(significant.any(axis=-1), significant.argmax(axis=-1) + 1, 0)
+    first, reached = first_true(significant)
+    first = np.where(reached, first + 1, 0)
     return p[..., -1], first
 
 

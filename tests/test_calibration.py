@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -329,3 +333,111 @@ def test_moderate_search_runs_the_kernel_twice(monkeypatch):
         monkeypatch.setattr(calibration, name, counted)
     calibrate_transition_model(CalibrationTarget(0.05, 0.30, 0.005), DEFAULT_TEMPLATE, n_subjects=10_000)
     assert calls == {"_settled_pass": 2, "_response_rates": 20}
+
+
+def use_cpus(monkeypatch, count):
+    """Make count CPUs usable, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_shared_passes_are_the_same_at_any_cpu_count(monkeypatch):
+    """Both tables, a best response and a whole search are the same at 1, 2
+    and 3 usable CPUs, their passes split into per-process shares of 7-stream
+    chunks, with every worker served the edited draws of the oracle test.
+    The caller reads share 0, so at 3 CPUs it steps 14 of the 43 chunks of
+    a whole-cohort pass; no process is left behind."""
+    template, n, seed = ORACLE_TEMPLATES[0], 300, 11
+    blocks = np.array([subject_rng(seed, i).random(template.horizon_months + 2) for i in range(n)])
+    monthly_u = inject_draws(monkeypatch, seed, blocks)
+    monthly_u[::10] = 0.5
+    monthly_u[5::10, :3] = 0.0
+    monkeypatch.setattr(seeds, "CHUNK", 7)
+    model = replace(template, improve_prob=(0.0, 0.1, 0.08, 0.0, 0.0))
+    target = CalibrationTarget(0.05, 0.30, 0.005)  # finer than 1 / n: the search may end in an error
+    results, caller_chunks = [], []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        cohort = calibration._Cohort(template, n, seed)
+        cohort.tabulate_responders()
+        a2 = float(np.median(cohort.responders[np.isfinite(cohort.responders)]))
+        cohort.tabulate_complete(a2)
+        with monkeypatch.context() as counted:
+            chunks, stepped = calibration.pcg64_chunks, []
+            counted.setattr(calibration, "pcg64_chunks", lambda s, w: stepped.append(-(-len(s) // 7)) or chunks(s, w))
+            best = cohort.best_response(model)
+        caller_chunks.append(stepped)
+        try:
+            fitted = calibrate_transition_model(target, template, n_subjects=n, seed=seed)
+        except CalibrationError as err:
+            fitted = (str(err), err.model, err.achieved_cr, err.achieved_pr)
+        results.append((cohort.first_improvement.tolist(), cohort.complete[1].tolist(), best.tolist(), fitted))
+        assert multiprocessing.active_children() == []
+    assert results[0] == results[1] == results[2]
+    assert caller_chunks == [[43], [21], [14]]
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """A cohort of three chunks at two usable CPUs: its responder table's pass
+    runs subjects 0..CHUNK-1 in the caller and the rest in one worker."""
+    use_cpus(monkeypatch, 2)
+    return calibration._Cohort(TEMPLATE, 2 * seeds.CHUNK + 37, 3)
+
+
+def test_worker_failure_in_a_pass_is_raised_by_the_caller(monkeypatch, two_cpus):
+    caller, share = os.getpid(), calibration._critical_share
+
+    def failing(model, base, s, stream_seeds):
+        if os.getpid() != caller:
+            raise ArithmeticError(f"share of {len(stream_seeds)} subjects failed")
+        return share(model, base, s, stream_seeds)
+
+    monkeypatch.setattr(calibration, "_critical_share", failing)
+    with pytest.raises(ArithmeticError, match=f"^share of {seeds.CHUNK + 37} subjects failed$"):
+        two_cpus.tabulate_responders()
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_in_a_pass_raises_child_process_error(monkeypatch, two_cpus):
+    caller, share = os.getpid(), calibration._critical_share
+
+    def dying(*args):
+        if os.getpid() != caller:
+            os._exit(7)
+        return share(*args)
+
+    monkeypatch.setattr(calibration, "_critical_share", dying)
+    owed = f"the critical values of subjects {seeds.CHUNK}..{2 * seeds.CHUNK + 36}"
+    with pytest.raises(ChildProcessError, match=f"^{re.escape(f'worker process 1 exited with code 7 before returning {owed}')}$"):
+        two_cpus.tabulate_responders()
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupted_pass_kills_its_worker(monkeypatch, two_cpus):
+    """A KeyboardInterrupt in the caller's share propagates at once, and the
+    worker, still in its share, is killed and joined."""
+    caller = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)  # outlasts the test unless the worker is killed
+
+    monkeypatch.setattr(calibration, "_best_share", interrupted)
+    began = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        two_cpus.best_response(TEMPLATE)
+    assert time.perf_counter() - began < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_daemonic_caller_runs_its_passes_in_process(monkeypatch):
+    """A multiprocessing.Pool worker, which may start no process, reads a
+    cohort of three chunks in one share, even with two usable CPUs; a try
+    to start one would raise there."""
+    use_cpus(monkeypatch, 2)
+    n = 2 * seeds.CHUNK + 37
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        rates = pool.apply(control_response_rates, (TEMPLATE, n))
+    assert rates == control_response_rates(TEMPLATE, n)
+    assert multiprocessing.active_children() == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -234,12 +235,65 @@ def test_grid_starts_no_thread_in_the_calling_process(tmp_path, fast_profile, th
     ids=["calibrate", "simulate"],
 )
 def test_passes_of_several_chunks_start_no_thread(tmp_path, fast_profile, thread_starts, command, options):
-    """A calibration cohort or a trial of more than CHUNK subjects steps its
-    chunks of streams on the calling thread alone, even with two usable CPUs."""
+    """A calibration cohort or a trial of more than CHUNK subjects starts no
+    thread, even with two usable CPUs: a trial steps its chunks of streams
+    on the calling thread, and calibration's passes run on per-process
+    shares, each stepped on its process's one thread."""
     out = tmp_path / "out"
     assert run_cli([command, *options, fast_profile, "--out", str(out)]) == 0
     assert out.exists()
     assert thread_starts == []
+
+
+def calibrate_argv(profile, out, subjects=2 * CHUNK + 37):
+    return ["calibrate", "--cr", "0.05", "--pr", "0.30", "--subjects", str(subjects), "--template", profile, "--out", str(out)]
+
+
+def test_calibrate_output_is_the_same_at_any_cpu_count(tmp_path, fast_profile, monkeypatch, capsys):
+    """profile.json and the fresh-seed line are byte-identical at 1, 2 and 3
+    usable CPUs. A cohort of three chunks starts one worker per pass at two
+    CPUs and two at three, for the responder table and the fresh-seed check;
+    the CR table, under CHUNK responders, is one share. No process is left
+    behind."""
+    starts = []
+
+    class SpyProcess(multiprocessing.Process):
+        def start(self):
+            starts[-1] += 1
+            super().start()
+
+    monkeypatch.setattr(multiprocessing, "Process", SpyProcess)
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+        out = tmp_path / f"profile_{cpus}.json"
+        starts.append(0)
+        assert run_cli(calibrate_argv(fast_profile, out)) == 0
+        fresh = [line for line in capsys.readouterr().out.splitlines() if line.startswith("fresh-seed check: ")]
+        outputs.append((out.read_bytes(), fresh))
+        assert multiprocessing.active_children() == []
+    assert len(outputs[0][1]) == 1 and outputs[0] == outputs[1] == outputs[2]
+    assert starts == [0, 2, 4]
+
+
+def test_dead_calibration_worker_exits_2_with_one_line(tmp_path, fast_profile, monkeypatch, capsys):
+    """A worker that dies in a pass ends calibrate with exit 2 and one error
+    line naming its exit code and the subjects whose values it owed."""
+    caller, share = os.getpid(), calibration._critical_share
+
+    def dying(*args):
+        if os.getpid() != caller:
+            os._exit(7)
+        return share(*args)
+
+    monkeypatch.setattr(calibration, "_critical_share", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "profile.json"
+    assert run_cli(calibrate_argv(fast_profile, out)) == 2
+    owed = f"the critical values of subjects {CHUNK}..{2 * CHUNK + 36}"
+    assert capsys.readouterr().err == f"error: worker process 1 exited with code 7 before returning {owed}\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_grid_command_loads_its_profile_once(tmp_path, fast_profile, monkeypatch):
@@ -657,8 +711,9 @@ def test_import_loads_no_scipy_stats(tmp_path):
     and a pooled grid loads scipy.special before its first worker starts,
     so its workers inherit it rather than each importing it again. Nor do
     they load concurrent.futures or multiprocessing, which only a pooled
-    grid imports, where it starts its workers: a grid at --workers 1 loads
-    no multiprocessing."""
+    grid or a calibration pass of several chunks imports, where it starts
+    its workers: a grid at --workers 1 and a 2 000-subject cohort (one
+    chunk) load no multiprocessing."""
     (tmp_path / "curve.csv").write_text("arm,time,survival\ncontrol,1,0.5\ncontrol,2,0.25\n")
     (tmp_path / "grid.json").write_text('{"hazard_ratios": [0.7], "sample_sizes": [20], "replicates": 4}')
     code = (

@@ -13,7 +13,14 @@ from cwtasim import (
     Endpoint,
     endpoint_arrays,
 )
-from cwtasim.statistics import endpoint_counts, monthly_terms, product_limit, result_from_terms, two_sided_p
+from cwtasim.statistics import (
+    endpoint_counts,
+    first_true,
+    monthly_terms,
+    product_limit,
+    result_from_terms,
+    two_sided_p,
+)
 
 from oracles import (
     Record,
@@ -267,3 +274,24 @@ def test_endpoint_arrays_match_scalar_derivation():
         times, events = endpoint_arrays(states, censor, kind)
         for i, walk in enumerate(walks):
             assert naive_endpoint(walk, kind) == (int(times[i]), bool(events[i]))
+
+
+def test_first_true_matches_argmax():
+    """first_true gives argmax's index and any's flag along the last axis,
+    the axis length where no entry is True: on random boolean matrices of
+    several densities with all-False rows, a single column, widths across
+    the uint8 / uint16 boundary, and C, F and strided layouts, as a state
+    matrix (month-major) and a scan (trial-major) hold them."""
+    rng = np.random.default_rng(33)
+    for rows, width in ((1, 1), (7, 1), (50, 2), (300, 61), (40, 255), (40, 256), (20, 1201)):
+        for density in (0.0, 0.01, 0.3, 1.0):
+            reached = rng.random((rows, width)) < density
+            reached[::3] = False
+            for layout in (reached, np.asfortranarray(reached), np.repeat(reached, 2, axis=1)[:, ::2]):
+                first, any_true = first_true(layout)
+                assert first.dtype == np.int64 and any_true.dtype == bool
+                assert np.array_equal(any_true, reached.any(axis=-1))
+                assert np.array_equal(first, np.where(any_true, reached.argmax(axis=-1), width))
+    blocks = rng.random((3, 5, 8)) < 0.2  # every leading axis is kept
+    first, any_true = first_true(blocks)
+    assert np.array_equal(first, np.where(blocks.any(axis=-1), blocks.argmax(axis=-1), 8))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cwtasim import mix64, mix64_array
-from cwtasim.seeds import CHUNK, LANES, float_bits, pcg64_chunks, pcg64_uniforms, splitmix64
+from cwtasim.seeds import CHUNK, LANES, chunk_shares, float_bits, pcg64_chunks, pcg64_uniforms, splitmix64
 
 
 def test_splitmix64_is_deterministic_and_64_bit():
@@ -123,3 +123,20 @@ def test_kept_streams_continue_between_rounds(keep_rate):
             for j in sampled:
                 depth = int(drawn[:, j].sum())
                 assert np.array_equal(got[:depth, j], np.random.default_rng(int(subject_seeds[j])).random(depth))
+
+
+def test_chunk_shares_split_a_pass_into_whole_chunks():
+    """Shares are contiguous, cover the pass once, hold whole chunks but the
+    last, differ by at most one chunk, and number min(most, chunks); a pass
+    of one chunk or of none is one share."""
+    assert chunk_shares(0, 4) == [0, 0]
+    assert chunk_shares(CHUNK, 4) == [0, CHUNK]
+    assert chunk_shares(2 * CHUNK + 37, 2) == [0, CHUNK, 2 * CHUNK + 37]
+    for n in (1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 37, 13 * CHUNK - 5):
+        chunks = -(-n // CHUNK)
+        for most in (1, 2, 3, 16):
+            bounds = chunk_shares(n, most)
+            assert bounds[0] == 0 and bounds[-1] == n and len(bounds) - 1 == min(most, chunks)
+            assert all(b % CHUNK == 0 for b in bounds[:-1])
+            sizes = np.diff(-(-np.array(bounds) // CHUNK))
+            assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1, (n, most, bounds)
