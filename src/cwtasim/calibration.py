@@ -38,24 +38,25 @@ below its least value so far; no other cell can lower that value (see
 _critical_share).
 
 Each of the three passes runs on per-process shares (_shared_pass): its
-seeds are split into contiguous runs of whole chunks, one per usable CPU
-up to the pass's chunk count; this process loops over share 0 while one
-forked worker per other share loops over its own (pool.worker_processes)
-and sends back its subjects' critical values or best states, joined in
-share order. A subject's values depend on its own stream alone, so every
-result is the same at any CPU count. A pass of one chunk, as on a cohort
-of at most seeds.CHUNK subjects, or in a process with one usable CPU or
-that is itself daemonic, starts no process.
+seeds are split into contiguous runs of whole chunks, one per process that
+pool.process_limit allows up to the pass's chunk count, and the shares
+run through pool.in_order, the process map of a pooled grid: this process
+loops over share 0 while one forked worker per other share loops over its
+own and sends back its subjects' critical values or best states, joined
+in share order. A subject's values depend on its own stream alone, so
+every result is the same at any CPU count. A pass of one chunk, as on a
+cohort of at most seeds.CHUNK subjects, or on one process starts none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .pool import process_limit, worker_processes
+from .pool import in_order, process_limit
 from .seeds import chunk_shares, mix64_array, pcg64_chunks
 from .trajectories import (
     CR,
@@ -232,29 +233,28 @@ def _best_share(model: TransitionModel, base: TransitionModel, seeds: np.ndarray
     return best
 
 
-def _share(read: Callable, args: tuple, seeds: np.ndarray, bounds: list[int], k: int) -> Iterator[np.ndarray]:
-    """The one result of worker process k of a shared pass: read over share k."""
-    yield read(*args, seeds[bounds[k] : bounds[k + 1]])
-
-
 def _shared_pass(read: Callable, args: tuple, seeds: np.ndarray, ids: Sequence[int], what: str) -> np.ndarray:
     """read(*args, seeds), a settled pass's per-subject array, computed in
     per-process shares and joined in share order.
 
     The seeds are split into one contiguous share of whole chunks per
-    process (seeds.chunk_shares), as many as the usable CPUs and the
-    pass's chunks allow (pool.process_limit): this process reads share 0,
-    and one forked worker reads each other share and sends back its array
-    (pool.worker_processes). Each subject's values depend on its own stream
+    process (seeds.chunk_shares), as many as pool.process_limit and the
+    pass's chunks allow, and the shares run through pool.in_order: this
+    process reads share 0, and one forked worker reads each other share and
+    sends back its array. Each subject's values depend on its own stream
     alone, so the result is the same at any share count. A pass of one
-    chunk, or in a process that may use one CPU or start no process, is
-    one share read here. ids holds each seed's subject, which an error
-    names with what: the result a dead worker owed."""
-    bounds = chunk_shares(len(seeds), process_limit())
-    with worker_processes(len(bounds) - 1, _share, read, args, seeds, bounds) as receive:
-        parts = [read(*args, seeds[: bounds[1]])]
-        for k in range(1, len(bounds) - 1):
-            parts.append(receive(k, f"{what} of subjects {ids[bounds[k]]}..{ids[bounds[k + 1] - 1]}"))
+    chunk, or on one process, is one share read here. ids holds each
+    seed's subject, which an error names with what: the result a dead
+    worker owed."""
+    shares = [slice(*bounds) for bounds in pairwise(chunk_shares(len(seeds), process_limit(len(seeds))))]
+    parts = list(
+        in_order(
+            lambda share: read(*args, seeds[share]),
+            lambda: shares,
+            len(shares),
+            lambda i, share: f"{what} of subjects {ids[share.start]}..{ids[share.stop - 1]}",
+        )
+    )
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 

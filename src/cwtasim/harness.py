@@ -17,12 +17,12 @@ one monthly_counts pass keyed by the trial boundaries, every per-month
 array carrying a leading trial axis. Results are columns, one row per
 replicate and one column per method. Every grid command runs through
 run_grid, which takes the grid alone: profile, alpha and seed included.
-It shares the blocks out in a fixed rotation between the calling process
-and workers - 1 worker processes, each of which sends its results back in
-order through its own pipe; at workers 1 the calling process runs every
-block and multiprocessing is never imported. The workers' lifecycle
-(start, pipes, failures, kill and join) is pool.worker_processes, which
-calibration's per-process passes share.
+Its blocks run through pool.in_order, the process map that calibration's
+per-process passes share, on the processes that pool.process_limit
+allows of workers: block i runs in process i % that count, the calling
+process being process 0, and the results come back in block order. On
+one process the caller runs every block and never imports
+multiprocessing.
 
 Replicate seeds are mixed from (master_seed, hazard-ratio bits, sample
 size, replicate index), and every step treats trials independently, so
@@ -33,14 +33,14 @@ for any block split, worker count and execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from functools import partial
 from math import sqrt
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import ExperimentGrid
-from .pool import worker_processes
+from .pool import in_order, process_limit
 from .seeds import float_bits, mix64_array
 from .statistics import METHODS, scan_trial, scipy_special
 from .trajectories import TransitionModel, simulate_trials
@@ -186,23 +186,10 @@ def _run_block(grid: ExperimentGrid, runs: tuple) -> tuple[np.ndarray, np.ndarra
     return scan_trial(simulate_trials(grid.profile, designs), grid.alpha)
 
 
-def _work(grid: ExperimentGrid, workers: int, k: int) -> Iterator[tuple]:
-    """The results of worker process k of a pooled run_grid: blocks k,
-    k + workers, ... in order."""
-    for runs in islice(_grid_blocks(grid, workers), k, None, workers):
-        yield _run_block(grid, runs)
-
-
-def _pooled(grid: ExperimentGrid, blocks: Iterator[tuple], workers: int, receive) -> Iterator[tuple]:
-    """(runs, block result) in block order: block i runs in this process when
-    i % workers is 0, else it is received from worker i % workers."""
-    for i, runs in enumerate(blocks):
-        k = i % workers
-        if k == 0:
-            yield runs, _run_block(grid, runs)
-            continue
-        owed = ", ".join(f"HR {hr} n {ss} replicates {start}..{stop - 1}" for hr, ss, start, stop in runs)
-        yield runs, receive(k, f"block {i} ({owed})")
+def _owed(i: int, runs: tuple) -> str:
+    """Block i's runs, as a worker that died before sending it owed them."""
+    owed = ", ".join(f"HR {hr} n {ss} replicates {start}..{stop - 1}" for hr, ss, start, stop in runs)
+    return f"block {i} ({owed})"
 
 
 def _gather(grid: ExperimentGrid, done: Iterator[tuple]) -> Iterator[tuple[float, int, ReplicateScans]]:
@@ -229,30 +216,28 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> Iterator[tuple[float, in
     """Simulate and scan every grid point; yields (hr, ss, scans) in grid order.
 
     The points run under grid.profile at grid.alpha. The grid's replicates
-    run in blocks that may span points (plan_grid_blocks), and block i runs
-    in process i % workers (a count below 1 raises ValueError): this
-    process is process 0, and one worker process is started for each of
-    the others that has a block, so at most min(workers, blocks) - 1, and
-    none at workers 1. Each worker sends its results in order through
-    its own pipe, and this process runs its own blocks between reads. Row r
-    of a point's scans is replicate r, and it is the same for any block
-    split, worker count and grid, because each replicate's seed
-    depends only on (master_seed, hr, ss, replicate index). The workers
-    run under pool.worker_processes: a worker's failed block is raised
-    here; a worker that dies without sending its block raises
-    ChildProcessError. Whenever the generator ends -- done, failed,
-    interrupted or closed -- the workers still running are killed, so the
-    blocks they owe never run, and every worker is joined.
+    run in blocks that may span points (plan_grid_blocks), planned for
+    pool.process_limit(workers) processes (a count below 1 raises
+    ValueError), and run through pool.in_order: block i runs in process
+    i % that count, this process being process 0, so at workers 1 no
+    process starts. Row r of a point's scans is replicate r, and it is the
+    same for any block split, worker count and grid, because each
+    replicate's seed depends only on (master_seed, hr, ss, replicate
+    index). A worker's failed block is raised here, and one that dies
+    without sending its block raises ChildProcessError. Whenever the
+    generator ends -- done, failed, interrupted or closed -- the workers
+    still running are killed and joined, so the blocks they owe never run.
     """
     if workers < 1:  # block i runs in process i % workers
         raise ValueError(f"workers must be at least 1, got {workers}")
-    blocks = _grid_blocks(grid, workers)
+    workers = process_limit(workers)
     # before the first block: forked workers inherit the module, and
     # imported among a block's live arrays it raises peak RSS by about 0.5 MB
     scipy_special()
-    first = list(islice(blocks, workers))
-    with worker_processes(len(first), _work, grid, workers) as receive:
-        yield from _gather(grid, _pooled(grid, chain(first, blocks), workers, receive))
+    yield from _gather(
+        grid,
+        in_order(lambda runs: (runs, _run_block(grid, runs)), partial(_grid_blocks, grid, workers), workers, _owed),
+    )
 
 
 def run_replicates(

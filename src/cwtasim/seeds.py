@@ -22,13 +22,15 @@ streams in turn, and a caller either draws every round straight into its
 output (pcg64_uniforms) or loops over streams.rounds(width), calling
 streams.keep between rounds to name the streams it still reads. Every
 chunk is stepped on the calling thread in one set of buffers: a chunk's
-lane, scratch and round buffers take about 3.3 MB, and every grid block
-is one chunk (harness.BLOCK_ROWS <= CHUNK), so a block's pass is one
-chunk of lane operations. No pass starts a thread, so a pooled grid
-forks with only the main thread alive. A pass split between processes,
-as calibration's are, is split into contiguous shares of whole chunks
-(chunk_shares), each a pass of its own with one set of buffers. LANES
-and CHUNK change only the speed, never a drawn value.
+lane, scratch and round buffers take about 3.3 MB. A grid block of
+several trials holds at most harness.BLOCK_ROWS <= CHUNK rows, so its
+pass is one chunk of lane operations; a trial of more than CHUNK
+subjects is a block on its own and its pass several chunks. No pass
+starts a thread, so a pooled grid forks with only the main thread alive.
+A pass split between processes, as calibration's are, is split into
+contiguous shares of whole chunks (chunk_shares), each a pass of its own
+with one set of buffers. LANES and CHUNK change only the speed, never a
+drawn value.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 LANES = 8  # draws per round of the draw kernel
-CHUNK = 8192  # seeds per chunk: a grid block (harness.BLOCK_ROWS rows) is one chunk; 3.3 MB of buffers
+CHUNK = 8192  # seeds per chunk, 3.3 MB of buffers: a block of harness.BLOCK_ROWS rows is one chunk, a larger trial several
 
 _U32_16 = np.uint32(16)
 _U64_MASK32 = np.uint64(_MASK32)

@@ -216,9 +216,9 @@ def thread_starts(monkeypatch):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_grid_starts_no_thread_in_the_calling_process(tmp_path, fast_profile, thread_starts, workers):
-    """Every grid block is at most harness.BLOCK_ROWS <= seeds.CHUNK rows, one
-    chunk of streams; no stream pass starts a thread, so a pooled grid forks
-    with only the main thread alive."""
+    """A grid block of several trials is at most harness.BLOCK_ROWS <=
+    seeds.CHUNK rows, one chunk of streams; no stream pass starts a thread,
+    so a pooled grid forks with only the main thread alive."""
     assert harness.BLOCK_ROWS <= CHUNK
     cfg = small_config(tmp_path, profile=fast_profile, sample_sizes=[20, harness.BLOCK_ROWS], replicates=3)
     assert run_cli(["power", "--config", cfg, "--workers", workers]) == 0
@@ -293,6 +293,21 @@ def test_dead_calibration_worker_exits_2_with_one_line(tmp_path, fast_profile, m
     owed = f"the critical values of subjects {CHUNK}..{2 * CHUNK + 36}"
     assert capsys.readouterr().err == f"error: worker process 1 exited with code 7 before returning {owed}\n"
     assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_grid_command_in_a_daemonic_process(tmp_path, fast_profile, monkeypatch):
+    """power at --workers 2 in a multiprocessing.Pool worker, which is
+    daemonic and may start no process, runs its grid in process: exit 0,
+    the power.csv of --workers 1, and no process left behind."""
+    cfg = small_config(tmp_path, profile=fast_profile)
+    assert run_cli(["power", "--config", cfg, "--workers", "1"]) == 0
+    single = (tmp_path / "out" / "power.csv").read_bytes()
+    (tmp_path / "out" / "power.csv").unlink()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(run_cli, (["power", "--config", cfg, "--workers", "2"],)) == 0
+    assert (tmp_path / "out" / "power.csv").read_bytes() == single
     assert multiprocessing.active_children() == []
 
 
@@ -717,7 +732,8 @@ def test_import_loads_no_scipy_stats(tmp_path):
     (tmp_path / "curve.csv").write_text("arm,time,survival\ncontrol,1,0.5\ncontrol,2,0.25\n")
     (tmp_path / "grid.json").write_text('{"hazard_ratios": [0.7], "sample_sizes": [20], "replicates": 4}')
     code = (
-        "import sys, cwtasim, cwtasim.cli\n"
+        "import os, sys, cwtasim, cwtasim.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs, so workers 2 starts a worker\n"
         "from cwtasim import ExperimentGrid, harness\n"
         "def loaded(): return sorted(k for k in sys.modules if k.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing'))\n"
         "print('import', loaded())\n"

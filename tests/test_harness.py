@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,7 +33,7 @@ from cwtasim import (
 )
 from cwtasim import harness, trajectories
 from cwtasim.harness import plan_blocks, plan_grid_blocks, replicate_seed
-from cwtasim.statistics import Endpoint, count_tests, endpoint_arrays, endpoint_counts, monthly_counts, monthly_terms
+from cwtasim.statistics import Endpoint, count_tests, endpoint_arrays, endpoint_counts, monthly_counts, monthly_terms, scipy_special
 from cwtasim.trajectories import simulate_trials
 
 from oracles import (
@@ -335,12 +336,33 @@ def test_grid_small_n_shape_runs_as_two_blocks():
         assert_same_scans(scans, run_replicates(hr, ss, 30, model, 3))
 
 
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Two usable CPUs, whatever the machine has, so that a grid at workers 2
+    starts a worker even on a one-CPU host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture()
+def process_starts(monkeypatch):
+    """The names of the worker processes started while the test runs."""
+    starts = []
+
+    class SpyProcess(multiprocessing.Process):
+        def start(self):
+            starts.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(multiprocessing, "Process", SpyProcess)
+    return starts
+
+
 @pytest.mark.parametrize(
     "sizes, replicates",
     [((2,), 12), ((2, 4, 6), 2)],  # one point of 12 blocks; three points of 2 blocks each
     ids=["one_point", "three_points"],
 )
-def test_interrupt_cancels_queued_blocks(tmp_path, monkeypatch, sizes, replicates):
+def test_interrupt_cancels_queued_blocks(tmp_path, monkeypatch, sizes, replicates, two_cpus):
     """A KeyboardInterrupt from the caller's block propagates through
     run_grid at once, the worker stuck in its first block is killed, and
     the blocks still owed by either process never run, whichever grid point
@@ -371,7 +393,7 @@ def test_interrupt_cancels_queued_blocks(tmp_path, monkeypatch, sizes, replicate
     assert ran in ([order[0]], sorted(order[:2])), ran
 
 
-def test_worker_failure_is_raised_by_the_caller(monkeypatch):
+def test_worker_failure_is_raised_by_the_caller(monkeypatch, two_cpus):
     """An exception raised in a worker's block reaches the caller as itself,
     and no process is left behind."""
     caller, run_block = os.getpid(), harness._run_block
@@ -389,7 +411,7 @@ def test_worker_failure_is_raised_by_the_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_dead_worker_raises_child_process_error(monkeypatch):
+def test_dead_worker_raises_child_process_error(monkeypatch, two_cpus):
     """A worker that dies without sending its block ends the run with one
     ChildProcessError naming its exit code and the block it owed: no hang,
     no process left behind."""
@@ -410,19 +432,12 @@ def test_dead_worker_raises_child_process_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_run_grid_runs_one_pool_in_grid_order(monkeypatch):
+def test_run_grid_runs_one_pool_in_grid_order(monkeypatch, two_cpus, process_starts):
     """A multi-point grid at workers 2 starts exactly one worker process,
     yields its points in grid order, and gives each point the rows of
     run_replicates at workers 1; at workers 1 no process is started, and
     none is started beyond the block count."""
-    starts = []
-
-    class SpyProcess(multiprocessing.Process):
-        def start(self):
-            starts.append(self.name)
-            super().start()
-
-    monkeypatch.setattr(multiprocessing, "Process", SpyProcess)
+    starts = process_starts
     monkeypatch.setattr(harness, "BLOCK_ROWS", 60)  # several blocks per point
     grid = ExperimentGrid(
         hazard_ratios=(0.5, 0.7), sample_sizes=(20, 40, 62), replicates={0.5: 9, 0.7: 5}, profile=MODEL, master_seed=11
@@ -442,6 +457,56 @@ def test_run_grid_runs_one_pool_in_grid_order(monkeypatch):
     assert multiprocessing.active_children() == []
     with pytest.raises(ValueError, match="^workers must be at least 1, got 0$"):
         next(harness.run_grid(grid, workers=0))
+
+
+def test_library_grid_is_capped_at_the_usable_cpus(monkeypatch, two_cpus, process_starts):
+    """run_grid at workers 5 on a grid of 12 blocks, with two usable CPUs,
+    starts one worker, not four, and gives each point the rows of workers 1."""
+    monkeypatch.setattr(harness, "BLOCK_ROWS", 60)  # 3 blocks at n 20, 9 at n 40
+    grid = ExperimentGrid(hazard_ratios=(0.7,), sample_sizes=(20, 40), replicates=9, profile=MODEL, master_seed=11)
+    points = list(harness.run_grid(grid, workers=5))
+    assert len(process_starts) == 1
+    for (hr, ss, scans), (_, _, serial) in zip(points, harness.run_grid(grid, workers=1), strict=True):
+        assert_same_scans(scans, serial)
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_grid_in_a_daemonic_process_runs_in_process(two_cpus):
+    """A multiprocessing.Pool worker is daemonic and may start no process:
+    run_replicates at workers 2 there runs both its blocks in process and
+    gives the rows of workers 1, and no process is left behind."""
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        scans = pool.apply(run_replicates, (0.7, 60, 30, MODEL, 0), {"workers": 2})
+    assert_same_scans(scans, run_replicates(0.7, 60, 30, MODEL, 0))
+    assert multiprocessing.active_children() == []
+
+
+def test_closed_grid_kills_its_worker(two_cpus):
+    """A pooled grid closed after its first point leaves no process behind."""
+    grid = ExperimentGrid(hazard_ratios=(0.5, 0.7), sample_sizes=(20, 40), replicates=300, profile=MODEL, master_seed=3)
+    points = harness.run_grid(grid, workers=2)
+    assert next(points)[:2] == (0.5, 20)
+    assert len(multiprocessing.active_children()) == 1
+    points.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_run_grid_is_lazy():
+    """The first point of a grid whose second point is 10**7 replicates at
+    n 500, 1.25 M blocks, comes back without its plan or its scans being
+    held: a plan held whole takes about 230 MB, its first block under 1 MB."""
+    grid = ExperimentGrid(hazard_ratios=(0.5, 0.7), sample_sizes=(500,), replicates={0.5: 2, 0.7: 10**7}, profile=MODEL)
+    scipy_special()  # loaded before tracing: module import is not the grid's memory
+    tracemalloc.start()
+    try:
+        points = harness.run_grid(grid)
+        hr, ss, scans = next(points)
+        peak = tracemalloc.get_traced_memory()[1]
+        points.close()
+    finally:
+        tracemalloc.stop()
+    assert (hr, ss, len(scans.final_p)) == (0.5, 500, 2)
+    assert peak < 50 * 2**20, peak
 
 
 def test_plan_blocks_is_lazy():
