@@ -173,23 +173,27 @@ def _first_row_fault(path) -> str | None:
 
 
 def _part(texts, index: dict[str, int], dropout_code: dict[int, int]) -> tuple:
-    """One chunk's narrow integer columns from its subject, month, state, arm and dropout texts.
+    """One chunk's narrow integer columns from its subject, month, state, arm and dropout fields.
 
-    A month column of 8-byte words that all hold 1 to 7 ASCII digits is
-    folded to its values in place (_digit_words); any other month column,
-    whose spellings int() may still accept, goes through _narrow.
+    A month or state column that _plain_fields read from its digits comes
+    as int32 values; any other, whose spellings int() may still accept,
+    goes through _narrow. Out-of-range months and states stay out of range.
     """
     keys, months, states, arms, drops = texts
-    if (folded := _digit_words(months)) is None:
-        # out-of-range months and states stay out of range
-        folded = _narrow(months, lambda t: min(max(int(t), -1), 2**31 - 1), np.int32)
     return (
         _narrow(keys, lambda t: index.setdefault(t, len(index)), np.int32),  # codes follow first appearance
-        folded,
-        _narrow(states, lambda t: min(max(int(t), -1), 5), np.int8),
+        _integers(months, 2**31 - 1, np.int32),
+        _integers(states, 5, np.int8),
         _narrow(arms, lambda t: _ARM_BY_LABEL[t.strip().lower()], np.int8),
         _narrow(drops, lambda t: dropout_code.setdefault(int(t), len(dropout_code)) if t.strip() else -1, np.int32),
     )
+
+
+def _integers(column, top: int, dtype) -> np.ndarray:
+    """A column's integers clamped to -1..top: int32 values read from digits, or texts read by int()."""
+    if getattr(column, "dtype", None) == np.int32:
+        return np.minimum(column, top).astype(dtype)  # digits read no sign: never below 0
+    return _narrow(column, lambda t: min(max(int(t), -1), top), dtype)
 
 
 def _narrow(texts, convert, dtype) -> np.ndarray:
@@ -220,38 +224,26 @@ _WORD_KEEP = np.frombuffer(b"".join(b"\xff" * n + bytes(8 - n) for n in range(9)
 _WORD_PAD = np.frombuffer(b"".join(bytes(n) + b"," * (8 - n) for n in range(9)), "<u8")
 
 
-# bytes repeated across an 8-byte word
-_COMMAS, _ZEROS = np.uint64(0x2C2C2C2C2C2C2C2C), np.uint64(0x3030303030303030)
-_LOW7, _HIGH1 = np.uint64(0x7F7F7F7F7F7F7F7F), np.uint64(0x8080808080808080)
-_HIGH4, _SIXES = np.uint64(0xF0F0F0F0F0F0F0F0), np.uint64(0x0606060606060606)
+def _digits(padded, at, size) -> np.ndarray | None:
+    """Each field's value as int32 when every field holds 1 to 7 ASCII digits; None otherwise.
 
-
-def _digit_words(words) -> np.ndarray | None:
-    """Each word's value as int32 when every word is 1 to 7 ASCII digits padded
-    with ","; None for any other column.
-
-    A word's first byte is its field's first. A field holds no ",", so the
-    bytes that differ from "," are the field's n bytes. Shifted up by the
-    8 - n padding bytes, with "0" filled in below, the word is eight digits,
-    most significant first, which three multiply-add-mask steps (x10, x100,
-    x10 000) fold to one number.
+    Field i is padded[at[i] : at[i] + size[i]]; digit k of every field is
+    one gather, folded in where the field is longer than k.
     """
-    if getattr(words, "dtype", None) != np.uint64:  # a list of str, or fields wider than a word
+    if size.min() < 1 or size.max() > 7:
         return None
-    z = words ^ _COMMAS  # a field byte keeps some bit; a padding byte is 0
-    n = np.bitwise_count(((z & _LOW7) + _LOW7 | z) & _HIGH1)  # one high bit per field byte
-    digits = words << (64 - 8 * n) | _ZEROS >> (8 * n)
-    # every byte 0x30..0x39: high nibble 3, and 3 still after adding 6 (no byte carries then)
-    if not n.all() or ((digits & _HIGH4) != _ZEROS).any() or ((digits + _SIXES & _HIGH4) != _ZEROS).any():
-        return None
-    v = digits - _ZEROS
-    v = v * np.uint64(10 << 8 | 1) >> np.uint64(8) & np.uint64(0x00FF00FF00FF00FF)  # 2-digit lanes
-    v = v * np.uint64(100 << 16 | 1) >> np.uint64(16) & np.uint64(0x0000FFFF0000FFFF)  # 4-digit lanes
-    return (v * np.uint64(10_000 << 32 | 1) >> np.uint64(32)).astype(np.int32)
+    values = np.zeros(len(at), np.int32)
+    for k in range(int(size.max())):
+        digit = padded[at + k] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+        inside = size > k
+        if (inside & (digit > 9)).any():
+            return None
+        values = np.where(inside, values * 10 + digit, values)
+    return values
 
 
 def _plain_fields(chunk, col: dict[str, int], d: int) -> list | None:
-    """The subject, month, state, arm and dropout texts of a chunk as simulate
+    """The subject, month, state, arm and dropout fields of a chunk as simulate
     writes it; None for any other chunk, which csv.reader reads instead.
 
     chunk is whole lines, each ending in "\n", with no '"' and no "\r": every
@@ -260,11 +252,12 @@ def _plain_fields(chunk, col: dict[str, int], d: int) -> list | None:
     line is blank); every column read, padded, takes at most twice the
     chunk's bytes; and no field's bytes exceed csv.field_size_limit(). Its
     field bounds are then reshaped to (lines, c), and a dropout column at or
-    past c reads as blank. A column becomes an array of 8-byte words or
-    fixed-width bytes, read from one ","-padded copy of the chunk through an
-    unaligned 8-byte word view of it: a field of up to 7 bytes is one word,
-    masked past the field's end, and a longer one the consecutive words that
-    cover it.
+    past c reads as blank. Columns are read from one ","-padded copy of the
+    chunk. A month or state column whose fields all hold 1 to 7 ASCII digits
+    becomes their int32 values (_digits). Any other column becomes an array
+    of 8-byte words or fixed-width bytes, read through an unaligned 8-byte
+    word view of the copy: a field of up to 7 bytes is one word, masked past
+    the field's end, and a longer one the consecutive words that cover it.
     """
     buf = np.frombuffer(chunk, np.uint8)
     # field i spans bounds[i] + 1 .. bounds[i + 1], which is a "," or "\n"
@@ -288,8 +281,10 @@ def _plain_fields(chunk, col: dict[str, int], d: int) -> list | None:
     padded = np.concatenate((buf, np.full(longest + 8, ord(","), np.uint8)))  # the words of any field start
     words = np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
     columns = []
-    for (at, size), w in zip(spans, widths):
-        if w == 8:  # a field of up to 7 bytes and its padding as one word, which sorts fast
+    for i, ((at, size), w) in enumerate(zip(spans, widths)):
+        if i in (1, 2) and (values := _digits(padded, at, size)) is not None:  # month, state
+            columns.append(values)
+        elif w == 8:  # a field of up to 7 bytes and its padding as one word, which sorts fast
             columns.append(words[at] & _WORD_KEEP[size] | _WORD_PAD[size])
         else:  # a field's words, each masked by the bytes of the field it holds, cut to w bytes
             j = np.arange(0, w, 8)

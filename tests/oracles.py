@@ -23,7 +23,9 @@ row, each value formatted on its own through the csv module), the
 reference for the chunked write_trajectories_csv. critical_improvement
 is a calibration table's entry for one subject, cell by cell: every
 observed month's least improving probability, found by bisection over the
-bit patterns of [0, 1], then the least of them.
+bit patterns of [0, 1], then the least of them. exact_response_rates is
+the control arm's best-response mix computed from the transition chain,
+the reference that the Monte Carlo control_response_rates must lie near.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ import numpy as np
 from scipy import stats
 
 from cwtasim import (
+    CR,
     DEATH,
     MAX_STATE,
     METHODS,
     Arm,
     Endpoint,
+    PR,
     SD,
     TransitionModel,
     Trial,
@@ -150,6 +154,33 @@ def critical_improvement(model: TransitionModel, s: int, block) -> float:
         ),
         default=float("inf"),
     )
+
+
+def exact_response_rates(model: TransitionModel) -> tuple[float, float]:
+    """Exact control-arm (CR, PR) best-response rates of model, from its chain.
+
+    The chain is augmented with the best state reached so far: CR, PR, or
+    neither (the SD baseline or worse). Its distribution over (state, best)
+    is evolved month by month; the improvement chance in month m is
+    improve_prob[s] * decay**(m - 1). Best response is read over the
+    observed months 0..C, so month m's best is weighted by the censor law
+    P(C = m) = d / h, plus 1 - d at m = h.
+    """
+    h, d = model.horizon_months, model.dropout_rate
+    chain = {(SD, SD): 1.0}  # (state, best state so far, at most SD): probability
+    rates = [0.0] * (SD + 1)  # by best state
+    for m in range(1, h + 1):
+        step: dict[tuple[int, int], float] = {}
+        for (s, best), p in chain.items():
+            up, down = model.improve_prob[s] * model.improve_decay ** (m - 1), model.worsen_prob[s]
+            for t, q in ((s - 1, up), (s, 1.0 - up - down), (s + 1, down)):
+                if q:
+                    step[t, min(best, t)] = step.get((t, min(best, t)), 0.0) + p * q
+        chain = step
+        weight = d / h + (1.0 - d if m == h else 0.0)
+        for (_, best), p in chain.items():
+            rates[best] += weight * p
+    return rates[CR], rates[PR]
 
 
 def naive_endpoint(states, threshold: int) -> tuple[int, bool]:

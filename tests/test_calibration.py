@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import multiprocessing
 import os
 import re
@@ -21,8 +23,9 @@ from cwtasim.calibration import (
     calibrate_transition_model,
     control_response_rates,
 )
+from cwtasim.serialize import load_profile
 from cwtasim.trajectories import CR, PR, SD, Arm, TransitionModel
-from oracles import critical_improvement, simulate_subject, subject_rng
+from oracles import critical_improvement, exact_response_rates, simulate_subject, subject_rng
 
 TEMPLATE = TransitionModel(
     improve_prob=(0.0, 0.0, 0.0, 0.0, 0.0),
@@ -105,6 +108,43 @@ def test_response_rates_match_per_subject_oracle():
         expected = (best.count(CR) / n, best.count(PR) / n)
         assert 0.0 < expected[1] and (0.0 < expected[0] or template != model)
         assert control_response_rates(template, n_subjects=n) == expected, template
+
+
+@pytest.mark.parametrize("name", ["moderate", "high", "off-grid"])
+def test_response_rates_lie_near_the_exact_rates(name):
+    """The Monte Carlo rates of 100 000 subjects lie within 4.5 binomial
+    standard errors of the chain's exact rates, on both shipped profiles
+    and a model off their grid (dropout 0.5, decay 0.9, horizon 24)."""
+    if name == "off-grid":
+        model = replace(load_profile("moderate"), dropout_rate=0.5, improve_decay=0.9, horizon_months=24)
+    else:
+        model = load_profile(name)
+    n = 100_000
+    for rate, exact in zip(control_response_rates(model, n, CALIBRATION_SEED), exact_response_rates(model)):
+        assert abs(rate - exact) <= 4.5 * math.sqrt(exact * (1.0 - exact) / n), (rate, exact)
+
+
+def test_exact_response_rates_enumerate_every_path():
+    """On a 3-month horizon the chain's rates equal the sum over every
+    dropout, censor month and month-by-month move path."""
+    model = replace(load_profile("moderate"), dropout_rate=0.4, horizon_months=3)
+    h, d = model.horizon_months, model.dropout_rate
+    censors = [(d / h, c) for c in range(1, h + 1)] + [(1.0 - d, h)]  # (probability, censor month)
+    rates = [0.0] * (SD + 1)  # by best state
+    for moves in itertools.product((-1, 0, 1), repeat=h):
+        states, p = [SD], 1.0
+        for m, move in enumerate(moves, 1):
+            s = states[-1]
+            up, down = model.improve_prob[s] * model.improve_decay ** (m - 1), model.worsen_prob[s]
+            p *= {-1: up, 0: 1.0 - up - down, 1: down}[move]
+            if not p:
+                break
+            states.append(s + move)
+        else:
+            for q, c in censors:
+                rates[min(states[: c + 1])] += p * q
+    assert rates[CR] > 0.0 and rates[PR] > 0.0
+    assert exact_response_rates(model) == pytest.approx((rates[CR], rates[PR]), abs=1e-12, rel=0)
 
 
 def test_zero_targets_leave_improvement_at_zero():

@@ -506,25 +506,33 @@ def test_integer_past_the_digit_limit(tmp_path, field):
 
 
 @pytest.mark.parametrize(
-    "month", ["007", "0000001", "00000001", "9999999", "١", "２", "0_1", "\t1", "\xa01", "+1", "", "1?"]
+    "name, spelling",
+    [
+        pytest.param("month", m, id=m)
+        for m in ["007", "0000001", "00000001", "9999999", "١", "２", "0_1", "\t1", "\xa01", "+1", "", "1?"]
+    ]
+    + [pytest.param("state", s, id=f"state-{s}") for s in ["9", "258", "007", "0000002", "00000002", "+2", " 2", "٢", ""]],
 )
-def test_month_spellings_read_as_the_reference_reads_them(tmp_path, month):
-    """A month of 1 to 7 ASCII digits is folded from its word; every other
-    spelling, which int() may still accept, reads as the reference reads it.
-    A spelling of 1 gives the file's Trial back."""
+def test_month_spellings_read_as_the_reference_reads_them(tmp_path, name, spelling):
+    """A month or state of 1 to 7 ASCII digits is read from its digits; every
+    other spelling, which int() may still accept, reads as the reference
+    reads it. A spelling of a month 1, or of a state 2, gives the file's
+    Trial back."""
     trial = simulate_trial(READER_MODEL, 0.7, 6, 3)
     path = tmp_path / "trial.csv"
     write_trajectories_csv(trial, path)
     header, *rows = path.read_text().splitlines()
-    k = next(i for i, row in enumerate(rows) if row.split(",")[1] == "1")
+    c, value = HEADER.index(name), {"month": "1", "state": "2"}[name]
+    k = next(i for i, row in enumerate(rows) if row.split(",")[c] == value and row.split(",")[1] != "0")
     fields = rows[k].split(",")
-    rows[k] = ",".join([fields[0], month, *fields[2:]])
+    fields[c] = spelling
+    rows[k] = ",".join(fields)
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     assert_same_outcome(path, [str(i) for i in range(6)])
-    if month in ("0000001", "00000001", "١", "0_1", "\t1", "\xa01", "+1"):
+    if spelling in ("0000001", "00000001", "١", "0_1", "\t1", "\xa01", "+1", "0000002", "00000002", "+2", " 2", "٢"):
         got = read_trajectories_csv(path)
-        for name in ("states", "censor", "arms", "dropped"):
-            assert np.array_equal(getattr(got, name), getattr(trial, name)), name
+        for field in ("states", "censor", "arms", "dropped"):
+            assert np.array_equal(getattr(got, field), getattr(trial, field)), field
 
 
 def test_uniform_pieces_reshape_and_ragged_ones_take_the_general_route(tmp_path, monkeypatch):
@@ -689,17 +697,25 @@ def test_a_chunk_of_blank_lines_narrows_to_empty_columns(tmp_path, monkeypatch):
         ["0,0,2,control,", "0,1,2,experimental,"],  # a blank last field; a wide arm
         ["3,0,2,control", "3,1,2,control"],  # lines too short to hold a dropout
         ["4,0,2,control,,extra", "4,1,2,control,1,extra"],  # an extra last field
+        ["5,9,2,control,", "5,10,2,control,", "5,1234567,2,control,"],  # months of 1, 2 and 7 digits
+        ["5,0,2,control,", "5,12345678,2,control,"],  # an 8-digit month: its column reads as words
     ],
 )
 def test_word_gather_reads_each_field_to_the_buffer_end(lines):
     """_plain_fields' words equal each field padded with ",", also for the
-    chunk's last field, and read nothing past the chunk it is given."""
+    chunk's last field, and read nothing past the chunk it is given. A month
+    or state column whose fields all hold 1 to 7 ASCII digits reads as their
+    int32 values instead."""
     text = "\n".join(lines).encode() + b"\n"
     chunk = memoryview(text + b"99999999")[: len(text)]  # bytes past the chunk that are not ","
     rows = [line.split(",") for line in lines]
     columns = serialize._plain_fields(chunk, {name: i for i, name in enumerate(HEADER)}, 4)
     for k, column in enumerate(columns):
-        want = padded_words([row[k] if k < len(row) else "" for row in rows])
+        fields = [row[k] if k < len(row) else "" for row in rows]
+        if HEADER[k] in ("month", "state") and all(re.fullmatch("[0-9]{1,7}", f) for f in fields):
+            want = np.array([int(f) for f in fields], np.int32)
+        else:
+            want = padded_words(fields)
         assert column.dtype == want.dtype and np.array_equal(column, want), HEADER[k]
 
 
